@@ -1,11 +1,11 @@
-"""Deterministic dense complex linear algebra kernel.
+"""Dense complex linear algebra kernel.
 
 Everything downstream (semigroup evaluation, Gramians, norm scans) is built on
-the five operations in this module.  They are hand-rolled so that their
-numerical behaviour is fully pinned down: no randomized pivoting, no
-environment-dependent BLAS dispatch in the algorithmic logic, fixed iteration
-orders and start vectors.  numpy supplies array storage and vectorized
-arithmetic only.
+the five operations in this module.  The solve, the operator norm and the
+Hermitian eigensolver are thin calls to numpy's LAPACK wrappers; this module
+adds input checks, the named errors below for LAPACK failures, and residual
+certificates.  numpy has no matrix exponential, so mat_exp is Pade
+scaling-and-squaring on top of the LAPACK solve.
 """
 
 from __future__ import annotations
@@ -131,94 +131,33 @@ def mat_exp(A, t=1.0):
 
 
 # ---------------------------------------------------------------------------
-# linear solve
+# LAPACK-backed kernels: solve, operator norm, Hermitian eigenvalues
 
 
 def linear_solve(M, B):
-    """Solve M X = B by partial-pivot LU plus one refinement step.
+    """Solve M X = B, B a vector or a matrix, by LAPACK's partial-pivot LU.
 
-    Accepts B as a vector or a matrix of right-hand sides.  Residual is at the
-    1e-11 * ||B|| level whenever cond(M) is moderate (all in-package systems).
+    The residual is at the 1e-11 * ||B|| level when cond(M) is moderate.  An
+    exactly zero pivot or a non-finite solution raises SingularMatrixError.
     """
     M = _as_square(M)
-    n = M.shape[0]
     b = np.asarray(B, dtype=complex)
-    vector_rhs = b.ndim == 1
-    if vector_rhs:
-        b = b[:, None]
-    if b.shape[0] != n:
+    if b.ndim not in (1, 2) or b.shape[0] != M.shape[0]:
         raise ValueError("right-hand side dimension mismatch")
-
-    lu = M.copy()
-    perm = np.arange(n)
-    scale = float(np.max(np.abs(M))) if n else 0.0
-    tiny = max(scale, 1.0) * n * np.finfo(float).eps * 1e-2
-    for k in range(n - 1):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-        piv = lu[k, k]
-        if abs(piv) <= tiny:
-            raise SingularMatrixError("numerically singular pivot in LU")
-        lu[k + 1:, k] /= piv
-        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    if n and abs(lu[n - 1, n - 1]) <= tiny:
-        raise SingularMatrixError("numerically singular pivot in LU")
-
-    def lu_solve(rhs):
-        y = rhs[perm].astype(complex)
-        for k in range(1, n):
-            y[k] -= lu[k, :k] @ y[:k]
-        for k in range(n - 1, -1, -1):
-            y[k] -= lu[k, k + 1:] @ y[k + 1:]
-            y[k] /= lu[k, k]
-        return y
-
-    x = lu_solve(b)
-    x += lu_solve(b - M @ x)  # one refinement pass in working precision
-    return x[:, 0] if vector_rhs else x
+    try:
+        x = np.linalg.solve(M, b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError("singular matrix in LU") from exc
+    if not np.all(np.isfinite(x)):
+        raise SingularMatrixError("numerically singular matrix in LU")
+    return x
 
 
-# ---------------------------------------------------------------------------
-# operator norm
+def operator_norm(M):
+    """Largest singular value of M, from LAPACK's SVD (np.linalg.norm(M, 2)).
 
-
-# Documented deterministic perturbation used to escape starts that are
-# orthogonal to the dominant eigenvector: the harmonic-series direction.
-def _perturbation(n):
-    d = 1.0 / np.arange(1.0, n + 1.0)
-    return d / np.linalg.norm(d)
-
-
-_TINY = float(np.finfo(float).tiny)
-
-
-def _power_iteration(Bmat, v, rel_tol, max_iter):
-    rho = 0.0
-    w = Bmat @ v
-    for _ in range(max_iter):
-        nw = math.sqrt(float(np.real(np.vdot(w, w))))
-        if nw == 0.0:
-            return 0.0, True
-        v = w / nw
-        w = Bmat @ v
-        rho = float(np.real(np.vdot(v, w)))
-        r = w - rho * v
-        resid = math.sqrt(float(np.real(np.vdot(r, r))))
-        if resid <= rel_tol * max(rho, _TINY):
-            return rho, True
-    return rho, False
-
-
-def operator_norm(M, rel_tol=1e-10, max_iter=300):
-    """Largest singular value of M via power iteration on M^H M.
-
-    Deterministic: all-ones start vector; after convergence the iteration is
-    restarted once from a fixed perturbed start and the larger Rayleigh value
-    wins (guards against a start vector orthogonal to the top eigenvector).
-    A tiny gap between the top two singular values can stall the iteration;
-    that case falls back to the Jacobi eigensolver, which is gap-independent.
+    A square diagonal M short-circuits to max_k |d_k|, which is exact and
+    spares the diagonal semigroups T(t) an SVD of their full matrix.
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2:
@@ -229,21 +168,10 @@ def operator_norm(M, rel_tol=1e-10, max_iter=300):
         d = np.diag(M)
         if float(np.max(np.abs(M - np.diag(d)))) == 0.0:
             return float(np.max(np.abs(d)))
-    Bmat = M.conj().T @ M
-    n = Bmat.shape[0]
-    v0 = np.ones(n, dtype=complex) / math.sqrt(n)
-    rho1, ok1 = _power_iteration(Bmat, v0, rel_tol, max_iter)
-    v1 = (v0 + _perturbation(n)).astype(complex)
-    v1 /= np.linalg.norm(v1)
-    rho2, ok2 = _power_iteration(Bmat, v1, rel_tol, max_iter)
-    if not (ok1 and ok2):
-        spec = hermitian_eigs(0.5 * (Bmat + Bmat.conj().T))
-        return math.sqrt(max(spec.lambda_max, 0.0))
-    return math.sqrt(max(rho1, rho2, 0.0))
-
-
-# ---------------------------------------------------------------------------
-# Hermitian eigenvalues
+    try:
+        return float(np.linalg.norm(M, 2))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError("SVD did not converge") from exc
 
 
 @dataclass(frozen=True)
@@ -264,69 +192,21 @@ class HermitianSpectrum:
         return float(self.eigenvalues[-1])
 
 
-_JACOBI_MAX_SWEEPS = 30
-
-
 def hermitian_eigs(H, hermitian_tol=1e-12):
-    """All eigenvalues of a Hermitian matrix by cyclic complex Jacobi.
-
-    Sweeps run until the off-diagonal Frobenius mass is below 1e-12 * ||H||.
-    Non-Hermitian input (beyond hermitian_tol, relative) is an error.
-    """
+    """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix by
+    LAPACK's eigh, plus the eigenpair residual.  Non-Hermitian input (beyond
+    hermitian_tol, relative) is an error."""
     H = _as_square(H, "H")
-    n = H.shape[0]
     scale = max(float(np.linalg.norm(H)), 1.0)
     if float(np.linalg.norm(H - H.conj().T)) > hermitian_tol * scale:
         raise ValueError("hermitian_eigs requires a Hermitian matrix")
-    A = 0.5 * (H + H.conj().T)
-    V = np.eye(n, dtype=complex)
-    norm_H = float(np.linalg.norm(A))
-    if norm_H == 0.0:
-        return HermitianSpectrum(np.zeros(n), 0.0, V)
-
-    def off_norm(X):
-        # norm of the strictly off-diagonal part; the difference-of-squares
-        # form cancels catastrophically near convergence
-        return float(np.linalg.norm(X - np.diag(np.diag(X))))
-
-    target = 1e-12 * norm_H
-    rot_threshold = target / max(n, 1)
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        if off_norm(A) <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= rot_threshold:
-                    continue
-                phi = apq / abs(apq)
-                tau = (A[q, q].real - A[p, p].real) / (2.0 * abs(apq))
-                sign = 1.0 if tau >= 0 else -1.0
-                t_rot = sign / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t_rot * t_rot)
-                s = t_rot * c
-                Ap = A[:, p].copy()
-                Aq = A[:, q].copy()
-                A[:, p] = c * Ap - s * np.conj(phi) * Aq
-                A[:, q] = s * phi * Ap + c * Aq
-                Rp = A[p, :].copy()
-                Rq = A[q, :].copy()
-                A[p, :] = c * Rp - s * phi * Rq
-                A[q, :] = s * np.conj(phi) * Rp + c * Rq
-                Vp = V[:, p].copy()
-                Vq = V[:, q].copy()
-                V[:, p] = c * Vp - s * np.conj(phi) * Vq
-                V[:, q] = s * phi * Vp + c * Vq
-    else:
-        raise ConvergenceError("Jacobi sweeps failed to reduce off-diagonal mass")
-
-    eigs = np.real(np.diag(A))
-    order = np.argsort(eigs, kind="stable")
-    eigs = eigs[order]
-    V = V[:, order]
     Hh = 0.5 * (H + H.conj().T)
-    residual = float(np.max(np.linalg.norm(Hh @ V - V * eigs[None, :], axis=0))) if n else 0.0
-    return HermitianSpectrum(eigs, residual, V)
+    try:
+        eigs, V = np.linalg.eigh(Hh)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError("eigh did not converge") from exc
+    resid = np.linalg.norm(Hh @ V - V * eigs[None, :], axis=0)
+    return HermitianSpectrum(eigs, float(np.max(resid, initial=0.0)), V)
 
 
 # ---------------------------------------------------------------------------

@@ -114,22 +114,6 @@ class Generator:
         return self.certificate.decay_rate
 
 
-def _cholesky_pd(P, tol=0.0):
-    """Plain Cholesky; returns False instead of raising when P is not
-    positive definite (within tol on the pivots)."""
-    P = np.asarray(P, dtype=complex)
-    n = P.shape[0]
-    L = np.zeros_like(P)
-    for j in range(n):
-        d = P[j, j].real - float(np.sum(np.abs(L[j, :j]) ** 2))
-        if d <= tol:
-            return False
-        L[j, j] = math.sqrt(d)
-        if j + 1 < n:
-            L[j + 1:, j] = (P[j + 1:, j] - L[j + 1:, :j] @ L[j, :j].conj()) / L[j, j]
-    return True
-
-
 def certify_stable(A):
     """Solve A^H P + P A = -I and verify P > 0 by Cholesky."""
     A = np.asarray(A, dtype=complex)
@@ -139,9 +123,11 @@ def certify_stable(A):
     except (SingularMatrixError, ArithmeticError) as exc:
         raise StabilityError("not exponentially stable: Lyapunov witness "
                              "unavailable") from exc
-    if not _cholesky_pd(P):
+    try:
+        np.linalg.cholesky(P)
+    except np.linalg.LinAlgError as exc:
         raise StabilityError("not exponentially stable: Lyapunov witness "
-                             "not positive definite")
+                             "not positive definite") from exc
     witness = -(A.conj().T @ P + P @ A)
     residual = float(np.linalg.norm(witness - eye))
     if residual > 1e-9:
@@ -189,20 +175,26 @@ def _complex_gaussian(rng, n):
         / math.sqrt(2.0 * n)
 
 
-def random_dissipative(n, seed):
-    """A = W - H with W skew-Hermitian and H Hermitian with spectrum in
-    [2.5, 4].  Then A + A^H = -2H < 0: dissipative with a wide margin, so
-    every orbit decays fast enough for the reference discrete grids."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    rng = np.random.default_rng(seed)
+def _dissipative_matrix(rng, n):
+    """W - H with W skew-Hermitian and H Hermitian with spectrum in [2.5, 4],
+    drawn from rng as G (for W) then B (for H = 2.5 I + 1.5 B^H B / norm)."""
     G = _complex_gaussian(rng, n)
     W = 0.5 * (G - G.conj().T)
     B = _complex_gaussian(rng, n)
     S = B.conj().T @ B
     s_norm = operator_norm(S)
     H = 2.5 * np.eye(n) + (1.5 / s_norm) * S if s_norm > 0 else 2.5 * np.eye(n)
-    return Generator.dense(W - H, seed=seed)
+    return W - H
+
+
+def random_dissipative(n, seed):
+    """A = W - H with W skew-Hermitian and H Hermitian with spectrum in
+    [2.5, 4].  Then A + A^H = -2H < 0: dissipative with a wide margin, so
+    every orbit decays fast enough for the reference discrete grids."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    A = _dissipative_matrix(np.random.default_rng(seed), n)
+    return Generator.dense(A, seed=seed)
 
 
 def random_stable(n, seed):
@@ -213,18 +205,13 @@ def random_stable(n, seed):
     for attempt in range(5):
         s = seed + attempt
         rng = np.random.default_rng(s)
-        G = _complex_gaussian(rng, n)
-        W = 0.5 * (G - G.conj().T)
-        B = _complex_gaussian(rng, n)
-        S = B.conj().T @ B
-        s_norm = operator_norm(S)
-        H = 2.5 * np.eye(n) + (1.5 / s_norm) * S if s_norm > 0 else 2.5 * np.eye(n)
+        A = _dissipative_matrix(rng, n)
         V = np.eye(n, dtype=complex) + 0.3 * _complex_gaussian(rng, n)
         try:
             V_inv = linear_solve(V, np.eye(n, dtype=complex))
             if operator_norm(V) * operator_norm(V_inv) > 100.0:
                 raise StabilityError("similarity transform too ill-conditioned")
-            return Generator.dense(V @ (W - H) @ V_inv, seed=s)
+            return Generator.dense(V @ A @ V_inv, seed=s)
         except (StabilityError, SingularMatrixError) as exc:
             last_error = exc
     raise StabilityError("random_stable: certification failed after 5 attempts") \

@@ -1,9 +1,17 @@
-"""Dense linear algebra kernels against closed-form and LAPACK oracles."""
+"""Dense linear algebra kernels against closed-form and mpmath oracles.
+
+The kernels call LAPACK through numpy, so numpy's own decompositions are no
+independent oracle; singular values and eigenvalues are checked against
+mpmath at 30 digits instead.
+"""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hardycalc.numkernel import (
     ConvergenceError,
@@ -14,6 +22,22 @@ from hardycalc.numkernel import (
     operator_norm,
     solve_lyapunov,
 )
+
+
+def _mp_matrix(M):
+    return mp.matrix([[mp.mpc(z.real, z.imag) for z in row]
+                      for row in np.asarray(M, dtype=complex)])
+
+
+def _mp_sigma_max(M):
+    with mp.workdps(30):
+        return float(max(mp.svd_c(_mp_matrix(M), compute_uv=False)))
+
+
+def _mp_eigvalsh(H):
+    with mp.workdps(30):
+        return np.sort([float(e) for e in
+                        mp.eighe(_mp_matrix(H), eigvals_only=True)])
 
 
 class TestMatExp:
@@ -90,6 +114,13 @@ class TestLinearSolve:
         with pytest.raises(SingularMatrixError):
             linear_solve(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0]))
 
+    def test_zero_column_raises(self):
+        # an exactly zero column stays zero through elimination, so LAPACK
+        # meets an exactly zero pivot
+        M = np.array([[1j, 0.0, 2.0], [3.0, 0.0, 1.0], [1.0, 0.0, -1j]])
+        with pytest.raises(SingularMatrixError):
+            linear_solve(M, np.eye(3))
+
 
 class TestOperatorNorm:
     def test_nilpotent(self):
@@ -97,6 +128,11 @@ class TestOperatorNorm:
 
     def test_diagonal_complex(self):
         assert abs(operator_norm(np.diag([3.0, -4.0j])) - 4.0) < 1e-12
+
+    def test_large_diagonal_is_exact(self):
+        rng = np.random.default_rng(31)
+        d = rng.normal(size=256) + 1j * rng.normal(size=256)
+        assert operator_norm(np.diag(d)) == float(np.max(np.abs(d)))
 
     def test_zero_matrix(self):
         assert operator_norm(np.zeros((3, 3))) == 0.0
@@ -106,8 +142,8 @@ class TestOperatorNorm:
         assert abs(operator_norm(M) - 5.0) < 1e-12
 
     def test_degenerate_top_pair(self):
-        # two leading singular values separated by 1e-13: the power iteration
-        # cannot resolve the gap and the fallback path must still be exact
+        # two leading singular values separated by 1e-13, a gap no power
+        # iteration resolves; the norm must still be the top one
         rng = np.random.default_rng(2)
         U, _ = np.linalg.qr(rng.normal(size=(8, 8)))
         V, _ = np.linalg.qr(rng.normal(size=(8, 8)))
@@ -120,7 +156,7 @@ class TestOperatorNorm:
         for _ in range(10):
             n = int(rng.integers(2, 10))
             M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            ref = float(np.linalg.svd(M, compute_uv=False)[0])
+            ref = _mp_sigma_max(M)
             assert abs(operator_norm(M) - ref) < 1e-9 * ref
 
     def test_rejects_non_matrix(self):
@@ -149,7 +185,7 @@ class TestHermitianEigs:
             H = B + B.conj().T
             spec = hermitian_eigs(H)
             assert spec.residual < 1e-10 * max(1.0, float(np.linalg.norm(H)))
-            ref = np.sort(np.linalg.eigvalsh(H))
+            ref = _mp_eigvalsh(H)
             assert np.max(np.abs(spec.eigenvalues - ref)) < 1e-10
 
     def test_ascending_order_and_orthonormal_vectors(self):
@@ -210,3 +246,64 @@ class TestSolveLyapunov:
 def test_error_hierarchy():
     assert issubclass(ConvergenceError, RuntimeError)
     assert issubclass(SingularMatrixError, ValueError)
+
+
+# Property tests on random complex matrices against mpmath.  derandomize fixes
+# the examples, so the gate is reproducible; max_examples keeps it fast.
+# Scales are max-abs entries: a Frobenius norm underflows to 0 on the tiny
+# matrices hypothesis draws.
+_PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
+                     database=None)
+_ENTRIES = st.complex_numbers(max_magnitude=10.0, allow_nan=False,
+                              allow_infinity=False, allow_subnormal=False)
+
+
+def _complex_arrays(shape):
+    return arrays(np.complex128, shape, elements=_ENTRIES)
+
+
+_SQUARE = st.integers(1, 8).flatmap(lambda n: _complex_arrays((n, n)))
+_RECTANGULAR = st.tuples(st.integers(1, 8), st.integers(1, 8)).flatmap(
+    _complex_arrays)
+
+
+class TestKernelProperties:
+    @_PROPERTY
+    @given(_RECTANGULAR)
+    def test_norm_matches_sigma_max(self, M):
+        # never below sigma_max: the measured side of a check must not be
+        # under-estimated
+        ref = _mp_sigma_max(M)
+        assert ref * (1 - 1e-12) <= operator_norm(M) <= ref * (1 + 1e-12)
+
+    @_PROPERTY
+    @given(_SQUARE)
+    def test_eigenvalues_match_mpmath(self, X):
+        H = X + X.conj().T
+        spec = hermitian_eigs(H)
+        err = np.max(np.abs(spec.eigenvalues - _mp_eigvalsh(H)))
+        assert err <= 1e-12 * H.shape[0] * np.max(np.abs(H))
+
+    @_PROPERTY
+    @given(_SQUARE, st.data())
+    def test_solve_residual(self, X, data):
+        # the shift puts every singular value of M in [1, 2 ||X||_F + 1]
+        n = X.shape[0]
+        M = X + (float(np.linalg.norm(X)) + 1.0) * np.eye(n)
+        B = data.draw(_complex_arrays((n, data.draw(st.integers(1, 3)))))
+        resid = np.max(np.abs(M @ linear_solve(M, B) - B))
+        assert resid <= 1e-11 * np.max(np.abs(B))
+
+    @_PROPERTY
+    @given(st.integers(2, 8).flatmap(
+        lambda n: st.tuples(_complex_arrays((n, n)), _complex_arrays((n, n)))))
+    def test_dense_lyapunov_certificate(self, XY):
+        # the superdiagonal keeps A off the diagonal closed form; the shift
+        # makes A + A^H negative definite, so A is stable
+        X, Y = XY
+        n = X.shape[0]
+        A = X + np.eye(n, k=1) - (float(np.linalg.norm(X)) + 2.0) * np.eye(n)
+        R = Y @ Y.conj().T + np.eye(n)
+        Q = solve_lyapunov(A, R)
+        resid = np.linalg.norm(A.conj().T @ Q + Q @ A + R)
+        assert resid <= 1e-10 * np.linalg.norm(R)
