@@ -104,7 +104,7 @@ def check_T0(gen, g, t_grid=None):
             which = "gramian" if r_gram >= r_scan else f"scan t={t_best:.4g}"
             witness = f"{to_text(g_k)} ({which})"
     details = {"gamma_A": gamma_A, "sup_T_01": M01,
-               "per_symbol_slack": per_symbol, "witness_norm": 1.0}
+               "per_symbol_slack": per_symbol}
     return finish_report("T0", 1.0, measured, witness, 1e-4, started, details)
 
 
@@ -135,7 +135,7 @@ def check_eq21(gen, g, s_samples=None):
             if ratio > measured:
                 measured = ratio
                 witness = f"{to_text(g_k)} at s={s:.3g}"
-    details = {"n_samples": len(s_samples), "witness_norm": 1.0}
+    details = {"n_samples": len(s_samples)}
     return finish_report("eq21", 1.0, measured, witness, 1e-6, started, details)
 
 
@@ -163,7 +163,7 @@ def check_thm33(gen, C, g):
                 claimed = factor * h
                 measured = norm_ga
     details = {"m_admissible": gram.m_admissible, "m_exact": gram.m_exact,
-               "bound_factor": factor, "witness_norm": 1.0}
+               "bound_factor": factor}
     return finish_report("thm33", claimed, measured, witness, 1e-6, started,
                          details)
 
@@ -201,8 +201,7 @@ def check_cor33a(gen, g):
     measured = max(worst_ratio, r_gram / 1e-8, r_pair / 1e-9)
     details = {"gramian_identity_residual": r_gram,
                "pairing_identity_residual": r_pair,
-               "von_neumann_ratio": worst_ratio,
-               "witness_norm": 1.0}
+               "von_neumann_ratio": worst_ratio}
     return finish_report("cor33a", 1.0, measured, witness, 1e-6, started,
                          details)
 
@@ -254,8 +253,7 @@ def check_thm34(gen, g, t_probe=1.0):
             if single:
                 claimed = bound
                 measured = norm_ga
-    details = {"m1": m1, "m2": m2, "t_probe": float(t_probe),
-               "witness_norm": 1.0}
+    details = {"m1": m1, "m2": m2, "t_probe": float(t_probe)}
     return finish_report("thm34", claimed, measured, witness, 1e-6, started,
                          details)
 
@@ -272,8 +270,7 @@ def check_analytic_lemma(gen):
     measured = float(vals[k])
     m1, m2 = _thm34_constants(gen)
     details = {"analytic_sup": measured, "t_at_sup": float(ts[k]),
-               "e_inverse_reference": math.exp(-1.0), "m1": m1, "m2": m2,
-               "witness_norm": 1.0}
+               "e_inverse_reference": math.exp(-1.0), "m1": m1, "m2": m2}
     return finish_report("analytic_lemma", m1 * m2, measured,
                          f"t={ts[k]:.6g}", 1e-6, started, details)
 
@@ -314,8 +311,7 @@ def check_eq26(gen):
     measured = max(max(ratios), max(quad_fracs))
     details = {"exact_observability_scaled": scaled_exact, "m1": m1,
                "tau_quadrature_budget_fraction": max(quad_fracs),
-               "zero_state": "0 <= 0 trivially",
-               "witness_norm": 1.0}
+               "zero_state": "0 <= 0 trivially"}
     return finish_report("eq26", 1.0, measured, "unit states + quadrature",
                          1e-6, started, details)
 
@@ -360,6 +356,6 @@ def check_square_function(gen):
             measured = rel
             witness = f"state {idx}, lhs={lhs:.9g}"
     details = {"per_state_rel_diff": per_state,
-               "zero_state": "0 == 0 trivially", "witness_norm": 1.0}
+               "zero_state": "0 == 0 trivially"}
     return finish_report("square_function", 0.0, measured, witness, 1e-6,
                          started, details)

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hardycalc import calculus
 from hardycalc.admissibility import ObservationOperator
 from hardycalc.calculus import (
     check_calculus_axioms,
@@ -16,12 +18,19 @@ from hardycalc.calculus import (
     output_map,
 )
 from hardycalc.hardy import GridSpec
+from hardycalc.numkernel import operator_norm
 from hardycalc.semigroup import Generator, example26, random_stable, resolvent
 from hardycalc.symbols import Constant, Delay, add, atom, multiply
 
 REF_GRID = GridSpec(4096, 2.0 ** -8)
 FAST_GRID = GridSpec(1024, 2.0 ** -6)
 FAST_GEN = Generator.diagonal([-2.0, -3.0])
+# simple poles, a product of two poles, a repeated pole, and a constant part
+CONV_SYMBOLS = (atom(1.0, 2.0), multiply(atom(1.0, 1.0), atom(1.0, 3.0)),
+                multiply(atom(1.0, 2.0), atom(1.0, 2.0)),
+                add(atom(0.4, 2.0), Constant(0.5)))
+_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
+                     database=None)
 
 
 class TestSpectralRoute:
@@ -88,6 +97,56 @@ class TestConvolutionRoute:
             out = gA_convolution(gen, atom(1.0, 2.0)).matrix
             ref = resolvent(gen, 2.0)
             assert np.max(np.abs(out - ref)) < 1e-7
+
+    def test_matches_resolvent_dense_seeded_to_roundoff(self):
+        for seed in (8, 14):
+            gen = random_stable(8, seed)
+            out = gA_convolution(gen, atom(1.0, 2.0)).matrix
+            ref = resolvent(gen, 2.0)
+            assert np.max(np.abs(out - ref)) <= 1e-12
+
+    def test_est_error_bounds_true_error(self):
+        # calculus_axioms builds its claimed bound from est_error, so the
+        # estimate must never fall below the distance to the resolvent route
+        gens = [random_stable(8, s) for s in range(8, 18)]
+        gens.append(example26(16)[0])
+        for gen in gens:
+            for g in CONV_SYMBOLS:
+                out = gA_convolution(gen, g)
+                err = operator_norm(out.matrix - gA_resolvent(gen, g).matrix)
+                assert out.est_error >= err
+
+    def test_never_solves(self, monkeypatch):
+        # the route must stay independent of the resolvent it is checked
+        # against
+        def forbidden(*args, **kwargs):
+            raise AssertionError("convolution route called a solver")
+
+        monkeypatch.setattr(calculus, "resolvent", forbidden)
+        monkeypatch.setattr(calculus, "linear_solve", forbidden)
+        g = add(multiply(Delay(0.2), multiply(atom(1.0, 2.0), atom(1.0, 2.0))),
+                atom(0.5, 1.0))
+        for gen in (random_stable(6, 4), Generator.diagonal([-1.0, -2.5 + 1j])):
+            out = gA_convolution(gen, g)
+            assert np.all(np.isfinite(out.matrix))
+
+    @_PROPERTY
+    @given(st.lists(st.complex_numbers(min_magnitude=0.5, max_magnitude=10.0),
+                    min_size=1, max_size=6),
+           st.complex_numbers(min_magnitude=0.5, max_magnitude=5.0),
+           st.complex_numbers(max_magnitude=3.0),
+           st.booleans())
+    def test_matches_spectral_within_est_error(self, lams, alpha, c, double):
+        # reflect into the stable half-plane, at least 0.5 from the axis
+        lam = [complex(-max(abs(z.real), 0.5), z.imag) for z in lams]
+        alpha = complex(max(abs(alpha.real), 0.5), alpha.imag)
+        gen = Generator.diagonal(lam)
+        g = atom(c, alpha)
+        if double:
+            g = multiply(g, atom(1.0, alpha))
+        out = gA_convolution(gen, g)
+        err = operator_norm(out.matrix - gA_spectral(gen, g).matrix)
+        assert err <= out.est_error
 
     def test_delay_contributes_semigroup_factor(self):
         out = gA_convolution(FAST_GEN, Delay(0.5)).matrix

@@ -166,6 +166,19 @@ class TestCustomBattery:
                     if r["name"] == "toeplitz_multiplicativity")
         assert mult["details"]["pairs"] == 3
 
+    def test_refinement_on_fine_grid(self, capsys):
+        # at dt = 2^-10 a base grid of grid_n/8 samples would already sit on
+        # the truncation floor, and the residual ratio would read 0.86
+        cfg = ExperimentConfig(scenario="toeplitz_properties", seed=7,
+                               grid_n=16384, grid_dt=2.0 ** -10,
+                               symbols=("1/(1-s)",))
+        code, reports = run(cfg)
+        capsys.readouterr()
+        refine = next(r for r in reports if r.name == "toeplitz_refinement")
+        assert refine.passed
+        assert refine.bound_measured <= 0.25
+        assert code == 0
+
 
 class TestRunApi:
     def test_run_returns_reports(self, capsys):

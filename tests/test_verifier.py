@@ -195,7 +195,7 @@ class TestSquareFunction:
 
 
 class TestReportInvariants:
-    def test_every_report_carries_a_witness_norm(self):
+    def test_every_report_has_runtime_and_consistent_verdict(self):
         gen, C26 = example26(16)
         reports = [
             check_eq21(SCALAR, G),
@@ -208,6 +208,5 @@ class TestReportInvariants:
             check_square_function(gen),
         ]
         for rep in reports:
-            assert rep.details["witness_norm"] > 0.0
             assert rep.runtime_ms >= 0.0
             assert rep.passed == _verdict(rep)
