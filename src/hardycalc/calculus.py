@@ -4,8 +4,8 @@
 * resolvent: partial fractions, g(A) = d I + sum c_k (alpha_k I - A)^{-p_k}
   (rational symbols only, no delay factors);
 * convolution: g(A) = integral of T(u) against the symbol's one-sided
-  kernel, by composite Gauss-Legendre panels doubled until the integral
-  settles, over a horizon with a certified truncation tail;
+  kernel, by the Gauss-Legendre panel doubling of `semigroup`, over a
+  horizon with a certified truncation tail;
 * toeplitz: read g(A) off the discrete half-line operator applied to the
   sampled orbit t -> T(t), solving G T(dt) = (M_g orbit)(dt).
 
@@ -15,7 +15,6 @@ agreement is strong evidence that each one is computing the same operator.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass
@@ -24,7 +23,8 @@ import numpy as np
 
 from .numkernel import ConvergenceError, linear_solve, operator_norm
 from .report import finish_report
-from .semigroup import evaluate_T, resolvent, semigroup_bounds
+from .semigroup import (_power_chain, evaluate_T, panel_doubling, resolvent,
+                        semigroup_bounds)
 from .symbols import Constant, atom, kernel, multiply, to_text
 from .hardy import SampledSignal, times, toeplitz_apply
 
@@ -87,92 +87,41 @@ def _gA_exact(gen, g):
     return _closed_form(gen, kernel(g), "resolvent")
 
 
-def _power_chain(Th, count):
-    """[I, Th, Th^2, ..., Th^{count-1}] built by block doubling."""
-    N = Th.shape[0]
-    mats = np.empty((count, N, N), dtype=complex)
-    mats[0] = np.eye(N)
-    if count > 1:
-        mats[1] = Th
-    m = 1
-    while m < count - 1:
-        k = min(m, count - 1 - m)
-        mats[m + 1:m + k + 1] = np.matmul(mats[1:k + 1], mats[m])
-        m += k
-    return mats
-
-
-_GL_MAX_DOUBLINGS = 10
-
-
-@functools.cache
-def _gauss_legendre():
-    """16-point Gauss-Legendre nodes and weights on [0, 1].  Built on first
-    use, so importing the package does not load numpy.polynomial."""
-    x, w = np.polynomial.legendre.leggauss(16)
-    return (x + 1.0) / 2.0, w / 2.0
+def _mode_tail(K, c, tstar, p):
+    """int_{tstar}^inf K t^{p-1} e^{-c t}/(p-1)! dt
+    = K e^{-c tstar} sum_{k<p} tstar^k / (k! c^{p-k}), exact for every p."""
+    return K * math.exp(-c * tstar) * sum(
+        tstar ** k / (math.factorial(k) * c ** (p - k)) for k in range(p))
 
 
 def _integrate_modes(gen, modes):
-    """Composite 16-point Gauss-Legendre quadrature of
-    int_0^inf T(u) u^{p-1} e^{-alpha u}/(p-1)! du for every kernel mode at
-    once, over a horizon where the decay envelope is below 1e-14.  The
-    panel count starts at 4 and doubles until each integral moves by less
-    than 1e-8; the finer sum is returned with the change, the truncation
-    tail and a roundoff floor as its error estimate.  Dense nodes are
-    T(j h) T(x_k h): panel starts from a power chain of T(h) times the 16
-    local matrices.  Returns (integrals, error estimates)."""
-    sb = semigroup_bounds(gen, 1e-10)
+    """int_0^inf T(u) u^{p-1} e^{-alpha u}/(p-1)! du for every kernel mode,
+    by `panel_doubling` up to a horizon where the truncation tail under the
+    certified envelope ||T(t)|| <= K e^{-rate t} is below 1e-14.  Returns
+    the integrals and error estimates: level change + tail + roundoff."""
     rate = gen.decay_rate()
-    N = gen.dimension
-
-    def envelope(t, alpha, p):
-        return (sb.M * t ** (p - 1) * math.exp(-(rate + alpha.real) * t)
-                / math.factorial(p - 1))
-
+    K = gen.envelope_constant()
     tstar = 1.0
     for _, alpha, p, _ in modes:
         t = 1.0
-        while envelope(t, alpha, p) > 1e-14:
+        while _mode_tail(K, rate + alpha.real, t, p) > 1e-14:
             t *= 2.0
             if t > 1e7:
                 raise ConvergenceError("convolution horizon did not close")
         tstar = max(tstar, t)
-    tails = [envelope(tstar, alpha, p) / (rate + alpha.real)
+    tails = [_mode_tail(K, rate + alpha.real, tstar, p)
              for _, alpha, p, _ in modes]
 
-    gl_x, gl_w = _gauss_legendre()
-    diag = gen.kind == "diagonal"
-    panels = 4
-    prev = None
-    for _ in range(_GL_MAX_DOUBLINGS + 1):
-        h = tstar / panels
-        u = ((np.arange(panels)[:, None] + gl_x) * h).ravel()
-        w = np.tile(gl_w * h, panels)
-        if diag:
-            E = np.exp(np.outer(u, gen.eigenvalues))
-        else:
-            local = np.stack([evaluate_T(gen, x * h) for x in gl_x])
-            starts = _power_chain(evaluate_T(gen, h), panels)
-            mats = np.matmul(starts[:, None], local).reshape(-1, N, N)
-        sums = []
-        for _, alpha, p, _ in modes:
-            phi = w * u ** (p - 1) * np.exp(-alpha * u) / math.factorial(p - 1)
-            if diag:
-                sums.append(phi @ E)
-            else:
-                sums.append(np.einsum("i,ijk->jk", phi, mats))
-        if prev is not None:
-            changes = [float(np.linalg.norm(s - q)) for s, q in zip(sums, prev)]
-            if max(changes) < 1e-8:
-                if diag:
-                    sums = [np.diag(s) for s in sums]
-                return sums, [c + t + 1e-12 * max(1.0, float(np.linalg.norm(s)))
-                              for c, t, s in zip(changes, tails, sums)]
-        prev = sums
-        panels *= 2
-    raise ConvergenceError("mode quadrature did not converge in "
-                           f"{_GL_MAX_DOUBLINGS} panel doublings")
+    def integrate(u, w, Tu):
+        return [np.einsum("i,i...->...", w * u ** (p - 1) * np.exp(-alpha * u)
+                          / math.factorial(p - 1), Tu)
+                for _, alpha, p, _ in modes]
+
+    sums, changes = panel_doubling(gen, tstar, integrate)
+    if gen.kind == "diagonal":
+        sums = [np.diag(s) for s in sums]
+    return sums, [c + t + 1e-12 * max(1.0, float(np.linalg.norm(s)))
+                  for c, t, s in zip(changes, tails, sums)]
 
 
 def gA_convolution(gen, g):

@@ -4,17 +4,20 @@ exponential-stability certificates.
 Two generator kinds are supported: Diagonal (eigenvalues known by
 construction, semigroup evaluated exactly) and Dense (stability certified by
 a Lyapunov witness before any use).  Samplers produce seeded dissipative and
-similarity-transformed stable test matrices.
+similarity-transformed stable test matrices.  All semigroup integrals use
+the composite Gauss-Legendre panel rule defined here.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .numkernel import (
+    ConvergenceError,
     SingularMatrixError,
     hermitian_eigs,
     linear_solve,
@@ -29,10 +32,13 @@ __all__ = [
     "StabilityCertificate",
     "StabilityError",
     "certify_stable",
+    "dyadic_edges",
     "evaluate_T",
     "example26",
     "generator_from_json",
     "generator_to_json",
+    "panel_doubling",
+    "panel_rule",
     "random_dissipative",
     "random_stable",
     "resolvent",
@@ -55,13 +61,6 @@ class StabilityCertificate:
     P: np.ndarray
     margin: float
     residual: float
-
-    @property
-    def decay_rate(self):
-        """Certified exponential decay rate: ||T(t)|| decays at least like
-        e^{-margin t / (2 lambda_max(P))}."""
-        lam_max = hermitian_eigs(self.P).lambda_max
-        return self.margin / (2.0 * lam_max)
 
 
 @dataclass(frozen=True)
@@ -108,10 +107,21 @@ class Generator:
         return Generator(kind="dense", matrix=A, certificate=cert, seed=seed)
 
     def decay_rate(self):
-        """Certified lower bound on the exponential decay rate of ||T(t)||."""
+        """Certified lower bound on the exponential decay rate of ||T(t)||:
+        margin / (2 lambda_max(P)) for the certificate of a dense generator."""
         if self.kind == "diagonal":
             return float(np.min(-self.eigenvalues.real))
-        return self.certificate.decay_rate
+        cert = self.certificate
+        return cert.margin / (2.0 * hermitian_eigs(cert.P).lambda_max)
+
+    def envelope_constant(self):
+        """K with ||T(t)|| <= K e^{-decay_rate() t}; for a dense generator
+        sqrt(lambda_max(P)/lambda_min(P)), as x^H P x decays at least like
+        e^{-2 decay_rate t} along every orbit."""
+        if self.kind == "diagonal":
+            return 1.0
+        spec = hermitian_eigs(self.certificate.P)
+        return math.sqrt(spec.lambda_max / spec.lambda_min)
 
 
 def certify_stable(A):
@@ -264,6 +274,79 @@ def _compute_bounds(gen, eps):
         else:
             lo = mid
     return SemigroupBounds(M=M, decay_horizon=hi)
+
+
+# ---------------------------------------------------------------------------
+# quadrature of semigroup integrals
+
+_GL_MAX_DOUBLINGS = 10
+
+
+@functools.cache
+def _gauss_legendre():
+    """16-point Gauss-Legendre nodes and weights on [0, 1].  Built on first
+    use, so importing the package does not load numpy.polynomial."""
+    x, w = np.polynomial.legendre.leggauss(16)
+    return (x + 1.0) / 2.0, w / 2.0
+
+
+def panel_rule(edges):
+    """Nodes and weights of the composite 16-point Gauss-Legendre rule on
+    the panels [edges[i], edges[i+1]]."""
+    x, w = _gauss_legendre()
+    h = np.diff(edges)[:, None]
+    return (edges[:-1, None] + h * x).ravel(), (h * w).ravel()
+
+
+def dyadic_edges(horizon):
+    """Edges 0, T/2^60, T/2^59, ..., T/2, T: 61 panels refined towards 0."""
+    return horizon * np.concatenate([[0.0], 2.0 ** np.arange(-60, 1)])
+
+
+def _power_chain(Th, count):
+    """[I, Th, Th^2, ..., Th^{count-1}] built by block doubling."""
+    N = Th.shape[0]
+    mats = np.empty((count, N, N), dtype=complex)
+    mats[0] = np.eye(N)
+    if count > 1:
+        mats[1] = Th
+    m = 1
+    while m < count - 1:
+        k = min(m, count - 1 - m)
+        mats[m + 1:m + k + 1] = np.matmul(mats[1:k + 1], mats[m])
+        m += k
+    return mats
+
+
+def _panel_samples(gen, horizon, panels):
+    """Nodes u, weights w and T(u) for `panels` equal panels on [0, horizon]:
+    (m, N) eigenvalue exponentials when diagonal, else the (m, N, N) stack
+    T(j h) T(x_k h) from a power chain of T(h) and 16 local matrices."""
+    u, w = panel_rule(np.linspace(0.0, horizon, panels + 1))
+    if gen.kind == "diagonal":
+        return u, w, np.exp(np.outer(u, gen.eigenvalues))
+    h = horizon / panels
+    local = np.stack([evaluate_T(gen, x * h) for x in _gauss_legendre()[0]])
+    Th = evaluate_T(gen, h)
+    starts = _power_chain(Th, panels)
+    return u, w, np.matmul(starts[:, None], local).reshape(-1, *Th.shape)
+
+
+def panel_doubling(gen, horizon, integrate):
+    """integrate(*_panel_samples(...)), a list of integrals over [0, horizon],
+    on 4, 8, 16, ... panels until every value moves by less than 1e-8;
+    returns the finer values and the norms of their changes."""
+    panels = 4
+    prev = integrate(*_panel_samples(gen, horizon, panels))
+    for _ in range(_GL_MAX_DOUBLINGS):
+        panels *= 2
+        values = integrate(*_panel_samples(gen, horizon, panels))
+        changes = [float(np.linalg.norm(v - q)) for v, q in zip(values, prev)]
+        if max(changes) < 1e-8:
+            return values, changes
+        prev = values
+    raise ConvergenceError("panel quadrature did not converge in "
+                           f"{_GL_MAX_DOUBLINGS} panel doublings")
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hardycalc import admissibility
 from hardycalc.admissibility import (
     ExtensionTrace,
     GramianReport,
@@ -16,7 +17,7 @@ from hardycalc.admissibility import (
     sqrt_minus_A,
     sqrt_t_bound_scan,
 )
-from hardycalc.semigroup import Generator, example26
+from hardycalc.semigroup import Generator, example26, random_stable
 
 
 def _identity_C(n):
@@ -70,6 +71,25 @@ class TestObservabilityGramian:
         rep = observability_gramian(gen, ObservationOperator(np.zeros((1, 2))))
         assert rep.m_exact == 0.0
         assert rep.m_admissible == 0.0
+
+
+class TestGramianGuard:
+    @staticmethod
+    def _cases():
+        return [(random_stable(8, 8), _identity_C(8)), example26(16)]
+
+    def test_quadrature_agrees_to_roundoff(self):
+        for gen, C in self._cases():
+            assert observability_gramian(gen, C).quadrature_rel_error <= 1e-12
+
+    def test_wrong_lyapunov_solution_raises(self, monkeypatch):
+        # the time-domain quadrature must catch a Gramian that is 0.1% off
+        solve = admissibility.solve_lyapunov
+        monkeypatch.setattr(admissibility, "solve_lyapunov",
+                            lambda A, R: (1.0 + 1e-3) * solve(A, R))
+        for gen, C in self._cases():
+            with pytest.raises(ArithmeticError):
+                observability_gramian(gen, C)
 
 
 class TestSqrtMinusA:

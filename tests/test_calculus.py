@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -129,6 +130,17 @@ class TestConvolutionRoute:
         for gen in (random_stable(6, 4), Generator.diagonal([-1.0, -2.5 + 1j])):
             out = gA_convolution(gen, g)
             assert np.all(np.isfinite(out.matrix))
+
+    def test_mode_tail_matches_mpmath(self):
+        # truncation tail int_{t*}^inf K t^{p-1} e^{-c t}/(p-1)! dt
+        for p in (1, 2, 3):
+            for K, c, tstar in ((1.0, 2.0, 16.0), (1.343, 0.7, 64.0)):
+                with mpmath.workdps(30):
+                    ref = mpmath.quad(
+                        lambda t: K * t ** (p - 1) * mpmath.exp(-c * t)
+                        / mpmath.factorial(p - 1), [tstar, mpmath.inf])
+                got = calculus._mode_tail(K, c, tstar, p)
+                assert abs(got - float(ref)) <= 1e-12 * float(ref)
 
     @_PROPERTY
     @given(st.lists(st.complex_numbers(min_magnitude=0.5, max_magnitude=10.0),

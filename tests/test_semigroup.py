@@ -1,19 +1,27 @@
 """Generator construction, semigroup evaluation and stability certificates."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hardycalc.numkernel import SingularMatrixError
+import hardycalc
+from hardycalc.numkernel import ConvergenceError, SingularMatrixError
 from hardycalc.semigroup import (
     Generator,
     StabilityError,
     certify_stable,
+    dyadic_edges,
     evaluate_T,
     example26,
     generator_from_json,
     generator_to_json,
+    panel_doubling,
+    panel_rule,
     random_dissipative,
     random_stable,
     resolvent,
@@ -134,6 +142,66 @@ class TestSemigroupBounds:
         loose = semigroup_bounds(gen, 1e-4).decay_horizon
         tight = semigroup_bounds(gen, 1e-10).decay_horizon
         assert tight > loose
+
+
+class TestEnvelope:
+    def test_bound_holds_on_time_grid(self):
+        # sup_[0,1] ||T|| (= 1 on these seeds) in place of K falls short of
+        # ||T(t)|| by up to 1.2%; K from the Lyapunov certificate must not
+        gens = [random_stable(8, seed) for seed in range(8, 18)]
+        gens.append(Generator.dense(np.array([[-1.0, 4.0], [0.0, -1.0]])))
+        for gen in gens:
+            K, rate = gen.envelope_constant(), gen.decay_rate()
+            for t in np.linspace(0.0, 8.0, 161):
+                norm = np.linalg.norm(evaluate_T(gen, t), 2)
+                assert norm <= K * math.exp(-rate * t) * (1.0 + 1e-12)
+
+    def test_diagonal_constant_is_one(self):
+        assert Generator.diagonal([-1.0, -2.0 + 3j]).envelope_constant() == 1.0
+
+
+class TestPanelQuadrature:
+    def test_panel_rule_exact_to_degree_31(self):
+        u, w = panel_rule(np.array([0.0, 0.3, 1.1, 2.0]))
+        assert u.size == w.size == 48
+        for k in (0, 1, 7, 31):
+            exact = 2.0 ** (k + 1) / (k + 1)
+            assert abs(w @ u ** k - exact) <= 1e-13 * exact
+
+    def test_dyadic_edges(self):
+        edges = dyadic_edges(3.0)
+        assert edges.size == 62
+        assert edges[0] == 0.0 and edges[1] == 3.0 * 2.0 ** -60
+        assert edges[-1] == 3.0
+        # every panel after the first is [a, 2a]
+        assert np.all(np.diff(edges[1:]) == edges[1:-1])
+
+    def test_doubling_integrates_dense_semigroup(self):
+        # int_0^H T(t) dt = A^{-1} (T(H) - I)
+        gen = random_stable(4, 3)
+        vals, changes = panel_doubling(
+            gen, 2.0, lambda u, w, Tu: [np.einsum("i,ijk->jk", w, Tu)])
+        ref = np.linalg.solve(gen.matrix, evaluate_T(gen, 2.0) - np.eye(4))
+        assert np.max(np.abs(vals[0] - ref)) < 1e-12
+        assert changes[0] < 1e-8
+
+    def test_doubling_gives_up_when_values_never_settle(self):
+        with pytest.raises(ConvergenceError):
+            panel_doubling(Generator.diagonal([-1.0]), 1.0,
+                           lambda u, w, Tu: [np.array(float(u.size))])
+
+    def test_import_does_not_load_numpy_polynomial(self):
+        # the Gauss-Legendre nodes are built on first use, which keeps
+        # numpy.polynomial out of the package's import time
+        src = str(Path(hardycalc.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
+                               if p)
+        code = ("import sys, hardycalc, hardycalc.cli; "
+                "print('numpy.polynomial' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, timeout=60, check=True,
+                             env=dict(os.environ, PYTHONPATH=path))
+        assert out.stdout.strip() == "False"
 
 
 class TestExample26:

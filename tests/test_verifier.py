@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hardycalc import verifier
 from hardycalc.admissibility import ObservationOperator
 from hardycalc.semigroup import Generator, example26
 from hardycalc.symbols import Constant, atom, multiply, to_text
@@ -192,6 +193,21 @@ class TestSquareFunction:
     def test_scalar(self):
         rep = check_square_function(SCALAR)
         assert rep.bound_measured <= 1e-6
+
+    def test_weight_error_in_shared_rule_fails(self, monkeypatch):
+        # the two sides share no rule, so a 0.1% weight error in the
+        # Gauss-Legendre panels shows instead of cancelling in the ratio;
+        # eq26 checks the same rule against the Gramian
+        rule = verifier.panel_rule
+
+        def scaled(edges):
+            nodes, weights = rule(edges)
+            return nodes, (1.0 + 1e-3) * weights
+
+        monkeypatch.setattr(verifier, "panel_rule", scaled)
+        gen, _ = example26(32)
+        assert not check_square_function(gen).passed
+        assert not check_eq26(gen).passed
 
 
 class TestReportInvariants:
