@@ -1,10 +1,15 @@
-"""Discrete half-line machinery: causal projection, shift, and the Toeplitz
-operator M_g acting on sampled vector-valued signals.
+"""Discrete half-line machinery: shift and the Toeplitz operator M_g acting
+on sampled vector-valued signals.
 
 Signals live on a uniform grid over [0, T_h).  M_g is realized on the
 doubled (zero-padded) window: the padded DFT turns the anticausal
 convolution by the symbol's one-sided kernel into a frequency multiplier,
 and restriction back to the first window is the discrete causal projection.
+`toeplitz_apply` is the composition of two private steps, the guarded
+padded spectrum of the input and the product with a multiplier followed by
+the inverse DFT.  A caller that applies several symbols to one signal, or
+one symbol to several signals, builds each spectrum and each multiplier
+once and combines them with the same two steps.
 
 The multiplier is not the raw boundary sample g(i omega_j): it is the
 transfer function of the sampled kernel with order-4 endpoint weights
@@ -29,7 +34,6 @@ __all__ = [
     "WraparoundError",
     "discrete_multiplier",
     "l2_norm",
-    "project_causal",
     "shift",
     "times",
     "toeplitz_apply",
@@ -96,15 +100,6 @@ def shift(f, tau):
     if m < f.grid.n_samples:
         out[: f.grid.n_samples - m] = f.values[m:]
     return SampledSignal(f.grid, out)
-
-
-def project_causal(full_values, grid):
-    """Causal projection of a doubled-window signal ordered
-    [-T_h, 0) then [0, T_h): drop the anticausal half."""
-    full = np.asarray(full_values, dtype=complex)
-    if full.shape[0] != 2 * grid.n_samples:
-        raise ValueError("doubled-window signal expected")
-    return SampledSignal(grid, full[grid.n_samples:].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -176,13 +171,13 @@ def _sample_norms(values):
     return np.linalg.norm(values, axis=1)
 
 
-def toeplitz_apply(g, f):
-    """Apply M_g: pad the signal with a zero anticausal half, multiply the
-    DFT by the discrete symbol, transform back and keep the causal window.
+def _guarded_spectrum(f):
+    """DFT of f padded with a zero anticausal half, after the wraparound
+    guard.
 
-    The wraparound guard requires the last quarter of the input to sit below
-    1e-6 of the peak sample norm, so the circular convolution on the doubled
-    window stays within the grid error budget of the half-line operator.  The
+    The guard requires the last quarter of the input to sit below 1e-6 of
+    the peak sample norm, so the circular convolution on the doubled window
+    stays within the grid error budget of the half-line operator.  The
     threshold leaves room for outputs of a previous application, whose tails
     carry the intrinsic multiplier truncation floor exp(-alpha*horizon).
     """
@@ -191,12 +186,22 @@ def toeplitz_apply(g, f):
     peak = float(np.max(norms)) if norms.size else 0.0
     if peak > 0.0 and float(np.max(norms[3 * n // 4:])) > 1e-6 * peak:
         raise WraparoundError("signal tail violates the wraparound guard")
-    m = discrete_multiplier(g, f.grid)
     padded = np.concatenate([f.values, np.zeros_like(f.values)], axis=0)
-    spectrum = np.fft.fft(padded, axis=0)
-    if f.values.ndim == 1:
-        spectrum *= m
-    else:
-        spectrum *= m[:, None]
-    out = np.fft.ifft(spectrum, axis=0)[:n]
-    return SampledSignal(f.grid, out)
+    return np.fft.fft(padded, axis=0, out=padded)
+
+
+def _apply_multiplier(spectrum, m, grid):
+    """Multiply a doubled-window spectrum by the multiplier m, transform
+    back and keep a copy of the causal window, so the result does not hold
+    the doubled buffer alive."""
+    product = spectrum * m if spectrum.ndim == 1 else spectrum * m[:, None]
+    out = np.fft.ifft(product, axis=0, out=product)[:grid.n_samples].copy()
+    return SampledSignal(grid, out)
+
+
+def toeplitz_apply(g, f):
+    """Apply M_g: pad the signal with a zero anticausal half, multiply the
+    DFT by the discrete symbol, transform back and keep the causal window.
+    The input must pass the wraparound guard of `_guarded_spectrum`."""
+    return _apply_multiplier(_guarded_spectrum(f),
+                             discrete_multiplier(g, f.grid), f.grid)

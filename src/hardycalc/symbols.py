@@ -379,11 +379,15 @@ def kernel(g):
 
 
 # ---------------------------------------------------------------------------
-# small DSL: "1/(2-s)", "exp(0.5*s)", "0.3*(1/(1-s))*(1/(3-s))"
+# small DSL: "1/(2-s)", "exp(0.5*s)", "0.3*(1/(1-s))*(1/(3-s))",
+# "1/((1+2j)-s)"; a complex literal is written (a+bj)
 
 
+_NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
+    rf"\s*(?:(?P<cplx>\(\s*(?P<re>-?{_NUM})\s*(?P<sign>[+-])\s*"
+    rf"(?P<im>{_NUM})j\s*\))"
+    rf"|(?P<num>{_NUM})"
     r"|(?P<name>exp|s)"
     r"|(?P<op>[()+\-*/]))")
 
@@ -397,7 +401,10 @@ def _tokenize(text):
             if text[pos:].strip() == "":
                 break
             raise ValueError(f"cannot tokenize symbol text at {text[pos:]!r}")
-        if m.group("num") is not None:
+        if m.group("cplx") is not None:
+            imag = float(m.group("sign") + m.group("im"))
+            tokens.append(("num", complex(float(m.group("re")), imag)))
+        elif m.group("num") is not None:
             tokens.append(("num", float(m.group("num"))))
         elif m.group("name") is not None:
             tokens.append(("name", m.group("name")))
@@ -445,6 +452,8 @@ class _Parser:
         kind, value = self.peek()
         if (kind, value) == ("op", "-"):
             self.take("op", "-")
+            if self.peek()[0] == "num":
+                return self.parse_number(-self.take("num")[1])
             return Scale(-1.0, self.parse_factor())
         if (kind, value) == ("name", "exp"):
             self.take("name", "exp")
@@ -460,12 +469,14 @@ class _Parser:
             self.take("op", ")")
             return node
         if kind == "num":
-            c = self.take("num")[1]
-            if self.peek() == ("op", "/"):
-                self.take("op", "/")
-                return self.parse_rational(c)
-            return Constant(c)
+            return self.parse_number(self.take("num")[1])
         raise ValueError(f"unexpected token {(kind, value)} in symbol text")
+
+    def parse_number(self, c):
+        if self.peek() == ("op", "/"):
+            self.take("op", "/")
+            return self.parse_rational(c)
+        return Constant(c)
 
     def parse_rational(self, numerator):
         self.take("op", "(")
@@ -502,22 +513,32 @@ def parse(text):
     return node
 
 
+def _fmt_real(x):
+    """Shortest text that parses back to x exactly: the six-digit `g` form
+    where that is exact, else Python's shortest round-trip repr."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(x)
+
+
 def _fmt_scalar(z):
     z = complex(z)
     if z.imag == 0:
-        return f"{z.real:g}"
-    return f"({z.real:g}{z.imag:+g}j)"
+        return _fmt_real(z.real)
+    imag = _fmt_real(z.imag)
+    sign = "" if imag.startswith("-") else "+"
+    return f"({_fmt_real(z.real)}{sign}{imag}j)"
 
 
 def to_text(g):
-    """Compact one-line rendering, mainly for report witness strings."""
+    """Compact one-line rendering, mainly for report witness strings;
+    `parse` reads it back to a symbol with exactly the same values."""
     if isinstance(g, Constant):
         return _fmt_scalar(g.value)
     if isinstance(g, RationalPF):
         return " + ".join(f"{_fmt_scalar(c)}/({_fmt_scalar(a)}-s)"
                           for c, a in g.terms)
     if isinstance(g, Delay):
-        return f"exp({g.tau:g}*s)"
+        return f"exp({_fmt_real(g.tau)}*s)"
     if isinstance(g, Sum):
         return " + ".join(to_text(t) for t in g.terms)
     if isinstance(g, Product):

@@ -7,6 +7,7 @@ import pytest
 
 from hardycalc import cli
 from hardycalc.cli import ConfigError, ExperimentConfig, list_scenarios, main, run
+from hardycalc.symbols import to_text
 
 EXPECTED_ORDER = [
     "example26",
@@ -178,6 +179,37 @@ class TestCustomBattery:
         assert refine.passed
         assert refine.bound_measured <= 0.25
         assert code == 0
+
+
+class TestToeplitzBuildOnce:
+    def test_each_multiplier_and_spectrum_built_once(self, monkeypatch,
+                                                     capsys):
+        builds, spectra = [], []
+        build, spectrum = cli.discrete_multiplier, cli._guarded_spectrum
+
+        def counting_build(g, grid):
+            builds.append((to_text(g), grid))
+            return build(g, grid)
+
+        def counting_spectrum(f):
+            spectra.append(f.grid)
+            return spectrum(f)
+
+        monkeypatch.setattr(cli, "discrete_multiplier", counting_build)
+        monkeypatch.setattr(cli, "_guarded_spectrum", counting_spectrum)
+        code, reports = run(ExperimentConfig(scenario="toeplitz_properties",
+                                             seed=7))
+        capsys.readouterr()
+        assert code == 0
+        assert len(reports) == 4 and all(r.passed for r in reports)
+        # main grid: 6 battery symbols and 20 products (the product of the
+        # first two symbols is the third); each of the two refinement grids:
+        # 3 symbols and 2 products
+        assert len(builds) == 6 + 20 + 2 * (3 + 2)
+        assert len(set(builds)) == len(builds)
+        # main grid: 5 signals, 30 outputs, 15 shifted signals; each
+        # refinement grid: 5 signals and the outputs of 2 second factors
+        assert len(spectra) == 5 + 30 + 15 + 2 * (5 + 2 * 5)
 
 
 class TestRunApi:

@@ -14,9 +14,10 @@ from hardycalc.hardy import (
     GridSpec,
     SampledSignal,
     WraparoundError,
+    _apply_multiplier,
+    _guarded_spectrum,
     discrete_multiplier,
     l2_norm,
-    project_causal,
     shift,
     times,
     toeplitz_apply,
@@ -103,14 +104,6 @@ class TestShift:
         for tau in (0.3, -0.25):
             with pytest.raises(ValueError):
                 shift(f, tau)
-
-
-class TestProjectCausal:
-    def test_keeps_causal_window(self):
-        grid = GridSpec(8, 0.5)
-        full = np.arange(16.0)
-        out = project_causal(full, grid)
-        assert np.allclose(out.values.real, np.arange(8.0, 16.0))
 
 
 class TestDiscreteMultiplier:
@@ -218,3 +211,28 @@ class TestToeplitzApply:
         vals = np.stack([np.exp(-2.0 * t), np.exp(-3.0 * t)], axis=1).astype(complex)
         out = toeplitz_apply(Constant(0.5), SampledSignal(grid, vals))
         assert np.max(np.abs(out.values - 0.5 * vals)) < 1e-12
+
+    def test_output_owns_its_window(self):
+        # a view into the doubled inverse-DFT buffer would keep 2n samples
+        # alive for every stored output
+        grid = GridSpec(1024, 2.0 ** -6)
+        t = times(grid)
+        for vals in (np.exp(-2.0 * t),
+                     np.stack([np.exp(-2.0 * t), np.exp(-3.0 * t)], axis=1)):
+            out = toeplitz_apply(atom(1.0, 1.0), SampledSignal(grid, vals))
+            base = out.values.base
+            assert base is None or base.size <= out.values.size
+
+    def test_shared_spectrum_matches_and_is_unchanged(self):
+        # one guarded spectrum serves several multipliers: each product must
+        # equal toeplitz_apply bit for bit and leave the spectrum intact
+        grid = GridSpec(1024, 2.0 ** -6)
+        f = _exp_signal(grid, rate=2.0)
+        spectrum = _guarded_spectrum(f)
+        before = spectrum.copy()
+        for g in (atom(1.0, 1.0), Delay(0.5), multiply(atom(1.0, 1.0),
+                                                       atom(1.0, 3.0))):
+            out = _apply_multiplier(spectrum, discrete_multiplier(g, grid),
+                                    grid)
+            assert np.array_equal(out.values, toeplitz_apply(g, f).values)
+        assert np.array_equal(spectrum, before)

@@ -1,9 +1,11 @@
 """Symbol algebra: evaluation, sup norms, kernel data and the text DSL."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hardycalc.symbols import (
     Constant,
@@ -163,6 +165,48 @@ class TestToText:
 
     def test_names_delay(self):
         assert "exp" in to_text(Delay(0.5))
+
+    def test_battery_text_unchanged(self):
+        assert to_text(add(atom(0.4, 2.0), Constant(0.5))) == "0.4/(2-s) + 0.5"
+        assert (to_text(multiply(atom(1.0, 1.0), atom(1.0, 3.0)))
+                == "(1/(1-s))*(1/(3-s))")
+        assert to_text(Delay(0.5)) == "exp(0.5*s)"
+
+    def test_complex_pole_parses(self):
+        g = atom(1.0, 1.0 + 2.0j)
+        assert to_text(g) == "1/((1+2j)-s)"
+        assert parse(to_text(g)) == g
+
+    def test_long_pole_keeps_every_digit(self):
+        # six significant digits gave 1/(1.23457-s), whose sup norm is
+        # 0.8099986 instead of 1/1.2345678901
+        g = atom(1.0, 1.2345678901)
+        assert parse(to_text(g)) == g
+        assert hinf_norm(parse(to_text(g))) == hinf_norm(g)
+
+
+_REALS = st.floats(-1e6, 1e6, allow_nan=False)
+_SCALARS = _REALS | st.builds(complex, _REALS, _REALS)
+_POLES = st.floats(0.0, 1e6, exclude_min=True)
+_LEAVES = st.one_of(
+    st.builds(atom, _SCALARS, _POLES | st.builds(complex, _POLES, _REALS)),
+    st.builds(Delay, st.floats(0.0, 1e3)),
+    st.builds(Constant, _SCALARS))
+
+
+class TestTextRoundTrip:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(_LEAVES)
+    def test_leaf_parses_back_exactly(self, g):
+        assert parse(to_text(g)) == g
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.lists(_LEAVES, min_size=2, max_size=4), st.booleans())
+    def test_sum_and_product_parse_back_exactly(self, leaves, product):
+        g = functools.reduce(multiply if product else add, leaves)
+        back = parse(to_text(g))
+        assert back == g
+        assert to_text(back) == to_text(g)
 
 
 class TestValidation:
