@@ -21,13 +21,12 @@ import numpy as np
 from .numkernel import hermitian_eigs, linear_solve, operator_norm, solve_lyapunov
 from .report import finish_report
 from .semigroup import (dyadic_edges, evaluate_T, panel_doubling, panel_rule,
-                        resolvent, semigroup_bounds)
+                        resolvent, semigroup_bounds, sup_T_norm)
 
 __all__ = [
     "ExtensionTrace",
     "GramianReport",
     "ObservationOperator",
-    "commuting_check",
     "lambda_limit",
     "lebesgue_limit",
     "observability_gramian",
@@ -69,7 +68,7 @@ def _observation_matrix(C, gen):
 def _gramian_quadrature(gen, Cm, xs):
     """Direct quadrature of int ||C T(t) x||^2 dt for each state in xs, on
     dyadic panels when diagonal and on doubled equal panels when dense."""
-    horizon = semigroup_bounds(gen, 1e-12).decay_horizon
+    horizon = semigroup_bounds(gen, 1e-12)
     if gen.kind == "diagonal":
         nodes, w = panel_rule(dyadic_edges(horizon))
         E = np.exp(np.outer(nodes, gen.eigenvalues))
@@ -109,25 +108,6 @@ def observability_gramian(gen, C):
                          quadrature_rel_error=rel)
 
 
-def commuting_check(gen, C):
-    """Largest commutator norm of C with T(t) on a grid in [0, 1] and with
-    A^{-1}; the claimed bound is zero."""
-    started = time.perf_counter()
-    Cm = _observation_matrix(C, gen)
-    N = gen.dimension
-    if Cm.shape[0] != N:
-        raise ValueError("commutation is defined for square observations")
-    Ainv = -resolvent(gen, 0.0)
-    vals = [operator_norm(Cm @ Ainv - Ainv @ Cm)]
-    for t in np.linspace(0.0, 1.0, 21):
-        Tt = evaluate_T(gen, t)
-        vals.append(operator_norm(Cm @ Tt - Tt @ Cm))
-    measured = max(vals)
-    witness = f"21 times in [0,1] plus the inverse, dim {N}"
-    return finish_report("commuting_check", 0.0, measured, witness, 1e-9,
-                         started, {"inverse_commutator": vals[0]})
-
-
 def _is_diagonal(M):
     return np.count_nonzero(M - np.diag(np.diagonal(M))) == 0
 
@@ -141,7 +121,7 @@ def sqrt_t_bound_scan(gen, C, t_min, t_max, extra_points=()):
         raise ValueError("need 0 < t_min < t_max")
     Cm = _observation_matrix(C, gen)
     gram = observability_gramian(gen, C)
-    sb = semigroup_bounds(gen, 1e-6)
+    M = sup_T_norm(gen)
     ts = np.geomspace(t_min, t_max, 200)
     if gen.kind == "diagonal":
         peaks = -1.0 / (2.0 * gen.eigenvalues.real)
@@ -161,10 +141,10 @@ def sqrt_t_bound_scan(gen, C, t_min, t_max, extra_points=()):
             v = math.sqrt(t) * operator_norm(Cm @ evaluate_T(gen, t))
             if v > measured:
                 measured, t_best = v, float(t)
-    claimed = math.sqrt(max(gram.m_admissible, 0.0)) * sb.M
+    claimed = math.sqrt(max(gram.m_admissible, 0.0)) * M
     report = finish_report(
         "sqrt_t_bound", claimed, measured, f"t={t_best:.6g}", 1e-6, started,
-        {"m_admissible": gram.m_admissible, "sup_T_norm": sb.M,
+        {"m_admissible": gram.m_admissible, "sup_T_norm": M,
          "t_at_sup": t_best})
     return measured, report
 

@@ -23,20 +23,18 @@ import numpy as np
 
 from .numkernel import ConvergenceError, linear_solve, operator_norm
 from .report import finish_report
-from .semigroup import (_power_chain, evaluate_T, panel_doubling, resolvent,
-                        semigroup_bounds)
+from .semigroup import (_memo, _power_chain, evaluate_T, panel_doubling,
+                        resolvent, semigroup_bounds)
 from .symbols import Constant, atom, kernel, multiply, to_text
 from .hardy import SampledSignal, times, toeplitz_apply
 
 __all__ = [
     "GAResult",
     "check_calculus_axioms",
-    "compose_C",
     "gA_convolution",
     "gA_resolvent",
     "gA_spectral",
     "gA_toeplitz",
-    "output_map",
 ]
 
 
@@ -129,10 +127,7 @@ def gA_convolution(gen, g):
 
     Results are memoized per generator and symbol; the scenario batteries
     reuse the same few symbols across many pairings."""
-    memo = getattr(gen, "_conv_memo", None)
-    if memo is None:
-        memo = {}
-        object.__setattr__(gen, "_conv_memo", memo)
+    memo = _memo(gen, "_conv_memo")
     if g in memo:
         return memo[g]
     result = _conv_compute(gen, g)
@@ -159,35 +154,11 @@ def _conv_compute(gen, g):
 
 
 def _require_horizon(gen, grid):
-    sb = semigroup_bounds(gen, 1e-10)
-    if grid.horizon < sb.decay_horizon:
+    horizon = semigroup_bounds(gen, 1e-10)
+    if grid.horizon < horizon:
         raise ValueError(
             f"grid horizon {grid.horizon:g} is shorter than the decay "
-            f"horizon {sb.decay_horizon:g}; enlarge the grid")
-
-
-def _orbit_signal(gen, x0, grid):
-    t = times(grid)
-    if gen.kind == "diagonal":
-        values = np.exp(np.outer(t, gen.eigenvalues)) * x0[None, :]
-    else:
-        Th = evaluate_T(gen, grid.dt)
-        values = np.empty((grid.n_samples, gen.dimension), dtype=complex)
-        x = x0.astype(complex)
-        for k in range(grid.n_samples):
-            values[k] = x
-            x = Th @ x
-    return SampledSignal(grid, values)
-
-
-def output_map(gen, g, x0, grid):
-    """The sampled signal t -> (g(A) T(t)) x0, computed as M_g applied to
-    the orbit of x0.  The grid must cover the decay horizon."""
-    _require_horizon(gen, grid)
-    x0 = np.asarray(x0, dtype=complex)
-    if x0.shape != (gen.dimension,):
-        raise ValueError("initial state has the wrong shape")
-    return toeplitz_apply(g, _orbit_signal(gen, x0, grid))
+            f"horizon {horizon:g}; enlarge the grid")
 
 
 def gA_toeplitz(gen, g, grid):
@@ -214,29 +185,6 @@ def gA_toeplitz(gen, g, grid):
     G = 2.0 * G1 - G2
     est = max(float(np.linalg.norm(G1 - G2)), 1e-12)
     return GAResult(G, "toeplitz", est)
-
-
-def compose_C(gen, C, g, grid):
-    """Sampled signals t -> (M_g (C T(.) e_i))(t) for each basis vector,
-    together with the matrix C g(A).  When C commutes with A the signals
-    are the orbits of the columns of C g(A)."""
-    _require_horizon(gen, grid)
-    Cm = np.asarray(getattr(C, "matrix", C), dtype=complex)
-    n = grid.n_samples
-    N = gen.dimension
-    q = Cm.shape[0]
-    t = times(grid)
-    if gen.kind == "diagonal":
-        E = np.exp(np.outer(t, gen.eigenvalues))
-        obs = Cm[None, :, :] * E[:, None, :]
-    else:
-        obs = np.matmul(Cm, _power_chain(evaluate_T(gen, grid.dt), n))
-    out = toeplitz_apply(g, SampledSignal(grid, obs.reshape(n, q * N)))
-    out = out.values.reshape(n, q, N)
-    signals = [SampledSignal(grid, out[:, :, i].copy()) for i in range(N)]
-    krep = kernel(g)
-    ga = gA_convolution(gen, g) if krep.delays else gA_resolvent(gen, g)
-    return signals, Cm @ ga.matrix
 
 
 def check_calculus_axioms(gen, g1, g2):

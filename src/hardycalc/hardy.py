@@ -85,8 +85,13 @@ class SampledSignal:
 
 
 def l2_norm(f):
-    """Discrete L2 norm sqrt(dt * sum of squared sample norms)."""
-    return math.sqrt(f.grid.dt) * float(np.linalg.norm(f.values))
+    """Discrete L2 norm sqrt(dt * sum of squared sample norms).
+
+    The sums are numpy's pairwise sums rather than a BLAS dot, so the value
+    does not depend on the BLAS thread count."""
+    v = f.values
+    return math.sqrt(f.grid.dt) * math.sqrt(
+        float(np.sum(np.square(v.real)) + np.sum(np.square(v.imag))))
 
 
 def shift(f, tau):
@@ -121,13 +126,19 @@ def _eulerian_coeffs(j):
     return P
 
 
-def _power_sum(j, q):
-    """sum_{v>=1} v^j q^v elementwise for |q| < 1."""
+def _power_sum(j, q, out, scratch):
+    """sum_{v>=1} v^j q^v elementwise for |q| < 1, written to out; scratch
+    is a second array of q's shape that the call overwrites."""
     coeffs = _eulerian_coeffs(j)
-    num = np.zeros_like(q)
+    out.fill(0.0)
     for c in coeffs[::-1]:
-        num = num * q + c
-    return num / (1.0 - q) ** (j + 1)
+        np.multiply(out, q, out=out)
+        np.add(out, c, out=out)
+    np.subtract(1.0, q, out=scratch)
+    # `**=`, not np.power: like `**` it squares through np.square, whose
+    # bits differ from np.power(z, 2)
+    scratch **= j + 1
+    return np.divide(out, scratch, out=out)
 
 
 # Order-4 endpoint weights for the one-sided sum: the first three samples
@@ -148,20 +159,50 @@ def discrete_multiplier(krep, grid):
     dt = grid.dt
     omega = 2.0 * math.pi * np.fft.fftfreq(n2, d=dt)
     m = np.full(n2, krep.constant, dtype=complex)
+    # Each step writes into one of four scratch arrays, in the order of the
+    # expressions in the comments, so the result is bit for bit the value
+    # of those expressions without their full-length temporaries.
+    q, a, b, c = (np.empty(n2, dtype=complex) for _ in range(4))
     for weight, tau in krep.delays:
-        m += weight * np.exp(1j * omega * tau)
-    for c, alpha, p, off in krep.modes:
-        q = np.exp((-alpha + 1j * omega) * dt)
+        # m += weight * np.exp(1j * omega * tau)
+        np.multiply(1j, omega, out=a)
+        np.multiply(a, tau, out=a)
+        np.exp(a, out=a)
+        np.multiply(weight, a, out=a)
+        m += a
+    for coef, alpha, p, off in krep.modes:
+        # q = np.exp((-alpha + 1j * omega) * dt)
+        np.multiply(1j, omega, out=q)
+        np.add(-alpha, q, out=q)
+        np.multiply(q, dt, out=q)
+        np.exp(q, out=q)
         j = p - 1
         head0 = _HEAD[0] if p == 1 else 0.0
-        tail = _power_sum(j, q) - q - float(2 ** j) * q * q
-        series = (head0
-                  + _HEAD[1] * q
-                  + _HEAD[2] * float(2 ** j) * q * q
-                  + tail)
-        scale = c * dt ** p / math.factorial(j)
-        phase = np.exp(1j * omega * off) if off != 0.0 else 1.0
-        m += scale * phase * series
+        # tail = _power_sum(j, q) - q - float(2 ** j) * q * q, in a
+        _power_sum(j, q, a, b)
+        np.subtract(a, q, out=a)
+        np.multiply(float(2 ** j), q, out=b)
+        np.multiply(b, q, out=b)
+        np.subtract(a, b, out=a)
+        # series = (head0 + _HEAD[1] * q + _HEAD[2] * float(2 ** j) * q * q
+        #           + tail), in b
+        np.multiply(_HEAD[1], q, out=b)
+        np.add(head0, b, out=b)
+        np.multiply(_HEAD[2] * float(2 ** j), q, out=c)
+        np.multiply(c, q, out=c)
+        np.add(b, c, out=b)
+        np.add(b, a, out=b)
+        # m += scale * phase * series, phase = np.exp(1j * omega * off) or 1
+        scale = coef * dt ** p / math.factorial(j)
+        if off != 0.0:
+            np.multiply(1j, omega, out=c)
+            np.multiply(c, off, out=c)
+            np.exp(c, out=c)
+            np.multiply(scale, c, out=c)
+            np.multiply(c, b, out=b)
+        else:
+            np.multiply(scale, b, out=b)
+        m += b
     return m
 
 

@@ -6,6 +6,12 @@ construction, semigroup evaluated exactly) and Dense (stability certified by
 a Lyapunov witness before any use).  Samplers produce seeded dissipative and
 similarity-transformed stable test matrices.  All semigroup integrals use
 the composite Gauss-Legendre panel rule defined here.
+
+Three results are memoized on the (immutable) generator, each computed on
+first use: the decay horizon per epsilon (`semigroup_bounds`), the sampled
+sup of ||T(t)|| on [0, 1] (`sup_T_norm`, read only by the checks that claim
+with it), and, for a dense generator, the 17 matrices T(x_k h) and T(h) of
+each panel step h (`_panel_samples`).
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ from .numkernel import (
 
 __all__ = [
     "Generator",
-    "SemigroupBounds",
     "StabilityCertificate",
     "StabilityError",
     "certify_stable",
@@ -43,6 +48,7 @@ __all__ = [
     "random_stable",
     "resolvent",
     "semigroup_bounds",
+    "sup_T_norm",
 ]
 
 
@@ -61,15 +67,6 @@ class StabilityCertificate:
     P: np.ndarray
     margin: float
     residual: float
-
-
-@dataclass(frozen=True)
-class SemigroupBounds:
-    """M = sup of ||T(t)|| over the sampling grid on [0, 1] (always >= 1);
-    decay_horizon = a time t* with ||T(t*)|| below the requested epsilon."""
-
-    M: float
-    decay_horizon: float
 
 
 @dataclass(frozen=True)
@@ -231,31 +228,35 @@ def random_stable(n, seed):
 _HORIZON_LIMIT = 1e6
 
 
+def _memo(gen, name):
+    """The dict stored on the frozen generator under `name`, created on
+    first use."""
+    memo = getattr(gen, name, None)
+    if memo is None:
+        memo = {}
+        object.__setattr__(gen, name, memo)
+    return memo
+
+
 def semigroup_bounds(gen, eps):
-    """M over the grid {0, 0.01, ..., 1} plus a certified decay horizon.
+    """A decay horizon: a time t* with ||T(t*)|| <= eps.
 
     The horizon is found by doubling t until ||T(t)|| <= eps and then
     bisecting the bracket, so it tracks -log(eps)/decay_rate rather than a
     power of two.  A search past t = 1e6 signals a near-unstable input.
 
-    Results are memoized on the (immutable) generator, keyed by eps.
+    Results are memoized on the generator, keyed by eps.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    memo = getattr(gen, "_bounds_memo", None)
-    if memo is None:
-        memo = {}
-        object.__setattr__(gen, "_bounds_memo", memo)
+    memo = _memo(gen, "_bounds_memo")
     key = float(eps)
     if key not in memo:
-        memo[key] = _compute_bounds(gen, eps)
+        memo[key] = _decay_horizon(gen, eps)
     return memo[key]
 
 
-def _compute_bounds(gen, eps):
-    norms = [operator_norm(evaluate_T(gen, t)) for t in np.linspace(0.0, 1.0, 101)]
-    M = max(norms)
-
+def _decay_horizon(gen, eps):
     def norm_at(t):
         return operator_norm(evaluate_T(gen, t))
 
@@ -273,7 +274,20 @@ def _compute_bounds(gen, eps):
             hi = mid
         else:
             lo = mid
-    return SemigroupBounds(M=M, decay_horizon=hi)
+    return hi
+
+
+def sup_T_norm(gen):
+    """M = max ||T(t)|| over the grid {0, 0.01, ..., 1} (always >= 1), the
+    sampled sup on the claimed side of the T0 and sqrt(t) bounds.
+
+    Computed once per generator, on first use."""
+    M = getattr(gen, "_sup_T", None)
+    if M is None:
+        M = max(operator_norm(evaluate_T(gen, t))
+                for t in np.linspace(0.0, 1.0, 101))
+        object.__setattr__(gen, "_sup_T", M)
+    return M
 
 
 # ---------------------------------------------------------------------------
@@ -321,13 +335,21 @@ def _power_chain(Th, count):
 def _panel_samples(gen, horizon, panels):
     """Nodes u, weights w and T(u) for `panels` equal panels on [0, horizon]:
     (m, N) eigenvalue exponentials when diagonal, else the (m, N, N) stack
-    T(j h) T(x_k h) from a power chain of T(h) and 16 local matrices."""
+    T(j h) T(x_k h) from a power chain of T(h) and 16 local matrices.
+
+    The 16 local matrices and T(h) depend only on the step h, so they are
+    memoized on the generator per h; the stack itself is rebuilt on every
+    call, as holding it would cost 16 * panels matrices per entry."""
     u, w = panel_rule(np.linspace(0.0, horizon, panels + 1))
     if gen.kind == "diagonal":
         return u, w, np.exp(np.outer(u, gen.eigenvalues))
     h = horizon / panels
-    local = np.stack([evaluate_T(gen, x * h) for x in _gauss_legendre()[0]])
-    Th = evaluate_T(gen, h)
+    memo = _memo(gen, "_step_memo")
+    if h not in memo:
+        memo[h] = (np.stack([evaluate_T(gen, x * h)
+                             for x in _gauss_legendre()[0]]),
+                   evaluate_T(gen, h))
+    local, Th = memo[h]
     starts = _power_chain(Th, panels)
     return u, w, np.matmul(starts[:, None], local).reshape(-1, *Th.shape)
 

@@ -23,7 +23,7 @@ from .calculus import _gA_exact, gA_convolution
 from .numkernel import hermitian_eigs, operator_norm, solve_lyapunov
 from .report import finish_report
 from .semigroup import (Generator, dyadic_edges, evaluate_T, panel_rule,
-                        resolvent, semigroup_bounds)
+                        resolvent, semigroup_bounds, sup_T_norm)
 from .symbols import eval_at, hinf_norm, to_text
 
 __all__ = [
@@ -68,7 +68,7 @@ def check_T0(gen, g, t_grid=None):
     A = gen.matrix
     N = gen.dimension
     gamma_A = hermitian_eigs(solve_lyapunov(A, np.eye(N, dtype=complex))).lambda_max
-    M01 = semigroup_bounds(gen, 1e-6).M
+    M01 = sup_T_norm(gen)
     if t_grid is None:
         t_grid = np.geomspace(1e-4, 1.0, 120)
     else:
@@ -300,8 +300,8 @@ def check_eq26(gen):
         q = 2.0 * float((x.conj() @ Q @ x).real)
         ratios.append(float(np.vdot(x, x).real) / (m1 * m1 * q))
     # direct tau-quadrature of the halved-time energy for two states
-    sb = semigroup_bounds(gen, 1e-12)
-    nodes, w = panel_rule(dyadic_edges(2.0 * sb.decay_horizon))
+    horizon = semigroup_bounds(gen, 1e-12)
+    nodes, w = panel_rule(dyadic_edges(2.0 * horizon))
     quad_fracs = []
     for x in states[:2]:
         dens = (-lam) * np.abs(x) ** 2
@@ -331,13 +331,13 @@ def check_square_function(gen):
     for _ in range(2):
         v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
         states.append(v / np.linalg.norm(v))
-    sb = semigroup_bounds(gen, 1e-12)
+    horizon = semigroup_bounds(gen, 1e-12)
     t_min = 1e-10 / (1.0 + float(np.max(np.abs(lam))))
-    tau = np.linspace(math.log(t_min), math.log(sb.decay_horizon), 6001)
+    tau = np.linspace(math.log(t_min), math.log(horizon), 6001)
     w_log = np.full(tau.size, tau[1] - tau[0])
     w_log[0] = w_log[-1] = w_log[0] / 2.0
     t_log = np.exp(tau)
-    nodes, w_geo = panel_rule(dyadic_edges(sb.decay_horizon))
+    nodes, w_geo = panel_rule(dyadic_edges(horizon))
     E_log = np.exp(2.0 * np.outer(t_log, lam))
     E_geo = np.exp(2.0 * np.outer(nodes, lam))
     measured = -math.inf

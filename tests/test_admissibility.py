@@ -10,7 +10,6 @@ from hardycalc.admissibility import (
     ExtensionTrace,
     GramianReport,
     ObservationOperator,
-    commuting_check,
     lambda_limit,
     lebesgue_limit,
     observability_gramian,
@@ -113,21 +112,6 @@ class TestSqrtMinusA:
         gen = Generator.dense(np.array([[-1.0, 4.0], [0.0, -1.0]]))
         with pytest.raises(ValueError):
             sqrt_minus_A(gen)
-
-
-class TestCommutingCheck:
-    def test_diagonal_C_commutes(self):
-        gen, C = example26(16)
-        rep = commuting_check(gen, C)
-        assert rep.passed
-        assert rep.bound_measured == 0.0
-
-    def test_non_commuting_detected(self):
-        gen = Generator.diagonal([-1.0, -2.0])
-        C = ObservationOperator(np.array([[1.0, 1.0], [0.0, 1.0]]))
-        rep = commuting_check(gen, C)
-        assert not rep.passed
-        assert rep.bound_measured > 1e-6
 
 
 class TestSqrtTBoundScan:

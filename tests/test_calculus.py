@@ -8,15 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hardycalc import calculus
-from hardycalc.admissibility import ObservationOperator
 from hardycalc.calculus import (
     check_calculus_axioms,
-    compose_C,
     gA_convolution,
     gA_resolvent,
     gA_spectral,
     gA_toeplitz,
-    output_map,
 )
 from hardycalc.hardy import GridSpec
 from hardycalc.numkernel import operator_norm
@@ -190,40 +187,6 @@ class TestToeplitzRoute:
         slow = Generator.diagonal([-0.5])
         with pytest.raises(ValueError):
             gA_toeplitz(slow, atom(1.0, 2.0), FAST_GRID)
-
-
-class TestOutputMap:
-    def test_initial_value_is_gA_x0(self):
-        x0 = np.array([1.0, 0.5], dtype=complex)
-        sig = output_map(FAST_GEN, atom(1.0, 2.0), x0, FAST_GRID)
-        ref = gA_resolvent(FAST_GEN, atom(1.0, 2.0)).matrix @ x0
-        assert np.max(np.abs(sig.values[0] - ref)) < 1e-3
-
-    def test_constant_one_gives_orbit(self):
-        x0 = np.array([1.0, 0.0], dtype=complex)
-        sig = output_map(FAST_GEN, Constant(1.0), x0, FAST_GRID)
-        t = 16 * FAST_GRID.dt
-        assert abs(sig.values[16, 0] - math.exp(-2.0 * t)) < 1e-10
-
-    def test_short_horizon_rejected(self):
-        slow = Generator.diagonal([-0.5])
-        with pytest.raises(ValueError):
-            output_map(slow, Constant(1.0), np.array([1.0]), FAST_GRID)
-
-
-class TestComposeC:
-    def test_matrix_part_is_C_times_gA(self):
-        C = ObservationOperator(np.array([[1.0, 2.0]]))
-        signals, CgA = compose_C(FAST_GEN, C, atom(1.0, 2.0), FAST_GRID)
-        ref = np.array([[1.0, 2.0]]) @ gA_resolvent(FAST_GEN, atom(1.0, 2.0)).matrix
-        assert np.max(np.abs(CgA - ref)) < 1e-10
-        assert len(signals) == 2
-
-    def test_signals_start_at_C_gA_basis(self):
-        C = ObservationOperator(np.array([[1.0, 2.0]]))
-        signals, CgA = compose_C(FAST_GEN, C, atom(1.0, 2.0), FAST_GRID)
-        for k, sig in enumerate(signals):
-            assert np.max(np.abs(sig.values[0] - CgA[:, k])) < 1e-3
 
 
 class TestAxioms:

@@ -6,15 +6,23 @@ sqrt(1/2).  Both are checked at fixed grids with frozen tolerances.
 """
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hardycalc
 from hardycalc.hardy import (
+    _HEAD,
     GridSpec,
     SampledSignal,
     WraparoundError,
     _apply_multiplier,
+    _eulerian_coeffs,
     _guarded_spectrum,
     discrete_multiplier,
     l2_norm,
@@ -22,7 +30,8 @@ from hardycalc.hardy import (
     times,
     toeplitz_apply,
 )
-from hardycalc.symbols import Constant, Delay, add, atom, hinf_norm, multiply
+from hardycalc.symbols import (Constant, Delay, add, atom, hinf_norm, kernel,
+                               multiply)
 
 
 def _exp_signal(grid, rate=1.0):
@@ -85,6 +94,23 @@ class TestL2Norm:
                         + l2_norm(SampledSignal(grid, v[:, 1])) ** 2)
         assert l2_norm(SampledSignal(grid, v)) == pytest.approx(ref, rel=1e-12)
 
+    def test_independent_of_blas_threads(self):
+        # a BLAS dot splits its sum by thread; numpy's pairwise sum does not
+        src = str(Path(hardycalc.__file__).resolve().parents[1])
+        code = ("import numpy as np; from hardycalc.hardy import GridSpec, "
+                "SampledSignal, l2_norm; "
+                "rng = np.random.default_rng(3); n = 65536; "
+                "v = rng.standard_normal(n) + 1j * rng.standard_normal(n); "
+                "print(l2_norm(SampledSignal(GridSpec(n, 2.0 ** -8), v)).hex())")
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads)
+            outs.append(subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True,
+                timeout=60, check=True, env=env).stdout.strip())
+        assert outs[0] == outs[1]
+
 
 class TestShift:
     def test_grid_shift(self):
@@ -132,6 +158,73 @@ class TestDiscreteMultiplier:
             ref = c / (alpha - 1j * omega[keep])
             errs.append(float(np.max(np.abs(m[keep] - ref))))
         assert errs[1] < errs[0] / 8.0
+
+
+def _multiplier_oracle(krep, grid):
+    """The multiplier as plain full-length array expressions: the reference
+    that the in-place build must reproduce bit for bit."""
+    n2 = 2 * grid.n_samples
+    dt = grid.dt
+    omega = 2.0 * math.pi * np.fft.fftfreq(n2, d=dt)
+    m = np.full(n2, krep.constant, dtype=complex)
+    for weight, tau in krep.delays:
+        m += weight * np.exp(1j * omega * tau)
+    for c, alpha, p, off in krep.modes:
+        q = np.exp((-alpha + 1j * omega) * dt)
+        j = p - 1
+        head0 = _HEAD[0] if p == 1 else 0.0
+        num = np.zeros_like(q)
+        for coeff in _eulerian_coeffs(j)[::-1]:
+            num = num * q + coeff
+        power_sum = num / (1.0 - q) ** (j + 1)
+        tail = power_sum - q - float(2 ** j) * q * q
+        series = (head0
+                  + _HEAD[1] * q
+                  + _HEAD[2] * float(2 ** j) * q * q
+                  + tail)
+        scale = c * dt ** p / math.factorial(j)
+        phase = np.exp(1j * omega * off) if off != 0.0 else 1.0
+        m += scale * phase * series
+    return m
+
+
+# simple, repeated (up to power 4) and complex poles, constants, delays and
+# delayed atoms (mode offsets)
+MULTIPLIER_SYMBOLS = (
+    atom(1.0, 1.0),
+    multiply(atom(1.0, 1.0), atom(1.0, 3.0)),
+    multiply(atom(1.0, 2.0), atom(1.0, 2.0)),
+    multiply(multiply(atom(1.0, 2.0), atom(1.0, 2.0)),
+             multiply(atom(0.5, 2.0), atom(1.0, 2.0))),
+    atom(0.3 - 0.2j, 1.5 + 4.0j),
+    add(atom(0.4, 2.0), Constant(0.5)),
+    Delay(0.5),
+    multiply(Delay(0.25), atom(1.0, 3.0)),
+    add(multiply(Delay(0.125), multiply(atom(1.0, 1.0), atom(2.0, 1.0))),
+        add(Delay(0.375), atom(1.0, 0.5 - 2.0j))),
+)
+
+
+class TestInPlaceMultiplier:
+    @pytest.mark.parametrize("g", MULTIPLIER_SYMBOLS, ids=str)
+    def test_bit_identical_to_expressions(self, g):
+        grid = GridSpec(1024, 2.0 ** -6)
+        krep = kernel(g)
+        assert np.array_equal(discrete_multiplier(krep, grid),
+                              _multiplier_oracle(krep, grid))
+
+    def test_peak_allocation(self):
+        # the 2 MB result on the 131,072-point doubled window; the
+        # full-length temporaries of the plain expressions peak at 15.9 MB
+        krep = kernel(multiply(atom(1.0, 1.0), atom(1.0, 3.0)))
+        grid = GridSpec(65536, 2.0 ** -8)
+        tracemalloc.start()
+        try:
+            discrete_multiplier(krep, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
 
 
 class TestToeplitzApply:

@@ -10,10 +10,14 @@ import numpy as np
 import pytest
 
 import hardycalc
+from hardycalc import semigroup
+from hardycalc.admissibility import (ObservationOperator, observability_gramian,
+                                     sqrt_t_bound_scan)
 from hardycalc.numkernel import ConvergenceError, SingularMatrixError
 from hardycalc.semigroup import (
     Generator,
     StabilityError,
+    _panel_samples,
     certify_stable,
     dyadic_edges,
     evaluate_T,
@@ -26,7 +30,10 @@ from hardycalc.semigroup import (
     random_stable,
     resolvent,
     semigroup_bounds,
+    sup_T_norm,
 )
+from hardycalc.symbols import Constant, Delay, add, atom, multiply
+from hardycalc.verifier import check_thm33
 
 
 class TestGenerator:
@@ -117,21 +124,22 @@ class TestResolvent:
 class TestSemigroupBounds:
     def test_scalar_decay_horizon(self):
         # ||T(t)|| = e^{-t} drops below 1e-12 at t = ln(1e12) ~ 27.63
-        b = semigroup_bounds(Generator.diagonal([-1.0]), 1e-12)
-        assert 27.63 <= b.decay_horizon <= 28.1
-        assert math.exp(-b.decay_horizon) <= 1e-12
-        assert b.M == pytest.approx(1.0, abs=1e-12)
+        gen = Generator.diagonal([-1.0])
+        horizon = semigroup_bounds(gen, 1e-12)
+        assert 27.63 <= horizon <= 28.1
+        assert math.exp(-horizon) <= 1e-12
+        assert sup_T_norm(gen) == pytest.approx(1.0, abs=1e-12)
 
     def test_normal_generator_M_is_one(self):
         gen = Generator.diagonal([-0.5, -1.0, -4.0])
-        assert semigroup_bounds(gen, 1e-8).M == pytest.approx(1.0, abs=1e-10)
+        assert sup_T_norm(gen) == pytest.approx(1.0, abs=1e-10)
 
     def test_jordan_overshoot(self):
         # frozen from the sampled sup of e^{-t} ||[[1, 4t], [0, 1]]||
         gen = Generator.dense(np.array([[-1.0, 4.0], [0.0, -1.0]]))
-        b = semigroup_bounds(gen, 1e-6)
-        assert b.M == pytest.approx(1.5697645904349988, abs=1e-9)
-        assert b.M > 1.5
+        M = sup_T_norm(gen)
+        assert M == pytest.approx(1.5697645904349988, abs=1e-9)
+        assert M > 1.5
 
     def test_memoized_per_generator(self):
         gen = Generator.diagonal([-1.0, -2.0])
@@ -139,9 +147,74 @@ class TestSemigroupBounds:
 
     def test_horizon_scales_with_eps(self):
         gen = Generator.diagonal([-2.0])
-        loose = semigroup_bounds(gen, 1e-4).decay_horizon
-        tight = semigroup_bounds(gen, 1e-10).decay_horizon
+        loose = semigroup_bounds(gen, 1e-4)
+        tight = semigroup_bounds(gen, 1e-10)
         assert tight > loose
+
+
+# the cli's default symbol battery
+BATTERY = (atom(1.0, 1.0), atom(1.0, 3.0),
+           multiply(atom(1.0, 1.0), atom(1.0, 3.0)), Delay(0.5),
+           Constant(0.7), add(atom(0.4, 2.0), Constant(0.5)))
+
+
+class TestStepMemo:
+    def test_thm33_evaluates_each_step_once(self, monkeypatch):
+        # each _panel_samples call on a dense generator needs T(x_k h) at
+        # the 16 nodes and T(h); a step h seen before costs no mat_exp
+        real_samples, real_exp = semigroup._panel_samples, semigroup.mat_exp
+        steps, panel_times, in_panels = [], [], []
+
+        def tracking_samples(g, horizon, panels):
+            steps.append(horizon / panels)
+            in_panels.append(True)
+            try:
+                return real_samples(g, horizon, panels)
+            finally:
+                in_panels.pop()
+
+        def counting_exp(A, t=1.0):
+            if in_panels:
+                panel_times.append(t)
+            return real_exp(A, t)
+
+        monkeypatch.setattr(semigroup, "_panel_samples", tracking_samples)
+        monkeypatch.setattr(semigroup, "mat_exp", counting_exp)
+        rep = check_thm33(random_stable(8, 8),
+                          ObservationOperator(np.eye(8, dtype=complex)),
+                          BATTERY)
+        assert rep.passed
+        assert len(steps) > len(set(steps))  # steps recur across symbols
+        assert len(panel_times) == 17 * len(set(steps))
+        assert len(set(panel_times)) == len(panel_times)
+
+    def test_memoized_samples_match_a_fresh_generator(self):
+        gen = random_stable(6, 4)
+        _panel_samples(gen, 8.0, 8)
+        memoized = _panel_samples(gen, 4.0, 4)  # the same step h = 1
+        assert list(gen._step_memo) == [1.0]
+        fresh = _panel_samples(Generator.dense(gen.matrix), 4.0, 4)
+        for a, b in zip(memoized, fresh):
+            assert np.array_equal(a, b)
+
+    def test_gramian_does_not_compute_sup(self, monkeypatch):
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return sup_T_norm(g)
+
+        # every module that binds the function, as the tracer does
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("hardycalc.")
+                    and getattr(module, "sup_T_norm", None) is sup_T_norm):
+                monkeypatch.setattr(module, "sup_T_norm", counting)
+        gen = random_stable(8, 8)
+        C = ObservationOperator(np.eye(8, dtype=complex))
+        observability_gramian(gen, C)
+        assert calls == []
+        sqrt_t_bound_scan(gen, C, 1e-2, 1.0)
+        assert len(calls) == 1
 
 
 class TestEnvelope:
