@@ -225,11 +225,5 @@ def lambda_limit(gen, C, x, lambda_sequence):
         raise ValueError("need a strictly increasing positive sequence")
     Cm = _observation_matrix(C, gen)
     x = np.asarray(x, dtype=complex)
-    iterates = []
-    for lam in lams:
-        if gen.kind == "diagonal":
-            v = Cm @ ((lam / (lam - gen.eigenvalues)) * x)
-        else:
-            v = lam * (Cm @ (resolvent(gen, lam) @ x))
-        iterates.append(v)
+    iterates = [lam * (Cm @ (resolvent(gen, lam) @ x)) for lam in lams]
     return _finish_trace(iterates)

@@ -7,11 +7,10 @@ a Lyapunov witness before any use).  Samplers produce seeded dissipative and
 similarity-transformed stable test matrices.  All semigroup integrals use
 the composite Gauss-Legendre panel rule defined here.
 
-Three results are memoized on the (immutable) generator, each computed on
-first use: the decay horizon per epsilon (`semigroup_bounds`), the sampled
-sup of ||T(t)|| on [0, 1] (`sup_T_norm`, read only by the checks that claim
-with it), and, for a dense generator, the 17 matrices T(x_k h) and T(h) of
-each panel step h (`_panel_samples`).
+Two results are memoized on the (immutable) generator, each computed on
+first use: the sampled sup of ||T(t)|| on [0, 1] (`sup_T_norm`, read only by
+the checks that claim with it) and, for a dense generator, the 17 matrices
+T(x_k h) and T(h) of each panel step h (`_panel_samples`).
 """
 
 from __future__ import annotations
@@ -239,42 +238,20 @@ def _memo(gen, name):
 
 
 def semigroup_bounds(gen, eps):
-    """A decay horizon: a time t* with ||T(t*)|| <= eps.
+    """A certified decay horizon: the first power of two h >= 1 with
+    K e^{-rate h} <= eps, so ||T(t)|| <= eps for every t >= h.
 
-    The horizon is found by doubling t until ||T(t)|| <= eps and then
-    bisecting the bracket, so it tracks -log(eps)/decay_rate rather than a
-    power of two.  A search past t = 1e6 signals a near-unstable input.
-
-    Results are memoized on the generator, keyed by eps.
+    K and rate are the envelope ||T(t)|| <= K e^{-rate t} of the generator.
+    Powers of two put every equal-panel integral on one ladder of steps,
+    the one the convolution route doubles along.  A horizon past t = 1e6
+    signals a near-unstable input and raises StabilityError.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    memo = _memo(gen, "_bounds_memo")
-    key = float(eps)
-    if key not in memo:
-        memo[key] = _decay_horizon(gen, eps)
-    return memo[key]
-
-
-def _decay_horizon(gen, eps):
-    def norm_at(t):
-        return operator_norm(evaluate_T(gen, t))
-
-    lo, hi = 0.0, 1.0
-    while norm_at(hi) > eps:
-        lo = hi
-        hi *= 2.0
-        if hi > _HORIZON_LIMIT:
-            raise StabilityError("decay horizon search exceeded t = 1e6")
-    for _ in range(60):
-        if hi - lo <= 1e-2 * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if norm_at(mid) <= eps:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    t = math.log(gen.envelope_constant() / eps) / gen.decay_rate()
+    if t > _HORIZON_LIMIT:
+        raise StabilityError(f"decay horizon {t:.3g} exceeds t = 1e6")
+    return 2.0 ** math.ceil(math.log2(max(1.0, t)))
 
 
 def sup_T_norm(gen):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import hardycalc
-from hardycalc import semigroup
+from hardycalc import admissibility, semigroup
 from hardycalc.admissibility import (ObservationOperator, observability_gramian,
                                      sqrt_t_bound_scan)
 from hardycalc.numkernel import ConvergenceError, SingularMatrixError
@@ -121,14 +121,33 @@ class TestResolvent:
         assert np.max(np.abs(Ra - Rb - (b - a) * (Ra @ Rb))) < 1e-12
 
 
+# S diag(-1+10i, -1-10i) S^{-1}: ||T(t)|| oscillates about its decay, so a
+# pointwise test ||T(t)|| <= eps at one time says nothing about later times
+S_OSC = np.array([[1.0, 0.9], [0.0, math.sqrt(0.19)]])
+OSCILLATING = S_OSC @ np.diag([-1.0 + 10j, -1.0 - 10j]) @ np.linalg.inv(S_OSC)
+
+
 class TestSemigroupBounds:
     def test_scalar_decay_horizon(self):
-        # ||T(t)|| = e^{-t} drops below 1e-12 at t = ln(1e12) ~ 27.63
+        # ||T(t)|| = e^{-t}: ln(1e12) ~ 27.63 rounds up to the power of two 32
         gen = Generator.diagonal([-1.0])
         horizon = semigroup_bounds(gen, 1e-12)
-        assert 27.63 <= horizon <= 28.1
+        assert horizon == 32.0
         assert math.exp(-horizon) <= 1e-12
         assert sup_T_norm(gen) == pytest.approx(1.0, abs=1e-12)
+
+    def test_norm_stays_below_eps_past_horizon(self):
+        gens = [random_stable(8, seed) for seed in range(8, 18)]
+        gens.append(Generator.dense(np.array([[-1.0, 4.0], [0.0, -1.0]])))
+        gens.append(Generator.dense(OSCILLATING))
+        for gen in gens:
+            h = semigroup_bounds(gen, 1e-10)
+            for t in np.linspace(h, 1.5 * h, 200):
+                assert np.linalg.norm(evaluate_T(gen, t), 2) <= 1e-10
+
+    def test_near_unstable_raises(self):
+        with pytest.raises(StabilityError):
+            semigroup_bounds(Generator.diagonal([-1e-7]), 1e-10)
 
     def test_normal_generator_M_is_one(self):
         gen = Generator.diagonal([-0.5, -1.0, -4.0])
@@ -140,10 +159,6 @@ class TestSemigroupBounds:
         M = sup_T_norm(gen)
         assert M == pytest.approx(1.5697645904349988, abs=1e-9)
         assert M > 1.5
-
-    def test_memoized_per_generator(self):
-        gen = Generator.diagonal([-1.0, -2.0])
-        assert semigroup_bounds(gen, 1e-6) is semigroup_bounds(gen, 1e-6)
 
     def test_horizon_scales_with_eps(self):
         gen = Generator.diagonal([-2.0])
@@ -187,6 +202,45 @@ class TestStepMemo:
         assert len(steps) > len(set(steps))  # steps recur across symbols
         assert len(panel_times) == 17 * len(set(steps))
         assert len(set(panel_times)) == len(panel_times)
+
+    def test_gramian_steps_are_convolution_steps(self, monkeypatch):
+        # the Gramian and the convolution route integrate to powers of two,
+        # so the Gramian's panel steps recur in the convolution route, which
+        # then evaluates no semigroup step for them
+        real_samples, real_exp = semigroup._panel_samples, semigroup.mat_exp
+        real_gramian = admissibility._gramian_quadrature
+        gramian_steps, conv_steps, in_gramian = set(), set(), []
+        exp_times, shared_exp = [], []
+
+        def counting_exp(A, t=1.0):
+            exp_times.append(t)
+            return real_exp(A, t)
+
+        def gramian(*args):
+            in_gramian.append(True)
+            try:
+                return real_gramian(*args)
+            finally:
+                in_gramian.pop()
+
+        def tracking_samples(g, horizon, panels):
+            h = horizon / panels
+            (gramian_steps if in_gramian else conv_steps).add(h)
+            before = len(exp_times)
+            out = real_samples(g, horizon, panels)
+            if not in_gramian and h in gramian_steps:
+                shared_exp.extend(exp_times[before:])
+            return out
+
+        monkeypatch.setattr(admissibility, "_gramian_quadrature", gramian)
+        monkeypatch.setattr(semigroup, "_panel_samples", tracking_samples)
+        monkeypatch.setattr(semigroup, "mat_exp", counting_exp)
+        rep = check_thm33(random_stable(8, 8),
+                          ObservationOperator(np.eye(8, dtype=complex)),
+                          BATTERY)
+        assert rep.passed
+        assert gramian_steps and gramian_steps <= conv_steps
+        assert shared_exp == []
 
     def test_memoized_samples_match_a_fresh_generator(self):
         gen = random_stable(6, 4)
