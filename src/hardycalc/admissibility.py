@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkernel import hermitian_eigs, linear_solve, operator_norm, solve_lyapunov
+from .numkernel import hermitian_eigs, solve_lyapunov
 from .report import finish_report
-from .semigroup import (dyadic_edges, evaluate_T, panel_doubling, panel_rule,
-                        resolvent, semigroup_bounds, sup_T_norm)
+from .semigroup import (dyadic_edges, norm_scan, orbit_average, panel_doubling,
+                        panel_rule, resolvent, semigroup_bounds, sup_T_norm)
 
 __all__ = [
     "ExtensionTrace",
@@ -108,39 +108,22 @@ def observability_gramian(gen, C):
                          quadrature_rel_error=rel)
 
 
-def _is_diagonal(M):
-    return np.count_nonzero(M - np.diag(np.diagonal(M))) == 0
-
-
 def sqrt_t_bound_scan(gen, C, t_min, t_max, extra_points=()):
-    """Scan sup sqrt(t) ||C T(t)|| over a log grid (plus per-mode peak times
-    for diagonal generators and any caller-supplied witnesses) and compare
-    it with the admissibility bound sqrt(lambda_max(Q)) * M."""
+    """Scan sup sqrt(t) ||C T(t)|| by `norm_scan` over a log grid plus any
+    caller-supplied witnesses and compare it with the admissibility bound
+    sqrt(lambda_max(Q)) * M."""
     started = time.perf_counter()
     if not (0 < t_min < t_max):
         raise ValueError("need 0 < t_min < t_max")
     Cm = _observation_matrix(C, gen)
     gram = observability_gramian(gen, C)
     M = sup_T_norm(gen)
-    ts = np.geomspace(t_min, t_max, 200)
-    if gen.kind == "diagonal":
-        peaks = -1.0 / (2.0 * gen.eigenvalues.real)
-        ts = np.concatenate([ts, peaks[(peaks >= t_min) & (peaks <= t_max)]])
-    if len(extra_points):
-        ts = np.concatenate([ts, np.asarray(extra_points, dtype=float)])
-    ts = np.unique(ts)
-    if gen.kind == "diagonal" and _is_diagonal(Cm):
-        mags = np.abs(np.diagonal(Cm))[None, :] \
-            * np.exp(np.outer(ts, gen.eigenvalues.real))
-        vals = np.sqrt(ts) * np.max(mags, axis=1)
-        k = int(np.argmax(vals))
-        measured, t_best = float(vals[k]), float(ts[k])
-    else:
-        measured, t_best = 0.0, float(ts[0])
-        for t in ts:
-            v = math.sqrt(t) * operator_norm(Cm @ evaluate_T(gen, t))
-            if v > measured:
-                measured, t_best = v, float(t)
+    ts = np.concatenate([np.geomspace(t_min, t_max, 200),
+                         np.asarray(extra_points, dtype=float)])
+    ts, norms = norm_scan(gen, [Cm], ts)
+    vals = np.sqrt(ts) * norms[0]
+    k = int(np.argmax(vals))
+    measured, t_best = float(vals[k]), float(ts[k])
     claimed = math.sqrt(max(gram.m_admissible, 0.0)) * M
     report = finish_report(
         "sqrt_t_bound", claimed, measured, f"t={t_best:.6g}", 1e-6, started,
@@ -187,17 +170,8 @@ def _finish_trace(iterates):
                           differences=diffs, diverged=diverged)
 
 
-def _phi1(z):
-    """(e^z - 1)/z, series-protected near zero."""
-    z = np.asarray(z, dtype=complex)
-    small = np.abs(z) < 1e-4
-    safe = np.where(small, 1.0, z)
-    return np.where(small, 1.0 + z / 2.0 + z * z / 6.0 + z ** 3 / 24.0,
-                    (np.exp(safe) - 1.0) / safe)
-
-
 def lebesgue_limit(gen, C, x, t_sequence):
-    """Extension of Cx through averaged orbits C (1/t) A^{-1}(T(t) - I) x
+    """Extension of Cx through averaged orbits C (1/t) int_0^t T(s) x ds
     along a strictly decreasing positive sequence of times."""
     ts = [float(t) for t in t_sequence]
     if len(ts) < 2 or ts[0] <= 0 or any(b >= a or b <= 0
@@ -205,15 +179,7 @@ def lebesgue_limit(gen, C, x, t_sequence):
         raise ValueError("need a strictly decreasing positive time sequence")
     Cm = _observation_matrix(C, gen)
     x = np.asarray(x, dtype=complex)
-    eye = np.eye(gen.dimension, dtype=complex)
-    iterates = []
-    for t in ts:
-        if gen.kind == "diagonal":
-            v = Cm @ (_phi1(gen.eigenvalues * t) * x)
-        else:
-            v = Cm @ (linear_solve(gen.matrix, (evaluate_T(gen, t) - eye) @ x) / t)
-        iterates.append(v)
-    return _finish_trace(iterates)
+    return _finish_trace([Cm @ orbit_average(gen, t, x) for t in ts])
 
 
 def lambda_limit(gen, C, x, lambda_sequence):

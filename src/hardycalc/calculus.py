@@ -26,7 +26,7 @@ from .report import finish_report
 from .semigroup import (_memo, _power_chain, evaluate_T, panel_doubling,
                         resolvent, semigroup_bounds)
 from .symbols import Constant, atom, kernel, multiply, to_text
-from .hardy import SampledSignal, times, toeplitz_apply
+from .hardy import SampledSignal, toeplitz_apply
 
 __all__ = [
     "GAResult",
@@ -168,20 +168,12 @@ def gA_toeplitz(gen, g, grid):
     _require_horizon(gen, grid)
     n = grid.n_samples
     N = gen.dimension
-    t = times(grid)
-    if gen.kind == "diagonal":
-        lam = gen.eigenvalues
-        sig = SampledSignal(grid, np.exp(np.outer(t, lam)))
-        out = toeplitz_apply(g, sig).values
-        G1 = np.diag(out[1] / np.exp(lam * grid.dt))
-        G2 = np.diag(out[2] / np.exp(lam * 2.0 * grid.dt))
-    else:
-        Th = evaluate_T(gen, grid.dt)
-        mats = _power_chain(Th, n)
-        out = toeplitz_apply(g, SampledSignal(grid, mats.reshape(n, N * N)))
-        out = out.values.reshape(n, N, N)
-        G1 = linear_solve(Th.T, out[1].T).T
-        G2 = linear_solve(evaluate_T(gen, 2.0 * grid.dt).T, out[2].T).T
+    Th = evaluate_T(gen, grid.dt)
+    mats = _power_chain(Th, n)
+    out = toeplitz_apply(g, SampledSignal(grid, mats.reshape(n, N * N)))
+    out = out.values.reshape(n, N, N)
+    G1 = linear_solve(Th.T, out[1].T).T
+    G2 = linear_solve(evaluate_T(gen, 2.0 * grid.dt).T, out[2].T).T
     G = 2.0 * G1 - G2
     est = max(float(np.linalg.norm(G1 - G2)), 1e-12)
     return GAResult(G, "toeplitz", est)

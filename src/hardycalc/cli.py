@@ -517,33 +517,33 @@ def _config_from_args(args):
         unknown = sorted(set(doc) - allowed)
         if unknown:
             raise ConfigError(f"unknown config keys: {unknown}")
-    seed_default = 7
+    defaults = ExperimentConfig()
     env_seed = os.environ.get("HARDYCALC_SEED")
     if env_seed is not None:
         try:
-            seed_default = int(env_seed)
+            defaults = dataclasses.replace(defaults, seed=int(env_seed))
         except ValueError as exc:
             raise ConfigError("HARDYCALC_SEED must be an integer") from exc
 
-    def pick(flag_value, key, default):
+    def pick(flag_value, key):
         if flag_value is not None:
             return flag_value
-        return doc.get(key, default)
+        return doc.get(key, getattr(defaults, key))
 
-    symbols = doc.get("symbols", ())
+    symbols = doc.get("symbols", defaults.symbols)
     if isinstance(symbols, str) or not all(isinstance(s, str)
                                            for s in symbols):
         raise ConfigError("symbols must be a list of strings")
     try:
         config = ExperimentConfig(
-            scenario=str(pick(args.scenario, "scenario", "all")),
-            seed=int(pick(args.seed, "seed", seed_default)),
-            modes=int(pick(args.modes, "modes", 64)),
-            grid_n=int(pick(args.grid_n, "grid_n", 4096)),
-            grid_dt=float(pick(args.grid_dt, "grid_dt", 2.0 ** -8)),
-            out=pick(args.out, "out", None),
-            write_json=bool(args.json or doc.get("json", False)),
-            write_csv=bool(args.csv or doc.get("csv", False)),
+            scenario=str(pick(args.scenario, "scenario")),
+            seed=int(pick(args.seed, "seed")),
+            modes=int(pick(args.modes, "modes")),
+            grid_n=int(pick(args.grid_n, "grid_n")),
+            grid_dt=float(pick(args.grid_dt, "grid_dt")),
+            out=pick(args.out, "out"),
+            write_json=bool(args.json or doc.get("json", defaults.write_json)),
+            write_csv=bool(args.csv or doc.get("csv", defaults.write_csv)),
             symbols=tuple(symbols),
         )
     except (TypeError, ValueError) as exc:

@@ -3,9 +3,12 @@ exponential-stability certificates.
 
 Two generator kinds are supported: Diagonal (eigenvalues known by
 construction, semigroup evaluated exactly) and Dense (stability certified by
-a Lyapunov witness before any use).  Samplers produce seeded dissipative and
-similarity-transformed stable test matrices.  All semigroup integrals use
-the composite Gauss-Legendre panel rule defined here.
+a Lyapunov witness before any use).  Other modules reach T(t) only through
+`evaluate_T`, `norm_scan`, `orbit_average`, `panel_doubling` and the
+certificate's decay envelope, and test the kind only to guard an input or
+to pick a quadrature rule or its result's shape.  Samplers produce seeded
+dissipative and similarity-transformed stable test matrices.  All semigroup
+integrals use the composite Gauss-Legendre panel rule defined here.
 
 Two results are memoized on the (immutable) generator, each computed on
 first use: the sampled sup of ||T(t)|| on [0, 1] (`sup_T_norm`, read only by
@@ -41,6 +44,8 @@ __all__ = [
     "example26",
     "generator_from_json",
     "generator_to_json",
+    "norm_scan",
+    "orbit_average",
     "panel_doubling",
     "panel_rule",
     "random_dissipative",
@@ -57,15 +62,17 @@ class StabilityError(ValueError):
 
 @dataclass(frozen=True)
 class StabilityCertificate:
-    """Lyapunov witness: A^H P + P A = -I with P Hermitian positive definite.
-
-    margin is the smallest eigenvalue of the recovered right-hand side
-    -(A^H P + P A); residual measures how far that witness is from I.
+    """Lyapunov witness: P Hermitian positive definite with
+    -(A^H P + P A) >= margin I, and p_min, p_max the extreme eigenvalues of
+    P.  residual measures how far -(A^H P + P A) is from the I a dense
+    generator solves for (0 for the diagonal witness P = I).
     """
 
     P: np.ndarray
     margin: float
     residual: float
+    p_min: float
+    p_max: float
 
 
 @dataclass(frozen=True)
@@ -73,7 +80,7 @@ class Generator:
     """A finite-dimensional semigroup generator.
 
     kind is "diagonal" (eigenvalues carried explicitly, all with negative
-    real part) or "dense" (full matrix plus a stability certificate).
+    real part) or "dense" (full matrix); both carry a stability certificate.
     """
 
     kind: str
@@ -93,8 +100,12 @@ class Generator:
             raise ValueError("diagonal generator needs a nonempty eigenvalue list")
         if np.any(lam.real >= 0):
             raise StabilityError("diagonal generator requires Re(lambda) < 0")
+        # P = I: -(A^H + A) = diag(-2 Re lambda) >= 2 min(-Re lambda) I
+        cert = StabilityCertificate(P=np.eye(lam.size),
+                                    margin=2.0 * float(np.min(-lam.real)),
+                                    residual=0.0, p_min=1.0, p_max=1.0)
         return Generator(kind="diagonal", matrix=np.diag(lam),
-                         eigenvalues=lam, seed=seed)
+                         eigenvalues=lam, certificate=cert, seed=seed)
 
     @staticmethod
     def dense(matrix, seed=None):
@@ -104,20 +115,16 @@ class Generator:
 
     def decay_rate(self):
         """Certified lower bound on the exponential decay rate of ||T(t)||:
-        margin / (2 lambda_max(P)) for the certificate of a dense generator."""
-        if self.kind == "diagonal":
-            return float(np.min(-self.eigenvalues.real))
+        margin / (2 lambda_max(P)) for the certificate's witness P."""
         cert = self.certificate
-        return cert.margin / (2.0 * hermitian_eigs(cert.P).lambda_max)
+        return cert.margin / (2.0 * cert.p_max)
 
     def envelope_constant(self):
-        """K with ||T(t)|| <= K e^{-decay_rate() t}; for a dense generator
+        """K with ||T(t)|| <= K e^{-decay_rate() t}:
         sqrt(lambda_max(P)/lambda_min(P)), as x^H P x decays at least like
-        e^{-2 decay_rate t} along every orbit."""
-        if self.kind == "diagonal":
-            return 1.0
-        spec = hermitian_eigs(self.certificate.P)
-        return math.sqrt(spec.lambda_max / spec.lambda_min)
+        e^{-2 decay_rate t} along every orbit (1 when diagonal)."""
+        cert = self.certificate
+        return math.sqrt(cert.p_max / cert.p_min)
 
 
 def certify_stable(A):
@@ -139,7 +146,9 @@ def certify_stable(A):
     if residual > 1e-9:
         raise StabilityError(f"certificate residual {residual:.3g} too large")
     margin = hermitian_eigs(witness).lambda_min
-    return StabilityCertificate(P=P, margin=margin, residual=residual)
+    spec = hermitian_eigs(P)
+    return StabilityCertificate(P=P, margin=margin, residual=residual,
+                                p_min=spec.lambda_min, p_max=spec.lambda_max)
 
 
 def evaluate_T(gen, t):
@@ -149,6 +158,54 @@ def evaluate_T(gen, t):
     if gen.kind == "diagonal":
         return np.diag(np.exp(gen.eigenvalues * t))
     return mat_exp(gen.matrix, t)
+
+
+def norm_scan(gen, Xs, ts):
+    """The sorted unique scanned times and the (len(Xs), m) array of
+    ||X T(t)|| for every matrix X in Xs.
+
+    A diagonal generator adds the peak times -1/(2 Re lambda_k) of
+    sqrt(t) e^{Re lambda_k t} inside the grid's range; when every X is
+    diagonal too, the norms are max_k |X_kk| e^{Re lambda_k t}, exact and
+    vectorized.  Otherwise each T(t) is evaluated once for every X."""
+    ts = np.asarray(ts, dtype=float)
+    if gen.kind == "diagonal":
+        lam = gen.eigenvalues.real
+        peaks = -1.0 / (2.0 * lam)
+        ts = np.unique(np.concatenate(
+            [ts, peaks[(peaks >= ts.min()) & (peaks <= ts.max())]]))
+        if all(np.array_equal(X, np.diag(np.diagonal(X))) for X in Xs):
+            decay = np.exp(np.outer(ts, lam))
+            return ts, np.array([np.max(np.abs(np.diagonal(X)) * decay,
+                                        axis=1) for X in Xs])
+    ts = np.unique(ts)
+    norms = np.empty((len(Xs), ts.size))
+    for j, t in enumerate(ts):
+        Tt = evaluate_T(gen, t)
+        norms[:, j] = [operator_norm(X @ Tt) for X in Xs]
+    return ts, norms
+
+
+def _phi1(z):
+    """(e^z - 1)/z, series-protected near zero."""
+    z = np.asarray(z, dtype=complex)
+    small = np.abs(z) < 1e-4
+    safe = np.where(small, 1.0, z)
+    return np.where(small, 1.0 + z / 2.0 + z * z / 6.0 + z ** 3 / 24.0,
+                    (np.exp(safe) - 1.0) / safe)
+
+
+def orbit_average(gen, t, x):
+    """(1/t) int_0^t T(s) x ds for t > 0: (e^{lambda t} - 1)/(lambda t) per
+    mode when diagonal, else from the top-right block int_0^t T(s) ds of
+    exp([[A, I], [0, 0]] t) (Van Loan 1978), never forming the difference
+    T(t) - I that cancels catastrophically for small t."""
+    if gen.kind == "diagonal":
+        return _phi1(gen.eigenvalues * t) * x
+    N = gen.dimension
+    Z = np.zeros((N, N))
+    block = np.block([[gen.matrix, np.eye(N)], [Z, Z]])
+    return mat_exp(block, t)[:N, N:] @ x / t
 
 
 def resolvent(gen, s):
@@ -261,8 +318,9 @@ def sup_T_norm(gen):
     Computed once per generator, on first use."""
     M = getattr(gen, "_sup_T", None)
     if M is None:
-        M = max(operator_norm(evaluate_T(gen, t))
-                for t in np.linspace(0.0, 1.0, 101))
+        _, norms = norm_scan(gen, [np.eye(gen.dimension)],
+                             np.linspace(0.0, 1.0, 101))
+        M = float(np.max(norms))
         object.__setattr__(gen, "_sup_T", M)
     return M
 

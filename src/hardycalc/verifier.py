@@ -22,7 +22,7 @@ from .admissibility import observability_gramian, sqrt_minus_A
 from .calculus import _gA_exact, gA_convolution
 from .numkernel import hermitian_eigs, operator_norm, solve_lyapunov
 from .report import finish_report
-from .semigroup import (Generator, dyadic_edges, evaluate_T, panel_rule,
+from .semigroup import (Generator, dyadic_edges, norm_scan, panel_rule,
                         resolvent, semigroup_bounds, sup_T_norm)
 from .symbols import eval_at, hinf_norm, to_text
 
@@ -71,32 +71,19 @@ def check_T0(gen, g, t_grid=None):
     M01 = sup_T_norm(gen)
     if t_grid is None:
         t_grid = np.geomspace(1e-4, 1.0, 120)
-    else:
-        t_grid = np.asarray(t_grid, dtype=float)
-    Ts = None
-    if gen.kind != "diagonal":
-        Ts = [evaluate_T(gen, t) for t in t_grid]
+    gas = [_gA_exact(gen, g_k).matrix for g_k in syms]
+    ts, norms = norm_scan(gen, gas, t_grid)
+    root_t = np.sqrt(ts)
     measured = -math.inf
     witness = ""
     per_symbol = {}
-    for g_k in syms:
+    for g_k, ga, row in zip(syms, gas, norms):
         h = _hinf(g_k)
-        ga = _gA_exact(gen, g_k).matrix
         Qg = solve_lyapunov(A, ga.conj().T @ ga)
         r_gram = hermitian_eigs(Qg).lambda_max / (gamma_A * h * h)
-        if gen.kind == "diagonal":
-            mags = np.abs(np.diagonal(ga))[None, :] \
-                * np.exp(np.outer(t_grid, gen.eigenvalues.real))
-            vals = np.sqrt(t_grid) * np.max(mags, axis=1)
-            k_best = int(np.argmax(vals))
-            r_scan = float(vals[k_best]) / (M01 * h)
-            t_best = float(t_grid[k_best])
-        else:
-            r_scan, t_best = -math.inf, float(t_grid[0])
-            for t, Tt in zip(t_grid, Ts):
-                v = math.sqrt(t) * operator_norm(ga @ Tt) / (M01 * h)
-                if v > r_scan:
-                    r_scan, t_best = v, float(t)
+        vals = root_t * row / (M01 * h)
+        k_best = int(np.argmax(vals))
+        r_scan, t_best = float(vals[k_best]), float(ts[k_best])
         slack = max(r_gram, r_scan)
         per_symbol[to_text(g_k)] = slack
         if slack > measured:
@@ -201,10 +188,6 @@ def check_cor33a(gen, g):
                          details)
 
 
-def _adjoint_diag(gen):
-    return Generator.diagonal(np.conj(gen.eigenvalues))
-
-
 def _admissibility_doubled(gen, C):
     """sqrt(2 lambda_max Q): the admissibility constant in the halved-time
     normalization int ||C T(tau/2) x||^2 dtau = 2 x^H Q x."""
@@ -215,7 +198,7 @@ def _admissibility_doubled(gen, C):
 
 def _thm34_constants(gen):
     m2, _ = _admissibility_doubled(gen, sqrt_minus_A(gen))
-    adj = _adjoint_diag(gen)
+    adj = Generator.diagonal(np.conj(gen.eigenvalues))
     m1, _ = _admissibility_doubled(adj, sqrt_minus_A(adj))
     return m1, m2
 
@@ -276,9 +259,8 @@ def check_eq26(gen):
     both from the Gramian and by direct quadrature."""
     _require_real_diagonal(gen)
     started = time.perf_counter()
-    C = sqrt_minus_A(gen)
-    m1, _ = _admissibility_doubled(_adjoint_diag(gen), sqrt_minus_A(_adjoint_diag(gen)))
-    _, Q = _admissibility_doubled(gen, C)
+    m1 = _thm34_constants(gen)[0]
+    _, Q = _admissibility_doubled(gen, sqrt_minus_A(gen))
     spec_q = hermitian_eigs(Q)
     scaled_exact = 2.0 * spec_q.lambda_min
     if scaled_exact <= 0:

@@ -169,6 +169,22 @@ class TestExtensionLimits:
         assert np.max(np.abs(a - b)) < 1e-6
         assert np.max(np.abs(a - C.matrix @ x)) < 1e-6
 
+    def test_lebesgue_dense_keeps_converging(self):
+        # the error of C (1/t) int_0^t T(s) x ds is about t ||A x|| / 2;
+        # forming A^{-1}(T(t) - I) x / t instead stalls at 1e-8 and grows
+        # to 3.5e-7 at t = 1e-10
+        ts = [10.0 ** -j for j in range(1, 11)]
+        for seed in (8, 9, 10):
+            gen = random_stable(8, seed)
+            rng = np.random.default_rng(seed)
+            x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+            x /= np.linalg.norm(x)
+            trace = lebesgue_limit(gen, _identity_C(8), x, ts)
+            errors = [np.linalg.norm(v - x) for v in trace.iterates]
+            assert not trace.diverged
+            assert all(b < a / 5.0 for a, b in zip(errors, errors[1:]))
+            assert errors[-1] < 1e-9
+
     def test_trace_fields(self):
         gen = Generator.diagonal([-1.0])
         ts = [2.0 ** -k for k in range(1, 12)]

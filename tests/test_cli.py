@@ -132,6 +132,14 @@ class TestSeedPrecedence:
         assert self._seed_of(tmp_path, capsys,
                              ["run", "--scenario", "example26"]) == 7
 
+    def test_no_flags_give_the_dataclass_defaults(self, monkeypatch):
+        monkeypatch.delenv("HARDYCALC_SEED", raising=False)
+        configs = []
+        monkeypatch.setattr(cli, "run",
+                            lambda config: (configs.append(config), (0, []))[1])
+        assert main([]) == 0
+        assert configs == [ExperimentConfig()]
+
     def test_env_overrides_default(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("HARDYCALC_SEED", "11")
         assert self._seed_of(tmp_path, capsys,

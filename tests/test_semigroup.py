@@ -1,5 +1,6 @@
 """Generator construction, semigroup evaluation and stability certificates."""
 
+import ast
 import math
 import os
 import subprocess
@@ -24,6 +25,8 @@ from hardycalc.semigroup import (
     example26,
     generator_from_json,
     generator_to_json,
+    norm_scan,
+    orbit_average,
     panel_doubling,
     panel_rule,
     random_dissipative,
@@ -286,6 +289,90 @@ class TestEnvelope:
     def test_diagonal_constant_is_one(self):
         assert Generator.diagonal([-1.0, -2.0 + 3j]).envelope_constant() == 1.0
 
+    def test_diagonal_witness_is_identity(self):
+        gen = Generator.diagonal([-1.5, -0.25 + 3j, -4.0])
+        cert = gen.certificate
+        assert np.array_equal(cert.P, np.eye(3))
+        assert cert.margin == 0.5 and cert.residual == 0.0
+        assert gen.decay_rate() == 0.25
+
+    def test_envelope_reads_the_certificate(self, monkeypatch):
+        # the spectrum of P is computed once, by certify_stable
+        gen = random_stable(8, 9)
+        eigs = np.linalg.eigvalsh(gen.certificate.P)
+
+        def no_eigs(*args):
+            raise AssertionError("hermitian_eigs called after certification")
+
+        monkeypatch.setattr(semigroup, "hermitian_eigs", no_eigs)
+        rate = gen.certificate.margin / (2.0 * eigs[-1])
+        assert gen.decay_rate() == pytest.approx(rate, rel=1e-12)
+        assert gen.envelope_constant() == pytest.approx(
+            math.sqrt(eigs[-1] / eigs[0]), rel=1e-12)
+
+
+class TestNormScan:
+    def test_diagonal_adds_peak_times(self):
+        # sqrt(t)||X T(t)|| peaks at t = 1/(2 n^2) for the mode -n^2
+        gen, C = example26(4)
+        grid = np.geomspace(1e-3, 1.0, 7)
+        ts, norms = norm_scan(gen, [C.matrix], grid)
+        peaks = 1.0 / (2.0 * np.arange(1.0, 5.0) ** 2)
+        assert set(grid) | set(peaks) == set(ts)
+        assert np.all(np.diff(ts) > 0)
+        vals = np.sqrt(ts) * norms[0]
+        assert np.max(vals) == pytest.approx(math.exp(-0.5) / math.sqrt(2.0),
+                                             rel=1e-15)
+
+    def test_diagonal_matches_matrix_norms(self):
+        gen = Generator.diagonal([-1.0, -2.0 + 5j, -7.0])
+        Xs = [np.diag([1.0, 3.0, -2.0j]), np.ones((2, 3))]
+        ts, norms = norm_scan(gen, Xs, np.linspace(0.0, 2.0, 9))
+        for X, row in zip(Xs, norms):
+            ref = [np.linalg.norm(X @ evaluate_T(gen, t), 2) for t in ts]
+            assert np.allclose(row, ref, rtol=1e-14, atol=0.0)
+
+    def test_dense_evaluates_each_time_once(self, monkeypatch):
+        gen = random_stable(6, 3)
+        calls = []
+
+        def counting(g, t):
+            calls.append(t)
+            return evaluate_T(g, t)
+
+        monkeypatch.setattr(semigroup, "evaluate_T", counting)
+        Xs = [np.eye(6), gen.matrix, np.ones((2, 6))]
+        grid = np.geomspace(1e-3, 1.0, 11)
+        ts, norms = norm_scan(gen, Xs, grid[::-1])
+        assert np.array_equal(ts, grid) and calls == list(grid)
+        for X, row in zip(Xs, norms):
+            assert list(row) == [np.linalg.norm(X @ evaluate_T(gen, t), 2)
+                                 for t in grid]
+
+
+class TestOrbitAverage:
+    def test_dense_matches_closed_form(self):
+        # (1/t) int_0^t T(s) ds x = A^{-1}(T(t) - I) x / t, well conditioned
+        # at t = 0.5
+        gen = random_stable(6, 5)
+        x = np.arange(1.0, 7.0) + 1j
+        ref = np.linalg.solve(gen.matrix,
+                              (evaluate_T(gen, 0.5) - np.eye(6)) @ x) / 0.5
+        assert np.allclose(orbit_average(gen, 0.5, x), ref,
+                           rtol=1e-12, atol=0.0)
+
+    def test_diagonal_small_and_large_times(self):
+        gen = Generator.diagonal([-1.0, -2.0 + 1j])
+        x = np.array([1.0, 2.0j])
+        for t in (1e-12, 1e-5, 0.3, 40.0):
+            z = gen.eigenvalues * t
+            if t < 1.0:  # (e^z - 1)/z = sum_k z^k/(k+1)!
+                ref = sum(z ** k / math.factorial(k + 1) for k in range(30))
+            else:
+                ref = (np.exp(z) - 1.0) / z
+            assert np.allclose(orbit_average(gen, t, x), ref * x,
+                               rtol=1e-12, atol=0.0)
+
 
 class TestPanelQuadrature:
     def test_panel_rule_exact_to_degree_31(self):
@@ -379,3 +466,42 @@ class TestJsonRoundTrip:
         back = generator_from_json(generator_to_json(gen))
         assert back.kind == "dense"
         assert np.allclose(back.matrix, gen.matrix)
+
+
+# (module, function) of every test of a generator's kind outside semigroup
+ALLOWED_KIND_TESTS = sorted([
+    ("admissibility", "_gramian_quadrature"),  # dyadic or doubled panels
+    ("admissibility", "sqrt_minus_A"),  # input guard
+    ("calculus", "_integrate_modes"),  # lifts mode integrals to matrices
+    ("calculus", "gA_spectral"),  # input guard
+    ("verifier", "_require_real_diagonal"),  # input guard
+])
+
+
+class _KindTests(ast.NodeVisitor):
+    def __init__(self, module):
+        self.module, self.scope, self.found = module, ["<module>"], []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_Compare(self, node):
+        if any(isinstance(x, ast.Attribute) and x.attr == "kind"
+               for x in (node.left, *node.comparators)):
+            self.found.append((self.module, self.scope[-1]))
+        self.generic_visit(node)
+
+
+class TestKindBranches:
+    def test_only_semigroup_branches_on_the_kind(self):
+        # a new diagonal/dense branch belongs in semigroup, behind one of
+        # its evaluators; the remaining ones guard inputs or pick a rule
+        found = []
+        for path in sorted(Path(hardycalc.__file__).parent.glob("*.py")):
+            if path.name != "semigroup.py":
+                visitor = _KindTests(path.stem)
+                visitor.visit(ast.parse(path.read_text()))
+                found += visitor.found
+        assert sorted(found) == ALLOWED_KIND_TESTS

@@ -209,6 +209,32 @@ class TestTextRoundTrip:
         assert to_text(back) == to_text(g)
 
 
+# well-separated poles: partial fractions of a product stay well conditioned
+_KERNEL_POLES = st.sampled_from([0.5, 1.0, 2.0, 3.5, 1.0 + 2.0j, 0.7 - 1.5j])
+_KERNEL_COEFFS = st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+_KERNEL_SYMBOLS = st.recursive(
+    st.one_of(st.builds(atom, _KERNEL_COEFFS, _KERNEL_POLES),
+              st.builds(Delay, st.floats(0.0, 2.0)),
+              st.builds(Constant, _KERNEL_COEFFS)),
+    lambda inner: st.one_of(st.builds(add, inner, inner),
+                            st.builds(multiply, inner, inner),
+                            st.builds(Scale, _KERNEL_COEFFS, inner)),
+    max_leaves=8)
+
+
+class TestKernelBoundaryValues:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(_KERNEL_SYMBOLS)
+    def test_matches_eval_boundary(self, g):
+        # the kernel's transform against structural evaluation at s = i omega
+        pos = np.logspace(-3.0, 3.0, 25)
+        omega = np.concatenate([-pos[::-1], [0.0], pos])
+        ref = eval_boundary(g, omega)
+        got = kernel(g).boundary_values(omega)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-10 * (1.0 + np.max(np.abs(ref)))
+
+
 class TestValidation:
     def test_atom_requires_stable_pole(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,8 @@ import pytest
 from hardycalc import verifier
 from hardycalc.admissibility import ObservationOperator
 from hardycalc.semigroup import Generator, example26
-from hardycalc.symbols import Constant, atom, multiply, to_text
+from hardycalc.symbols import (Constant, atom, eval_at, hinf_norm, multiply,
+                               to_text)
 from hardycalc.verifier import (
     check_T0,
     check_analytic_lemma,
@@ -151,6 +152,21 @@ class TestT0:
                    for v in rep.details["per_symbol_slack"].values())
 
 
+    def test_diagonal_scan_hits_the_peak_times(self):
+        # sqrt(t) e^{-n^2 t} peaks at t = 1/(2n^2) with value
+        # e^{-1/2}/(n sqrt 2); the 120-point grid alone misses the peak of
+        # this symbol's scan by 2.9e-6 relative
+        gen, _ = example26(16)
+        g = multiply(atom(1.0, 1.0), atom(1.0, 3.0))
+        rep = check_T0(gen, g)
+        n = np.arange(1.0, 17.0)
+        peak = np.max(np.abs(eval_at(g, -n ** 2)) * math.exp(-0.5)
+                      / (n * math.sqrt(2.0)))
+        assert rep.details["sup_T_01"] == 1.0
+        assert rep.details["per_symbol_slack"][to_text(g)] == pytest.approx(
+            peak / hinf_norm(g), rel=1e-14)
+
+
 class TestAnalyticLemma:
     def test_reference_model_peak(self):
         # per-mode peak of t|lambda|e^{lambda t} is 1/e at t = 1/|lambda|,
@@ -179,6 +195,12 @@ class TestEq26:
     def test_scalar(self):
         rep = check_eq26(SCALAR)
         assert rep.passed
+
+    def test_m1_is_the_thm34_constant(self):
+        gen, _ = example26(16)
+        m1, _ = verifier._thm34_constants(gen)
+        assert check_eq26(gen).details["m1"] == m1
+        assert check_thm34(gen, G).details["m1"] == m1
 
 
 class TestSquareFunction:
