@@ -4,10 +4,16 @@ C to states outside its natural domain.
 For a stable generator A and observation C, the Gramian
 Q = int_0^inf T(t)^H C^H C T(t) dt solves A^H Q + Q A = -C^H C.  Its extreme
 eigenvalues are the squared admissibility constant (lambda_max) and the
-squared exact-observability constant (lambda_min).  Every Gramian computed
-here is cross-checked against a direct Gauss-Legendre quadrature in time on
-five seeded states; disagreement beyond 1e-4 relative aborts with
-ArithmeticError rather than returning a silently wrong constant.
+squared exact-observability constant (lambda_min).  `observability_gramian`
+is the only source of these constants for the checks: gamma_A and the
+Gramian of g(A) in T0, the constants of Theorem 3.3, the square-root
+constants m1 = m2 of Theorem 3.4, the analytic lemma and eq. (26), and the
+sqrt(t) bound.  Each Gramian it returns is cross-checked against a direct
+Gauss-Legendre quadrature in time on five seeded states; disagreement
+beyond 1e-4 relative aborts with ArithmeticError rather than returning a
+silently wrong constant.  The one Lyapunov solve outside it is the
+Gramian G of Corollary 3.3(a), which is the measured side of the identity
+G = I rather than a constant.
 """
 
 from __future__ import annotations
@@ -132,20 +138,20 @@ def sqrt_t_bound_scan(gen, C, t_min, t_max, extra_points=()):
     return measured, report
 
 
+def _require_real_diagonal(gen):
+    if gen.kind != "diagonal":
+        raise ValueError("requires a diagonal generator")
+    lam = gen.eigenvalues
+    if np.max(np.abs(lam.imag)) > 1e-12 * (1.0 + float(np.max(np.abs(lam)))):
+        raise ValueError("requires a real spectrum")
+
+
 def sqrt_minus_A(gen):
-    """(-A)^{1/2} as an observation operator; requires a real negative
-    spectrum (diagonal) or a Hermitian negative definite matrix (dense)."""
-    if gen.kind == "diagonal":
-        lam = gen.eigenvalues
-        if np.max(np.abs(lam.imag)) > 1e-12 * (1.0 + float(np.max(np.abs(lam)))):
-            raise ValueError("square root requires a real spectrum")
-        return ObservationOperator(np.diag(np.sqrt(-lam.real).astype(complex)))
-    spec = hermitian_eigs(gen.matrix)
-    if spec.lambda_max >= 0:
-        raise ValueError("square root requires a negative definite generator")
-    root = np.sqrt(-spec.eigenvalues)
-    V = spec.vectors
-    return ObservationOperator(V @ np.diag(root.astype(complex)) @ V.conj().T)
+    """(-A)^{1/2} as an observation operator of a diagonal generator with a
+    real (negative) spectrum."""
+    _require_real_diagonal(gen)
+    return ObservationOperator(
+        np.diag(np.sqrt(-gen.eigenvalues.real).astype(complex)))
 
 
 @dataclass(frozen=True)

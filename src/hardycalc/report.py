@@ -11,6 +11,7 @@ which covers both inequality checks (claimed > 0) and identity checks
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 __all__ = ["CheckReport", "finish_report", "report_passes"]
@@ -50,11 +51,9 @@ class CheckReport:
 
 
 def finish_report(name, bound_claimed, bound_measured, witness, tolerance,
-                  started_at, details=None, clock=None):
+                  started_at, details=None):
     """Assemble a CheckReport, computing the verdict and the runtime."""
-    import time
-
-    now = clock() if clock is not None else time.perf_counter()
+    now = time.perf_counter()
     return CheckReport(
         name=name,
         bound_claimed=float(bound_claimed),

@@ -169,6 +169,8 @@ def norm_scan(gen, Xs, ts):
     diagonal too, the norms are max_k |X_kk| e^{Re lambda_k t}, exact and
     vectorized.  Otherwise each T(t) is evaluated once for every X."""
     ts = np.asarray(ts, dtype=float)
+    if np.any(ts < 0):
+        raise ValueError("semigroup time must be nonnegative")
     if gen.kind == "diagonal":
         lam = gen.eigenvalues.real
         peaks = -1.0 / (2.0 * lam)

@@ -102,12 +102,6 @@ class TestSqrtMinusA:
         assert np.allclose(out.matrix, np.diag([1.0, 2.0, 3.0, 4.0]),
                            atol=1e-11)
 
-    def test_dense_squares_back(self):
-        A = np.array([[-2.0, 1.0], [1.0, -2.0]])
-        gen = Generator.dense(A)
-        out = sqrt_minus_A(gen).matrix
-        assert np.max(np.abs(out @ out - (-A))) < 1e-11
-
     def test_rejects_non_hermitian(self):
         gen = Generator.dense(np.array([[-1.0, 4.0], [0.0, -1.0]]))
         with pytest.raises(ValueError):

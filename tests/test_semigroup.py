@@ -349,6 +349,13 @@ class TestNormScan:
             assert list(row) == [np.linalg.norm(X @ evaluate_T(gen, t), 2)
                                  for t in grid]
 
+    @pytest.mark.parametrize("gen", [Generator.diagonal([-1.0, -2.0]),
+                                     random_stable(4, 3)])
+    def test_rejects_negative_times(self, gen):
+        # T(-1) is no semigroup value, whichever way the generator is stored
+        with pytest.raises(ValueError, match="nonnegative"):
+            norm_scan(gen, [np.eye(gen.dimension)], [-1.0, 0.5])
+
 
 class TestOrbitAverage:
     def test_dense_matches_closed_form(self):
@@ -471,10 +478,9 @@ class TestJsonRoundTrip:
 # (module, function) of every test of a generator's kind outside semigroup
 ALLOWED_KIND_TESTS = sorted([
     ("admissibility", "_gramian_quadrature"),  # dyadic or doubled panels
-    ("admissibility", "sqrt_minus_A"),  # input guard
+    ("admissibility", "_require_real_diagonal"),  # input guard
     ("calculus", "_integrate_modes"),  # lifts mode integrals to matrices
     ("calculus", "gA_spectral"),  # input guard
-    ("verifier", "_require_real_diagonal"),  # input guard
 ])
 
 

@@ -1,12 +1,18 @@
 """Named inequality checks: frozen scalar oracles and failure paths."""
 
+import ast
+import importlib
 import math
+import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hardycalc import verifier
-from hardycalc.admissibility import ObservationOperator
+import hardycalc
+from hardycalc import numkernel, verifier
+from hardycalc.admissibility import (ObservationOperator, observability_gramian,
+                                     sqrt_minus_A)
 from hardycalc.semigroup import Generator, example26
 from hardycalc.symbols import (Constant, atom, eval_at, hinf_norm, multiply,
                                to_text)
@@ -66,12 +72,18 @@ class TestEq21:
 
 class TestThm33:
     def test_scalar_oracle(self):
-        # m_admissible = m_exact = 1/2 for C = I, so the claim is ||g||
-        rep = check_thm33(SCALAR, ObservationOperator(np.eye(1)), G)
-        assert abs(rep.bound_claimed - 0.5) < 1e-14
-        assert abs(rep.bound_measured - 1.0 / 3.0) < 1e-7
+        # m_admissible = m_exact = 1/2 for C = I, so the bound factor is 1
+        # and the ratio is |g(-1)|/||g|| = (1/3)/(1/2); a single symbol is
+        # reported as a battery of one
+        C = ObservationOperator(np.eye(1))
+        rep = check_thm33(SCALAR, C, G)
+        assert rep.bound_claimed == 1.0
+        assert abs(rep.bound_measured - 2.0 / 3.0) < 1e-7
         assert rep.passed
         assert abs(rep.details["bound_factor"] - 1.0) < 1e-12
+        battery = check_thm33(SCALAR, C, [G])
+        assert (rep.bound_measured, rep.witness) \
+            == (battery.bound_measured, battery.witness)
 
     def test_requires_exact_observability(self):
         with pytest.raises(ValueError, match="exact observability"):
@@ -104,11 +116,12 @@ class TestCor33a:
 
 class TestThm34:
     def test_scalar_oracle(self):
-        # m1 = m2 = 1, probe ||g(A)T(1)|| = e^{-1}/3, so the claim is
-        # 0.5 + e^{-1}/3 and the measured side is |g(-1)| = 1/3
+        # m1 = m2 = 1, probe ||g(A)T(1)|| = e^{-1}/3, so the ratio of
+        # |g(-1)| = 1/3 to the bound 0.5 + e^{-1}/3 is measured against 1
         rep = check_thm34(SCALAR, G)
-        assert abs(rep.bound_claimed - (0.5 + math.exp(-1.0) / 3.0)) < 1e-14
-        assert abs(rep.bound_measured - 1.0 / 3.0) < 1e-14
+        assert rep.bound_claimed == 1.0
+        ref = (1.0 / 3.0) / (0.5 + math.exp(-1.0) / 3.0)
+        assert abs(rep.bound_measured - ref) < 1e-14
         assert abs(rep.details["m1"] - 1.0) < 1e-12
         assert abs(rep.details["m2"] - 1.0) < 1e-12
         assert rep.passed
@@ -142,6 +155,12 @@ class TestT0:
         assert rep.passed
         assert abs(rep.details["gamma_A"] - 0.5) < 1e-12
         assert abs(rep.details["sup_T_01"] - 1.0) < 1e-9
+
+    def test_rejects_negative_scan_times(self):
+        # sqrt(-1) would be nan, which max(r_gram, nan) drops into a PASS
+        with pytest.raises(ValueError, match="nonnegative"):
+            check_T0(Generator.diagonal([-1.0, -2.0]), atom(1.0, 2.0),
+                     t_grid=[-1.0, 0.5])
 
     def test_per_symbol_slack_keys(self):
         battery = [G, Constant(0.7)]
@@ -198,7 +217,8 @@ class TestEq26:
 
     def test_m1_is_the_thm34_constant(self):
         gen, _ = example26(16)
-        m1, _ = verifier._thm34_constants(gen)
+        gram = observability_gramian(gen, sqrt_minus_A(gen))
+        m1 = math.sqrt(2.0 * gram.m_admissible)
         assert check_eq26(gen).details["m1"] == m1
         assert check_thm34(gen, G).details["m1"] == m1
 
@@ -230,6 +250,53 @@ class TestSquareFunction:
         gen, _ = example26(32)
         assert not check_square_function(gen).passed
         assert not check_eq26(gen).passed
+
+
+_GRAMIAN_KERNELS = ("solve_lyapunov", "hermitian_eigs")
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts of solve_lyapunov and hermitian_eigs calls made through any
+    hardycalc module that imports them."""
+    counts = dict.fromkeys(_GRAMIAN_KERNELS, 0)
+    for info in pkgutil.iter_modules(hardycalc.__path__):
+        module = importlib.import_module(f"hardycalc.{info.name}")
+        for name in _GRAMIAN_KERNELS:
+            fn = getattr(numkernel, name)
+            if module is not numkernel and getattr(module, name, None) is fn:
+                def counting(*args, _fn=fn, _name=name, **kwargs):
+                    counts[_name] += 1
+                    return _fn(*args, **kwargs)
+                monkeypatch.setattr(module, name, counting)
+    return counts
+
+
+class TestGramianSource:
+    def test_eq26_solves_and_decomposes_once(self, kernel_calls):
+        gen = example26(64)[0]
+        check_eq26(gen)
+        assert kernel_calls == {"solve_lyapunov": 1, "hermitian_eigs": 1}
+
+    @pytest.mark.parametrize("check", [
+        lambda gen: check_thm34(gen, G), check_analytic_lemma])
+    def test_thm34_constants_solve_once(self, kernel_calls, check):
+        check(example26(16)[0])
+        assert kernel_calls == {"solve_lyapunov": 1, "hermitian_eigs": 1}
+
+    def test_only_cor33a_calls_the_kernels(self):
+        # every other Gramian comes from observability_gramian, which
+        # cross-checks it by quadrature
+        tree = ast.parse(Path(verifier.__file__).read_text())
+        callers = set()
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call) and getattr(
+                            node.func, "id", getattr(node.func, "attr", None)) \
+                            in _GRAMIAN_KERNELS:
+                        callers.add(fn.name)
+        assert callers == {"check_cor33a"}
 
 
 class TestReportInvariants:
