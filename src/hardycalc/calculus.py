@@ -1,8 +1,10 @@
 """Four independent routes to g(A) for a stable generator A.
 
 * spectral: evaluate g on the eigenvalues (diagonal generators only);
-* resolvent: partial fractions, g(A) = d I + sum c_k (alpha_k I - A)^{-p_k}
-  (rational symbols only, no delay factors);
+* closed form (`_gA_exact`): partial fractions,
+  g(A) = d I + sum c_k T(s_k) (alpha_k I - A)^{-p_k} + sum w_j T(tau_j),
+  resolvent powers at the poles with a semigroup factor for each shift and
+  delay; private, because it is the reference the verifier's checks read;
 * convolution: g(A) = integral of T(u) against the symbol's one-sided
   kernel, by the Gauss-Legendre panel doubling of `semigroup`, over a
   horizon with a certified truncation tail;
@@ -32,7 +34,6 @@ __all__ = [
     "GAResult",
     "check_calculus_axioms",
     "gA_convolution",
-    "gA_resolvent",
     "gA_spectral",
     "gA_toeplitz",
 ]
@@ -54,7 +55,10 @@ def gA_spectral(gen, g):
     return GAResult(np.diag(eval_at(g, gen.eigenvalues)), "spectral", 0.0)
 
 
-def _closed_form(gen, krep, method):
+def _gA_exact(gen, g):
+    """g(A) in closed form from the symbol's kernel: resolvent powers at the
+    poles, T(offset) for a shifted mode and w T(tau) for each delay."""
+    krep = kernel(g)
     N = gen.dimension
     out = krep.constant * np.eye(N, dtype=complex)
     for w, tau in krep.delays:
@@ -68,21 +72,7 @@ def _closed_form(gen, krep, method):
             term = evaluate_T(gen, off) @ term
         out = out + c * term
     est = 1e-12 * max(1.0, float(np.linalg.norm(out)))
-    return GAResult(out, method, est)
-
-
-def gA_resolvent(gen, g):
-    """g(A) through resolvent powers at the poles (rational symbols only)."""
-    krep = kernel(g)
-    if krep.delays or any(off != 0.0 for _, _, _, off in krep.modes):
-        raise ValueError("resolvent route is defined for rational symbols "
-                         "without delay factors")
-    return _closed_form(gen, krep, "resolvent")
-
-
-def _gA_exact(gen, g):
-    # closed form extended with T(tau) factors for delays; internal reference
-    return _closed_form(gen, kernel(g), "resolvent")
+    return GAResult(out, "resolvent", est)
 
 
 def _mode_tail(K, c, tstar, p):

@@ -1,11 +1,10 @@
-"""Experiment runner: scenario registry, configuration handling, and
-deterministic report emission.
+"""Command line driver: parses flags, the config file and HARDYCALC_SEED,
+validates the configuration, dispatches through the scenario registry of
+`scenarios`, prints one verdict line per report, and writes the JSON/CSV
+artifacts.  The checks themselves live in `verifier`.
 
-Each scenario builds its generators and symbols from the seeded samplers,
-runs the relevant checks, and returns CheckReports.  `run` executes one
-scenario (or all of them), prints one verdict line per report, optionally
-writes JSON/CSV files, and maps the outcome to an exit code:
-0 all pass, 1 check failure, 2 malformed configuration, 3 unknown scenario.
+Exit codes: 0 all pass, 1 check failure, 2 malformed configuration,
+3 unknown scenario.
 """
 
 from __future__ import annotations
@@ -14,38 +13,20 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import os
 import sys
-import time
 from dataclasses import dataclass
 
-import numpy as np
-
-from .admissibility import (ObservationOperator, lambda_limit, lebesgue_limit,
-                            observability_gramian, sqrt_t_bound_scan)
-from .calculus import (check_calculus_axioms, gA_convolution, gA_toeplitz)
-from .hardy import (GridSpec, SampledSignal, _apply_multiplier, _guarded_spectrum,
-                    discrete_multiplier, l2_norm, shift, times)
-from .numkernel import ConvergenceError, operator_norm
-from .report import finish_report
-from .semigroup import (StabilityError, evaluate_T, example26,
-                        random_dissipative, random_stable, resolvent)
-from .symbols import (Constant, Delay, add, atom, hinf_norm, multiply, parse,
-                      to_text)
-from .verifier import (check_T0, check_analytic_lemma, check_cor33a,
-                       check_eq21, check_eq26, check_square_function,
-                       check_thm33, check_thm34)
+from .numkernel import ConvergenceError
+from .scenarios import SCENARIOS, UnknownScenarioError, run_scenario
+from .semigroup import StabilityError
+from .symbols import parse
 
 __all__ = ["ConfigError", "ExperimentConfig", "list_scenarios", "main", "run"]
 
 
 class ConfigError(ValueError):
     """Malformed configuration (exit code 2)."""
-
-
-class UnknownScenarioError(ValueError):
-    """Scenario name not in the registry (exit code 3)."""
 
 
 @dataclass(frozen=True)
@@ -59,9 +40,6 @@ class ExperimentConfig:
     write_json: bool = False
     write_csv: bool = False
     symbols: tuple = ()
-
-    def grid(self):
-        return GridSpec(self.grid_n, self.grid_dt)
 
 
 def _validate(config):
@@ -79,401 +57,18 @@ def _validate(config):
             raise ConfigError(f"bad symbol {text!r}: {exc}") from exc
 
 
-def _battery(cfg):
-    """Default six-symbol battery; overridden by config symbol strings."""
-    if cfg.symbols:
-        return tuple(parse(s) for s in cfg.symbols)
-    return (atom(1.0, 1.0),
-            atom(1.0, 3.0),
-            multiply(atom(1.0, 1.0), atom(1.0, 3.0)),
-            Delay(0.5),
-            Constant(0.7),
-            add(atom(0.4, 2.0), Constant(0.5)))
-
-
-def _rename(report, name):
-    return dataclasses.replace(report, name=name)
-
-
-# ---------------------------------------------------------------------------
-# scenarios
-
-
-def _scenario_example26(cfg):
-    N = cfg.modes
-    gen, C = example26(N)
-    reports = []
-
-    started = time.perf_counter()
-    gram = observability_gramian(gen, C)
-    measured = max(abs(gram.m_admissible - 0.5), abs(gram.m_exact - 0.5))
-    reports.append(finish_report(
-        "example26_gramian", 0.0, measured,
-        f"N={N}, m_admissible={gram.m_admissible:.12g}", 1e-10, started,
-        {"m_admissible": gram.m_admissible, "m_exact": gram.m_exact,
-         "lyapunov_residual": gram.residual,
-         "quadrature_rel_error": gram.quadrature_rel_error}))
-
-    started = time.perf_counter()
-    devs = {}
-    for k in sorted({4, 16, N}):
-        gk, Ck = example26(k)
-        gr = observability_gramian(gk, Ck)
-        devs[f"N={k}"] = max(abs(gr.m_admissible - 0.5),
-                             abs(gr.m_exact - 0.5))
-    reports.append(finish_report(
-        "example26_constant_N_independence", 0.0, max(devs.values()),
-        "constants at " + ", ".join(devs), 1e-10, started,
-        devs))
-
-    started = time.perf_counter()
-    Cm = C.matrix
-    diffs = {}
-    floor_vals = []
-    ns = [n for n in (1, 2, 4, 8) if n <= N]
-    for n in ns:
-        t = 1.0 / (n * n)
-        Tt = evaluate_T(gen, t)
-        phi = np.zeros(N, dtype=complex)
-        phi[n - 1] = 1.0
-        val = float(np.linalg.norm(Cm @ (Tt @ phi)))
-        diffs[f"n={n}"] = abs(val - n * math.exp(-1.0))
-        floor_vals.append(math.sqrt(t) * operator_norm(Cm @ Tt))
-    reports.append(finish_report(
-        "example26_sharpness", 0.0, max(diffs.values()),
-        "||C T(1/n^2) phi_n|| against n/e", 1e-9, started,
-        diffs))
-
-    started = time.perf_counter()
-    short = math.exp(-1.0) - min(floor_vals)
-    reports.append(finish_report(
-        "example26_sharpness_floor", 0.0, max(0.0, short),
-        "sqrt(t)||C T(t)|| at the peak times", 1e-9, started,
-        {"min_scan_value": min(floor_vals)}))
-
-    _, scan_rep = sqrt_t_bound_scan(gen, C, 1e-6, 10.0,
-                                    extra_points=[1.0 / (n * n) for n in ns])
-    reports.append(_rename(scan_rep, "example26_sqrt_t_bound"))
-    return reports
-
-
-def _signals(grid):
-    t = times(grid)
-    raw = [
-        ("exp(-2t)", np.exp(-2.0 * t)),
-        ("t*exp(-2.5t)", t * np.exp(-2.5 * t)),
-        ("exp(-2t)cos(3t)", np.exp(-2.0 * t) * np.cos(3.0 * t)),
-        ("gauss(t-2)", np.exp(-2.0 * (t - 2.0) ** 2)),
-        ("exp((-3+i)t)", np.exp((-3.0 + 1j) * t)),
-    ]
-    return [(lab, SampledSignal(grid, v.astype(complex))) for lab, v in raw]
-
-
-def _diff_norm(a, b):
-    return l2_norm(SampledSignal(a.grid, a.values - b.values))
-
-
-def _product_residuals(syms, mults, spectra, pairs, grid):
-    """Multiplicativity residuals ||M_{g_i g_j} f_k - M_{g_i} M_{g_j} f_k||
-    keyed (i, j, k) for each pair (i, j) of indices into syms, and the norms
-    ||M_{g_j} f_k|| keyed (j, k) for every second factor j.
-
-    mults[i] is the multiplier of syms[i] and spectra[k] the guarded
-    spectrum of f_k.  The pairs are walked by second factor, so each product
-    multiplier is built once (or taken from mults when the product is itself
-    one of syms), each output M_{g_j} f_k is transformed once, and only the
-    output spectra of one symbol are held at a time.
-    """
-    resid, norms = {}, {}
-    for j in sorted({j for _, j in pairs}):
-        out_spectra = []
-        for k, s in enumerate(spectra):
-            out = _apply_multiplier(s, mults[j], grid)
-            norms[j, k] = l2_norm(out)
-            out_spectra.append(_guarded_spectrum(out))
-        for i in sorted(i for i, second in pairs if second == j):
-            g = multiply(syms[i], syms[j])
-            prod = (mults[syms.index(g)] if g in syms
-                    else discrete_multiplier(g, grid))
-            for k, s in enumerate(spectra):
-                resid[i, j, k] = _diff_norm(
-                    _apply_multiplier(s, prod, grid),
-                    _apply_multiplier(out_spectra[k], mults[i], grid))
-    return resid, norms
-
-
-def _scenario_toeplitz(cfg):
-    grid = cfg.grid()
-    syms = list(_battery(cfg))
-    sigs = _signals(grid)
-    reports = []
-
-    # Each multiplier is built once and each input spectrum computed once;
-    # outputs are recomputed from them rather than held.  Residuals are
-    # stored and scanned in (symbol, signal, ...) order with a strict `>`,
-    # so the first worst case names the witness.
-    started = time.perf_counter()
-    spectra = [_guarded_spectrum(f) for _, f in sigs]
-    mults = [discrete_multiplier(g, grid) for g in syms]
-    pairs = [(i, j) for i in range(len(syms)) for j in range(i, len(syms))]
-    resid, norms = _product_residuals(syms, mults, spectra, pairs, grid)
-    best = (0.0, "")
-    for (i, j, k), r in sorted(resid.items()):
-        if r > best[0]:
-            best = (r, f"({to_text(syms[i])})*({to_text(syms[j])}) "
-                       f"on {sigs[k][0]}")
-    reports.append(finish_report(
-        "toeplitz_multiplicativity", 0.0, best[0], best[1], 1e-6, started,
-        {"pairs": len(pairs), "signals": len(sigs)}))
-
-    started = time.perf_counter()
-    taus = (grid.dt, 16 * grid.dt, 0.5)
-    resid = {}
-    for k, (_, f) in enumerate(sigs):
-        outs = [_apply_multiplier(spectra[k], m, grid) for m in mults]
-        for t, tau in enumerate(taus):
-            spectrum = _guarded_spectrum(shift(f, tau))
-            for i, m in enumerate(mults):
-                resid[i, k, t] = _diff_norm(
-                    shift(outs[i], tau), _apply_multiplier(spectrum, m, grid))
-    del spectra, mults, outs, spectrum
-    best = (0.0, "")
-    for (i, k, t), r in sorted(resid.items()):
-        if r > best[0]:
-            best = (r, f"{to_text(syms[i])} on {sigs[k][0]}, "
-                       f"tau={taus[t]:g}")
-    reports.append(finish_report(
-        "toeplitz_shift_commutation", 0.0, best[0], best[1], 1e-6, started,
-        {"taus": [float(t) for t in taus]}))
-
-    started = time.perf_counter()
-    best = (0.0, "")
-    for i, g in enumerate(syms):
-        h = hinf_norm(g)
-        for k, (lab, f) in enumerate(sigs):
-            ratio = norms[i, k] / (h * l2_norm(f))
-            if ratio > best[0]:
-                best = (ratio, f"{to_text(g)} on {lab}")
-    reports.append(finish_report(
-        "toeplitz_norm_bound", 1.0, best[0], best[1], 1e-6, started))
-
-    # Refinement is measured at a coarser step over the same horizon: the
-    # multiplier is fourth order, so at the reference dt the residual already
-    # sits on the circular truncation floor e^{-alpha*horizon} where halving
-    # the step cannot show the shrink.  The base step is kept at 2^-5 or
-    # coarser, so a finer reference dt does not push the base onto the floor.
-    started = time.perf_counter()
-    ref_syms = (atom(1.0, 1.0), atom(1.0, 3.0),
-                add(atom(0.4, 2.0), Constant(0.5)))
-    ref_pairs = ((0, 1), (1, 2))
-    base_n = max(16, min(grid.n_samples // 8,
-                         2 ** math.floor(math.log2(32.0 * grid.horizon))))
-    base = GridSpec(base_n, grid.horizon / base_n)
-    fine = GridSpec(2 * base.n_samples, base.dt / 2.0)
-    worst = []
-    for level in (base, fine):
-        spectra = [_guarded_spectrum(f) for _, f in _signals(level)]
-        mults = [discrete_multiplier(g, level) for g in ref_syms]
-        resid, _ = _product_residuals(ref_syms, mults, spectra, ref_pairs,
-                                      level)
-        worst.append({(i, j): max(resid[i, j, k] for k in range(len(spectra)))
-                      for i, j in ref_pairs})
-    best = (0.0, "")
-    for i, j in ref_pairs:
-        r_base, r_fine = worst[0][i, j], worst[1][i, j]
-        ratio = r_fine / r_base
-        if ratio > best[0]:
-            best = (ratio, f"({to_text(ref_syms[i])})*"
-                           f"({to_text(ref_syms[j])}): "
-                           f"{r_base:.3g} -> {r_fine:.3g}")
-    reports.append(finish_report(
-        "toeplitz_refinement", 0.25, best[0], best[1], 1e-6, started))
-    return reports
-
-
-def _scenario_calculus(cfg):
-    battery = (atom(1.0, 1.0), atom(1.0, 2.0),
-               multiply(atom(1.0, 1.0), atom(1.0, 3.0)),
-               Delay(0.3), Constant(0.7))
-    gens = [("example26_16", example26(16)[0])]
-    for k in (1, 2, 3):
-        seed = cfg.seed + k
-        gens.append((f"stable8_seed{seed}", random_stable(8, seed)))
-    reports = []
-    for label, gen in gens:
-        started = time.perf_counter()
-        worst = None
-        for g1 in battery:
-            for g2 in battery:
-                rep = check_calculus_axioms(gen, g1, g2)
-                if worst is None or rep.bound_measured > worst.bound_measured:
-                    worst = rep
-        reports.append(finish_report(
-            f"calculus_axioms[{label}]", worst.bound_claimed,
-            worst.bound_measured, worst.witness, 1e-6, started,
-            {"pairs": len(battery) ** 2, **worst.details}))
-    return reports
-
-
-def _scenario_resolvent(cfg):
-    grid = cfg.grid()
-    g = atom(1.0, 2.0)
-    started = time.perf_counter()
-    conv_best = (0.0, "")
-    toep_best = (0.0, "")
-    per_seed = {}
-    for k in range(1, 11):
-        seed = cfg.seed + k
-        gen = random_stable(8, seed)
-        R = resolvent(gen, 2.0)
-        dc = operator_norm(gA_convolution(gen, g).matrix - R)
-        dtp = operator_norm(gA_toeplitz(gen, g, grid).matrix - R)
-        per_seed[f"seed{seed}"] = [dc, dtp]
-        if dc > conv_best[0]:
-            conv_best = (dc, f"seed {seed}")
-        if dtp > toep_best[0]:
-            toep_best = (dtp, f"seed {seed}")
-    mid = time.perf_counter()
-    return [
-        finish_report("resolvent_identity_convolution", 0.0, conv_best[0],
-                      conv_best[1], 1e-7, started,
-                      {"per_seed": per_seed}),
-        finish_report("resolvent_identity_toeplitz", 0.0, toep_best[0],
-                      toep_best[1], 1e-3, mid,
-                      {"grid_n": grid.n_samples, "grid_dt": grid.dt}),
-    ]
-
-
-def _scenario_t0(cfg):
-    battery = list(_battery(cfg))
-    gens = [("example26_16", example26(16)[0]),
-            (f"stable8_seed{cfg.seed + 1}", random_stable(8, cfg.seed + 1)),
-            (f"dissipative8_seed{cfg.seed + 2}",
-             random_dissipative(8, cfg.seed + 2))]
-    return [_rename(check_T0(gen, battery), f"T0[{label}]")
-            for label, gen in gens]
-
-
-def _scenario_eq21(cfg):
-    battery = list(_battery(cfg))
-    gens = [("example26_16", example26(16)[0]),
-            (f"stable8_seed{cfg.seed + 1}", random_stable(8, cfg.seed + 1)),
-            (f"dissipative12_seed{cfg.seed + 2}",
-             random_dissipative(12, cfg.seed + 2))]
-    return [_rename(check_eq21(gen, battery), f"eq21[{label}]")
-            for label, gen in gens]
-
-
-def _scenario_thm33(cfg):
-    battery = list(_battery(cfg))
-    gen26, C26 = example26(16)
-    reports = [_rename(check_thm33(gen26, C26, battery),
-                       "thm33[example26_16]")]
-    eye = ObservationOperator(np.eye(8, dtype=complex))
-    for k in range(1, 21):
-        seed = cfg.seed + k
-        gen = random_stable(8, seed)
-        reports.append(_rename(check_thm33(gen, eye, battery),
-                               f"thm33[stable8_seed{seed}]"))
-    return reports
-
-
-def _scenario_von_neumann(cfg):
-    battery = list(_battery(cfg))
-    sizes = (4, 8, 12, 16)
-    reports = []
-    for k in range(100):
-        n = sizes[k % 4]
-        seed = cfg.seed + k
-        gen = random_dissipative(n, seed)
-        reports.append(_rename(check_cor33a(gen, battery),
-                               f"cor33a[n{n:02d}_seed{seed}]"))
-    return reports
-
-
-def _scenario_thm34(cfg):
-    return [check_thm34(example26(32)[0], list(_battery(cfg)), t_probe=1.0)]
-
-
-def _scenario_analytic(cfg):
-    return [check_analytic_lemma(example26(32)[0])]
-
-
-def _scenario_eq26(cfg):
-    return [check_eq26(example26(32)[0])]
-
-
-def _scenario_square(cfg):
-    return [check_square_function(example26(32)[0])]
-
-
-def _scenario_extensions(cfg):
-    gen, C = example26(16)
-    rng = np.random.default_rng(cfg.seed)
-    v = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    v /= np.linalg.norm(v)
-    phi = np.zeros(16, dtype=complex)
-    phi[2] = 1.0
-    states = [("basis_3", phi), ("random", v)]
-    t_seq = [10.0 ** -j for j in range(1, 11)]
-    lam_seq = [10.0 ** j for j in range(1, 11)]
-    started = time.perf_counter()
-    measured = 0.0
-    witness = ""
-    details = {}
-    for lab, x in states:
-        leb = lebesgue_limit(gen, C, x, t_seq)
-        res = lambda_limit(gen, C, x, lam_seq)
-        Cx = C.matrix @ x
-        scale = float(np.linalg.norm(Cx))
-        worst = max(float(np.linalg.norm(leb.limit - Cx)),
-                    float(np.linalg.norm(res.limit - Cx)),
-                    float(np.linalg.norm(leb.limit - res.limit))) / scale
-        details[f"{lab}_rel_error"] = worst
-        details[f"{lab}_diverged"] = bool(leb.diverged or res.diverged)
-        if leb.diverged or res.diverged:
-            worst = max(worst, 1.0)
-        if worst > measured:
-            measured = worst
-            witness = lab
-    return [finish_report("extensions_agree", 0.0, measured, witness, 1e-6,
-                          started, details)]
-
-
-_SCENARIOS = {
-    "example26": _scenario_example26,
-    "toeplitz_properties": _scenario_toeplitz,
-    "calculus_axioms": _scenario_calculus,
-    "resolvent_identity": _scenario_resolvent,
-    "t0_bounds": _scenario_t0,
-    "eq21": _scenario_eq21,
-    "thm33": _scenario_thm33,
-    "von_neumann": _scenario_von_neumann,
-    "thm34": _scenario_thm34,
-    "analytic_lemma": _scenario_analytic,
-    "eq26": _scenario_eq26,
-    "square_function": _scenario_square,
-    "extensions": _scenario_extensions,
-}
-
-
 def list_scenarios():
     """Registry names, one per line, in stable registration order."""
-    return "\n".join(_SCENARIOS)
+    return "\n".join(SCENARIOS)
 
 
 def run(config):
     """Execute the configured scenario(s); returns (exit_code, reports)."""
     _validate(config)
-    if config.scenario == "all":
-        names = list(_SCENARIOS)
-    elif config.scenario in _SCENARIOS:
-        names = [config.scenario]
-    else:
-        raise UnknownScenarioError(f"unknown scenario {config.scenario!r}")
+    names = list(SCENARIOS) if config.scenario == "all" else [config.scenario]
     reports = []
     for nm in names:
-        reports.extend(_SCENARIOS[nm](config))
+        reports.extend(run_scenario(nm, config))
     reports.sort(key=lambda r: r.name)
     for r in reports:
         tag = "PASS" if r.passed else "FAIL"
@@ -535,7 +130,7 @@ def _config_from_args(args):
                                            for s in symbols):
         raise ConfigError("symbols must be a list of strings")
     try:
-        config = ExperimentConfig(
+        return ExperimentConfig(
             scenario=str(pick(args.scenario, "scenario")),
             seed=int(pick(args.seed, "seed")),
             modes=int(pick(args.modes, "modes")),
@@ -548,8 +143,6 @@ def _config_from_args(args):
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    _validate(config)
-    return config
 
 
 def main(argv=None):
@@ -575,16 +168,13 @@ def main(argv=None):
         print(list_scenarios())
         return 0
     try:
-        config = _config_from_args(args)
+        code, _ = run(_config_from_args(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if config.scenario != "all" and config.scenario not in _SCENARIOS:
-        print(f"unknown scenario {config.scenario!r}; "
-              "see 'hardycalc list'", file=sys.stderr)
+    except UnknownScenarioError as exc:
+        print(f"{exc}; see 'hardycalc list'", file=sys.stderr)
         return 3
-    try:
-        code, _ = run(config)
     except (ArithmeticError, ConvergenceError, StabilityError) as exc:
         print(f"check aborted: {exc}", file=sys.stderr)
         return 1

@@ -1,11 +1,14 @@
 """Command line driver: scenarios, config precedence, exit codes, artifacts."""
 
+import ast
 import csv
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
-from hardycalc import cli
+from hardycalc import cli, scenarios, verifier
 from hardycalc.cli import ConfigError, ExperimentConfig, list_scenarios, main, run
 from hardycalc.symbols import to_text
 
@@ -193,7 +196,8 @@ class TestToeplitzBuildOnce:
     def test_each_multiplier_and_spectrum_built_once(self, monkeypatch,
                                                      capsys):
         builds, spectra = [], []
-        build, spectrum = cli.discrete_multiplier, cli._guarded_spectrum
+        build = verifier.discrete_multiplier
+        spectrum = verifier._guarded_spectrum
 
         def counting_build(g, grid):
             builds.append((to_text(g), grid))
@@ -203,8 +207,8 @@ class TestToeplitzBuildOnce:
             spectra.append(f.grid)
             return spectrum(f)
 
-        monkeypatch.setattr(cli, "discrete_multiplier", counting_build)
-        monkeypatch.setattr(cli, "_guarded_spectrum", counting_spectrum)
+        monkeypatch.setattr(verifier, "discrete_multiplier", counting_build)
+        monkeypatch.setattr(verifier, "_guarded_spectrum", counting_spectrum)
         code, reports = run(ExperimentConfig(scenario="toeplitz_properties",
                                              seed=7))
         capsys.readouterr()
@@ -237,3 +241,51 @@ class TestRunApi:
         with pytest.raises(ConfigError):
             cli._validate(ExperimentConfig(scenario="example26", seed=7,
                                            grid_n=100))
+
+
+# (module, name) of every package import cli.py may make: the registry, the
+# parser its validation needs, and the exceptions main maps to exit codes
+CLI_IMPORTS = sorted([
+    ("numkernel", "ConvergenceError"),
+    ("scenarios", "SCENARIOS"),
+    ("scenarios", "UnknownScenarioError"),
+    ("scenarios", "run_scenario"),
+    ("semigroup", "StabilityError"),
+    ("symbols", "parse"),
+])
+
+
+class TestRegistry:
+    @pytest.mark.parametrize("name", list(scenarios.SCENARIOS))
+    def test_dispatch_runs_the_named_check(self, name, monkeypatch, capsys):
+        # the table names its check and looks it up at call time, so a
+        # rebinding of the verifier attribute (the benchmark's tracer) runs
+        check_name = scenarios.SCENARIOS[name].check
+        check, calls = getattr(verifier, check_name), []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(verifier, check_name, counting)
+        code, reports = run(ExperimentConfig(scenario=name, seed=7))
+        capsys.readouterr()
+        assert code == 0 and reports
+        assert calls
+
+    def test_cli_holds_no_checks_and_imports_only_the_registry(self):
+        tree = ast.parse(Path(cli.__file__).read_text())
+        called = {getattr(n.func, "id", getattr(n.func, "attr", None))
+                  for n in ast.walk(tree) if isinstance(n, ast.Call)}
+        assert "finish_report" not in called
+        package, outside = [], []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                package += [(node.module, a.name) for a in node.names]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = ([a.name for a in node.names]
+                           if isinstance(node, ast.Import) else [node.module])
+                outside += [m for m in modules if m.partition(".")[0]
+                            not in sys.stdlib_module_names]
+        assert sorted(package) == CLI_IMPORTS
+        assert outside == []

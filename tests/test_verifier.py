@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 import hardycalc
-from hardycalc import numkernel, verifier
+from hardycalc import cli, numkernel, verifier
 from hardycalc.admissibility import (ObservationOperator, observability_gramian,
                                      sqrt_minus_A)
-from hardycalc.semigroup import Generator, example26
-from hardycalc.symbols import (Constant, atom, eval_at, hinf_norm, multiply,
-                               to_text)
+from hardycalc.calculus import check_calculus_axioms
+from hardycalc.semigroup import Generator, example26, random_stable
+from hardycalc.symbols import (Constant, Delay, atom, eval_at, hinf_norm,
+                               multiply, to_text)
 from hardycalc.verifier import (
     check_T0,
     check_analytic_lemma,
@@ -297,6 +298,50 @@ class TestGramianSource:
                             in _GRAMIAN_KERNELS:
                         callers.add(fn.name)
         assert callers == {"check_cor33a"}
+
+
+class TestCalculusPairs:
+    def test_reports_the_pair_closest_to_failing(self, capsys):
+        # each pair claims its own bound, so the largest residual need not
+        # be the pair with the least headroom; at seed 7 the two differ on
+        # example26_16 and stable8_seed9
+        _, reports = cli.run(cli.ExperimentConfig(scenario="calculus_axioms",
+                                                  seed=7))
+        capsys.readouterr()
+        battery = (atom(1.0, 1.0), atom(1.0, 2.0),
+                   multiply(atom(1.0, 1.0), atom(1.0, 3.0)), Delay(0.3),
+                   Constant(0.7))
+        gens = {"example26_16": example26(16)[0],
+                **{f"stable8_seed{s}": random_stable(8, s) for s in (8, 9, 10)}}
+        assert sorted(r.name for r in reports) == sorted(
+            f"calculus_axioms[{label}]" for label in gens)
+        for rep in reports:
+            gen = gens[rep.name[len("calculus_axioms["):-1]]
+            pairs = [check_calculus_axioms(gen, g1, g2)
+                     for g1 in battery for g2 in battery]
+            room = [p.bound_measured / (p.bound_claimed * (1.0 + p.tolerance)
+                                        + p.tolerance) for p in pairs]
+            best = pairs[room.index(max(room))]
+            assert (rep.witness, rep.bound_claimed, rep.bound_measured) == (
+                best.witness, best.bound_claimed, best.bound_measured)
+
+
+class TestNanRatio:
+    @pytest.mark.parametrize("check", [
+        lambda syms: check_eq21(SCALAR, syms),
+        lambda syms: check_thm33(SCALAR, ObservationOperator(np.eye(1)),
+                                 syms),
+        lambda syms: check_cor33a(SCALAR, syms),
+        lambda syms: check_thm34(SCALAR, syms),
+        lambda syms: check_T0(SCALAR, syms)])
+    def test_a_nan_ratio_fails_the_battery(self, check, monkeypatch):
+        # a nan must not be passed over in the search for the worst symbol
+        bad = atom(1.0, 3.0)
+        monkeypatch.setattr(verifier, "_hinf", lambda g: (
+            math.nan if g == bad else hinf_norm(g)))
+        rep = check([G, bad])
+        assert not rep.passed
+        assert rep.witness.startswith(to_text(bad))
 
 
 class TestReportInvariants:
