@@ -3,7 +3,8 @@ validates the configuration, dispatches through the scenario registry of
 `scenarios`, prints one verdict line per report, and writes the JSON/CSV
 artifacts.  The checks themselves live in `verifier`.
 
-Exit codes: 0 all pass, 1 check failure, 2 malformed configuration,
+Exit codes: 0 all pass, 1 check failure, 2 malformed configuration
+(including a grid whose horizon is too short for the wraparound guard),
 3 unknown scenario.
 """
 
@@ -13,10 +14,12 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
 
+from .hardy import WraparoundError
 from .numkernel import ConvergenceError
 from .scenarios import SCENARIOS, UnknownScenarioError, run_scenario
 from .semigroup import StabilityError
@@ -48,8 +51,8 @@ def _validate(config):
     n = config.grid_n
     if n < 8 or (n & (n - 1)) != 0:
         raise ConfigError("grid_n must be a power of two, >= 8")
-    if not (config.grid_dt > 0):
-        raise ConfigError("grid_dt must be positive")
+    if not (math.isfinite(config.grid_dt) and config.grid_dt > 0):
+        raise ConfigError("grid_dt must be positive and finite")
     for text in config.symbols:
         try:
             parse(text)
@@ -168,9 +171,15 @@ def main(argv=None):
         print(list_scenarios())
         return 0
     try:
-        code, _ = run(_config_from_args(args))
+        config = _config_from_args(args)
+        code, _ = run(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except WraparoundError as exc:
+        print(f"config error: horizon grid_n*grid_dt = "
+              f"{config.grid_n * config.grid_dt:g} is too short for the "
+              f"wraparound guard ({exc})", file=sys.stderr)
         return 2
     except UnknownScenarioError as exc:
         print(f"{exc}; see 'hardycalc list'", file=sys.stderr)

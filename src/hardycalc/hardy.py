@@ -5,11 +5,13 @@ Signals live on a uniform grid over [0, T_h).  M_g is realized on the
 doubled (zero-padded) window: the padded DFT turns the anticausal
 convolution by the symbol's one-sided kernel into a frequency multiplier,
 and restriction back to the first window is the discrete causal projection.
-`toeplitz_apply` is the composition of two private steps, the guarded
-padded spectrum of the input and the product with a multiplier followed by
-the inverse DFT.  A caller that applies several symbols to one signal, or
-one symbol to several signals, builds each spectrum and each multiplier
-once and combines them with the same two steps.
+`toeplitz_apply` is the composition of three private steps: the guarded
+padded spectrum of the input, the product with a multiplier, and the causal
+window (the inverse DFT restricted to the first window).  A caller that
+applies several symbols to one signal, or one symbol to several signals,
+builds each spectrum and each multiplier once and combines them with the
+same steps.  Because the causal window is linear, a residual between two
+applications is formed in the spectrum and takes one inverse DFT, not two.
 
 The multiplier is not the raw boundary sample g(i omega_j): it is the
 transfer function of the sampled kernel with order-4 endpoint weights
@@ -55,8 +57,8 @@ class GridSpec:
         n = self.n_samples
         if n < 8 or (n & (n - 1)) != 0:
             raise ValueError("n_samples must be a power of two, >= 8")
-        if not (self.dt > 0):
-            raise ValueError("dt must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError("dt must be positive and finite")
 
     @property
     def horizon(self):
@@ -231,13 +233,19 @@ def _guarded_spectrum(f):
     return np.fft.fft(padded, axis=0, out=padded)
 
 
-def _apply_multiplier(spectrum, m, grid):
-    """Multiply a doubled-window spectrum by the multiplier m, transform
-    back and keep a copy of the causal window, so the result does not hold
-    the doubled buffer alive."""
-    product = spectrum * m if spectrum.ndim == 1 else spectrum * m[:, None]
-    out = np.fft.ifft(product, axis=0, out=product)[:grid.n_samples].copy()
+def _causal_window(spectrum, grid):
+    """Inverse DFT of a doubled-window spectrum, in place, and a copy of its
+    causal window, so the result does not hold the doubled buffer alive.
+    The spectrum is overwritten."""
+    out = np.fft.ifft(spectrum, axis=0, out=spectrum)[:grid.n_samples].copy()
     return SampledSignal(grid, out)
+
+
+def _apply_multiplier(spectrum, m, grid):
+    """Multiply a doubled-window spectrum by the multiplier m and take the
+    causal window of the product; the spectrum is left unchanged."""
+    product = spectrum * m if spectrum.ndim == 1 else spectrum * m[:, None]
+    return _causal_window(product, grid)
 
 
 def toeplitz_apply(g, f):

@@ -37,8 +37,8 @@ from .admissibility import (_require_real_diagonal, lambda_limit,
 from .calculus import (_gA_exact, check_calculus_axioms, gA_convolution,
                        gA_toeplitz)
 from .hardy import (GridSpec, SampledSignal, _apply_multiplier,
-                    _guarded_spectrum, discrete_multiplier, l2_norm, shift,
-                    times)
+                    _causal_window, _guarded_spectrum, discrete_multiplier,
+                    l2_norm, shift, times)
 from .numkernel import hermitian_eigs, operator_norm, solve_lyapunov
 from .report import finish_report
 from .semigroup import (dyadic_edges, evaluate_T, example26, norm_scan,
@@ -410,10 +410,13 @@ def _product_residuals(syms, mults, spectra, pairs, grid):
     ||M_{g_j} f_k|| keyed (j, k) for every second factor j.
 
     mults[i] is the multiplier of syms[i] and spectra[k] the guarded
-    spectrum of f_k.  The pairs are walked by second factor, so each product
-    multiplier is built once (or taken from mults when the product is itself
-    one of syms), each output M_{g_j} f_k is transformed once, and only the
-    output spectra of one symbol are held at a time.
+    spectrum of f_k, both of scalar signals.  The pairs are walked by second
+    factor, so each product multiplier is built once (or taken from mults
+    when the product is itself one of syms), each output M_{g_j} f_k is
+    transformed once, and only the output spectra of one symbol are held at
+    a time.  Each residual is formed in the spectrum, prod*F_k - m_i*G_jk
+    with G_jk the guarded spectrum of M_{g_j} f_k, in two scratch arrays,
+    and takes one inverse DFT.
     """
     resid, norms = {}, {}
     for j in sorted({j for _, j in pairs}):
@@ -426,10 +429,14 @@ def _product_residuals(syms, mults, spectra, pairs, grid):
             g = multiply(syms[i], syms[j])
             prod = (mults[syms.index(g)] if g in syms
                     else discrete_multiplier(g, grid))
+            diff, scratch = np.empty_like(prod), np.empty_like(prod)
             for k, s in enumerate(spectra):
-                resid[i, j, k] = _diff_norm(
-                    _apply_multiplier(s, prod, grid),
-                    _apply_multiplier(out_spectra[k], mults[i], grid))
+                np.multiply(s, prod, out=diff)
+                diff -= np.multiply(out_spectra[k], mults[i], out=scratch)
+                resid[i, j, k] = l2_norm(_causal_window(diff, grid))
+            # freed before the next product multiplier is built: its own
+            # scratch arrays set the peak memory of this function
+            del diff, scratch
     return resid, norms
 
 

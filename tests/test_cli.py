@@ -6,6 +6,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hardycalc import cli, scenarios, verifier
@@ -72,6 +73,24 @@ class TestExitCodes:
                                  "symbols": ["1/(2-s"]}))
         assert main(["run", "--config", str(p)]) == 2
         assert "1/(2-s" in capsys.readouterr().err
+
+    def test_infinite_grid_dt_is_2(self, capsys):
+        # inf > 0, so a bare positivity test let it through to a traceback
+        assert main(["run", "--scenario", "toeplitz_properties",
+                     "--grid-n", "64", "--grid-dt", "inf"]) == 2
+        assert "config error: grid_dt" in capsys.readouterr().err
+
+    def test_short_horizon_is_one_config_line_and_2(self, capsys):
+        # a 0.064 horizon leaves the signals' tails above the wraparound
+        # guard; the grid is configuration, so this is not a traceback
+        assert main(["run", "--scenario", "toeplitz_properties",
+                     "--grid-n", "64", "--grid-dt", "0.001"]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("config error: horizon grid_n*grid_dt")
+        assert "0.064" in lines[0] and "wraparound guard" in lines[0]
+        assert captured.out == ""
 
     def test_missing_config_file_is_2(self, capsys):
         assert main(["run", "--config", "/no/such/file.json"]) == 2
@@ -195,9 +214,10 @@ class TestCustomBattery:
 class TestToeplitzBuildOnce:
     def test_each_multiplier_and_spectrum_built_once(self, monkeypatch,
                                                      capsys):
-        builds, spectra = [], []
+        builds, spectra, inverses = [], [], []
         build = verifier.discrete_multiplier
         spectrum = verifier._guarded_spectrum
+        ifft = np.fft.ifft
 
         def counting_build(g, grid):
             builds.append((to_text(g), grid))
@@ -207,8 +227,13 @@ class TestToeplitzBuildOnce:
             spectra.append(f.grid)
             return spectrum(f)
 
+        def counting_ifft(a, *args, **kwargs):
+            inverses.append(len(a))
+            return ifft(a, *args, **kwargs)
+
         monkeypatch.setattr(verifier, "discrete_multiplier", counting_build)
         monkeypatch.setattr(verifier, "_guarded_spectrum", counting_spectrum)
+        monkeypatch.setattr(np.fft, "ifft", counting_ifft)
         code, reports = run(ExperimentConfig(scenario="toeplitz_properties",
                                              seed=7))
         capsys.readouterr()
@@ -222,6 +247,14 @@ class TestToeplitzBuildOnce:
         # main grid: 5 signals, 30 outputs, 15 shifted signals; each
         # refinement grid: 5 signals and the outputs of 2 second factors
         assert len(spectra) == 5 + 30 + 15 + 2 * (5 + 2 * 5)
+        # inverse DFTs, keyed by doubled-window length.  Main grid (4096
+        # samples): 30 outputs M_{g_j} f_k, one per product residual (21
+        # pairs, 5 signals), 30 outputs and 90 shifted applications for the
+        # shift check.  Refinement grids (512 and 1024 samples): 10 outputs
+        # and 10 residuals each.
+        assert {n: inverses.count(n) for n in set(inverses)} == {
+            8192: 30 + 21 * 5 + 30 + 90, 1024: 20, 2048: 20}
+        assert len(inverses) == 295
 
 
 class TestRunApi:
@@ -246,6 +279,7 @@ class TestRunApi:
 # (module, name) of every package import cli.py may make: the registry, the
 # parser its validation needs, and the exceptions main maps to exit codes
 CLI_IMPORTS = sorted([
+    ("hardy", "WraparoundError"),
     ("numkernel", "ConvergenceError"),
     ("scenarios", "SCENARIOS"),
     ("scenarios", "UnknownScenarioError"),

@@ -51,8 +51,9 @@ class TestGridSpec:
         for n in (24, 4, 0, -8):
             with pytest.raises(ValueError):
                 GridSpec(n, 0.25)
-        with pytest.raises(ValueError):
-            GridSpec(16, 0.0)
+        for dt in (0.0, -0.25, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                GridSpec(16, dt)
 
 
 class TestSampledSignal:

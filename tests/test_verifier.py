@@ -14,9 +14,11 @@ from hardycalc import cli, numkernel, verifier
 from hardycalc.admissibility import (ObservationOperator, observability_gramian,
                                      sqrt_minus_A)
 from hardycalc.calculus import check_calculus_axioms
+from hardycalc.hardy import (GridSpec, _guarded_spectrum, discrete_multiplier,
+                             l2_norm, toeplitz_apply)
 from hardycalc.semigroup import Generator, example26, random_stable
-from hardycalc.symbols import (Constant, Delay, atom, eval_at, hinf_norm,
-                               multiply, to_text)
+from hardycalc.symbols import (Constant, Delay, add, atom, eval_at,
+                               hinf_norm, multiply, to_text)
 from hardycalc.verifier import (
     check_T0,
     check_analytic_lemma,
@@ -342,6 +344,51 @@ class TestNanRatio:
         rep = check([G, bad])
         assert not rep.passed
         assert rep.witness.startswith(to_text(bad))
+
+
+TOEPLITZ_GRID = GridSpec(1024, 2.0 ** -6)
+TOEPLITZ_BATTERY = (atom(1.0, 1.0), Delay(0.5),
+                    add(atom(0.4, 2.0), Constant(0.5)))
+
+
+class TestToeplitzResiduals:
+    def test_spectral_residual_matches_two_applications(self):
+        # the residual formed in the spectrum, one inverse DFT per (pair,
+        # signal), against the difference of two separate applications
+        grid, syms = TOEPLITZ_GRID, list(TOEPLITZ_BATTERY)
+        sigs = [f for _, f in verifier._signals(grid)]
+        pairs = [(i, j) for i in range(3) for j in range(3)]
+        resid, _ = verifier._product_residuals(
+            syms, [discrete_multiplier(g, grid) for g in syms],
+            [_guarded_spectrum(f) for f in sigs], pairs, grid)
+        assert set(resid) == {(i, j, k) for i, j in pairs
+                              for k in range(len(sigs))}
+        for (i, j, k), r in resid.items():
+            g, h, f = syms[i], syms[j], sigs[k]
+            lhs = toeplitz_apply(multiply(g, h), f)
+            oracle = verifier._diff_norm(
+                lhs, toeplitz_apply(g, toeplitz_apply(h, f)))
+            assert abs(r - oracle) <= 1e-12 * l2_norm(lhs)
+
+    def test_scaled_product_multiplier_fails(self, monkeypatch):
+        # a 1e-4 relative error in the multiplier of M_{gh} alone must show
+        # in the residual rather than cancel against M_g M_h
+        products = {multiply(g, h) for g in TOEPLITZ_BATTERY
+                    for h in TOEPLITZ_BATTERY} - set(TOEPLITZ_BATTERY)
+        build = verifier.discrete_multiplier
+
+        def scaled(g, grid):
+            m = build(g, grid)
+            return (1.0 + 1e-4) * m if g in products else m
+
+        def multiplicativity():
+            reports = verifier.check_toeplitz(TOEPLITZ_GRID, TOEPLITZ_BATTERY)
+            return next(r for r in reports
+                        if r.name == "toeplitz_multiplicativity")
+
+        assert multiplicativity().passed
+        monkeypatch.setattr(verifier, "discrete_multiplier", scaled)
+        assert not multiplicativity().passed
 
 
 class TestReportInvariants:
