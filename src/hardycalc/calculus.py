@@ -13,26 +13,24 @@
 
 The routes share no numerics beyond the semigroup itself, so pairwise
 agreement is strong evidence that each one is computing the same operator.
+Each route returns g(A) and an error estimate; `verifier` makes the verdicts.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numkernel import ConvergenceError, linear_solve, operator_norm
-from .report import finish_report
+from .numkernel import ConvergenceError, linear_solve
 from .semigroup import (_memo, _power_chain, evaluate_T, panel_doubling,
                         resolvent, semigroup_bounds)
-from .symbols import Constant, atom, kernel, multiply, to_text
+from .symbols import kernel
 from .hardy import SampledSignal, toeplitz_apply
 
 __all__ = [
     "GAResult",
-    "check_calculus_axioms",
     "gA_convolution",
     "gA_spectral",
     "gA_toeplitz",
@@ -167,32 +165,3 @@ def gA_toeplitz(gen, g, grid):
     G = 2.0 * G1 - G2
     est = max(float(np.linalg.norm(G1 - G2)), 1e-12)
     return GAResult(G, "toeplitz", est)
-
-
-def check_calculus_axioms(gen, g1, g2):
-    """Unitality, the atom-resolvent identity, and multiplicativity of the
-    convolution route, measured in operator norm against the combined
-    quadrature error estimates."""
-    started = time.perf_counter()
-    N = gen.dimension
-    eye = np.eye(N, dtype=complex)
-    ident = gA_convolution(gen, Constant(1.0))
-    r_id = operator_norm(ident.matrix - eye)
-    at = gA_convolution(gen, atom(1.0, 2.0))
-    r_atom = operator_norm(at.matrix - resolvent(gen, 2.0))
-    Ga = gA_convolution(gen, g1)
-    Gb = gA_convolution(gen, g2)
-    G12 = gA_convolution(gen, multiply(g1, g2))
-    r_mult = operator_norm(G12.matrix - Ga.matrix @ Gb.matrix)
-    claimed = (G12.est_error + at.est_error + ident.est_error
-               + Ga.est_error * operator_norm(Gb.matrix)
-               + Gb.est_error * operator_norm(Ga.matrix) + 1e-9)
-    measured = max(r_id, r_atom, r_mult)
-    witness = f"g1={to_text(g1)}, g2={to_text(g2)} on {gen.kind} dim {N}"
-    details = {
-        "identity_residual": r_id,
-        "atom_residual": r_atom,
-        "product_residual": r_mult,
-    }
-    return finish_report("calculus_axioms", claimed, measured, witness,
-                         1e-6, started, details)

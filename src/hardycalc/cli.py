@@ -129,9 +129,12 @@ def _config_from_args(args):
         return doc.get(key, getattr(defaults, key))
 
     symbols = doc.get("symbols", defaults.symbols)
-    if isinstance(symbols, str) or not all(isinstance(s, str)
-                                           for s in symbols):
+    if not isinstance(symbols, (list, tuple)) or not all(
+            isinstance(s, str) for s in symbols):
         raise ConfigError("symbols must be a list of strings")
+    for key in ("json", "csv"):
+        if not isinstance(doc.get(key, False), bool):
+            raise ConfigError(f"{key} must be true or false")
     try:
         return ExperimentConfig(
             scenario=str(pick(args.scenario, "scenario")),
@@ -140,8 +143,8 @@ def _config_from_args(args):
             grid_n=int(pick(args.grid_n, "grid_n")),
             grid_dt=float(pick(args.grid_dt, "grid_dt")),
             out=pick(args.out, "out"),
-            write_json=bool(args.json or doc.get("json", defaults.write_json)),
-            write_csv=bool(args.csv or doc.get("csv", defaults.write_csv)),
+            write_json=args.json or doc.get("json", defaults.write_json),
+            write_csv=args.csv or doc.get("csv", defaults.write_csv),
             symbols=tuple(symbols),
         )
     except (TypeError, ValueError) as exc:

@@ -112,24 +112,32 @@ class TestSqrtTBoundScan:
     def test_reference_model_sup(self):
         # sup over t of sqrt(t) * ||C T(t)|| for the diagonal reference
         # model: each mode peaks at n * sqrt(t) e^{-n^2 t}, max over t at
-        # t = 1/(2 n^2) with value e^{-1/2}/sqrt(2) independent of n.
+        # t = 1/(2 n^2) with value e^{-1/2}/sqrt(2) independent of n; the
+        # scan adds those peak times, so it meets the value exactly
         gen, C = example26(16)
-        measured, rep = sqrt_t_bound_scan(gen, C, 1e-6, 10.0)
-        ref = math.exp(-0.5) / math.sqrt(2.0)
-        assert abs(measured - ref) < 1e-9
-        assert abs(rep.bound_claimed - math.sqrt(0.5)) < 1e-12
-        assert rep.passed
+        [(sup, t_at_sup)] = sqrt_t_bound_scan(gen, [C],
+                                              np.geomspace(1e-6, 10.0, 200))
+        assert abs(sup - math.exp(-0.5) / math.sqrt(2.0)) < 1e-15
+        assert any(abs(t_at_sup - 1.0 / (2.0 * n * n)) < 1e-15
+                   for n in range(1, 17))
 
     def test_extra_points_included(self):
-        gen, C = example26(4)
-        _, rep = sqrt_t_bound_scan(gen, C, 1e-6, 10.0,
-                                   extra_points=(0.5, 1.0))
-        assert rep.passed
+        # a dense scan samples only the given times, so a witness time
+        # added to a coarse grid lifts the sup and is reported as its time
+        gen = random_stable(4, 3)
+        X = np.eye(4)
+        coarse = np.array([0.01, 10.0])
+        [(low, _)] = sqrt_t_bound_scan(gen, [X], coarse)
+        [(high, t)] = sqrt_t_bound_scan(gen, [X], np.append(coarse, 0.5))
+        assert t == 0.5 and high > low
 
-    def test_bad_interval(self):
+    def test_one_pair_per_operator(self):
         gen, C = example26(4)
-        with pytest.raises(ValueError):
-            sqrt_t_bound_scan(gen, C, 1.0, 0.5)
+        scans = sqrt_t_bound_scan(gen, [C, 2.0 * C.matrix],
+                                  np.geomspace(1e-3, 1.0, 30))
+        assert len(scans) == 2
+        assert scans[1][0] == pytest.approx(2.0 * scans[0][0], rel=1e-15)
+        assert scans[1][1] == scans[0][1]
 
 
 class TestExtensionLimits:

@@ -8,12 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hardycalc import calculus
-from hardycalc.calculus import (
-    check_calculus_axioms,
-    gA_convolution,
-    gA_spectral,
-    gA_toeplitz,
-)
+from hardycalc.calculus import gA_convolution, gA_spectral, gA_toeplitz
 from hardycalc.hardy import GridSpec
 from hardycalc.numkernel import operator_norm
 from hardycalc.semigroup import Generator, example26, random_stable, resolvent
@@ -184,23 +179,3 @@ class TestToeplitzRoute:
         with pytest.raises(ValueError):
             gA_toeplitz(slow, atom(1.0, 2.0), FAST_GRID)
 
-
-class TestAxioms:
-    def test_report_shape_and_pass(self):
-        rep = check_calculus_axioms(FAST_GEN, atom(1.0, 1.0), atom(1.0, 2.0))
-        assert rep.name == "calculus_axioms"
-        assert rep.passed
-        assert rep.bound_measured <= 1e-6
-        for key in ("identity_residual", "atom_residual", "product_residual"):
-            assert rep.details[key] <= 1e-6
-
-    def test_product_rule_with_delay(self):
-        rep = check_calculus_axioms(FAST_GEN, Delay(0.3), atom(1.0, 2.0))
-        assert rep.passed
-
-    def test_dense_generator(self):
-        gen = random_stable(6, 5)
-        rep = check_calculus_axioms(gen, atom(1.0, 1.0),
-                                    add(atom(0.4, 2.0), Constant(0.5)))
-        assert rep.passed
-        assert rep.bound_measured <= 1e-6

@@ -74,6 +74,23 @@ class TestExitCodes:
         assert main(["run", "--config", str(p)]) == 2
         assert "1/(2-s" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [5, None, "1/(2-s)"])
+    def test_symbols_not_a_list_is_2(self, value, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"scenario": "example26", "symbols": value}))
+        assert main(["run", "--config", str(p)]) == 2
+        assert "config error: symbols" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["json", "csv"])
+    def test_flag_not_a_bool_is_2(self, key, tmp_path, capsys):
+        # bool("false") is True, so the string turned writing on
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"scenario": "example26", "out": str(tmp_path),
+                                 key: "false"}))
+        assert main(["run", "--config", str(p)]) == 2
+        assert f"config error: {key}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("reports_*"))
+
     def test_infinite_grid_dt_is_2(self, capsys):
         # inf > 0, so a bare positivity test let it through to a traceback
         assert main(["run", "--scenario", "toeplitz_properties",

@@ -36,7 +36,7 @@ from hardycalc.semigroup import (
     sup_T_norm,
 )
 from hardycalc.symbols import Constant, Delay, add, atom, multiply
-from hardycalc.verifier import check_thm33
+from hardycalc.verifier import check_T0, check_thm33
 
 
 class TestGenerator:
@@ -269,8 +269,9 @@ class TestStepMemo:
         gen = random_stable(8, 8)
         C = ObservationOperator(np.eye(8, dtype=complex))
         observability_gramian(gen, C)
+        sqrt_t_bound_scan(gen, [C], np.geomspace(1e-2, 1.0, 20))
         assert calls == []
-        sqrt_t_bound_scan(gen, C, 1e-2, 1.0)
+        check_T0(gen, Constant(0.7))
         assert len(calls) == 1
 
 
