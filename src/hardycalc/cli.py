@@ -4,8 +4,8 @@ validates the configuration, dispatches through the scenario registry of
 artifacts.  The checks themselves live in `verifier`.
 
 Exit codes: 0 all pass, 1 check failure, 2 malformed configuration
-(including a grid whose horizon is too short for the wraparound guard),
-3 unknown scenario.
+(including a grid step that does not divide 0.5 and a grid on which a
+signal fails the wraparound guard), 3 unknown scenario.
 """
 
 from __future__ import annotations
@@ -53,6 +53,12 @@ def _validate(config):
         raise ConfigError("grid_n must be a power of two, >= 8")
     if not (math.isfinite(config.grid_dt) and config.grid_dt > 0):
         raise ConfigError("grid_dt must be positive and finite")
+    # the Toeplitz checks shift by 0.5 and the default battery delays by
+    # 0.5; on any other step that is not a whole number of samples
+    steps = 0.5 / config.grid_dt
+    if abs(steps - round(steps)) > 1e-9:
+        raise ConfigError(f"grid_dt = {config.grid_dt:g} must divide 0.5, "
+                          f"the shift of the Toeplitz checks")
     for text in config.symbols:
         try:
             parse(text)
@@ -181,8 +187,9 @@ def main(argv=None):
         return 2
     except WraparoundError as exc:
         print(f"config error: horizon grid_n*grid_dt = "
-              f"{config.grid_n * config.grid_dt:g} is too short for the "
-              f"wraparound guard ({exc})", file=sys.stderr)
+              f"{config.grid_n * config.grid_dt:g} with grid_dt = "
+              f"{config.grid_dt:g}: the wraparound guard failed ({exc})",
+              file=sys.stderr)
         return 2
     except UnknownScenarioError as exc:
         print(f"{exc}; see 'hardycalc list'", file=sys.stderr)

@@ -7,11 +7,19 @@ convolution by the symbol's one-sided kernel into a frequency multiplier,
 and restriction back to the first window is the discrete causal projection.
 `toeplitz_apply` is the composition of three private steps: the guarded
 padded spectrum of the input, the product with a multiplier, and the causal
-window (the inverse DFT restricted to the first window).  A caller that
-applies several symbols to one signal, or one symbol to several signals,
-builds each spectrum and each multiplier once and combines them with the
-same steps.  Because the causal window is linear, a residual between two
-applications is formed in the spectrum and takes one inverse DFT, not two.
+window (the inverse DFT restricted to the first window).
+
+The steps act on signal stacks: arrays with one signal per row along axis
+0 and time along axis 1, and for vector-valued signals the components along
+axis 2.  Each step is one numpy call over the whole stack, the wraparound
+guard and the finiteness check hold per row, and a vector-valued row is
+guarded jointly over its components.  `toeplitz_apply` is a stack of one.
+A caller that applies several symbols to several signals builds each
+spectrum and each multiplier once and runs the steps on stacks, or on row
+chunks of them through work stacks it passes as `out`, so numpy's FFT sees
+a few multi-row calls rather than one call per signal.  Because
+the causal window is linear, a residual between two applications is formed
+in the spectrum and takes one inverse DFT, not two.
 
 The multiplier is not the raw boundary sample g(i omega_j): it is the
 transfer function of the sampled kernel with order-4 endpoint weights
@@ -91,9 +99,15 @@ def l2_norm(f):
 
     The sums are numpy's pairwise sums rather than a BLAS dot, so the value
     does not depend on the BLAS thread count."""
-    v = f.values
-    return math.sqrt(f.grid.dt) * math.sqrt(
-        float(np.sum(np.square(v.real)) + np.sum(np.square(v.imag))))
+    return float(_l2_norms(f.values[None], f.grid.dt)[0])
+
+
+def _l2_norms(stack, dt):
+    """`l2_norm` of each row of a signal stack, in one numpy call per sum;
+    each row's value is bit for bit its `l2_norm`."""
+    axes = tuple(range(1, stack.ndim))
+    return math.sqrt(dt) * np.sqrt(np.sum(np.square(stack.real), axis=axes)
+                                   + np.sum(np.square(stack.imag), axis=axes))
 
 
 def shift(f, tau):
@@ -208,49 +222,58 @@ def discrete_multiplier(krep, grid):
     return m
 
 
-def _sample_norms(values):
-    if values.ndim == 1:
-        return np.abs(values)
-    return np.linalg.norm(values, axis=1)
+def _guarded_spectrum(stack, out=None):
+    """DFT of each row of a signal stack padded with a zero anticausal half,
+    after the wraparound guard of each row; one FFT call for the stack.
+    `out`, if given, is a doubled-window stack that receives the spectra in
+    place of a new array.
 
-
-def _guarded_spectrum(f):
-    """DFT of f padded with a zero anticausal half, after the wraparound
-    guard.
-
-    The guard requires the last quarter of the input to sit below 1e-6 of
-    the peak sample norm, so the circular convolution on the doubled window
-    stays within the grid error budget of the half-line operator.  The
-    threshold leaves room for outputs of a previous application, whose tails
-    carry the intrinsic multiplier truncation floor exp(-alpha*horizon).
+    The guard requires the last quarter of a row to sit below 1e-6 of the
+    row's peak sample norm (the Euclidean norm over a vector-valued row's
+    components), so the circular convolution on the doubled window stays
+    within the grid error budget of the half-line operator.  The threshold
+    leaves room for outputs of a previous application, whose tails carry
+    the intrinsic multiplier truncation floor exp(-alpha*horizon).
     """
-    n = f.grid.n_samples
-    norms = _sample_norms(f.values)
-    peak = float(np.max(norms)) if norms.size else 0.0
-    if peak > 0.0 and float(np.max(norms[3 * n // 4:])) > 1e-6 * peak:
-        raise WraparoundError("signal tail violates the wraparound guard")
-    padded = np.concatenate([f.values, np.zeros_like(f.values)], axis=0)
-    return np.fft.fft(padded, axis=0, out=padded)
+    n = stack.shape[1]
+    norms = (np.abs(stack) if stack.ndim == 2
+             else np.linalg.norm(stack, axis=2))
+    peak = np.max(norms, axis=1)
+    if np.any((peak > 0.0) & (np.max(norms[:, 3 * n // 4:], axis=1)
+                              > 1e-6 * peak)):
+        raise WraparoundError("a signal's last quarter exceeds 1e-6 of its "
+                              "peak sample norm")
+    if out is None:
+        out = np.empty((stack.shape[0], 2 * n) + stack.shape[2:],
+                       dtype=complex)
+    out[:, :n] = stack
+    out[:, n:] = 0.0
+    return np.fft.fft(out, axis=1, out=out)
 
 
-def _causal_window(spectrum, grid):
-    """Inverse DFT of a doubled-window spectrum, in place, and a copy of its
-    causal window, so the result does not hold the doubled buffer alive.
-    The spectrum is overwritten."""
-    out = np.fft.ifft(spectrum, axis=0, out=spectrum)[:grid.n_samples].copy()
-    return SampledSignal(grid, out)
+def _causal_window(spectra):
+    """Inverse DFT of a stack of doubled-window spectra, in place, restricted
+    to the causal window: a view into the overwritten spectra, so a caller
+    that keeps it copies it rather than hold the doubled buffer alive.
+    Like a `SampledSignal`, every row of the window must be finite."""
+    out = np.fft.ifft(spectra, axis=1, out=spectra)[:, :spectra.shape[1] // 2]
+    if not np.all(np.isfinite(out)):
+        raise ValueError("signal contains non-finite values")
+    return out
 
 
-def _apply_multiplier(spectrum, m, grid):
-    """Multiply a doubled-window spectrum by the multiplier m and take the
-    causal window of the product; the spectrum is left unchanged."""
-    product = spectrum * m if spectrum.ndim == 1 else spectrum * m[:, None]
-    return _causal_window(product, grid)
+def _apply_multiplier(spectra, m, out=None):
+    """Multiply a stack of doubled-window spectra by the multiplier m and
+    take the causal window of the product, a view into `out` (a new array
+    if not given); the spectra are left unchanged."""
+    return _causal_window(np.multiply(
+        spectra, m if spectra.ndim == 2 else m[:, None], out=out))
 
 
 def toeplitz_apply(g, f):
     """Apply M_g: pad the signal with a zero anticausal half, multiply the
     DFT by the discrete symbol, transform back and keep the causal window.
     The input must pass the wraparound guard of `_guarded_spectrum`."""
-    return _apply_multiplier(_guarded_spectrum(f),
-                             discrete_multiplier(g, f.grid), f.grid)
+    out = _apply_multiplier(_guarded_spectrum(f.values[None]),
+                            discrete_multiplier(g, f.grid))
+    return SampledSignal(f.grid, out[0].copy())

@@ -35,8 +35,8 @@ from .admissibility import (_require_real_diagonal, lambda_limit,
                             sqrt_minus_A, sqrt_t_bound_scan)
 from .calculus import _gA_exact, gA_convolution, gA_toeplitz
 from .hardy import (GridSpec, SampledSignal, _apply_multiplier,
-                    _causal_window, _guarded_spectrum, discrete_multiplier,
-                    l2_norm, shift, times)
+                    _causal_window, _guarded_spectrum, _l2_norms,
+                    discrete_multiplier, shift, times)
 from .numkernel import hermitian_eigs, operator_norm, solve_lyapunov
 from .report import finish_report
 from .semigroup import (dyadic_edges, evaluate_T, example26, panel_rule,
@@ -389,6 +389,8 @@ def check_example26(gen, C):
 
 
 def _signals(grid):
+    """Labels of the five test signals and their samples as one stack, a
+    row per signal."""
     t = times(grid)
     raw = [
         ("exp(-2t)", np.exp(-2.0 * t)),
@@ -397,11 +399,23 @@ def _signals(grid):
         ("gauss(t-2)", np.exp(-2.0 * (t - 2.0) ** 2)),
         ("exp((-3+i)t)", np.exp((-3.0 + 1j) * t)),
     ]
-    return [(lab, SampledSignal(grid, v.astype(complex))) for lab, v in raw]
+    return [lab for lab, _ in raw], np.array([v for _, v in raw],
+                                             dtype=complex)
 
 
-def _diff_norm(a, b):
-    return l2_norm(SampledSignal(a.grid, a.values - b.values))
+def _shifts(f, taus):
+    """Stack of the shifts sigma_tau f of one signal, a row per tau."""
+    return np.array([shift(f, tau).values for tau in taus])
+
+
+def _row_chunks(rows, width):
+    """Slices that cover range(rows) in chunks of two or three rows (one
+    chunk when rows < 4), and a work stack of `width` columns for the
+    largest chunk, the last."""
+    count = max(1, rows // 2)
+    cuts = [rows * q // count for q in range(count + 1)]
+    work = np.empty((rows - cuts[-2], width), dtype=complex)
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:])], work
 
 
 def _product_residuals(syms, mults, spectra, pairs, grid):
@@ -409,35 +423,68 @@ def _product_residuals(syms, mults, spectra, pairs, grid):
     keyed (i, j, k) for each pair (i, j) of indices into syms, and the norms
     ||M_{g_j} f_k|| keyed (j, k) for every second factor j.
 
-    mults[i] is the multiplier of syms[i] and spectra[k] the guarded
-    spectrum of f_k, both of scalar signals.  The pairs are walked by second
-    factor, so each product multiplier is built once (or taken from mults
-    when the product is itself one of syms), each output M_{g_j} f_k is
-    transformed once, and only the output spectra of one symbol are held at
-    a time.  Each residual is formed in the spectrum, prod*F_k - m_i*G_jk
-    with G_jk the guarded spectrum of M_{g_j} f_k, in two scratch arrays,
-    and takes one inverse DFT.
+    mults[i] is the multiplier of syms[i] and spectra the stack of guarded
+    spectra F_k of the scalar signals f_k, a row per signal.  The pairs are
+    walked by second factor, so each product multiplier is built once (or
+    taken from mults when the product is itself one of syms) and only the
+    output spectra G_jk of M_{g_j} f_k for one symbol are held at a time.
+    Each residual is formed in the spectrum, prod*F_k - m_i*G_jk, and takes
+    one inverse DFT.  Outputs and residuals run in row chunks of two or
+    three, one numpy call per chunk, through one chunk-sized work stack and
+    a one-row scratch that serve the whole walk: full-size temporaries
+    would set the peak memory, and freeing them would fragment the heap.
     """
+    chunks, work = _row_chunks(*spectra.shape)
+    out_spectra = np.empty_like(spectra)
+    scratch = np.empty(spectra.shape[1], dtype=complex)
     resid, norms = {}, {}
     for j in sorted({j for _, j in pairs}):
-        out_spectra = []
-        for k, s in enumerate(spectra):
-            out = _apply_multiplier(s, mults[j], grid)
-            norms[j, k] = l2_norm(out)
-            out_spectra.append(_guarded_spectrum(out))
+        for c in chunks:
+            outs = _apply_multiplier(spectra[c], mults[j],
+                                     out=work[:c.stop - c.start])
+            norms.update(zip([(j, k) for k in range(c.start, c.stop)],
+                             _l2_norms(outs, grid.dt).tolist()))
+            _guarded_spectrum(outs, out=out_spectra[c])
         for i in sorted(i for i, second in pairs if second == j):
             g = multiply(syms[i], syms[j])
             prod = (mults[syms.index(g)] if g in syms
                     else discrete_multiplier(g, grid))
-            diff, scratch = np.empty_like(prod), np.empty_like(prod)
-            for k, s in enumerate(spectra):
-                np.multiply(s, prod, out=diff)
-                diff -= np.multiply(out_spectra[k], mults[i], out=scratch)
-                resid[i, j, k] = l2_norm(_causal_window(diff, grid))
+            for c in chunks:
+                diff = np.multiply(spectra[c], prod,
+                                   out=work[:c.stop - c.start])
+                for row, out_spectrum in zip(diff, out_spectra[c]):
+                    row -= np.multiply(out_spectrum, mults[i], out=scratch)
+                resid.update(zip([(i, j, k) for k in range(c.start, c.stop)],
+                                 _l2_norms(_causal_window(diff),
+                                           grid.dt).tolist()))
             # freed before the next product multiplier is built: its own
             # scratch arrays set the peak memory of this function
-            del diff, scratch
+            del prod
     return resid, norms
+
+
+def _shift_residuals(f, mults, taus):
+    """Shift residuals ||sigma_tau M_{g_i} f - M_{g_i} sigma_tau f|| keyed
+    (i, t) for multipliers mults[i] and shifts taus[t], and the guarded
+    spectrum of f.  The signal and its shifts are one stack: one guarded
+    forward call gives their spectra, and per multiplier the inverse calls
+    run in row chunks of two or three through one work stack, the first row
+    giving M_{g_i} f and the others the M_{g_i} sigma_tau f."""
+    spectra = _guarded_spectrum(_shifts(f, (0.0,) + taus))
+    chunks, work = _row_chunks(*spectra.shape)
+    resid = {}
+    for i, m in enumerate(mults):
+        for c in chunks:
+            outs = _apply_multiplier(spectra[c], m,
+                                     out=work[:c.stop - c.start])
+            if c.start == 0:
+                diff = _shifts(SampledSignal(f.grid, outs[0]), taus)
+            # row r of spectra is sigma_tau f for tau = taus[r - 1]
+            lo = max(c.start, 1)
+            diff[lo - 1:c.stop - 1] -= outs[lo - c.start:]
+        resid.update(zip([(i, t) for t in range(len(taus))],
+                         _l2_norms(diff, f.grid.dt).tolist()))
+    return resid, spectra[0]
 
 
 def check_toeplitz(grid, battery):
@@ -446,50 +493,60 @@ def check_toeplitz(grid, battery):
     bound ||M_g f|| <= ||g|| ||f||, and the fourth-order shrink of the
     product residual when the step is halved."""
     syms = list(battery)
-    sigs = _signals(grid)
-    reports = []
 
-    # Each multiplier is built once and each input spectrum computed once;
-    # outputs are recomputed from them rather than held.  Residuals are
-    # scanned in (symbol, signal, ...) order, so the first worst case names
-    # the witness.
+    # Each multiplier is built once and each input spectrum computed once,
+    # the multipliers as one stack; outputs are recomputed from them rather
+    # than held.  The shift check runs first: per signal, one stack holds
+    # the signal and its shifts, and the signal's row of it is kept as the
+    # input spectrum of the multiplicativity walk.  Residuals are scanned in
+    # (symbol, signal, ...) order, so the first worst case names the
+    # witness.
     started = time.perf_counter()
-    spectra = [_guarded_spectrum(f) for _, f in sigs]
-    mults = [discrete_multiplier(g, grid) for g in syms]
-    pairs = [(i, j) for i in range(len(syms)) for j in range(i, len(syms))]
-    resid, norms = _product_residuals(syms, mults, spectra, pairs, grid)
-    (i, j, k), r = _worst(resid)
-    reports.append(finish_report(
-        "toeplitz_multiplicativity", 0.0, r,
-        f"({to_text(syms[i])})*({to_text(syms[j])}) on {sigs[k][0]}", 1e-6,
-        started, {"pairs": len(pairs), "signals": len(sigs)}))
-
-    started = time.perf_counter()
+    n = grid.n_samples
+    # filled a row at a time, so the built multipliers are freed one by one
+    mults = np.empty((len(syms), 2 * n), dtype=complex)
+    for i, g in enumerate(syms):
+        mults[i] = discrete_multiplier(g, grid)
+    labels, stack = _signals(grid)
+    f_norms = _l2_norms(stack, grid.dt).tolist()
+    # One buffer holds the signals and then their spectra: row k keeps f_k
+    # in its first half until the shift check has used it and replaces the
+    # row by the spectrum, so the signals cost no memory of their own.
+    spectra = np.empty((len(stack), 2 * n), dtype=complex)
+    spectra[:, :n] = stack
+    del stack
     taus = (grid.dt, 16 * grid.dt, 0.5)
     resid = {}
-    for k, (_, f) in enumerate(sigs):
-        outs = [_apply_multiplier(spectra[k], m, grid) for m in mults]
-        for t, tau in enumerate(taus):
-            spectrum = _guarded_spectrum(shift(f, tau))
-            for i, m in enumerate(mults):
-                resid[i, k, t] = _diff_norm(
-                    shift(outs[i], tau), _apply_multiplier(spectrum, m, grid))
-    del spectra, mults, outs, spectrum
+    for k in range(len(spectra)):
+        resid_k, spectra[k] = _shift_residuals(
+            SampledSignal(grid, spectra[k, :n]), mults, taus)
+        resid.update(((i, k, t), r) for (i, t), r in resid_k.items())
     (i, k, t), r = _worst(resid)
-    reports.append(finish_report(
+    shift_report = finish_report(
         "toeplitz_shift_commutation", 0.0, r,
-        f"{to_text(syms[i])} on {sigs[k][0]}, tau={taus[t]:g}", 1e-6,
-        started, {"taus": [float(t) for t in taus]}))
+        f"{to_text(syms[i])} on {labels[k]}, tau={taus[t]:g}", 1e-6,
+        started, {"taus": [float(t) for t in taus]})
+
+    started = time.perf_counter()
+    pairs = [(i, j) for i in range(len(syms)) for j in range(i, len(syms))]
+    resid, norms = _product_residuals(syms, mults, spectra, pairs, grid)
+    del spectra, mults
+    (i, j, k), r = _worst(resid)
+    reports = [finish_report(
+        "toeplitz_multiplicativity", 0.0, r,
+        f"({to_text(syms[i])})*({to_text(syms[j])}) on {labels[k]}", 1e-6,
+        started, {"pairs": len(pairs), "signals": len(labels)}),
+        shift_report]
 
     started = time.perf_counter()
     ratios = {}
     for i, g in enumerate(syms):
         h = _hinf(g)
-        for k, (_, f) in enumerate(sigs):
-            ratios[i, k] = norms[i, k] / (h * l2_norm(f))
+        for k, f_norm in enumerate(f_norms):
+            ratios[i, k] = norms[i, k] / (h * f_norm)
     (i, k), r = _worst(ratios)
     reports.append(finish_report(
-        "toeplitz_norm_bound", 1.0, r, f"{to_text(syms[i])} on {sigs[k][0]}",
+        "toeplitz_norm_bound", 1.0, r, f"{to_text(syms[i])} on {labels[k]}",
         1e-6, started))
 
     # Refinement is measured at a coarser step over the same horizon: the
@@ -507,7 +564,7 @@ def check_toeplitz(grid, battery):
     fine = GridSpec(2 * base.n_samples, base.dt / 2.0)
     worst = []
     for level in (base, fine):
-        spectra = [_guarded_spectrum(f) for _, f in _signals(level)]
+        spectra = _guarded_spectrum(_signals(level)[1])
         mults = [discrete_multiplier(g, level) for g in ref_syms]
         resid, _ = _product_residuals(ref_syms, mults, spectra, ref_pairs,
                                       level)

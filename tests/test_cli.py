@@ -106,7 +106,34 @@ class TestExitCodes:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("config error: horizon grid_n*grid_dt")
-        assert "0.064" in lines[0] and "wraparound guard" in lines[0]
+        assert "0.064" in lines[0] and "wraparound guard failed" in lines[0]
+        assert "too short" not in lines[0]
+        assert captured.out == ""
+
+    def test_grid_dt_not_dividing_half_is_one_config_line_and_2(
+            self, tmp_path, capsys):
+        # the shift check's tau = 0.5 is not a whole number of 0.3 steps;
+        # this used to be a ValueError traceback from hardy.shift
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"scenario": "toeplitz_properties",
+                                 "grid_dt": 0.3,
+                                 "symbols": ["1/(1-s)", "0.7"]}))
+        assert main(["run", "--config", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "config error: grid_dt = 0.3 must divide 0.5, the shift of the "
+            "Toeplitz checks"]
+        assert captured.out == ""
+
+    def test_grid_dt_not_dividing_half_default_battery_is_2(self, capsys):
+        # with Delay(0.5) in the battery the fractional delay rang past the
+        # wraparound guard, which was reported as a short horizon (1228.8)
+        assert main(["run", "--grid-dt", "0.3"]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("config error: grid_dt = 0.3 must divide")
+        assert "too short" not in lines[0]
         assert captured.out == ""
 
     def test_missing_config_file_is_2(self, capsys):
@@ -231,26 +258,34 @@ class TestCustomBattery:
 class TestToeplitzBuildOnce:
     def test_each_multiplier_and_spectrum_built_once(self, monkeypatch,
                                                      capsys):
-        builds, spectra, inverses = [], [], []
+        builds = []
+        # (window length, rows) of every numpy FFT call: one call may carry
+        # a stack of signals, so transforms are counted by rows
+        calls = {"fft": [], "ifft": []}
         build = verifier.discrete_multiplier
-        spectrum = verifier._guarded_spectrum
-        ifft = np.fft.ifft
 
         def counting_build(g, grid):
             builds.append((to_text(g), grid))
             return build(g, grid)
 
-        def counting_spectrum(f):
-            spectra.append(f.grid)
-            return spectrum(f)
+        def counting(name):
+            transform = getattr(np.fft, name)
 
-        def counting_ifft(a, *args, **kwargs):
-            inverses.append(len(a))
-            return ifft(a, *args, **kwargs)
+            def counted(a, *args, **kwargs):
+                n = a.shape[kwargs.get("axis", -1)]
+                calls[name].append((n, a.size // n))
+                return transform(a, *args, **kwargs)
+            return counted
+
+        def transforms(name):
+            out = {}
+            for n, rows in calls[name]:
+                out[n] = out.get(n, 0) + rows
+            return out
 
         monkeypatch.setattr(verifier, "discrete_multiplier", counting_build)
-        monkeypatch.setattr(verifier, "_guarded_spectrum", counting_spectrum)
-        monkeypatch.setattr(np.fft, "ifft", counting_ifft)
+        for name in calls:
+            monkeypatch.setattr(np.fft, name, counting(name))
         code, reports = run(ExperimentConfig(scenario="toeplitz_properties",
                                              seed=7))
         capsys.readouterr()
@@ -261,17 +296,29 @@ class TestToeplitzBuildOnce:
         # 3 symbols and 2 products
         assert len(builds) == 6 + 20 + 2 * (3 + 2)
         assert len(set(builds)) == len(builds)
-        # main grid: 5 signals, 30 outputs, 15 shifted signals; each
-        # refinement grid: 5 signals and the outputs of 2 second factors
-        assert len(spectra) == 5 + 30 + 15 + 2 * (5 + 2 * 5)
-        # inverse DFTs, keyed by doubled-window length.  Main grid (4096
-        # samples): 30 outputs M_{g_j} f_k, one per product residual (21
-        # pairs, 5 signals), 30 outputs and 90 shifted applications for the
-        # shift check.  Refinement grids (512 and 1024 samples): 10 outputs
+        # forward DFTs, keyed by doubled-window length.  Main grid (4096
+        # samples): 5 signals, 15 shifted signals, 30 outputs; each
+        # refinement grid (512 and 1024 samples): 5 signals and the outputs
+        # of 2 second factors
+        assert transforms("fft") == {8192: 5 + 15 + 30, 1024: 15, 2048: 15}
+        # inverse DFTs.  Main grid: 30 outputs M_{g_j} f_k, one per product
+        # residual (21 pairs, 5 signals), 30 outputs and 90 shifted
+        # applications for the shift check.  Refinement grids: 10 outputs
         # and 10 residuals each.
-        assert {n: inverses.count(n) for n in set(inverses)} == {
-            8192: 30 + 21 * 5 + 30 + 90, 1024: 20, 2048: 20}
-        assert len(inverses) == 295
+        assert transforms("ifft") == {8192: 30 + 21 * 5 + 30 + 90,
+                                      1024: 20, 2048: 20}
+        assert sum(transforms("ifft").values()) == 295
+        # numpy calls.  Forward: one per signal with its shifts (4 rows),
+        # one per row chunk (2 and 3 of the 5 signals) and second factor for
+        # the output spectra, and on each refinement grid one for the
+        # signals.  Inverse: two (row chunks of 2 and 2) per (signal,
+        # symbol) in the shift check, and two (row chunks of 2 and 3) per
+        # second factor for the outputs and per pair for the residuals.
+        assert len(calls["fft"]) == 5 + 6 * 2 + 2 * (1 + 2 * 2)
+        assert len(calls["ifft"]) == (5 * 6 * 2 + 6 * 2 + 21 * 2
+                                      + 2 * (2 * 2 + 2 * 2))
+        # no call runs a single signal
+        assert min(rows for name in calls for _, rows in calls[name]) >= 2
 
 
 class TestRunApi:

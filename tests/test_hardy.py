@@ -24,6 +24,7 @@ from hardycalc.hardy import (
     _apply_multiplier,
     _eulerian_coeffs,
     _guarded_spectrum,
+    _l2_norms,
     discrete_multiplier,
     l2_norm,
     shift,
@@ -322,11 +323,104 @@ class TestToeplitzApply:
         # equal toeplitz_apply bit for bit and leave the spectrum intact
         grid = GridSpec(1024, 2.0 ** -6)
         f = _exp_signal(grid, rate=2.0)
-        spectrum = _guarded_spectrum(f)
+        spectrum = _guarded_spectrum(f.values[None])
         before = spectrum.copy()
         for g in (atom(1.0, 1.0), Delay(0.5), multiply(atom(1.0, 1.0),
                                                        atom(1.0, 3.0))):
-            out = _apply_multiplier(spectrum, discrete_multiplier(g, grid),
-                                    grid)
-            assert np.array_equal(out.values, toeplitz_apply(g, f).values)
+            out = _apply_multiplier(spectrum, discrete_multiplier(g, grid))
+            assert np.array_equal(out[0], toeplitz_apply(g, f).values)
         assert np.array_equal(spectrum, before)
+
+
+STACK_GRID = GridSpec(1024, 2.0 ** -6)
+
+
+def _stack_rows(grid):
+    """Four decaying scalar signals, a row each."""
+    t = times(grid)
+    return np.array([np.exp(-2.0 * t), t * np.exp(-2.5 * t),
+                     np.exp(-2.0 * t) * np.cos(3.0 * t),
+                     np.exp((-3.0 + 1j) * t)], dtype=complex)
+
+
+class TestSignalStacks:
+    """The private steps act on stacks, a signal per row; every row must
+    come out as the per-signal `toeplitz_apply` would make it."""
+
+    @pytest.mark.parametrize("g", [atom(1.0, 1.0), Delay(0.5),
+                                   add(atom(0.4, 2.0), Constant(0.5))],
+                             ids=str)
+    def test_rows_match_toeplitz_apply(self, g):
+        grid = STACK_GRID
+        stack = _stack_rows(grid)
+        spectra = _guarded_spectrum(stack)
+        for row, f in zip(spectra, stack):
+            assert np.array_equal(row, _guarded_spectrum(f[None])[0])
+        out = _apply_multiplier(spectra, discrete_multiplier(g, grid))
+        norms = _l2_norms(out, grid.dt)
+        for k, f in enumerate(stack):
+            ref = toeplitz_apply(g, SampledSignal(grid, f))
+            assert np.array_equal(out[k], ref.values)
+            assert norms[k] == l2_norm(ref)
+
+    def test_out_stacks_receive_the_steps(self):
+        # a caller's work stacks give the same bits as fresh arrays
+        grid = STACK_GRID
+        stack = _stack_rows(grid)
+        m = discrete_multiplier(atom(1.0, 3.0), grid)
+        spectra = np.empty((len(stack), 2 * grid.n_samples), dtype=complex)
+        spectra.fill(np.nan)
+        assert _guarded_spectrum(stack, out=spectra) is spectra
+        assert np.array_equal(spectra, _guarded_spectrum(stack))
+        work = np.empty_like(spectra)
+        out = _apply_multiplier(spectra, m, out=work)
+        assert out.base is work
+        assert np.array_equal(out, _apply_multiplier(spectra, m))
+
+    def test_guard_is_per_row(self):
+        # only row 2 has a heavy tail: the stack and that row alone raise,
+        # every other row alone passes
+        grid = STACK_GRID
+        stack = _stack_rows(grid)
+        stack[2] = np.exp(-0.5 * times(grid))
+        with pytest.raises(WraparoundError):
+            _guarded_spectrum(stack)
+        for k, f in enumerate(stack):
+            if k == 2:
+                with pytest.raises(WraparoundError):
+                    _guarded_spectrum(f[None])
+            else:
+                _guarded_spectrum(f[None])
+
+    def test_small_row_is_guarded_against_its_own_peak(self):
+        # a per-row guard: a row 1e-9 the size of its neighbours still needs
+        # its own tail below 1e-6 of its own peak
+        grid = STACK_GRID
+        stack = _stack_rows(grid)
+        stack[1] = 1e-9 * np.ones(grid.n_samples)
+        with pytest.raises(WraparoundError):
+            _guarded_spectrum(stack)
+
+    def test_vector_valued_guard_is_joint(self):
+        # the second component alone is constant and fails the guard; at
+        # 1e-7 of the first component's peak it passes the joint guard
+        grid = STACK_GRID
+        t = times(grid)
+        small = 1e-7 * np.ones(grid.n_samples, dtype=complex)
+        vals = np.stack([np.exp(-2.0 * t), small], axis=1)
+        out = toeplitz_apply(Constant(0.5), SampledSignal(grid, vals))
+        assert np.max(np.abs(out.values - 0.5 * vals)) < 1e-12
+        with pytest.raises(WraparoundError):
+            toeplitz_apply(Constant(0.5), SampledSignal(grid, small))
+        # and a stack of two vector-valued rows keeps the joint guard per row
+        spectra = _guarded_spectrum(np.stack([vals, vals[:, ::-1]]))
+        assert spectra.shape == (2, 2 * grid.n_samples, 2)
+
+    def test_non_finite_window_raises(self):
+        grid = STACK_GRID
+        spectra = _guarded_spectrum(_stack_rows(grid))
+        m = discrete_multiplier(atom(1.0, 1.0), grid)
+        m[3] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(
+                ValueError, match="non-finite"):
+            _apply_multiplier(spectra, m)

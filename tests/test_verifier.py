@@ -15,8 +15,9 @@ from hardycalc import cli, numkernel, verifier
 from hardycalc.admissibility import (ObservationOperator, observability_gramian,
                                      sqrt_minus_A)
 from hardycalc.calculus import gA_convolution
-from hardycalc.hardy import (GridSpec, _guarded_spectrum, discrete_multiplier,
-                             l2_norm, toeplitz_apply)
+from hardycalc.hardy import (GridSpec, SampledSignal, _guarded_spectrum,
+                             discrete_multiplier, l2_norm, shift,
+                             toeplitz_apply)
 from hardycalc.semigroup import Generator, example26, random_stable, resolvent
 from hardycalc.symbols import (Constant, Delay, add, atom, eval_at,
                                hinf_norm, multiply, to_text)
@@ -454,19 +455,41 @@ class TestToeplitzResiduals:
         # the residual formed in the spectrum, one inverse DFT per (pair,
         # signal), against the difference of two separate applications
         grid, syms = TOEPLITZ_GRID, list(TOEPLITZ_BATTERY)
-        sigs = [f for _, f in verifier._signals(grid)]
+        _, stack = verifier._signals(grid)
+        sigs = [SampledSignal(grid, f) for f in stack]
         pairs = [(i, j) for i in range(3) for j in range(3)]
-        resid, _ = verifier._product_residuals(
+        resid, norms = verifier._product_residuals(
             syms, [discrete_multiplier(g, grid) for g in syms],
-            [_guarded_spectrum(f) for f in sigs], pairs, grid)
+            _guarded_spectrum(stack), pairs, grid)
         assert set(resid) == {(i, j, k) for i, j in pairs
                               for k in range(len(sigs))}
         for (i, j, k), r in resid.items():
             g, h, f = syms[i], syms[j], sigs[k]
             lhs = toeplitz_apply(multiply(g, h), f)
-            oracle = verifier._diff_norm(
-                lhs, toeplitz_apply(g, toeplitz_apply(h, f)))
+            rhs = toeplitz_apply(g, toeplitz_apply(h, f))
+            oracle = l2_norm(SampledSignal(grid, lhs.values - rhs.values))
             assert abs(r - oracle) <= 1e-12 * l2_norm(lhs)
+            # the outputs M_h f_k come from one stacked call, bit for bit
+            assert norms[j, k] == l2_norm(toeplitz_apply(h, f))
+
+    def test_shift_residuals_match_per_signal(self):
+        # one stack holds a signal and its shifts; each residual against
+        # shift and toeplitz_apply on single signals, bit for bit
+        grid, syms = TOEPLITZ_GRID, list(TOEPLITZ_BATTERY)
+        taus = (grid.dt, 16 * grid.dt, 0.5)
+        mults = np.array([discrete_multiplier(g, grid) for g in syms])
+        for values in verifier._signals(grid)[1]:
+            f = SampledSignal(grid, values)
+            resid, spectrum = verifier._shift_residuals(f, mults, taus)
+            assert np.array_equal(spectrum, _guarded_spectrum(values[None])[0])
+            assert set(resid) == {(i, t) for i in range(len(syms))
+                                  for t in range(len(taus))}
+            for (i, t), r in resid.items():
+                g, tau = syms[i], taus[t]
+                lhs = shift(toeplitz_apply(g, f), tau)
+                rhs = toeplitz_apply(g, shift(f, tau))
+                assert r == l2_norm(SampledSignal(grid,
+                                                  lhs.values - rhs.values))
 
     def test_scaled_product_multiplier_fails(self, monkeypatch):
         # a 1e-4 relative error in the multiplier of M_{gh} alone must show
