@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numkernel import ConvergenceError, linear_solve
-from .semigroup import (_memo, _power_chain, evaluate_T, panel_doubling,
-                        resolvent, semigroup_bounds)
+from .semigroup import (_power_chain, evaluate_T, panel_doubling, resolvent,
+                        semigroup_bounds)
 from .symbols import kernel
 from .hardy import SampledSignal, toeplitz_apply
 
@@ -111,19 +111,7 @@ def _integrate_modes(gen, modes):
 
 
 def gA_convolution(gen, g):
-    """g(A) as the semigroup integrated against the symbol's kernel.
-
-    Results are memoized per generator and symbol; the scenario batteries
-    reuse the same few symbols across many pairings."""
-    memo = _memo(gen, "_conv_memo")
-    if g in memo:
-        return memo[g]
-    result = _conv_compute(gen, g)
-    memo[g] = result
-    return result
-
-
-def _conv_compute(gen, g):
+    """g(A) as the semigroup integrated against the symbol's kernel."""
     krep = kernel(g)
     N = gen.dimension
     out = krep.constant * np.eye(N, dtype=complex)

@@ -26,7 +26,10 @@ transfer function of the sampled kernel with order-4 endpoint weights
 (3/8, 7/6, 23/24 on the first three samples).  That choice keeps the
 discrete operator family multiplicative and shift-commuting to the h^4
 level, converges to g(i omega) as the grid is refined, and is exact for
-delay and constant symbols (pure phases and scalings).
+delay and constant symbols (pure phases and scalings).  A kernel mode's
+weighted sum over the samples is a rational function of
+q = e^{-alpha dt} exp(i omega dt) with coefficients fixed per mode, so the
+window's unit-circle points exp(i omega dt) are computed once for all modes.
 """
 
 from __future__ import annotations
@@ -142,32 +145,33 @@ def _eulerian_coeffs(j):
     return P
 
 
-def _power_sum(j, q, out, scratch):
-    """sum_{v>=1} v^j q^v elementwise for |q| < 1, written to out; scratch
-    is a second array of q's shape that the call overwrites."""
-    coeffs = _eulerian_coeffs(j)
-    out.fill(0.0)
-    for c in coeffs[::-1]:
-        np.multiply(out, q, out=out)
-        np.add(out, c, out=out)
-    np.subtract(1.0, q, out=scratch)
-    # `**=`, not np.power: like `**` it squares through np.square, whose
-    # bits differ from np.power(z, 2)
-    scratch **= j + 1
-    return np.divide(out, scratch, out=out)
-
-
 # Order-4 endpoint weights for the one-sided sum: the first three samples
 # carry 3/8, 7/6, 23/24 and every later sample a full weight.
 _HEAD = (3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0)
+
+
+def _series_numerator(j):
+    """Ascending coefficients of N_j with
+    sum_{v>=0} w_v v^j q^v = N_j(q) / (1-q)^{j+1}, w the endpoint weights:
+    N_j = P_j + (1-q)^{j+1} (w_0 [j=0] + (w_1-1) q + (w_2-1) 2^j q^2)."""
+    head = [_HEAD[0] if j == 0 else 0.0, _HEAD[1] - 1.0,
+            (_HEAD[2] - 1.0) * 2.0 ** j]
+    binom = [(-1.0) ** k * math.comb(j + 1, k) for k in range(j + 2)]
+    N = np.convolve(binom, head)
+    N[: j + 2] += _eulerian_coeffs(j)
+    return N
 
 
 def discrete_multiplier(krep, grid):
     """Frequency response of the discretized one-sided kernel on the doubled
     window; length 2 n_samples, ordered like numpy's FFT bins.
 
-    Converges to the boundary trace of the originating symbol at O(dt^4);
-    delay and constant parts are represented exactly.
+    With z = exp(i omega dt) on the window, a mode of pole alpha and power
+    p = j + 1 contributes scale * N_j(q) / (1-q)^{j+1} at q = e^{-alpha dt} z,
+    so z is the only exponential over the window besides the exact phases
+    exp(i omega tau) of delays and shifted modes.  Converges to the boundary
+    trace of the originating symbol at O(dt^4); delay and constant parts are
+    represented exactly.
     """
     if not isinstance(krep, KernelRep):
         krep = kernel(krep)
@@ -175,49 +179,31 @@ def discrete_multiplier(krep, grid):
     dt = grid.dt
     omega = 2.0 * math.pi * np.fft.fftfreq(n2, d=dt)
     m = np.full(n2, krep.constant, dtype=complex)
-    # Each step writes into one of four scratch arrays, in the order of the
-    # expressions in the comments, so the result is bit for bit the value
-    # of those expressions without their full-length temporaries.
-    q, a, b, c = (np.empty(n2, dtype=complex) for _ in range(4))
+    z, a, b = (np.empty(n2, dtype=complex) for _ in range(3))
+
+    def phase(tau, out):
+        """exp(i omega tau), written to out."""
+        np.multiply(1j * tau, omega, out=out)
+        return np.exp(out, out=out)
+
+    phase(dt, z)
     for weight, tau in krep.delays:
-        # m += weight * np.exp(1j * omega * tau)
-        np.multiply(1j, omega, out=a)
-        np.multiply(a, tau, out=a)
-        np.exp(a, out=a)
-        np.multiply(weight, a, out=a)
+        phase(tau, a)
+        a *= weight
         m += a
     for coef, alpha, p, off in krep.modes:
-        # q = np.exp((-alpha + 1j * omega) * dt)
-        np.multiply(1j, omega, out=q)
-        np.add(-alpha, q, out=q)
-        np.multiply(q, dt, out=q)
-        np.exp(q, out=q)
         j = p - 1
-        head0 = _HEAD[0] if p == 1 else 0.0
-        # tail = _power_sum(j, q) - q - float(2 ** j) * q * q, in a
-        _power_sum(j, q, a, b)
-        np.subtract(a, q, out=a)
-        np.multiply(float(2 ** j), q, out=b)
-        np.multiply(b, q, out=b)
-        np.subtract(a, b, out=a)
-        # series = (head0 + _HEAD[1] * q + _HEAD[2] * float(2 ** j) * q * q
-        #           + tail), in b
-        np.multiply(_HEAD[1], q, out=b)
-        np.add(head0, b, out=b)
-        np.multiply(_HEAD[2] * float(2 ** j), q, out=c)
-        np.multiply(c, q, out=c)
-        np.add(b, c, out=b)
-        np.add(b, a, out=b)
-        # m += scale * phase * series, phase = np.exp(1j * omega * off) or 1
-        scale = coef * dt ** p / math.factorial(j)
+        num = coef * dt ** p / math.factorial(j) * _series_numerator(j)
+        np.multiply(z, np.exp(-alpha * dt), out=a)  # q
+        b.fill(num[-1])
+        for c in num[-2::-1]:
+            b *= a
+            b += c
+        np.subtract(1.0, a, out=a)
+        a **= j + 1
+        b /= a
         if off != 0.0:
-            np.multiply(1j, omega, out=c)
-            np.multiply(c, off, out=c)
-            np.exp(c, out=c)
-            np.multiply(scale, c, out=c)
-            np.multiply(c, b, out=b)
-        else:
-            np.multiply(scale, b, out=b)
+            b *= phase(off, a)
         m += b
     return m
 

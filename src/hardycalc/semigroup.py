@@ -10,10 +10,9 @@ to pick a quadrature rule or its result's shape.  Samplers produce seeded
 dissipative and similarity-transformed stable test matrices.  All semigroup
 integrals use the composite Gauss-Legendre panel rule defined here.
 
-Two results are memoized on the (immutable) generator, each computed on
-first use: the sampled sup of ||T(t)|| on [0, 1] (`sup_T_norm`, read only by
-the checks that claim with it) and, for a dense generator, the 17 matrices
-T(x_k h) and T(h) of each panel step h (`_panel_samples`).
+One result is memoized on the (immutable) dense generator, computed on
+first use: the 17 matrices T(x_k h) and T(h) of each panel step h
+(`_panel_samples`).
 """
 
 from __future__ import annotations
@@ -286,16 +285,6 @@ def random_stable(n, seed):
 _HORIZON_LIMIT = 1e6
 
 
-def _memo(gen, name):
-    """The dict stored on the frozen generator under `name`, created on
-    first use."""
-    memo = getattr(gen, name, None)
-    if memo is None:
-        memo = {}
-        object.__setattr__(gen, name, memo)
-    return memo
-
-
 def semigroup_bounds(gen, eps):
     """A certified decay horizon: the first power of two h >= 1 with
     K e^{-rate h} <= eps, so ||T(t)|| <= eps for every t >= h.
@@ -315,16 +304,10 @@ def semigroup_bounds(gen, eps):
 
 def sup_T_norm(gen):
     """M = max ||T(t)|| over the grid {0, 0.01, ..., 1} (always >= 1), the
-    sampled sup on the claimed side of the T0 and sqrt(t) bounds.
-
-    Computed once per generator, on first use."""
-    M = getattr(gen, "_sup_T", None)
-    if M is None:
-        _, norms = norm_scan(gen, [np.eye(gen.dimension)],
-                             np.linspace(0.0, 1.0, 101))
-        M = float(np.max(norms))
-        object.__setattr__(gen, "_sup_T", M)
-    return M
+    sampled sup on the claimed side of the T0 and sqrt(t) bounds."""
+    _, norms = norm_scan(gen, [np.eye(gen.dimension)],
+                         np.linspace(0.0, 1.0, 101))
+    return float(np.max(norms))
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +364,10 @@ def _panel_samples(gen, horizon, panels):
     if gen.kind == "diagonal":
         return u, w, np.exp(np.outer(u, gen.eigenvalues))
     h = horizon / panels
-    memo = _memo(gen, "_step_memo")
+    memo = getattr(gen, "_step_memo", None)
+    if memo is None:
+        memo = {}
+        object.__setattr__(gen, "_step_memo", memo)
     if h not in memo:
         memo[h] = (np.stack([evaluate_T(gen, x * h)
                              for x in _gauss_legendre()[0]]),

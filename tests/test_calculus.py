@@ -153,11 +153,6 @@ class TestConvolutionRoute:
         ref = np.diag([math.exp(-1.0), math.exp(-1.5)])
         assert np.max(np.abs(out - ref)) < 1e-10
 
-    def test_memoized(self):
-        gen = Generator.diagonal([-1.0, -4.0])
-        g = atom(1.0, 2.0)
-        assert gA_convolution(gen, g) is gA_convolution(gen, g)
-
 
 class TestToeplitzRoute:
     def test_matches_spectral_diagonal(self):

@@ -12,17 +12,16 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 import hardycalc
 from hardycalc.hardy import (
-    _HEAD,
     GridSpec,
     SampledSignal,
     WraparoundError,
     _apply_multiplier,
-    _eulerian_coeffs,
     _guarded_spectrum,
     _l2_norms,
     discrete_multiplier,
@@ -162,32 +161,33 @@ class TestDiscreteMultiplier:
         assert errs[1] < errs[0] / 8.0
 
 
-def _multiplier_oracle(krep, grid):
-    """The multiplier as plain full-length array expressions: the reference
-    that the in-place build must reproduce bit for bit."""
-    n2 = 2 * grid.n_samples
-    dt = grid.dt
-    omega = 2.0 * math.pi * np.fft.fftfreq(n2, d=dt)
-    m = np.full(n2, krep.constant, dtype=complex)
-    for weight, tau in krep.delays:
-        m += weight * np.exp(1j * omega * tau)
-    for c, alpha, p, off in krep.modes:
-        q = np.exp((-alpha + 1j * omega) * dt)
-        j = p - 1
-        head0 = _HEAD[0] if p == 1 else 0.0
-        num = np.zeros_like(q)
-        for coeff in _eulerian_coeffs(j)[::-1]:
-            num = num * q + coeff
-        power_sum = num / (1.0 - q) ** (j + 1)
-        tail = power_sum - q - float(2 ** j) * q * q
-        series = (head0
-                  + _HEAD[1] * q
-                  + _HEAD[2] * float(2 ** j) * q * q
-                  + tail)
-        scale = c * dt ** p / math.factorial(j)
-        phase = np.exp(1j * omega * off) if off != 0.0 else 1.0
-        m += scale * phase * series
-    return m
+# the order-4 endpoint weights of the first three samples, restated from
+# the definition of the discrete multiplier
+_WEIGHTS = (mp.mpf(3) / 8, mp.mpf(7) / 6, mp.mpf(23) / 24)
+
+
+def _mp_multiplier(krep, grid, k):
+    """The multiplier at FFT bin k from its definition at 40 digits: the
+    constant, w e^{i omega tau} per delay and, per mode, the endpoint-
+    weighted sum scale e^{i omega offset} sum_v w_v v^j q^v with
+    q = e^{(-alpha + i omega) dt}, the full power sum taken as polylog(-j, q)
+    and the first three terms reweighted."""
+    with mp.workdps(40):
+        n = grid.n_samples
+        freq = k if k < n else k - 2 * n  # numpy's bin order
+        omega = 2 * mp.pi * freq / (2 * n * mp.mpf(grid.dt))
+        out = mp.mpc(krep.constant)
+        for weight, tau in krep.delays:
+            out += weight * mp.expj(omega * tau)
+        for c, alpha, p, off in krep.modes:
+            j = p - 1
+            q = mp.exp((-mp.mpc(alpha) + 1j * omega) * grid.dt)
+            series = (mp.polylog(-j, q) + (_WEIGHTS[0] if j == 0 else 0)
+                      + (_WEIGHTS[1] - 1) * q
+                      + (_WEIGHTS[2] - 1) * 2 ** j * q ** 2)
+            out += (c * mp.mpf(grid.dt) ** p / mp.factorial(j)
+                    * mp.expj(omega * off) * series)
+        return complex(out)
 
 
 # simple, repeated (up to power 4) and complex poles, constants, delays and
@@ -207,17 +207,40 @@ MULTIPLIER_SYMBOLS = (
 )
 
 
-class TestInPlaceMultiplier:
+class TestMultiplierOracle:
     @pytest.mark.parametrize("g", MULTIPLIER_SYMBOLS, ids=str)
-    def test_bit_identical_to_expressions(self, g):
+    def test_matches_mpmath_reference(self, g):
+        # bins 0, 1, 2, 100, Nyquist and the last negative frequency
         grid = GridSpec(1024, 2.0 ** -6)
         krep = kernel(g)
-        assert np.array_equal(discrete_multiplier(krep, grid),
-                              _multiplier_oracle(krep, grid))
+        m = discrete_multiplier(krep, grid)
+        for k in (0, 1, 2, 100, 1024, 2047):
+            ref = _mp_multiplier(krep, grid, k)
+            assert abs(m[k] - ref) <= 1e-12 * abs(ref), k
+
+
+class TestInPlaceMultiplier:
+    @pytest.mark.parametrize("g", MULTIPLIER_SYMBOLS, ids=str)
+    def test_one_window_exp_per_phase(self, g, monkeypatch):
+        # exp(i omega dt) once, then one exponential per delay and per
+        # shifted mode; a mode's q is a scalar times exp(i omega dt)
+        grid = GridSpec(64, 0.125)
+        krep = kernel(g)
+        real_exp, calls = np.exp, []
+
+        def counting_exp(x, *args, **kwargs):
+            if np.shape(x) == (2 * grid.n_samples,):
+                calls.append(x)
+            return real_exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counting_exp)
+        discrete_multiplier(krep, grid)
+        shifted = sum(off != 0.0 for *_, off in krep.modes)
+        assert len(calls) == 1 + len(krep.delays) + shifted
 
     def test_peak_allocation(self):
-        # the 2 MB result on the 131,072-point doubled window; the
-        # full-length temporaries of the plain expressions peak at 15.9 MB
+        # the 2 MB result on the 131,072-point doubled window beside the
+        # frequencies, exp(i omega dt) and two scratch arrays
         krep = kernel(multiply(atom(1.0, 1.0), atom(1.0, 3.0)))
         grid = GridSpec(65536, 2.0 ** -8)
         tracemalloc.start()
@@ -226,7 +249,7 @@ class TestInPlaceMultiplier:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 12e6
+        assert peak < 10e6
 
 
 class TestToeplitzApply:

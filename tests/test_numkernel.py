@@ -43,7 +43,7 @@ def _mp_eigvalsh(H):
 class TestMatExp:
     def test_zero_time_is_identity(self):
         A = np.array([[-1.0, 2.0], [0.0, -3.0]])
-        assert np.allclose(mat_exp(A, 0.0), np.eye(2), atol=1e-15)
+        assert np.array_equal(mat_exp(A, 0.0), np.eye(2))
 
     def test_scalar_exponential(self):
         out = mat_exp(np.array([[-1.0]]), 1.0)
@@ -77,6 +77,19 @@ class TestMatExp:
             w, V = np.linalg.eig(A)
             ref = V @ np.diag(np.exp(w * 0.8)) @ np.linalg.inv(V)
             assert np.max(np.abs(mat_exp(A, 0.8) - ref)) < 1e-9
+
+    @pytest.mark.parametrize("norm", [0.004, 0.05, 0.2, 0.5, 2.0, 50.0])
+    def test_against_mpmath_expm(self, norm):
+        # ||At||_1 from well inside theta_13 (no scaling) to four squarings
+        rng = np.random.default_rng(3)
+        A = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        A /= np.max(np.sum(np.abs(A), axis=0))
+        with mp.workdps(40):
+            E = mp.expm(_mp_matrix(A * norm))
+            ref = np.array([[complex(E[i, j]) for j in range(8)]
+                            for i in range(8)])
+        err = np.linalg.norm(mat_exp(A, norm) - ref, 1)
+        assert err < 1e-13 * np.linalg.norm(ref, 1)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):

@@ -285,6 +285,19 @@ class TestGramianSource:
         check_eq26(gen)
         assert kernel_calls == {"solve_lyapunov": 1, "hermitian_eigs": 1}
 
+    def test_example26_solves_each_model_once(self, monkeypatch):
+        # N = 4, 16 and the 64-mode model the Gramian report already holds
+        calls = []
+
+        def counting(gen, C):
+            calls.append(gen.dimension)
+            return observability_gramian(gen, C)
+
+        monkeypatch.setattr(verifier, "observability_gramian", counting)
+        reports = verifier.check_example26(*example26(64))
+        assert sorted(calls) == [4, 16, 64]
+        assert all(r.passed for r in reports)
+
     @pytest.mark.parametrize("check", [
         lambda gen: check_thm34(gen, G), check_analytic_lemma])
     def test_thm34_constants_solve_once(self, kernel_calls, check):
