@@ -127,12 +127,14 @@ class Generator:
 
 
 def certify_stable(A):
-    """Solve A^H P + P A = -I and verify P > 0 by Cholesky."""
+    """Solve A^H P + P A = -I and verify P > 0 by Cholesky.  A solve that
+    fails in any named way (singular, no convergence, residual) is a
+    StabilityError."""
     A = np.asarray(A, dtype=complex)
     eye = np.eye(A.shape[0], dtype=complex)
     try:
         P = solve_lyapunov(A, eye)
-    except (SingularMatrixError, ArithmeticError) as exc:
+    except (SingularMatrixError, ConvergenceError, ArithmeticError) as exc:
         raise StabilityError("not exponentially stable: Lyapunov witness "
                              "unavailable") from exc
     try:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from hardycalc import numkernel
 from hardycalc.numkernel import (
     ConvergenceError,
     SingularMatrixError,
@@ -22,11 +23,38 @@ from hardycalc.numkernel import (
     operator_norm,
     solve_lyapunov,
 )
+from hardycalc.semigroup import random_stable
 
 
 def _mp_matrix(M):
     return mp.matrix([[mp.mpc(z.real, z.imag) for z in row]
                       for row in np.asarray(M, dtype=complex)])
+
+
+def _mp_lyapunov(A, R):
+    """Q with A^H Q + Q A = -R from the n^2 x n^2 Kronecker system, solved by
+    mpmath's LU at 30 digits."""
+    n = A.shape[0]
+    Am = _mp_matrix(A)
+    K, b = mp.zeros(n * n, n * n), mp.matrix(n * n, 1)
+    with mp.workdps(30):
+        for j in range(n):
+            for i in range(n):
+                row = i + n * j  # Q_ij in column-major order
+                b[row] = -mp.mpc(R[i, j].real, R[i, j].imag)
+                for k in range(n):
+                    K[row, k + n * j] += mp.conj(Am[k, i])  # (A^H Q)_ij
+                    K[row, i + n * k] += Am[k, j]           # (Q A)_ij
+        q = mp.lu_solve(K, b)
+    return np.array([[complex(q[i + n * j]) for j in range(n)]
+                     for i in range(n)])
+
+
+# dense matrices with an eigenvalue on the imaginary axis, at 0, or in the
+# right half-plane
+NOT_STABLE_DENSE = ([[1j, 1.0], [0.0, 1j]],
+                    [[0.0, 1.0], [0.0, -1.0]],
+                    [[0.1, 1.0], [0.0, -1.0]])
 
 
 def _mp_sigma_max(M):
@@ -254,6 +282,34 @@ class TestSolveLyapunov:
     def test_marginal_spectrum_raises(self):
         with pytest.raises((SingularMatrixError, ArithmeticError)):
             solve_lyapunov(np.diag([1j, 1j]), np.eye(2))
+
+    @pytest.mark.parametrize("A", NOT_STABLE_DENSE)
+    def test_dense_not_stable_raises(self, A):
+        with pytest.raises((SingularMatrixError, ArithmeticError)):
+            solve_lyapunov(np.array(A), np.eye(2))
+
+    def test_iteration_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(numkernel, "_SIGN_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError):
+            solve_lyapunov(np.array([[-1.0, 4.0], [0.0, -3.0]]), np.eye(2))
+
+    @pytest.mark.parametrize("case", ["random_stable4", "jordan6",
+                                      "near_marginal"])
+    def test_against_mpmath_kronecker(self, case):
+        # the near-marginal case pins the determinant scaling: without it the
+        # iteration drifts and its residual breaks the 1e-10 certificate
+        rng = np.random.default_rng(5)
+        Y = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        A, R = {
+            "random_stable4": (random_stable(4, 3).matrix,
+                               Y @ Y.conj().T + np.eye(4)),
+            "jordan6": (-np.eye(6) + 3.0 * np.eye(6, k=1), np.eye(6)),
+            "near_marginal": (np.array([[-1e-5 + 1j, 1.0], [0.0, -1.0]]),
+                              np.eye(2)),
+        }[case]
+        ref = _mp_lyapunov(A, R)
+        Q = solve_lyapunov(A, R)
+        assert np.linalg.norm(Q - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def test_error_hierarchy():

@@ -5,13 +5,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hardycalc
-from hardycalc import admissibility, semigroup
+from hardycalc import admissibility, numkernel, semigroup
 from hardycalc.admissibility import (ObservationOperator, observability_gramian,
                                      sqrt_t_bound_scan)
 from hardycalc.numkernel import ConvergenceError, SingularMatrixError
@@ -62,6 +63,18 @@ class TestGenerator:
     def test_dense_rejects_unstable(self):
         with pytest.raises(StabilityError):
             Generator.dense(np.array([[0.1, 0.0], [0.0, -1.0]]))
+
+    @pytest.mark.parametrize("A", ([[1j, 1.0], [0.0, 1j]],
+                                   [[0.0, 1.0], [0.0, -1.0]],
+                                   [[0.1, 1.0], [0.0, -1.0]]))
+    def test_dense_rejects_not_stable(self, A):
+        with pytest.raises(StabilityError):
+            Generator.dense(np.array(A))
+
+    def test_lyapunov_budget_is_a_stability_error(self, monkeypatch):
+        monkeypatch.setattr(numkernel, "_SIGN_MAX_ITER", 1)
+        with pytest.raises(StabilityError):
+            certify_stable(np.array([[-1.0, 4.0], [0.0, -3.0]]))
 
     def test_certificate_residual(self):
         A = np.array([[-2.0, 1.0], [-1.0, -1.5]])
@@ -460,6 +473,26 @@ class TestRandomGenerators:
     def test_distinct_seeds_differ(self):
         assert not np.array_equal(random_stable(6, 1).matrix,
                                   random_stable(6, 2).matrix)
+
+
+class TestDenseScale:
+    def test_n256_certifies(self):
+        gen = random_stable(256, 8)
+        assert gen.kind == "dense" and gen.dimension == 256
+        assert gen.certificate.residual <= 1e-9
+        assert gen.decay_rate() > 0.0
+
+    def test_thm33_n128_memory(self):
+        # the n^2 x n^2 Kronecker system alone would take 4.3 GB here
+        gen = random_stable(128, 8)
+        tracemalloc.start()
+        try:
+            rep = check_thm33(gen, ObservationOperator(np.eye(128)), BATTERY)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.passed
+        assert peak < 128 * 2 ** 20
 
 
 class TestJsonRoundTrip:
