@@ -2,9 +2,10 @@
 
 * spectral: evaluate g on the eigenvalues (diagonal generators only);
 * closed form (`_gA_exact`): partial fractions,
-  g(A) = d I + sum c_k T(s_k) (alpha_k I - A)^{-p_k} + sum w_j T(tau_j),
+  g(A) = sum c_k T(s_k) (alpha_k I - A)^{-p_k} + sum w_j T(tau_j),
   resolvent powers at the poles with a semigroup factor for each shift and
-  delay; private, because it is the reference the verifier's checks read;
+  point mass (a constant is the mass at tau = 0, and T(0) = I); private,
+  because it is the reference the verifier's checks read;
 * convolution: g(A) = integral of T(u) against the symbol's one-sided
   kernel, by the Gauss-Legendre panel doubling of `semigroup`, over a
   horizon with a certified truncation tail;
@@ -40,7 +41,6 @@ __all__ = [
 @dataclass(frozen=True)
 class GAResult:
     matrix: np.ndarray
-    method: str
     est_error: float
 
 
@@ -50,15 +50,15 @@ def gA_spectral(gen, g):
         raise ValueError("spectral route requires a diagonal generator")
     from .symbols import eval_at
 
-    return GAResult(np.diag(eval_at(g, gen.eigenvalues)), "spectral", 0.0)
+    return GAResult(np.diag(eval_at(g, gen.eigenvalues)), 0.0)
 
 
 def _gA_exact(gen, g):
     """g(A) in closed form from the symbol's kernel: resolvent powers at the
-    poles, T(offset) for a shifted mode and w T(tau) for each delay."""
+    poles, T(offset) for a shifted mode and w T(tau) for each point mass."""
     krep = kernel(g)
     N = gen.dimension
-    out = krep.constant * np.eye(N, dtype=complex)
+    out = np.zeros((N, N), dtype=complex)
     for w, tau in krep.delays:
         out = out + w * evaluate_T(gen, tau)
     for c, alpha, p, off in krep.modes:
@@ -70,7 +70,7 @@ def _gA_exact(gen, g):
             term = evaluate_T(gen, off) @ term
         out = out + c * term
     est = 1e-12 * max(1.0, float(np.linalg.norm(out)))
-    return GAResult(out, "resolvent", est)
+    return GAResult(out, est)
 
 
 def _mode_tail(K, c, tstar, p):
@@ -114,7 +114,7 @@ def gA_convolution(gen, g):
     """g(A) as the semigroup integrated against the symbol's kernel."""
     krep = kernel(g)
     N = gen.dimension
-    out = krep.constant * np.eye(N, dtype=complex)
+    out = np.zeros((N, N), dtype=complex)
     est = 0.0
     for w, tau in krep.delays:
         out = out + w * evaluate_T(gen, tau)
@@ -126,7 +126,7 @@ def gA_convolution(gen, g):
                 term = evaluate_T(gen, off) @ term
             out = out + term
             est += abs(c) * e
-    return GAResult(out, "convolution", est)
+    return GAResult(out, est)
 
 
 def _require_horizon(gen, grid):
@@ -152,4 +152,4 @@ def gA_toeplitz(gen, g, grid):
     G2 = linear_solve(evaluate_T(gen, 2.0 * grid.dt).T, out[2].T).T
     G = 2.0 * G1 - G2
     est = max(float(np.linalg.norm(G1 - G2)), 1e-12)
-    return GAResult(G, "toeplitz", est)
+    return GAResult(G, est)

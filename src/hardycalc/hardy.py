@@ -170,15 +170,15 @@ def discrete_multiplier(krep, grid):
     p = j + 1 contributes scale * N_j(q) / (1-q)^{j+1} at q = e^{-alpha dt} z,
     so z is the only exponential over the window besides the exact phases
     exp(i omega tau) of delays and shifted modes.  Converges to the boundary
-    trace of the originating symbol at O(dt^4); delay and constant parts are
-    represented exactly.
+    trace of the originating symbol at O(dt^4); point masses (delays, and a
+    constant as the mass at 0, whose phase is 1) are represented exactly.
     """
     if not isinstance(krep, KernelRep):
         krep = kernel(krep)
     n2 = 2 * grid.n_samples
     dt = grid.dt
     omega = 2.0 * math.pi * np.fft.fftfreq(n2, d=dt)
-    m = np.full(n2, krep.constant, dtype=complex)
+    m = np.zeros(n2, dtype=complex)
     z, a, b = (np.empty(n2, dtype=complex) for _ in range(3))
 
     def phase(tau, out):

@@ -163,21 +163,26 @@ class HermitianSpectrum:
         return float(self.eigenvalues[-1])
 
 
-def hermitian_eigs(H, hermitian_tol=1e-12):
+def hermitian_eigs(H):
     """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix by
-    LAPACK's eigh, plus the eigenpair residual.  Non-Hermitian input (beyond
-    hermitian_tol, relative) is an error."""
+    LAPACK's eigh, plus the eigenpair residual as a certificate: a residual
+    above 1e-10 max(1, ||H||_F) raises ConvergenceError.  Non-Hermitian
+    input (beyond 1e-12, relative) is an error."""
     H = _as_square(H, "H")
     scale = max(float(np.linalg.norm(H)), 1.0)
-    if float(np.linalg.norm(H - H.conj().T)) > hermitian_tol * scale:
+    if float(np.linalg.norm(H - H.conj().T)) > 1e-12 * scale:
         raise ValueError("hermitian_eigs requires a Hermitian matrix")
     Hh = 0.5 * (H + H.conj().T)
     try:
         eigs, V = np.linalg.eigh(Hh)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError("eigh did not converge") from exc
-    resid = np.linalg.norm(Hh @ V - V * eigs[None, :], axis=0)
-    return HermitianSpectrum(eigs, float(np.max(resid, initial=0.0)), V)
+    resid = float(np.max(np.linalg.norm(Hh @ V - V * eigs[None, :], axis=0),
+                         initial=0.0))
+    if not resid <= 1e-10 * scale:
+        raise ConvergenceError(f"eigh eigenpair residual {resid:.3g} exceeds "
+                               "1e-10 max(1, ||H||)")
+    return HermitianSpectrum(eigs, resid, V)
 
 
 # ---------------------------------------------------------------------------

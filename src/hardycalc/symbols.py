@@ -1,13 +1,13 @@
 """Structured symbols g: bounded analytic functions on the open left
 half-plane Re(s) < 0.
 
-The expression tree is built from rational partial-fraction atoms c/(alpha-s)
-with Re(alpha) > 0, delays e^{s tau} (tau >= 0), complex constants, and
-sums/products/scalings of those.  The module evaluates boundary traces
-g(i omega), estimates the sup norm on the imaginary axis, and converts
-expressions to their one-sided convolution-kernel representation, which is
-what both the quadrature route to g(A) and the discrete Toeplitz realization
-consume.
+The expression tree has three leaves, complex constants, simple-pole atoms
+c/(alpha-s) with Re(alpha) > 0 and delays e^{s tau} (tau >= 0), and two
+nodes, sums and products of those; a scaling is a product with a constant.
+The module evaluates boundary traces g(i omega), estimates the sup norm on
+the imaginary axis, and converts expressions to their one-sided
+convolution kernel, a finite measure on [0, inf) that both the quadrature
+route to g(A) and the discrete Toeplitz realization consume.
 """
 
 from __future__ import annotations
@@ -20,12 +20,11 @@ from typing import Union
 import numpy as np
 
 __all__ = [
+    "Atom",
     "Constant",
     "Delay",
     "KernelRep",
     "Product",
-    "RationalPF",
-    "Scale",
     "Sum",
     "SymbolExpr",
     "add",
@@ -49,17 +48,17 @@ class Constant:
 
 
 @dataclass(frozen=True)
-class RationalPF:
-    """Sum of simple-pole atoms: sum_k c_k / (alpha_k - s), Re(alpha_k) > 0."""
+class Atom:
+    """g(s) = c / (alpha - s), one simple pole with Re(alpha) > 0."""
 
-    terms: tuple
+    c: complex
+    alpha: complex
 
     def __post_init__(self):
-        terms = tuple((complex(c), complex(a)) for c, a in self.terms)
-        for _, a in terms:
-            if a.real <= 0:
-                raise ValueError(f"pole {a} must have positive real part")
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "c", complex(self.c))
+        object.__setattr__(self, "alpha", complex(self.alpha))
+        if self.alpha.real <= 0:
+            raise ValueError(f"pole {self.alpha} must have positive real part")
 
 
 @dataclass(frozen=True)
@@ -90,21 +89,12 @@ class Product:
         object.__setattr__(self, "factors", tuple(self.factors))
 
 
-@dataclass(frozen=True)
-class Scale:
-    factor: complex
-    inner: "SymbolExpr"
-
-    def __post_init__(self):
-        object.__setattr__(self, "factor", complex(self.factor))
-
-
-SymbolExpr = Union[Constant, RationalPF, Delay, Sum, Product, Scale]
+SymbolExpr = Union[Constant, Atom, Delay, Sum, Product]
 
 
 def atom(c, alpha):
-    """Shorthand for the single-pole symbol c/(alpha - s)."""
-    return RationalPF(((c, alpha),))
+    """The single-pole symbol c/(alpha - s)."""
+    return Atom(c, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -126,11 +116,8 @@ def eval_at(g, s):
 def _eval(g, sv):
     if isinstance(g, Constant):
         return np.full(sv.shape, g.value)
-    if isinstance(g, RationalPF):
-        out = np.zeros(sv.shape, dtype=complex)
-        for c, a in g.terms:
-            out += c / (a - sv)
-        return out
+    if isinstance(g, Atom):
+        return g.c / (g.alpha - sv)
     if isinstance(g, Delay):
         return np.exp(sv * g.tau)
     if isinstance(g, Sum):
@@ -143,8 +130,6 @@ def _eval(g, sv):
         for f in g.factors:
             out *= _eval(f, sv)
         return out
-    if isinstance(g, Scale):
-        return g.factor * _eval(g.inner, sv)
     raise TypeError(f"not a symbol expression: {g!r}")
 
 
@@ -160,11 +145,11 @@ def eval_boundary(g, omega):
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_max(f, a, b, iters=120):
+def _golden_max(f, a, b):
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
+    for _ in range(120):
         if b - a <= 1e-12 * (1.0 + abs(a) + abs(b)):
             break
         if f1 < f2:
@@ -227,22 +212,22 @@ def add(g1, g2):
 
 @dataclass(frozen=True)
 class KernelRep:
-    """One-sided kernel of a symbol.
+    """One-sided kernel of a symbol: a finite measure on [0, inf), made of
+    exponential-polynomial densities and point masses.
 
-    modes: tuple of (c, alpha, power, offset) meaning the kernel piece
+    modes: tuple of (c, alpha, power, offset) meaning the density
 
         t |-> c * (t - offset)^{power-1} e^{-alpha (t - offset)} / (power-1)!
 
     supported on t >= offset, whose transform restores
     c e^{i omega offset} / (alpha - i omega)^power on the boundary.
-    delays: tuple of (weight, tau) point masses; constant: multiple of the
-    identity.  Simple-pole rationals have power = 1 and offset = 0; higher
-    powers only arise from products with repeated poles.
+    delays: tuple of (weight, tau) point masses; a constant c is the mass
+    (c, 0.0), which g(A) turns into c T(0) = c I.  Atoms have power = 1 and
+    offset = 0; higher powers only arise from products with repeated poles.
     """
 
     modes: tuple = ()
     delays: tuple = ()
-    constant: complex = 0.0
 
     def __post_init__(self):
         modes = tuple((complex(c), complex(a), int(p), float(o))
@@ -255,13 +240,12 @@ class KernelRep:
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "delays",
                            tuple((complex(w), float(t)) for w, t in self.delays))
-        object.__setattr__(self, "constant", complex(self.constant))
 
     def boundary_values(self, omega):
         """Transform of the kernel on the axis (matches eval_boundary of the
         originating symbol)."""
         w = np.atleast_1d(np.asarray(omega, dtype=float))
-        out = np.full(w.shape, self.constant, dtype=complex)
+        out = np.zeros(w.shape, dtype=complex)
         for c, a, p, off in self.modes:
             out += c * np.exp(1j * w * off) / (a - 1j * w) ** p
         for weight, tau in self.delays:
@@ -269,7 +253,7 @@ class KernelRep:
         return out
 
 
-def _merge(modes, delays, constant):
+def _merge(modes, delays):
     acc = {}
     for c, a, p, off in modes:
         key = (a, p, off)
@@ -280,7 +264,7 @@ def _merge(modes, delays, constant):
     for w, tau in delays:
         dacc[tau] = dacc.get(tau, 0.0) + w
     merged_delays = tuple((w, tau) for tau, w in dacc.items() if w != 0.0)
-    return KernelRep(merged_modes, merged_delays, constant)
+    return KernelRep(merged_modes, merged_delays)
 
 
 def _same_pole(a, b):
@@ -309,69 +293,41 @@ def _convolve_modes(m1, m2):
 
 
 def _convolve(k1, k2):
-    modes = []
-    delays = []
-    constant = k1.constant * k2.constant
-    for c, a, p, off in k1.modes:
-        if k2.constant != 0.0:
-            modes.append((c * k2.constant, a, p, off))
-    for c, a, p, off in k2.modes:
-        if k1.constant != 0.0:
-            modes.append((c * k1.constant, a, p, off))
-    for w, tau in k1.delays:
-        if k2.constant != 0.0:
-            delays.append((w * k2.constant, tau))
-    for w, tau in k2.delays:
-        if k1.constant != 0.0:
-            delays.append((w * k1.constant, tau))
-    for w, tau in k1.delays:
-        for c, a, p, off in k2.modes:
-            modes.append((w * c, a, p, off + tau))
-    for w, tau in k2.delays:
-        for c, a, p, off in k1.modes:
-            modes.append((w * c, a, p, off + tau))
-    for w1, t1 in k1.delays:
-        for w2, t2 in k2.delays:
-            delays.append((w1 * w2, t1 + t2))
+    """Convolution of two kernels: masses with masses, masses with modes
+    (a weighted, shifted mode) and modes with modes."""
+    delays = [(w1 * w2, t1 + t2) for w1, t1 in k1.delays
+              for w2, t2 in k2.delays]
+    modes = [(w * c, a, p, off + tau)
+             for masses, others in ((k1.delays, k2.modes),
+                                    (k2.delays, k1.modes))
+             for w, tau in masses for c, a, p, off in others]
     for m1 in k1.modes:
         for m2 in k2.modes:
             modes.extend(_convolve_modes(m1, m2))
-    return _merge(modes, delays, constant)
-
-
-def _scale_kernel(k, c):
-    return KernelRep(tuple((c * cc, a, p, off) for cc, a, p, off in k.modes),
-                     tuple((c * w, tau) for w, tau in k.delays),
-                     c * k.constant)
+    return _merge(modes, delays)
 
 
 def kernel(g):
     """Closed-form kernel representation of a symbol.
 
-    Atoms map to single modes, delays to point masses, constants to the
-    identity part; sums concatenate and products convolve.  Products of
+    Atoms map to single modes, delays to point masses and constants to
+    masses at 0; sums concatenate and products convolve.  Products of
     rationals re-expand by partial fractions; equal-pole products raise the
     mode power (they never error out, since pair batteries of atoms
     legitimately square a pole).
     """
     if isinstance(g, Constant):
-        return KernelRep(constant=g.value)
-    if isinstance(g, RationalPF):
-        return _merge([(c, a, 1, 0.0) for c, a in g.terms], [], 0.0)
+        return KernelRep(delays=((g.value, 0.0),))
+    if isinstance(g, Atom):
+        return KernelRep(modes=((g.c, g.alpha, 1, 0.0),))
     if isinstance(g, Delay):
         return KernelRep(delays=((1.0, g.tau),))
-    if isinstance(g, Scale):
-        return _scale_kernel(kernel(g.inner), g.factor)
     if isinstance(g, Sum):
-        modes, delays, constant = [], [], 0.0
-        for term in g.terms:
-            k = kernel(term)
-            modes.extend(k.modes)
-            delays.extend(k.delays)
-            constant += k.constant
-        return _merge(modes, delays, constant)
+        parts = [kernel(term) for term in g.terms]
+        return _merge([m for k in parts for m in k.modes],
+                      [d for k in parts for d in k.delays])
     if isinstance(g, Product):
-        k = KernelRep(constant=1.0)
+        k = KernelRep(delays=((1.0, 0.0),))
         for f in g.factors:
             k = _convolve(k, kernel(f))
         return k
@@ -438,7 +394,8 @@ class _Parser:
         while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
             op = self.take("op")[1]
             rhs = self.parse_term()
-            node = add(node, rhs if op == "+" else Scale(-1.0, rhs))
+            node = add(node, rhs if op == "+"
+                       else multiply(Constant(-1.0), rhs))
         return node
 
     def parse_term(self):
@@ -454,7 +411,7 @@ class _Parser:
             self.take("op", "-")
             if self.peek()[0] == "num":
                 return self.parse_number(-self.take("num")[1])
-            return Scale(-1.0, self.parse_factor())
+            return multiply(Constant(-1.0), self.parse_factor())
         if (kind, value) == ("name", "exp"):
             self.take("name", "exp")
             self.take("op", "(")
@@ -480,28 +437,11 @@ class _Parser:
 
     def parse_rational(self, numerator):
         self.take("op", "(")
-        if self.peek() == ("op", "("):
-            poles = []
-            while self.peek() == ("op", "("):
-                poles.append(self.parse_pole_group())
-            self.take("op", ")")
-        else:
-            poles = [self.parse_pole_body()]
-        if len(poles) == 1:
-            return atom(numerator, poles[0])
-        expr = Product(tuple(atom(1.0, p) for p in poles))
-        return expr if numerator == 1.0 else Scale(numerator, expr)
-
-    def parse_pole_group(self):
-        self.take("op", "(")
-        return self.parse_pole_body()
-
-    def parse_pole_body(self):
         alpha = self.take("num")[1]
         self.take("op", "-")
         self.take("name", "s")
         self.take("op", ")")
-        return alpha
+        return atom(numerator, alpha)
 
 
 def parse(text):
@@ -534,15 +474,12 @@ def to_text(g):
     `parse` reads it back to a symbol with exactly the same values."""
     if isinstance(g, Constant):
         return _fmt_scalar(g.value)
-    if isinstance(g, RationalPF):
-        return " + ".join(f"{_fmt_scalar(c)}/({_fmt_scalar(a)}-s)"
-                          for c, a in g.terms)
+    if isinstance(g, Atom):
+        return f"{_fmt_scalar(g.c)}/({_fmt_scalar(g.alpha)}-s)"
     if isinstance(g, Delay):
         return f"exp({_fmt_real(g.tau)}*s)"
     if isinstance(g, Sum):
         return " + ".join(to_text(t) for t in g.terms)
     if isinstance(g, Product):
         return "*".join(f"({to_text(f)})" for f in g.factors)
-    if isinstance(g, Scale):
-        return f"{_fmt_scalar(g.factor)}*({to_text(g.inner)})"
     raise TypeError(f"not a symbol expression: {g!r}")

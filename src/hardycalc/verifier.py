@@ -81,7 +81,14 @@ def _worst(values):
     return items[int(np.argmax([v for _, v in items]))]
 
 
-def check_T0(gen, g, t_grid=None):
+# the right-half-plane samples of check_eq21 and the probe time of
+# check_thm34
+_EQ21_SAMPLES = tuple(complex(re, im) for re in (0.1, 1.0, 10.0)
+                      for im in (0.0, 1.0, -1.0, 10.0, -10.0))
+_THM34_PROBE = 1.0
+
+
+def check_T0(gen, g):
     """Square-root-of-t bounds: lambda_max(Q_g) <= gamma_A ||g||^2 for the
     Gramian of (g(A), A), and sqrt(t)||g(A)T(t)|| <= sup_[0,1]||T|| * ||g||
     scanned over (0, 1].  Measured is the worst of the two slacks."""
@@ -89,10 +96,8 @@ def check_T0(gen, g, t_grid=None):
     syms = _symbol_list(g)
     gamma_A = observability_gramian(gen, np.eye(gen.dimension)).m_admissible
     M01 = sup_T_norm(gen)
-    if t_grid is None:
-        t_grid = np.geomspace(1e-4, 1.0, 120)
     gas = [_gA_exact(gen, g_k).matrix for g_k in syms]
-    scans = sqrt_t_bound_scan(gen, gas, t_grid)
+    scans = sqrt_t_bound_scan(gen, gas, np.geomspace(1e-4, 1.0, 120))
     slacks, which = {}, {}
     for k, (g_k, ga, (sup, t_best)) in enumerate(zip(syms, gas, scans)):
         h = _hinf(g_k)
@@ -107,27 +112,21 @@ def check_T0(gen, g, t_grid=None):
     return finish_report("T0", 1.0, measured, witness, 1e-4, started, details)
 
 
-def check_eq21(gen, g, s_samples=None):
+def check_eq21(gen, g):
     """Resolvent smoothing: sqrt(Re s)||g(A)(sI-A)^{-1}|| <= ||g|| over a
     right-half-plane sample grid."""
     started = time.perf_counter()
     syms = _symbol_list(g)
-    if s_samples is None:
-        s_samples = [complex(re, im) for re in (0.1, 1.0, 10.0)
-                     for im in (0.0, 1.0, -1.0, 10.0, -10.0)]
-    s_samples = [complex(s) for s in s_samples]
-    if any(s.real <= 0 for s in s_samples):
-        raise ValueError("samples must have positive real part")
     ratios = {}
     for k, g_k in enumerate(syms):
         h = _hinf(g_k)
         ga = _gA_exact(gen, g_k).matrix
-        for j, s in enumerate(s_samples):
+        for j, s in enumerate(_EQ21_SAMPLES):
             v = operator_norm(ga @ resolvent(gen, s))
             ratios[k, j] = math.sqrt(s.real) * v / h
     (k, j), measured = _worst(ratios)
-    witness = f"{to_text(syms[k])} at s={s_samples[j]:.3g}"
-    details = {"n_samples": len(s_samples)}
+    witness = f"{to_text(syms[k])} at s={_EQ21_SAMPLES[j]:.3g}"
+    details = {"n_samples": len(_EQ21_SAMPLES)}
     return finish_report("eq21", 1.0, measured, witness, 1e-6, started, details)
 
 
@@ -205,26 +204,24 @@ def _sqrt_gramian(gen):
     return gram, math.sqrt(2.0 * gram.m_admissible)
 
 
-def check_thm34(gen, g, t_probe=1.0):
-    """||g(A)|| <= m1 m2 ||g|| + ||g(A) T(t_probe)|| on real-spectrum
+def check_thm34(gen, g):
+    """||g(A)|| <= m1 m2 ||g|| + ||g(A) T(1)|| on real-spectrum
     diagonal generators, with m1, m2 the square-root admissibility
     constants of the adjoint and forward semigroups."""
     _require_real_diagonal(gen)
     started = time.perf_counter()
     syms = _symbol_list(g)
-    if t_probe <= 0:
-        raise ValueError("t_probe must be positive")
     m1 = m2 = _sqrt_gramian(gen)[1]
     lam = gen.eigenvalues
     ratios = {}
     for k, g_k in enumerate(syms):
         d = eval_at(g_k, lam)
         norm_ga = float(np.max(np.abs(d)))
-        probe = float(np.max(np.abs(d) * np.exp(lam.real * t_probe)))
+        probe = float(np.max(np.abs(d) * np.exp(lam.real * _THM34_PROBE)))
         ratios[k] = norm_ga / (m1 * m2 * _hinf(g_k) + probe)
     k, measured = _worst(ratios)
     witness = to_text(syms[k])
-    details = {"m1": m1, "m2": m2, "t_probe": float(t_probe)}
+    details = {"m1": m1, "m2": m2, "t_probe": _THM34_PROBE}
     return finish_report("thm34", 1.0, measured, witness, 1e-6, started,
                          details)
 

@@ -167,8 +167,8 @@ _WEIGHTS = (mp.mpf(3) / 8, mp.mpf(7) / 6, mp.mpf(23) / 24)
 
 
 def _mp_multiplier(krep, grid, k):
-    """The multiplier at FFT bin k from its definition at 40 digits: the
-    constant, w e^{i omega tau} per delay and, per mode, the endpoint-
+    """The multiplier at FFT bin k from its definition at 40 digits:
+    w e^{i omega tau} per point mass and, per mode, the endpoint-
     weighted sum scale e^{i omega offset} sum_v w_v v^j q^v with
     q = e^{(-alpha + i omega) dt}, the full power sum taken as polylog(-j, q)
     and the first three terms reweighted."""
@@ -176,7 +176,7 @@ def _mp_multiplier(krep, grid, k):
         n = grid.n_samples
         freq = k if k < n else k - 2 * n  # numpy's bin order
         omega = 2 * mp.pi * freq / (2 * n * mp.mpf(grid.dt))
-        out = mp.mpc(krep.constant)
+        out = mp.mpc(0)
         for weight, tau in krep.delays:
             out += weight * mp.expj(omega * tau)
         for c, alpha, p, off in krep.modes:

@@ -250,6 +250,13 @@ class TestHermitianEigs:
         with pytest.raises(ValueError):
             hermitian_eigs(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_bad_eigenpairs_raise(self, monkeypatch):
+        # the right eigenvalues with the wrong vectors: residual ||(1, 1)||
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda H: (np.array([1.0, 3.0]), np.eye(2)))
+        with pytest.raises(ConvergenceError, match="residual"):
+            hermitian_eigs(np.array([[2.0, 1.0], [1.0, 2.0]]))
+
 
 class TestSolveLyapunov:
     def test_diagonal_closed_form(self):

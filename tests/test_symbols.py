@@ -2,17 +2,21 @@
 
 import functools
 import math
+import typing
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hardycalc import symbols
 from hardycalc.symbols import (
+    Atom,
     Constant,
     Delay,
     KernelRep,
-    RationalPF,
-    Scale,
+    Product,
+    Sum,
+    SymbolExpr,
     add,
     atom,
     eval_at,
@@ -43,7 +47,8 @@ class TestEvaluation:
         assert eval_at(Delay(0.5), -1.0) == pytest.approx(math.exp(-0.5))
 
     def test_sum_product_scale(self):
-        g = Scale(2.0, add(atom(1.0, 1.0), multiply(Constant(3.0), atom(1.0, 2.0))))
+        inner = add(atom(1.0, 1.0), multiply(Constant(3.0), atom(1.0, 2.0)))
+        g = multiply(Constant(2.0), inner)
         s = -1.0
         ref = 2.0 * (1.0 / 2.0 + 3.0 / 3.0)
         assert eval_at(g, s) == pytest.approx(ref)
@@ -79,7 +84,7 @@ class TestHinfNorm:
 class TestKernel:
     def test_atom_single_mode(self):
         krep = kernel(atom(2.0, 3.0))
-        assert krep.constant == 0
+        assert krep.delays == ()
         assert len(krep.modes) == 1
         c, alpha, p, off = krep.modes[0]
         assert (c, alpha, p, off) == (2.0, 3.0, 1, 0.0)
@@ -120,7 +125,8 @@ class TestKernel:
 
     def test_constant_term(self):
         krep = kernel(add(Constant(0.5), atom(0.4, 2.0)))
-        assert krep.constant == pytest.approx(0.5)
+        # a constant is the kernel's point mass at tau = 0
+        assert krep.delays == ((0.5, 0.0),)
 
     def test_kernel_matches_evaluation(self):
         # reconstruct g(s) from kernel data on a sample of left half-plane points
@@ -129,7 +135,7 @@ class TestKernel:
         rng = np.random.default_rng(1)
         for _ in range(6):
             s = complex(-rng.uniform(0.1, 3.0), rng.uniform(-3.0, 3.0))
-            val = krep.constant
+            val = 0.0
             for w, tau in krep.delays:
                 val += w * np.exp(s * tau)
             for c, alpha, p, off in krep.modes:
@@ -150,9 +156,17 @@ class TestParse:
         assert eval_at(parse(" 1 / ( 1 - s ) "), -1.0) == pytest.approx(0.5)
 
     def test_malformed_raises(self):
-        for text in ("1/(2-s", "1//(2-s)", "", "2+s", "1/(s-2)"):
+        # a product of poles is written as a product of atoms, not as the
+        # pole group 1/((1-s)(3-s))
+        for text in ("1/(2-s", "1//(2-s)", "", "2+s", "1/(s-2)",
+                     "1/((1-s)(3-s))"):
             with pytest.raises(ValueError):
                 parse(text)
+
+    def test_minus_is_a_product_with_minus_one(self):
+        assert parse("1/(1-s) - exp(0.5*s)") == add(
+            atom(1.0, 1.0), multiply(Constant(-1.0), Delay(0.5)))
+        assert parse("-(1/(1-s))") == multiply(Constant(-1.0), atom(1.0, 1.0))
 
 
 class TestToText:
@@ -218,7 +232,8 @@ _KERNEL_SYMBOLS = st.recursive(
               st.builds(Constant, _KERNEL_COEFFS)),
     lambda inner: st.one_of(st.builds(add, inner, inner),
                             st.builds(multiply, inner, inner),
-                            st.builds(Scale, _KERNEL_COEFFS, inner)),
+                            st.builds(lambda c, g: multiply(Constant(c), g),
+                                      _KERNEL_COEFFS, inner)),
     max_leaves=8)
 
 
@@ -244,7 +259,7 @@ class TestValidation:
 
     def test_rational_pf_rejects_unstable_pole(self):
         with pytest.raises(ValueError):
-            RationalPF(((1.0, -2.0),))
+            Atom(1.0, -2.0)
 
     def test_kernel_rep_rejects_bad_power(self):
         with pytest.raises(ValueError):
@@ -253,3 +268,36 @@ class TestValidation:
     def test_delay_nonnegative(self):
         with pytest.raises(ValueError):
             Delay(-0.1)
+
+
+# one instance of every symbol type; a type added to SymbolExpr needs a row
+_ONE_OF_EACH = {
+    Constant: Constant(0.5),
+    Atom: atom(1.0, 2.0),
+    Delay: Delay(0.25),
+    Sum: add(atom(1.0, 2.0), Constant(0.5)),
+    Product: multiply(Delay(0.25), atom(1.0, 2.0)),
+}
+
+
+class TestDispatch:
+    def test_symbol_expr_has_five_members(self):
+        assert set(typing.get_args(SymbolExpr)) == set(_ONE_OF_EACH)
+
+    @pytest.mark.parametrize("cls", typing.get_args(SymbolExpr),
+                             ids=lambda cls: cls.__name__)
+    def test_every_member_is_handled(self, cls):
+        g = _ONE_OF_EACH[cls]
+        assert type(g) is cls
+        assert symbols._eval(g, np.array([-1.0 + 0.5j])).shape == (1,)
+        assert kernel(g).boundary_values(0.3)[0] \
+            == pytest.approx(eval_boundary(g, 0.3), rel=1e-12)
+        assert parse(to_text(g)) == g
+
+    @pytest.mark.parametrize("bad", [None, 1.0, "1/(2-s)", KernelRep(),
+                                     (Constant(1.0),)])
+    def test_anything_else_is_a_type_error(self, bad):
+        for fn in (lambda g: symbols._eval(g, np.zeros(1, dtype=complex)),
+                   kernel, to_text):
+            with pytest.raises(TypeError):
+                fn(bad)
