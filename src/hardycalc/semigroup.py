@@ -3,10 +3,13 @@ exponential-stability certificates.
 
 Two generator kinds are supported: Diagonal (eigenvalues known by
 construction, semigroup evaluated exactly) and Dense (stability certified by
-a Lyapunov witness before any use).  Other modules reach T(t) only through
+a Lyapunov witness before any use).  Other modules reach T(t) through
 `evaluate_T`, `norm_scan`, `orbit_average`, `panel_doubling` and the
-certificate's decay envelope, and test the kind only to guard an input or
-to pick a quadrature rule or its result's shape.  Samplers produce seeded
+certificate's decay envelope, except `calculus.gA_toeplitz` (T(k dt) by
+`_power_chain`) and, on diagonal generators, the Gramian quadrature and the
+thm34, analytic-lemma, eq26 and square-function checks, which exponentiate
+`eigenvalues` themselves.  They test the kind only to guard an input or to
+pick a quadrature rule or its result's shape.  Samplers produce seeded
 dissipative and similarity-transformed stable test matrices.  All semigroup
 integrals use the composite Gauss-Legendre panel rule defined here.
 

@@ -12,8 +12,8 @@ route to g(A) and the discrete Toeplitz realization consume.
 
 from __future__ import annotations
 
+import ast
 import math
-import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -167,12 +167,15 @@ def hinf_norm(g):
     """sup over the axis of |g(i omega)|.
 
     Log-spaced sampling of |omega| up to 1e6 (2048 points plus the origin)
-    followed by golden-section refinement around the grid maximum.  One-sided
-    error is at the percent level in the worst case for the rational/delay
-    class; exact whenever the sup sits at omega = 0 or the symbol is flat.
+    and at the kernel's pole frequencies Im(alpha), followed by golden-section
+    refinement around the grid maximum.  One-sided error is at the percent
+    level in the worst case for the rational/delay class; exact whenever the
+    sup sits at omega = 0 or the symbol is flat.
     """
-    pos = np.logspace(-4.0, 6.0, 1024)
-    grid = np.concatenate([-pos[::-1], [0.0], pos])
+    pos = np.logspace(-4.0, 6.0, 1024).tolist()
+    peaks = {m[1].imag for m in kernel(g).modes}
+    # one set, so a pole frequency already on the grid is not sampled twice
+    grid = np.array(sorted({*(-w for w in pos), 0.0, *pos, *peaks}))
     vals = np.abs(eval_boundary(g, grid))
     i = int(np.argmax(vals))
     best = float(vals[i])
@@ -335,122 +338,73 @@ def kernel(g):
 
 
 # ---------------------------------------------------------------------------
-# small DSL: "1/(2-s)", "exp(0.5*s)", "0.3*(1/(1-s))*(1/(3-s))",
-# "1/((1+2j)-s)"; a complex literal is written (a+bj)
+# the text form, a subset of Python expressions: "1/(2-s)", "exp(0.5*s)",
+# "0.3*(1/(1-s))*(1/(3-s))", "1/((1+2j)-s)"; a complex literal is (a+bj)
 
 
-_NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-_TOKEN_RE = re.compile(
-    rf"\s*(?:(?P<cplx>\(\s*(?P<re>-?{_NUM})\s*(?P<sign>[+-])\s*"
-    rf"(?P<im>{_NUM})j\s*\))"
-    rf"|(?P<num>{_NUM})"
-    r"|(?P<name>exp|s)"
-    r"|(?P<op>[()+\-*/]))")
+def _number(node):
+    """Value of a real literal (a float) or of (a+bj), negated when one minus
+    directly precedes it; None for any other node."""
+    match node:
+        case ast.UnaryOp(ast.USub(), ast.Constant() | ast.BinOp() as operand):
+            value = _number(operand)
+            return None if value is None else -value
+        case ast.Constant(value) if type(value) in (int, float):
+            return float(value)
+        case ast.BinOp(re, ast.Add() | ast.Sub() as op,
+                       ast.Constant(complex() as im)):
+            re = _number(re)
+            if isinstance(re, float):
+                # complex(re, im) keeps a -0 real part, which re + im loses
+                return complex(re, im.imag if isinstance(op, ast.Add)
+                               else -im.imag)
+    return None
 
 
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise ValueError(f"cannot tokenize symbol text at {text[pos:]!r}")
-        if m.group("cplx") is not None:
-            imag = float(m.group("sign") + m.group("im"))
-            tokens.append(("num", complex(float(m.group("re")), imag)))
-        elif m.group("num") is not None:
-            tokens.append(("num", float(m.group("num"))))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name")))
-        else:
-            tokens.append(("op", m.group("op")))
-        pos = m.end()
-    return tokens
+def _operand(node):
+    value = _number(node)
+    if value is not None:
+        return Constant(value)
+    match node:
+        case ast.UnaryOp(ast.USub(), operand):
+            return multiply(Constant(-1.0), _walk(operand))
+        case ast.BinOp(c, ast.Div(), ast.BinOp(alpha, ast.Sub(), ast.Name("s"))):
+            c, alpha = _number(c), _number(alpha)
+            if c is not None and alpha is not None:
+                return atom(c, alpha)
+        case ast.Call(ast.Name("exp"),
+                      [ast.BinOp(tau, ast.Mult(), ast.Name("s"))], []):
+            tau = _number(tau)
+            if isinstance(tau, float):
+                return Delay(tau)
+    raise ValueError(f"not a symbol term: {ast.unparse(node)!r}")
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
-
-    def take(self, kind=None, value=None):
-        tok = self.peek()
-        if tok[0] is None:
-            raise ValueError("unexpected end of symbol text")
-        if kind is not None and tok[0] != kind:
-            raise ValueError(f"expected {kind}, got {tok}")
-        if value is not None and tok[1] != value:
-            raise ValueError(f"expected {value!r}, got {tok}")
-        self.pos += 1
-        return tok
-
-    def parse_expr(self):
-        node = self.parse_term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            op = self.take("op")[1]
-            rhs = self.parse_term()
-            node = add(node, rhs if op == "+"
-                       else multiply(Constant(-1.0), rhs))
-        return node
-
-    def parse_term(self):
-        node = self.parse_factor()
-        while self.peek() == ("op", "*"):
-            self.take("op", "*")
-            node = multiply(node, self.parse_factor())
-        return node
-
-    def parse_factor(self):
-        kind, value = self.peek()
-        if (kind, value) == ("op", "-"):
-            self.take("op", "-")
-            if self.peek()[0] == "num":
-                return self.parse_number(-self.take("num")[1])
-            return multiply(Constant(-1.0), self.parse_factor())
-        if (kind, value) == ("name", "exp"):
-            self.take("name", "exp")
-            self.take("op", "(")
-            tau = self.take("num")[1]
-            self.take("op", "*")
-            self.take("name", "s")
-            self.take("op", ")")
-            return Delay(tau)
-        if (kind, value) == ("op", "("):
-            self.take("op", "(")
-            node = self.parse_expr()
-            self.take("op", ")")
-            return node
-        if kind == "num":
-            return self.parse_number(self.take("num")[1])
-        raise ValueError(f"unexpected token {(kind, value)} in symbol text")
-
-    def parse_number(self, c):
-        if self.peek() == ("op", "/"):
-            self.take("op", "/")
-            return self.parse_rational(c)
-        return Constant(c)
-
-    def parse_rational(self, numerator):
-        self.take("op", "(")
-        alpha = self.take("num")[1]
-        self.take("op", "-")
-        self.take("name", "s")
-        self.take("op", ")")
-        return atom(numerator, alpha)
+def _walk(node):
+    # the left spine of +, - and * is walked in a loop, so that a long sum
+    # does not recurse; a complex literal (a+bj) is an operand, not a link
+    links = []
+    while (isinstance(node, ast.BinOp)
+           and isinstance(node.op, (ast.Add, ast.Sub, ast.Mult))
+           and _number(node) is None):
+        links.append(node)
+        node = node.left
+    tree = _operand(node)
+    for link in reversed(links):
+        right = _walk(link.right)
+        if isinstance(link.op, ast.Sub):
+            right = multiply(Constant(-1.0), right)
+        tree = (multiply if isinstance(link.op, ast.Mult) else add)(tree, right)
+    return tree
 
 
 def parse(text):
-    """Parse the small symbol DSL into an expression tree."""
-    parser = _Parser(_tokenize(text))
-    node = parser.parse_expr()
-    if parser.peek()[0] is not None:
-        raise ValueError(f"trailing tokens in symbol text {text!r}")
-    return node
+    """Read the text form, a Python expression of only the node shapes that
+    `_walk` and `_operand` accept, into an expression tree; else ValueError."""
+    try:
+        return _walk(ast.parse(text.strip(), mode="eval").body)
+    except (SyntaxError, RecursionError, OverflowError) as exc:
+        raise ValueError(f"malformed symbol text: {exc}") from exc
 
 
 def _fmt_real(x):

@@ -81,6 +81,13 @@ class TestExitCodes:
         assert main(["run", "--config", str(p)]) == 2
         assert "1/((1-s)(3-s))" in capsys.readouterr().err
 
+    def test_deeply_nested_symbol_is_2(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"scenario": "example26", "symbols": [
+            "(" * 2000 + "1/(2-s)" + ")" * 2000]}))
+        assert main(["run", "--config", str(p)]) == 2
+        assert "config error" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", [5, None, "1/(2-s)"])
     def test_symbols_not_a_list_is_2(self, value, tmp_path, capsys):
         p = tmp_path / "cfg.json"

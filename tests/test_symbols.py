@@ -4,6 +4,7 @@ import functools
 import math
 import typing
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -79,6 +80,26 @@ class TestHinfNorm:
         g2 = add(atom(0.4, 2.0), Constant(0.5))
         prod = hinf_norm(multiply(g1, g2))
         assert prod <= hinf_norm(g1) * hinf_norm(g2) * (1.0 + 1e-9)
+
+    def test_peak_between_grid_points(self):
+        # the 1/0.001 peak at omega = 37.3 falls between log-spaced grid
+        # points, while w0, the grid point nearest 50, holds the 0.8/0.001
+        # peak, so the sampled maximum alone gives 800.0000139614843
+        w0 = 49.99478800728137
+        g = add(atom(1.0, 0.001 + 37.3j), atom(0.8, complex(0.001, w0)))
+        with mpmath.workdps(40):
+            poles = [(1, mpmath.mpc(0.001, 37.3)),
+                     (mpmath.mpf(0.8), mpmath.mpc(0.001, w0))]
+
+            def slope(w):  # d|g(iw)|^2/dw, up to a factor 2
+                val = sum(c / (a - 1j * w) for c, a in poles)
+                der = sum(1j * c / (a - 1j * w) ** 2 for c, a in poles)
+                return mpmath.re(mpmath.conj(val) * der)
+
+            peak = mpmath.findroot(slope, (37.299, 37.301), solver="anderson")
+            sup = float(abs(sum(c / (a - 1j * peak) for c, a in poles)))
+        assert sup == pytest.approx(1000.0000089353501, rel=1e-15)
+        assert hinf_norm(g) == pytest.approx(sup, rel=1e-12)
 
 
 class TestKernel:
@@ -197,6 +218,21 @@ class TestToText:
         g = atom(1.0, 1.2345678901)
         assert parse(to_text(g)) == g
         assert hinf_norm(parse(to_text(g))) == hinf_norm(g)
+
+
+class TestParseLimits:
+    def test_long_sum_parses(self):
+        g = parse(" + ".join(["1/(2-s)"] * 1000))
+        assert g == Sum((atom(1.0, 2.0),) * 1000)
+
+    @pytest.mark.parametrize("text", ["(" * 2000 + "1/(2-s)" + ")" * 2000,
+                                      "exp((1+2j)*s)"],
+                             ids=["nested_2000", "complex_delay"])
+    def test_raises_value_error(self, text):
+        # not a RecursionError from the nesting, nor a TypeError from the
+        # complex tau reaching Delay
+        with pytest.raises(ValueError):
+            parse(text)
 
 
 _REALS = st.floats(-1e6, 1e6, allow_nan=False)

@@ -28,6 +28,7 @@ from hardycalc.verifier import (
     check_cor33a,
     check_eq21,
     check_eq26,
+    check_resolvent_identity,
     check_square_function,
     check_thm33,
     check_thm34,
@@ -424,6 +425,39 @@ class TestCalculusPairs:
         rep = check_calculus_pairs(CALCULUS_GEN, [g1, g2])
         assert not rep.passed
         assert rep.witness.startswith(f"g1={to_text(g1)}, g2={to_text(g2)}")
+
+
+class TestResolventIdentity:
+    GENS = [(seed, random_stable(8, seed)) for seed in (8, 9, 10)]
+    GRID = GridSpec(4096, 2.0 ** -8)
+
+    def test_convolution_claims_its_error_estimate(self):
+        conv, _ = check_resolvent_identity(self.GENS, self.GRID)
+        room = {}
+        for seed, gen in self.GENS:
+            ga = gA_convolution(gen, G)
+            measured = float(np.linalg.norm(ga.matrix - resolvent(gen, 2.0), 2))
+            room[seed] = (measured / (ga.est_error * (1.0 + 1e-9) + 1e-9),
+                          ga.est_error, measured)
+        seed = max(room, key=lambda s: room[s][0])
+        assert conv.witness == f"seed {seed}"
+        assert conv.tolerance == 1e-9
+        assert conv.bound_claimed == room[seed][1]
+        assert conv.bound_measured == pytest.approx(room[seed][2], rel=1e-9)
+        assert conv.passed
+
+    def test_a_wrong_convolution_fails(self, monkeypatch):
+        # a 1e-7 relative error is far above the route's error estimate
+        convolve = verifier.gA_convolution
+
+        def wrong(gen, g):
+            out = convolve(gen, g)
+            return dataclasses.replace(out, matrix=(1 + 1e-7) * out.matrix)
+
+        monkeypatch.setattr(verifier, "gA_convolution", wrong)
+        conv, toep = check_resolvent_identity(self.GENS, self.GRID)
+        assert not conv.passed
+        assert toep.passed
 
 
 class TestNanRatio:
