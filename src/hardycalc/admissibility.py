@@ -8,13 +8,13 @@ squared exact-observability constant (lambda_min).  `observability_gramian`
 is the only source of these constants for the checks: gamma_A and the
 Gramian of g(A) in T0, the constants of Theorem 3.3, the square-root
 constants m1 = m2 of Theorem 3.4, the analytic lemma and eq. (26), and the
-sqrt(t) bound.  Each Gramian it returns is cross-checked against a direct
-Gauss-Legendre quadrature in time on five seeded states; disagreement
-beyond 1e-4 relative aborts with ArithmeticError rather than returning a
-silently wrong constant.  The one Lyapunov solve outside it is the
-Gramian G of Corollary 3.3(a), which is the measured side of the identity
-G = I rather than a constant.  Verdicts on these numbers are made in
-`verifier`.
+sqrt(t) bound.  Each Gramian it returns is cross-checked against the
+time quadrature `semigroup.energy_integrals` on five seeded states;
+disagreement beyond 1e-4 relative aborts with ArithmeticError rather than
+returning a silently wrong constant.  The one Lyapunov solve outside it is
+the Gramian G of Corollary 3.3(a), which is the measured side of the
+identity G = I rather than a constant.  Verdicts on these numbers are made
+in `verifier`.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numkernel import hermitian_eigs, solve_lyapunov
-from .semigroup import (dyadic_edges, norm_scan, orbit_average, panel_doubling,
-                        panel_rule, resolvent, semigroup_bounds)
+from .semigroup import energy_integrals, norm_scan, orbit_average, resolvent
 
 __all__ = [
     "ExtensionTrace",
@@ -69,23 +68,6 @@ def _observation_matrix(C, gen):
     return M
 
 
-def _gramian_quadrature(gen, Cm, xs):
-    """Direct quadrature of int ||C T(t) x||^2 dt for each state in xs, on
-    dyadic panels when diagonal and on doubled equal panels when dense."""
-    horizon = semigroup_bounds(gen, 1e-12)
-    if gen.kind == "diagonal":
-        nodes, w = panel_rule(dyadic_edges(horizon))
-        E = np.exp(np.outer(nodes, gen.eigenvalues))
-        return np.array([w @ np.sum(np.abs((E * x) @ Cm.T) ** 2, axis=1)
-                         for x in xs])
-    X = np.stack(xs, axis=1)
-
-    def energies(u, w, Tu):
-        return list(w @ np.sum(np.abs(Cm @ (Tu @ X)) ** 2, axis=1))
-
-    return np.array(panel_doubling(gen, horizon, energies)[0])
-
-
 def observability_gramian(gen, C):
     """Gramian by Lyapunov solve, with eigenvalue extraction and a mandatory
     time-domain cross-check on five seeded random states."""
@@ -101,7 +83,7 @@ def observability_gramian(gen, C):
         v = rng.standard_normal(gen.dimension) + 1j * rng.standard_normal(gen.dimension)
         xs.append(v / np.linalg.norm(v))
     refs = np.array([float((x.conj() @ Q @ x).real) for x in xs])
-    quads = _gramian_quadrature(gen, Cm, xs)
+    quads = energy_integrals(gen, Cm, xs)
     rel = float(np.max(np.abs(quads - refs) / np.maximum(np.abs(refs), 1e-30)))
     if rel > 1e-4:
         raise ArithmeticError(

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numkernel import ConvergenceError, linear_solve
-from .semigroup import (_power_chain, evaluate_T, panel_doubling, resolvent,
+from .semigroup import (evaluate_T, panel_doubling, resolvent, sampled_T,
                         semigroup_bounds)
 from .symbols import kernel
 from .hardy import SampledSignal, toeplitz_apply
@@ -144,11 +144,10 @@ def gA_toeplitz(gen, g, grid):
     _require_horizon(gen, grid)
     n = grid.n_samples
     N = gen.dimension
-    Th = evaluate_T(gen, grid.dt)
-    mats = _power_chain(Th, n)
+    mats = sampled_T(gen, grid.dt, n)
     out = toeplitz_apply(g, SampledSignal(grid, mats.reshape(n, N * N)))
     out = out.values.reshape(n, N, N)
-    G1 = linear_solve(Th.T, out[1].T).T
+    G1 = linear_solve(mats[1].T, out[1].T).T
     G2 = linear_solve(evaluate_T(gen, 2.0 * grid.dt).T, out[2].T).T
     G = 2.0 * G1 - G2
     est = max(float(np.linalg.norm(G1 - G2)), 1e-12)

@@ -3,13 +3,11 @@ exponential-stability certificates.
 
 Two generator kinds are supported: Diagonal (eigenvalues known by
 construction, semigroup evaluated exactly) and Dense (stability certified by
-a Lyapunov witness before any use).  Other modules reach T(t) through
-`evaluate_T`, `norm_scan`, `orbit_average`, `panel_doubling` and the
-certificate's decay envelope, except `calculus.gA_toeplitz` (T(k dt) by
-`_power_chain`) and, on diagonal generators, the Gramian quadrature and the
-thm34, analytic-lemma, eq26 and square-function checks, which exponentiate
-`eigenvalues` themselves.  They test the kind only to guard an input or to
-pick a quadrature rule or its result's shape.  Samplers produce seeded
+a Lyapunov witness before any use).  Other modules reach T(t) only through
+the evaluators here (`evaluate_T`, `sampled_T`, `norm_scan`,
+`orbit_energies`, `energy_integrals`, `orbit_average`, `panel_doubling`) and
+the certificate's decay envelope; they test the kind only to guard an input
+or to lift a diagonal result to a matrix.  Samplers produce seeded
 dissipative and similarity-transformed stable test matrices.  All semigroup
 integrals use the composite Gauss-Legendre panel rule defined here.
 
@@ -41,18 +39,19 @@ __all__ = [
     "StabilityCertificate",
     "StabilityError",
     "certify_stable",
-    "dyadic_edges",
+    "energy_integrals",
     "evaluate_T",
     "example26",
     "generator_from_json",
     "generator_to_json",
     "norm_scan",
     "orbit_average",
+    "orbit_energies",
     "panel_doubling",
-    "panel_rule",
     "random_dissipative",
     "random_stable",
     "resolvent",
+    "sampled_T",
     "semigroup_bounds",
     "sup_T_norm",
 ]
@@ -178,18 +177,36 @@ def norm_scan(gen, Xs, ts):
     if gen.kind == "diagonal":
         lam = gen.eigenvalues.real
         peaks = -1.0 / (2.0 * lam)
-        ts = np.unique(np.concatenate(
-            [ts, peaks[(peaks >= ts.min()) & (peaks <= ts.max())]]))
-        if all(np.array_equal(X, np.diag(np.diagonal(X))) for X in Xs):
-            decay = np.exp(np.outer(ts, lam))
-            return ts, np.array([np.max(np.abs(np.diagonal(X)) * decay,
-                                        axis=1) for X in Xs])
-    ts = np.unique(ts)
+        ts = np.concatenate(
+            [ts, peaks[(peaks >= ts.min()) & (peaks <= ts.max())]])
+    # np.unique's own sort and mask, without the numpy.ma import it makes
+    ts = np.sort(ts)
+    ts = ts[np.concatenate([[True], ts[1:] != ts[:-1]])]
+    if gen.kind == "diagonal" and all(
+            np.array_equal(X, np.diag(np.diagonal(X))) for X in Xs):
+        decay = np.exp(np.outer(ts, lam))
+        return ts, np.array([np.max(np.abs(np.diagonal(X)) * decay, axis=1)
+                             for X in Xs])
     norms = np.empty((len(Xs), ts.size))
     for j, t in enumerate(ts):
         Tt = evaluate_T(gen, t)
         norms[:, j] = [operator_norm(X @ Tt) for X in Xs]
     return ts, norms
+
+
+def orbit_energies(gen, C, xs, ts):
+    """The (len(xs), len(ts)) array of ||C T(t) x||^2 for a matrix C:
+    vectorized when diagonal, else one T(t) per time shared by every x."""
+    ts = np.asarray(ts, dtype=float)
+    if np.any(ts < 0):
+        raise ValueError("semigroup time must be nonnegative")
+    if gen.kind == "diagonal":
+        E = np.exp(np.outer(ts, gen.eigenvalues))
+        return np.array([np.sum(np.abs((E * x) @ C.T) ** 2, axis=1)
+                         for x in xs])
+    X = np.stack(xs, axis=1)
+    return np.array([np.sum(np.abs(C @ (evaluate_T(gen, t) @ X)) ** 2, axis=0)
+                     for t in ts]).T
 
 
 def _phi1(z):
@@ -357,6 +374,11 @@ def _power_chain(Th, count):
     return mats
 
 
+def sampled_T(gen, dt, count):
+    """The stack of T(k dt) for k < count: powers of T(dt) by doubling."""
+    return _power_chain(evaluate_T(gen, dt), count)
+
+
 def _panel_samples(gen, horizon, panels):
     """Nodes u, weights w and T(u) for `panels` equal panels on [0, horizon]:
     (m, N) eigenvalue exponentials when diagonal, else the (m, N, N) stack
@@ -397,6 +419,22 @@ def panel_doubling(gen, horizon, integrate):
         prev = values
     raise ConvergenceError("panel quadrature did not converge in "
                            f"{_GL_MAX_DOUBLINGS} panel doublings")
+
+
+def energy_integrals(gen, C, xs):
+    """int_0^h ||C T(t) x||^2 dt for each x in xs, h = semigroup_bounds(gen,
+    1e-12): dyadic panels over `orbit_energies` when diagonal, else
+    `panel_doubling`."""
+    horizon = semigroup_bounds(gen, 1e-12)
+    if gen.kind == "diagonal":
+        nodes, w = panel_rule(dyadic_edges(horizon))
+        return orbit_energies(gen, C, xs, nodes) @ w
+    X = np.stack(xs, axis=1)
+
+    def energies(u, w, Tu):
+        return list(w @ np.sum(np.abs(C @ (Tu @ X)) ** 2, axis=1))
+
+    return np.array(panel_doubling(gen, horizon, energies)[0])
 
 
 # ---------------------------------------------------------------------------

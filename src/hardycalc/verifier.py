@@ -30,19 +30,19 @@ import time
 
 import numpy as np
 
-from .admissibility import (_require_real_diagonal, lambda_limit,
-                            lebesgue_limit, observability_gramian,
-                            sqrt_minus_A, sqrt_t_bound_scan)
+from .admissibility import (lambda_limit, lebesgue_limit,
+                            observability_gramian, sqrt_minus_A,
+                            sqrt_t_bound_scan)
 from .calculus import _gA_exact, gA_convolution, gA_toeplitz
 from .hardy import (GridSpec, SampledSignal, _apply_multiplier,
                     _causal_window, _guarded_spectrum, _l2_norms,
                     discrete_multiplier, shift, times)
 from .numkernel import hermitian_eigs, operator_norm, solve_lyapunov
 from .report import finish_report
-from .semigroup import (dyadic_edges, evaluate_T, example26, panel_rule,
-                        resolvent, semigroup_bounds, sup_T_norm)
-from .symbols import (Constant, add, atom, eval_at, hinf_norm, multiply,
-                      to_text)
+from .semigroup import (energy_integrals, evaluate_T, example26, norm_scan,
+                        orbit_energies, resolvent, semigroup_bounds,
+                        sup_T_norm)
+from .symbols import Constant, add, atom, hinf_norm, multiply, to_text
 
 __all__ = [
     "check_T0",
@@ -74,6 +74,11 @@ def _hinf(g):
     return hinf_norm(g)
 
 
+def _ratio(x, bound):
+    """x over a symbol's bound, 0/0 = 0 and x/0 = inf: 0 <= C*0 holds."""
+    return x / bound if bound != 0 else (0.0 if x == 0 else math.inf)
+
+
 def _worst(values):
     """(key, value) of the largest value, the first in key order on a tie;
     a nan counts as the largest, so that it fails the verdict."""
@@ -101,8 +106,9 @@ def check_T0(gen, g):
     slacks, which = {}, {}
     for k, (g_k, ga, (sup, t_best)) in enumerate(zip(syms, gas, scans)):
         h = _hinf(g_k)
-        r_gram = observability_gramian(gen, ga).m_admissible / (gamma_A * h * h)
-        r_scan = sup / (M01 * h)
+        r_gram = _ratio(observability_gramian(gen, ga).m_admissible,
+                        gamma_A * h * h)
+        r_scan = _ratio(sup, M01 * h)
         slacks[k] = max(r_gram, r_scan)
         which[k] = "gramian" if r_gram >= r_scan else f"scan t={t_best:.4g}"
     k, measured = _worst(slacks)
@@ -123,7 +129,7 @@ def check_eq21(gen, g):
         ga = _gA_exact(gen, g_k).matrix
         for j, s in enumerate(_EQ21_SAMPLES):
             v = operator_norm(ga @ resolvent(gen, s))
-            ratios[k, j] = math.sqrt(s.real) * v / h
+            ratios[k, j] = _ratio(math.sqrt(s.real) * v, h)
     (k, j), measured = _worst(ratios)
     witness = f"{to_text(syms[k])} at s={_EQ21_SAMPLES[j]:.3g}"
     details = {"n_samples": len(_EQ21_SAMPLES)}
@@ -140,8 +146,8 @@ def check_thm33(gen, C, g):
         raise ValueError("exact observability required: m_exact <= 0")
     factor = math.sqrt(gram.m_admissible / gram.m_exact)
     k, measured = _worst({
-        k: operator_norm(gA_convolution(gen, g_k).matrix)
-        / (factor * _hinf(g_k)) for k, g_k in enumerate(syms)})
+        k: _ratio(operator_norm(gA_convolution(gen, g_k).matrix),
+                  factor * _hinf(g_k)) for k, g_k in enumerate(syms)})
     witness = to_text(syms[k])
     details = {"m_admissible": gram.m_admissible, "m_exact": gram.m_exact,
                "bound_factor": factor}
@@ -173,7 +179,7 @@ def check_cor33a(gen, g):
     r_gram = float(np.linalg.norm(G - np.eye(N)))
     r_pair = float(np.linalg.norm(R + A + A.conj().T))
     k, worst_ratio = _worst({
-        k: operator_norm(_gA_exact(gen, g_k).matrix) / _hinf(g_k)
+        k: _ratio(operator_norm(_gA_exact(gen, g_k).matrix), _hinf(g_k))
         for k, g_k in enumerate(syms)})
     witness = to_text(syms[k])
     measured = max(worst_ratio, r_gram / 1e-8, r_pair / 1e-9)
@@ -208,17 +214,15 @@ def check_thm34(gen, g):
     """||g(A)|| <= m1 m2 ||g|| + ||g(A) T(1)|| on real-spectrum
     diagonal generators, with m1, m2 the square-root admissibility
     constants of the adjoint and forward semigroups."""
-    _require_real_diagonal(gen)
     started = time.perf_counter()
     syms = _symbol_list(g)
     m1 = m2 = _sqrt_gramian(gen)[1]
-    lam = gen.eigenvalues
+    T_probe = evaluate_T(gen, _THM34_PROBE)
     ratios = {}
     for k, g_k in enumerate(syms):
-        d = eval_at(g_k, lam)
-        norm_ga = float(np.max(np.abs(d)))
-        probe = float(np.max(np.abs(d) * np.exp(lam.real * _THM34_PROBE)))
-        ratios[k] = norm_ga / (m1 * m2 * _hinf(g_k) + probe)
+        ga = _gA_exact(gen, g_k).matrix
+        ratios[k] = _ratio(operator_norm(ga), m1 * m2 * _hinf(g_k)
+                           + operator_norm(ga @ T_probe))
     k, measured = _worst(ratios)
     witness = to_text(syms[k])
     details = {"m1": m1, "m2": m2, "t_probe": _THM34_PROBE}
@@ -229,14 +233,13 @@ def check_thm34(gen, g):
 def check_analytic_lemma(gen):
     """sup_t t||A T(t)|| <= m1 m2; the scan grid contains the exact
     per-mode peak times 1/|lambda_n|, where the mode value is 1/e."""
-    _require_real_diagonal(gen)
     started = time.perf_counter()
-    lam = gen.eigenvalues.real
-    ts = np.unique(np.concatenate([np.geomspace(1e-6, 10.0, 300), -1.0 / lam]))
-    vals = ts * np.max(np.abs(lam)[None, :] * np.exp(np.outer(ts, lam)), axis=1)
+    m1 = m2 = _sqrt_gramian(gen)[1]
+    ts, norms = norm_scan(gen, [gen.matrix], np.concatenate(
+        [np.geomspace(1e-6, 10.0, 300), -1.0 / gen.eigenvalues.real]))
+    vals = ts * norms[0]
     k = int(np.argmax(vals))
     measured = float(vals[k])
-    m1 = m2 = _sqrt_gramian(gen)[1]
     details = {"analytic_sup": measured, "t_at_sup": float(ts[k]),
                "e_inverse_reference": math.exp(-1.0), "m1": m1, "m2": m2}
     return finish_report("analytic_lemma", m1 * m2, measured,
@@ -247,27 +250,18 @@ def check_eq26(gen):
     """Exact observability of (-A)^{1/2} in the halved-time normalization:
     ||x||^2 <= m1^2 * int ||C T(tau/2) x||^2 dtau, the integral computed
     both from the Gramian and by direct quadrature."""
-    _require_real_diagonal(gen)
     started = time.perf_counter()
     gram, m1 = _sqrt_gramian(gen)
-    Q = gram.Q
     scaled_exact = 2.0 * gram.m_exact
     if scaled_exact <= 0:
         raise ValueError("(-A)^{1/2} is not exactly observable here")
-    N = gen.dimension
-    lam = gen.eigenvalues.real
-    states = _unit_states(N, 1, 3)
-    qs = [2.0 * float((x.conj() @ Q @ x).real) for x in states]
+    states = _unit_states(gen.dimension, 1, 3)
+    qs = [2.0 * float((x.conj() @ gram.Q @ x).real) for x in states]
     ratios = [float(np.vdot(x, x).real) / (m1 * m1 * q)
               for x, q in zip(states, qs)]
-    # direct tau-quadrature of the halved-time energy for two states
-    horizon = semigroup_bounds(gen, 1e-12)
-    nodes, w = panel_rule(dyadic_edges(2.0 * horizon))
-    quad_fracs = []
-    for x, q in zip(states[:2], qs):
-        dens = (-lam) * np.abs(x) ** 2
-        val = float(w @ (np.exp(np.outer(nodes, lam)) @ dens))
-        quad_fracs.append(abs(val - q) / q / 1e-6)
+    # direct quadrature of the halved-time energy for two states
+    quads = 2.0 * energy_integrals(gen, sqrt_minus_A(gen).matrix, states[:2])
+    quad_fracs = [abs(float(val) - q) / q / 1e-6 for val, q in zip(quads, qs)]
     measured = max(max(ratios), max(quad_fracs))
     details = {"exact_observability_scaled": scaled_exact, "m1": m1,
                "tau_quadrature_budget_fraction": max(quad_fracs),
@@ -281,34 +275,23 @@ def check_square_function(gen):
     int ||(-tA)^{1/2} T(t) x||^2 dt/t = int ||(-A)^{1/2} T(t) x||^2 dt,
     agreement 1e-6 relative.  The sides share no rule, so that a weight
     error cannot cancel: the trapezoid rule in tau = log t (exponentially
-    convergent here) versus Gauss-Legendre on dyadic panels."""
-    _require_real_diagonal(gen)
+    convergent here) over `orbit_energies` versus `energy_integrals`."""
     started = time.perf_counter()
-    N = gen.dimension
-    lam = gen.eigenvalues.real
-    states = _unit_states(N, 2, 2)
+    root = sqrt_minus_A(gen).matrix
+    states = _unit_states(gen.dimension, 2, 2)
     horizon = semigroup_bounds(gen, 1e-12)
-    t_min = 1e-10 / (1.0 + float(np.max(np.abs(lam))))
+    t_min = 1e-10 / (1.0 + operator_norm(gen.matrix))
     tau = np.linspace(math.log(t_min), math.log(horizon), 6001)
     w_log = np.full(tau.size, tau[1] - tau[0])
     w_log[0] = w_log[-1] = w_log[0] / 2.0
     t_log = np.exp(tau)
-    nodes, w_geo = panel_rule(dyadic_edges(horizon))
-    E_log = np.exp(2.0 * np.outer(t_log, lam))
-    E_geo = np.exp(2.0 * np.outer(nodes, lam))
-    measured = -math.inf
-    witness = ""
-    per_state = []
-    for idx, x in enumerate(states):
-        dens = (-lam) * np.abs(x) ** 2
-        F = t_log * (E_log @ dens)  # ||(-tA)^{1/2} T(t) x||^2 at the log nodes
-        lhs = float(w_log @ F)  # (F/t) dt = F dtau
-        rhs = float(w_geo @ (E_geo @ dens))
-        rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-        per_state.append(rel)
-        if rel > measured:
-            measured = rel
-            witness = f"state {idx}, lhs={lhs:.9g}"
+    # ||(-tA)^{1/2} T(t) x||^2 at the log nodes, and (F/t) dt = F dtau
+    lhs_all = (t_log * orbit_energies(gen, root, states, t_log)) @ w_log
+    rhs_all = energy_integrals(gen, root, states)
+    per_state = [abs(lhs - rhs) / max(abs(rhs), 1e-300)
+                 for lhs, rhs in zip(lhs_all.tolist(), rhs_all.tolist())]
+    idx, measured = _worst(dict(enumerate(per_state)))
+    witness = f"state {idx}, lhs={lhs_all[idx]:.9g}"
     details = {"per_state_rel_diff": per_state,
                "zero_state": "0 == 0 trivially"}
     return finish_report("square_function", 0.0, measured, witness, 1e-6,
@@ -355,9 +338,7 @@ def check_example26(gen, C):
     for n in ns:
         t = 1.0 / (n * n)
         Tt = evaluate_T(gen, t)
-        phi = np.zeros(N, dtype=complex)
-        phi[n - 1] = 1.0
-        val = float(np.linalg.norm(Cm @ (Tt @ phi)))
+        val = float(np.linalg.norm(Cm @ Tt[:, n - 1]))  # phi_n = e_n
         diffs[f"n={n}"] = abs(val - n * math.exp(-1.0))
         floor_vals.append(math.sqrt(t) * operator_norm(Cm @ Tt))
     reports.append(finish_report(
@@ -539,7 +520,7 @@ def check_toeplitz(grid, battery):
     for i, g in enumerate(syms):
         h = _hinf(g)
         for k, f_norm in enumerate(f_norms):
-            ratios[i, k] = norms[i, k] / (h * f_norm)
+            ratios[i, k] = _ratio(norms[i, k], h * f_norm)
     (i, k), r = _worst(ratios)
     reports.append(finish_report(
         "toeplitz_norm_bound", 1.0, r, f"{to_text(syms[i])} on {labels[k]}",

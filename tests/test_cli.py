@@ -255,6 +255,16 @@ class TestCustomBattery:
                     if r["name"] == "toeplitz_multiplicativity")
         assert mult["details"]["pairs"] == 3
 
+    def test_zero_symbol_sweep_is_0(self, tmp_path, capsys):
+        # the zero symbol is in H-infinity; a division by its bound used to
+        # abort the sweep with "float division by zero"
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"symbols": ["0.7", "0*(1/(1-s))"]}))
+        assert main(["run", "--scenario", "all", "--config", str(p)]) == 0
+        captured = capsys.readouterr()
+        assert "147 checks, 0 failed" in captured.out
+        assert captured.err == ""
+
     def test_refinement_on_fine_grid(self, capsys):
         # at dt = 2^-10 a base grid of grid_n/8 samples would already sit on
         # the truncation floor, and the residual ratio would read 0.86

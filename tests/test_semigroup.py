@@ -15,24 +15,28 @@ import hardycalc
 from hardycalc import admissibility, numkernel, semigroup
 from hardycalc.admissibility import (ObservationOperator, observability_gramian,
                                      sqrt_t_bound_scan)
-from hardycalc.numkernel import ConvergenceError, SingularMatrixError
+from hardycalc.numkernel import (ConvergenceError, SingularMatrixError,
+                                 solve_lyapunov)
 from hardycalc.semigroup import (
     Generator,
     StabilityError,
     _panel_samples,
     certify_stable,
     dyadic_edges,
+    energy_integrals,
     evaluate_T,
     example26,
     generator_from_json,
     generator_to_json,
     norm_scan,
     orbit_average,
+    orbit_energies,
     panel_doubling,
     panel_rule,
     random_dissipative,
     random_stable,
     resolvent,
+    sampled_T,
     semigroup_bounds,
     sup_T_norm,
 )
@@ -224,7 +228,7 @@ class TestStepMemo:
         # so the Gramian's panel steps recur in the convolution route, which
         # then evaluates no semigroup step for them
         real_samples, real_exp = semigroup._panel_samples, semigroup.mat_exp
-        real_gramian = admissibility._gramian_quadrature
+        real_gramian = admissibility.energy_integrals
         gramian_steps, conv_steps, in_gramian = set(), set(), []
         exp_times, shared_exp = [], []
 
@@ -248,7 +252,7 @@ class TestStepMemo:
                 shared_exp.extend(exp_times[before:])
             return out
 
-        monkeypatch.setattr(admissibility, "_gramian_quadrature", gramian)
+        monkeypatch.setattr(admissibility, "energy_integrals", gramian)
         monkeypatch.setattr(semigroup, "_panel_samples", tracking_samples)
         monkeypatch.setattr(semigroup, "mat_exp", counting_exp)
         rep = check_thm33(random_stable(8, 8),
@@ -369,6 +373,111 @@ class TestNormScan:
         # T(-1) is no semigroup value, whichever way the generator is stored
         with pytest.raises(ValueError, match="nonnegative"):
             norm_scan(gen, [np.eye(gen.dimension)], [-1.0, 0.5])
+
+    @pytest.mark.parametrize("dense_X", [False, True])
+    def test_times_are_np_unique_of_grid_and_peaks(self, dense_X):
+        # one sort and one adjacent-difference mask give np.unique's times,
+        # also when a dense X sends a diagonal generator to the per-time path
+        gen, C = example26(5)
+        grid = np.concatenate([np.geomspace(1e-3, 1.0, 9)[::-1], [0.125] * 3,
+                               [0.5, 0.02]])
+        X = np.ones((2, 5)) if dense_X else C.matrix
+        ts, _ = norm_scan(gen, [X], grid)
+        peaks = 1.0 / (2.0 * np.arange(1.0, 6.0) ** 2)
+        assert np.array_equal(ts, np.unique(np.concatenate([grid, peaks])))
+
+    def test_scans_do_not_load_numpy_ma(self):
+        # np.unique imports numpy.ma on its first call; the scans dedupe
+        # their times without it
+        src = str(Path(hardycalc.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
+                               if p)
+        code = ("import sys\n"
+                "from hardycalc.cli import ExperimentConfig, run\n"
+                "for name in ('t0_bounds', 'analytic_lemma', 'example26'):\n"
+                "    assert run(ExperimentConfig(scenario=name))[0] == 0\n"
+                "print('numpy.ma' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, timeout=120, check=True,
+                             env=dict(os.environ, PYTHONPATH=path))
+        assert out.stdout.splitlines()[-1] == "False"
+
+
+class TestEnergies:
+    """`orbit_energies`, `energy_integrals` and `sampled_T` on both kinds."""
+
+    GENS = [example26(6)[0], random_stable(5, 3),
+            Generator.diagonal([-1.0, -0.5 + 3j, -4.0])]
+
+    @staticmethod
+    def _inputs(gen, seed=0):
+        rng = np.random.default_rng(seed)
+        N = gen.dimension
+        C = rng.standard_normal((2, N)) + 1j * rng.standard_normal((2, N))
+        xs = [rng.standard_normal(N) + 1j * rng.standard_normal(N)
+              for _ in range(3)]
+        return C, xs
+
+    @pytest.mark.parametrize("gen", GENS, ids=["example26", "dense",
+                                               "complex_diagonal"])
+    def test_orbit_energies_match_evaluate_T(self, gen):
+        C, xs = self._inputs(gen)
+        ts = [0.0, 0.1, 1.3, 0.4]
+        E = orbit_energies(gen, C, xs, ts)
+        assert E.shape == (3, 4)
+        ref = [[np.linalg.norm(C @ evaluate_T(gen, t) @ x) ** 2 for t in ts]
+               for x in xs]
+        assert np.allclose(E, ref, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("gen", GENS, ids=["example26", "dense",
+                                               "complex_diagonal"])
+    def test_energy_integrals_are_the_gramian_form(self, gen):
+        # int_0^inf ||C T(t) x||^2 dt = x^H Q x with A^H Q + Q A = -C^H C
+        C, xs = self._inputs(gen, seed=1)
+        Q = solve_lyapunov(gen.matrix, C.conj().T @ C)
+        ref = [float((x.conj() @ Q @ x).real) for x in xs]
+        assert np.allclose(energy_integrals(gen, C, xs), ref, rtol=1e-9,
+                           atol=0.0)
+
+    def test_dense_and_diagonal_storage_agree(self):
+        lam = np.array([-1.0, -0.5 + 3j, -4.0])
+        diag, dense = Generator.diagonal(lam), Generator.dense(np.diag(lam))
+        C, xs = self._inputs(diag, seed=2)
+        ts = np.linspace(0.0, 3.0, 7)
+        assert np.allclose(orbit_energies(diag, C, xs, ts),
+                           orbit_energies(dense, C, xs, ts), rtol=1e-12)
+        assert np.allclose(energy_integrals(diag, C, xs),
+                           energy_integrals(dense, C, xs), rtol=1e-9)
+
+    def test_dense_evaluates_each_time_once(self, monkeypatch):
+        gen = random_stable(4, 3)
+        calls = []
+
+        def counting(g, t):
+            calls.append(t)
+            return evaluate_T(g, t)
+
+        monkeypatch.setattr(semigroup, "evaluate_T", counting)
+        C, xs = self._inputs(gen)
+        orbit_energies(gen, C, xs, [0.5, 0.25, 1.0])
+        assert calls == [0.5, 0.25, 1.0]
+
+    @pytest.mark.parametrize("gen", GENS[:2], ids=["diagonal", "dense"])
+    def test_orbit_energies_reject_negative_times(self, gen):
+        C, xs = self._inputs(gen)
+        with pytest.raises(ValueError, match="nonnegative"):
+            orbit_energies(gen, C, xs, [0.5, -1.0])
+
+    @pytest.mark.parametrize("gen", GENS, ids=["example26", "dense",
+                                               "complex_diagonal"])
+    def test_sampled_T_is_T_at_multiples_of_the_step(self, gen):
+        mats = sampled_T(gen, 0.125, 11)
+        assert mats.shape == (11, gen.dimension, gen.dimension)
+        assert np.array_equal(mats[0], np.eye(gen.dimension))
+        assert np.array_equal(mats[1], evaluate_T(gen, 0.125))
+        for k in range(2, 11):
+            assert np.allclose(mats[k], evaluate_T(gen, 0.125 * k),
+                               rtol=0.0, atol=1e-13)
 
 
 class TestOrbitAverage:
@@ -511,7 +620,6 @@ class TestJsonRoundTrip:
 
 # (module, function) of every test of a generator's kind outside semigroup
 ALLOWED_KIND_TESTS = sorted([
-    ("admissibility", "_gramian_quadrature"),  # dyadic or doubled panels
     ("admissibility", "_require_real_diagonal"),  # input guard
     ("calculus", "_integrate_modes"),  # lifts mode integrals to matrices
     ("calculus", "gA_spectral"),  # input guard
@@ -534,6 +642,43 @@ class _KindTests(ast.NodeVisitor):
         self.generic_visit(node)
 
 
+# (module, function) of every read of gen.eigenvalues outside semigroup;
+# everything else reaches T(t) through the semigroup's evaluators
+EIGENVALUE_READERS = sorted([
+    ("admissibility", "_require_real_diagonal"),  # input guard
+    ("admissibility", "sqrt_minus_A"),  # (-A)^{1/2} of a real spectrum
+    ("calculus", "gA_spectral"),  # the spectral route
+    ("verifier", "check_analytic_lemma"),  # exact peak times of its grid
+])
+
+
+class _SemigroupReads(ast.NodeVisitor):
+    """Underscore names taken from semigroup, and reads of gen.eigenvalues
+    (a generator is named `gen` throughout the package)."""
+
+    def __init__(self, module):
+        self.module, self.scope = module, ["<module>"]
+        self.private, self.eigenvalues = [], []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_ImportFrom(self, node):
+        if (node.module or "").split(".")[-1] == "semigroup":
+            self.private += [(self.module, a.name) for a in node.names
+                             if a.name.startswith("_")]
+
+    def visit_Attribute(self, node):
+        if isinstance(node.value, ast.Name):
+            if node.value.id == "semigroup" and node.attr.startswith("_"):
+                self.private.append((self.module, node.attr))
+            if node.value.id == "gen" and node.attr == "eigenvalues":
+                self.eigenvalues.append((self.module, self.scope[-1]))
+        self.generic_visit(node)
+
+
 class TestKindBranches:
     def test_only_semigroup_branches_on_the_kind(self):
         # a new diagonal/dense branch belongs in semigroup, behind one of
@@ -545,3 +690,16 @@ class TestKindBranches:
                 visitor.visit(ast.parse(path.read_text()))
                 found += visitor.found
         assert sorted(found) == ALLOWED_KIND_TESTS
+
+    def test_only_semigroup_evaluates_the_semigroup(self):
+        # no private semigroup helper is used elsewhere, and outside
+        # semigroup the eigenvalues are read once per allowed function
+        private, reads = [], []
+        for path in sorted(Path(hardycalc.__file__).parent.glob("*.py")):
+            if path.name != "semigroup.py":
+                visitor = _SemigroupReads(path.stem)
+                visitor.visit(ast.parse(path.read_text()))
+                private += visitor.private
+                reads += visitor.eigenvalues
+        assert private == []
+        assert sorted(reads) == EIGENVALUE_READERS

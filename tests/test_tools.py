@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
@@ -18,3 +20,41 @@ def test_lyapunov_scale_prints_one_json_line():
     assert set(row) == {"n", "solve_s", "peak_mib", "relative_residual"}
     assert row["n"] == 4
     assert row["relative_residual"] <= 1e-10
+
+
+def _report(name, measured, passed=True, witness="w", runtime=1.0):
+    return {"name": name, "bound_claimed": 1.0, "bound_measured": measured,
+            "witness": witness, "tolerance": 1e-6, "pass": passed,
+            "runtime_ms": runtime, "details": {"per_state": [measured, 2.0]}}
+
+
+def _report_diff(tmp_path, old, new):
+    paths = []
+    for label, reports in (("old", old), ("new", new)):
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps({"scenario": "all", "seed": 7,
+                                    "reports": reports}))
+        paths.append(str(path))
+    return subprocess.run(
+        [sys.executable, str(TOOLS / "report_diff.py"), *paths],
+        capture_output=True, text=True, timeout=60)
+
+
+def test_report_diff_lists_moved_fields_and_ignores_runtime(tmp_path):
+    out = _report_diff(tmp_path, [_report("a", 0.5), _report("b", 0.25)],
+                       [_report("a", 0.5, runtime=9.0),
+                        _report("b", 0.2500001)])
+    assert out.returncode == 0
+    assert out.stdout.splitlines() == [
+        "b bound_measured: 0.25 -> 0.2500001  rel +4e-07",
+        "b details.per_state[0]: 0.25 -> 0.2500001  rel +4e-07"]
+
+
+@pytest.mark.parametrize("new", [
+    [_report("a", 0.5, passed=False), _report("b", 0.25)],
+    [_report("a", 0.5, witness="v"), _report("b", 0.25)],
+    [_report("a", 0.5)]])
+def test_report_diff_fails_on_verdict_witness_or_names(tmp_path, new):
+    out = _report_diff(tmp_path, [_report("a", 0.5), _report("b", 0.25)], new)
+    assert out.returncode == 1
+    assert out.stdout

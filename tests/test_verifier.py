@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import hardycalc
-from hardycalc import cli, numkernel, verifier
+from hardycalc import cli, numkernel, semigroup, verifier
 from hardycalc.admissibility import (ObservationOperator, observability_gramian,
                                      sqrt_minus_A)
 from hardycalc.calculus import gA_convolution
@@ -235,17 +235,19 @@ class TestSquareFunction:
     def test_weight_error_in_shared_rule_fails(self, monkeypatch):
         # the two sides share no rule, so a 0.1% weight error in the
         # Gauss-Legendre panels shows instead of cancelling in the ratio;
-        # eq26 checks the same rule against the Gramian
-        rule = verifier.panel_rule
+        # eq26 reads its constants from the Gramian, whose quadrature
+        # cross-check uses the same rule and aborts
+        rule = semigroup.panel_rule
 
         def scaled(edges):
             nodes, weights = rule(edges)
             return nodes, (1.0 + 1e-3) * weights
 
-        monkeypatch.setattr(verifier, "panel_rule", scaled)
+        monkeypatch.setattr(semigroup, "panel_rule", scaled)
         gen, _ = example26(32)
         assert not check_square_function(gen).passed
-        assert not check_eq26(gen).passed
+        with pytest.raises(ArithmeticError, match="Gramian cross-check"):
+            check_eq26(gen)
 
 
 _GRAMIAN_KERNELS = ("solve_lyapunov", "hermitian_eigs")
@@ -478,6 +480,39 @@ class TestNanRatio:
         rep = check([G, bad])
         assert not rep.passed
         assert rep.witness.startswith(to_text(bad))
+
+
+class TestZeroBound:
+    ZERO = multiply(Constant(0.0), G)
+
+    def test_ratio(self):
+        assert verifier._ratio(0.0, 0.0) == 0.0
+        assert verifier._ratio(1e-300, 0.0) == math.inf
+        assert verifier._ratio(3.0, 2.0) == 1.5
+        assert verifier._ratio(math.nan, 0.0) == math.inf  # never a PASS
+
+    @pytest.mark.parametrize("check", [
+        lambda syms: check_eq21(SCALAR, syms),
+        lambda syms: check_thm33(SCALAR, ObservationOperator(np.eye(1)),
+                                 syms),
+        lambda syms: check_cor33a(SCALAR, syms),
+        lambda syms: check_thm34(SCALAR, syms),
+        lambda syms: check_T0(SCALAR, syms),
+        lambda syms: next(r for r in check_toeplitz(TOEPLITZ_GRID, syms)
+                          if r.name == "toeplitz_norm_bound")])
+    def test_zero_symbol_meets_every_bound(self, check):
+        # the zero symbol is in H-infinity, and 0 <= C*0 holds
+        assert hinf_norm(self.ZERO) == 0.0
+        rep = check([self.ZERO])
+        # cor33a folds its identity residuals into the measured value
+        assert rep.passed
+        assert rep.details.get("von_neumann_ratio", rep.bound_measured) == 0.0
+
+    def test_zero_bound_of_a_nonzero_symbol_fails(self, monkeypatch):
+        monkeypatch.setattr(verifier, "_hinf", lambda g: 0.0)
+        rep = check_thm33(SCALAR, ObservationOperator(np.eye(1)), G)
+        assert not rep.passed
+        assert rep.bound_measured == math.inf
 
 
 TOEPLITZ_GRID = GridSpec(1024, 2.0 ** -6)
