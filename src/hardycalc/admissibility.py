@@ -29,26 +29,12 @@ from .semigroup import energy_integrals, norm_scan, orbit_average, resolvent
 __all__ = [
     "ExtensionTrace",
     "GramianReport",
-    "ObservationOperator",
     "lambda_limit",
     "lebesgue_limit",
     "observability_gramian",
     "sqrt_minus_A",
     "sqrt_t_bound_scan",
 ]
-
-
-@dataclass(frozen=True)
-class ObservationOperator:
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        M = np.asarray(self.matrix, dtype=complex)
-        if M.ndim != 2:
-            raise ValueError("observation operator must be a matrix")
-        if not np.all(np.isfinite(M)):
-            raise ValueError("observation operator contains non-finite entries")
-        object.__setattr__(self, "matrix", M)
 
 
 @dataclass(frozen=True)
@@ -61,10 +47,14 @@ class GramianReport:
 
 
 def _observation_matrix(C, gen):
-    M = np.asarray(getattr(C, "matrix", C), dtype=complex)
+    """C as a complex matrix with gen.dimension columns and finite entries;
+    every entry point checks its observation operator here."""
+    M = np.asarray(C, dtype=complex)
     if M.ndim != 2 or M.shape[1] != gen.dimension:
         raise ValueError("observation operator shape does not match the "
                          "generator dimension")
+    if not np.all(np.isfinite(M)):
+        raise ValueError("observation operator contains non-finite entries")
     return M
 
 
@@ -112,11 +102,10 @@ def _require_real_diagonal(gen):
 
 
 def sqrt_minus_A(gen):
-    """(-A)^{1/2} as an observation operator of a diagonal generator with a
+    """(-A)^{1/2}, the observation matrix of a diagonal generator with a
     real (negative) spectrum."""
     _require_real_diagonal(gen)
-    return ObservationOperator(
-        np.diag(np.sqrt(-gen.eigenvalues.real).astype(complex)))
+    return np.diag(np.sqrt(-gen.eigenvalues.real).astype(complex))
 
 
 @dataclass(frozen=True)

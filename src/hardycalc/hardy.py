@@ -26,8 +26,10 @@ transfer function of the sampled kernel with order-4 endpoint weights
 (3/8, 7/6, 23/24 on the first three samples).  That choice keeps the
 discrete operator family multiplicative and shift-commuting to the h^4
 level, converges to g(i omega) as the grid is refined, and is exact for
-delay and constant symbols (pure phases and scalings).  A kernel mode's
-weighted sum over the samples is a rational function of
+constants (scalings) and for delays by a whole number of steps (pure
+phases that shift by whole samples); a delay between grid points is a
+band-limited shift of the padded window, not a sample shift.  A kernel
+mode's weighted sum over the samples is a rational function of
 q = e^{-alpha dt} exp(i omega dt) with coefficients fixed per mode, so the
 window's unit-circle points exp(i omega dt) are computed once for all modes.
 """
@@ -170,8 +172,9 @@ def discrete_multiplier(krep, grid):
     p = j + 1 contributes scale * N_j(q) / (1-q)^{j+1} at q = e^{-alpha dt} z,
     so z is the only exponential over the window besides the exact phases
     exp(i omega tau) of delays and shifted modes.  Converges to the boundary
-    trace of the originating symbol at O(dt^4); point masses (delays, and a
-    constant as the mass at 0, whose phase is 1) are represented exactly.
+    trace of the originating symbol at O(dt^4); the phases of point masses
+    (delays, and a constant as the mass at 0, whose phase is 1) are exact,
+    which makes a delay the sample shift only when tau/dt is an integer.
     """
     if not isinstance(krep, KernelRep):
         krep = kernel(krep)

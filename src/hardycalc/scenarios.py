@@ -15,7 +15,6 @@ from typing import Callable
 import numpy as np
 
 from . import verifier
-from .admissibility import ObservationOperator
 from .hardy import GridSpec
 from .semigroup import example26, random_dissipative, random_stable
 from .symbols import Constant, Delay, add, atom, multiply, parse
@@ -67,7 +66,7 @@ def _model32(cfg):
 
 def _thm33_inputs(cfg):
     yield "example26_16", example26(16)
-    eye = ObservationOperator(np.eye(8, dtype=complex))
+    eye = np.eye(8, dtype=complex)
     for k in range(1, 21):
         label, (gen,) = _seeded("stable", 8, cfg.seed + k)
         yield label, (gen, eye)

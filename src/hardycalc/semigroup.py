@@ -250,10 +250,7 @@ def example26(N):
     if N < 1:
         raise ValueError("need N >= 1")
     n = np.arange(1, N + 1, dtype=float)
-    gen = Generator.diagonal(-(n ** 2))
-    from .admissibility import ObservationOperator
-
-    return gen, ObservationOperator(np.diag(n.astype(complex)))
+    return Generator.diagonal(-(n ** 2)), np.diag(n.astype(complex))
 
 
 def _complex_gaussian(rng, n):

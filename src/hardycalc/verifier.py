@@ -101,7 +101,7 @@ def check_T0(gen, g):
     syms = _symbol_list(g)
     gamma_A = observability_gramian(gen, np.eye(gen.dimension)).m_admissible
     M01 = sup_T_norm(gen)
-    gas = [_gA_exact(gen, g_k).matrix for g_k in syms]
+    gas = [_gA_exact(gen, g_k) for g_k in syms]
     scans = sqrt_t_bound_scan(gen, gas, np.geomspace(1e-4, 1.0, 120))
     slacks, which = {}, {}
     for k, (g_k, ga, (sup, t_best)) in enumerate(zip(syms, gas, scans)):
@@ -126,7 +126,7 @@ def check_eq21(gen, g):
     ratios = {}
     for k, g_k in enumerate(syms):
         h = _hinf(g_k)
-        ga = _gA_exact(gen, g_k).matrix
+        ga = _gA_exact(gen, g_k)
         for j, s in enumerate(_EQ21_SAMPLES):
             v = operator_norm(ga @ resolvent(gen, s))
             ratios[k, j] = _ratio(math.sqrt(s.real) * v, h)
@@ -179,7 +179,7 @@ def check_cor33a(gen, g):
     r_gram = float(np.linalg.norm(G - np.eye(N)))
     r_pair = float(np.linalg.norm(R + A + A.conj().T))
     k, worst_ratio = _worst({
-        k: _ratio(operator_norm(_gA_exact(gen, g_k).matrix), _hinf(g_k))
+        k: _ratio(operator_norm(_gA_exact(gen, g_k)), _hinf(g_k))
         for k, g_k in enumerate(syms)})
     witness = to_text(syms[k])
     measured = max(worst_ratio, r_gram / 1e-8, r_pair / 1e-9)
@@ -220,7 +220,7 @@ def check_thm34(gen, g):
     T_probe = evaluate_T(gen, _THM34_PROBE)
     ratios = {}
     for k, g_k in enumerate(syms):
-        ga = _gA_exact(gen, g_k).matrix
+        ga = _gA_exact(gen, g_k)
         ratios[k] = _ratio(operator_norm(ga), m1 * m2 * _hinf(g_k)
                            + operator_norm(ga @ T_probe))
     k, measured = _worst(ratios)
@@ -260,7 +260,7 @@ def check_eq26(gen):
     ratios = [float(np.vdot(x, x).real) / (m1 * m1 * q)
               for x, q in zip(states, qs)]
     # direct quadrature of the halved-time energy for two states
-    quads = 2.0 * energy_integrals(gen, sqrt_minus_A(gen).matrix, states[:2])
+    quads = 2.0 * energy_integrals(gen, sqrt_minus_A(gen), states[:2])
     quad_fracs = [abs(float(val) - q) / q / 1e-6 for val, q in zip(quads, qs)]
     measured = max(max(ratios), max(quad_fracs))
     details = {"exact_observability_scaled": scaled_exact, "m1": m1,
@@ -277,7 +277,7 @@ def check_square_function(gen):
     error cannot cancel: the trapezoid rule in tau = log t (exponentially
     convergent here) over `orbit_energies` versus `energy_integrals`."""
     started = time.perf_counter()
-    root = sqrt_minus_A(gen).matrix
+    root = sqrt_minus_A(gen)
     states = _unit_states(gen.dimension, 2, 2)
     horizon = semigroup_bounds(gen, 1e-12)
     t_min = 1e-10 / (1.0 + operator_norm(gen.matrix))
@@ -331,16 +331,15 @@ def check_example26(gen, C):
         devs))
 
     started = time.perf_counter()
-    Cm = C.matrix
     diffs = {}
     floor_vals = []
     ns = [n for n in (1, 2, 4, 8) if n <= N]
     for n in ns:
         t = 1.0 / (n * n)
         Tt = evaluate_T(gen, t)
-        val = float(np.linalg.norm(Cm @ Tt[:, n - 1]))  # phi_n = e_n
+        val = float(np.linalg.norm(C @ Tt[:, n - 1]))  # phi_n = e_n
         diffs[f"n={n}"] = abs(val - n * math.exp(-1.0))
-        floor_vals.append(math.sqrt(t) * operator_norm(Cm @ Tt))
+        floor_vals.append(math.sqrt(t) * operator_norm(C @ Tt))
     reports.append(finish_report(
         "example26_sharpness", 0.0, max(diffs.values()),
         "||C T(1/n^2) phi_n|| against n/e", 1e-9, started,
@@ -603,7 +602,7 @@ def check_resolvent_identity(gens, grid):
         R = resolvent(gen, 2.0)
         ga = gA_convolution(gen, g)
         conv[seed] = (ga.est_error, operator_norm(ga.matrix - R))
-        toep[seed] = operator_norm(gA_toeplitz(gen, g, grid).matrix - R)
+        toep[seed] = operator_norm(gA_toeplitz(gen, g, grid) - R)
     mid = time.perf_counter()
     conv_seed, _ = _worst({s: _headroom(*cm, 1e-9) for s, cm in conv.items()})
     (claimed, dc), (toep_seed, dtp) = conv[conv_seed], _worst(toep)
@@ -633,7 +632,7 @@ def check_extensions(gen, C, seed):
     for lab, x in states:
         leb = lebesgue_limit(gen, C, x, t_seq)
         res = lambda_limit(gen, C, x, lam_seq)
-        Cx = C.matrix @ x
+        Cx = C @ x
         scale = float(np.linalg.norm(Cx))
         worst = max(float(np.linalg.norm(leb.limit - Cx)),
                     float(np.linalg.norm(res.limit - Cx)),

@@ -32,7 +32,6 @@ def test_criterion_01_gramian_constants(criterion_line):
 
 def test_criterion_02_sharpness(criterion_line):
     gen, C = example26(64)
-    Cm = C.matrix
     worst_eq = 0.0
     min_floor = math.inf
     for n in (1, 2, 4, 8):
@@ -40,9 +39,9 @@ def test_criterion_02_sharpness(criterion_line):
         Tt = evaluate_T(gen, t)
         phi = np.zeros(64, dtype=complex)
         phi[n - 1] = 1.0
-        val = float(np.linalg.norm(Cm @ (Tt @ phi)))
+        val = float(np.linalg.norm(C @ (Tt @ phi)))
         worst_eq = max(worst_eq, abs(val - n * math.exp(-1.0)))
-        min_floor = min(min_floor, math.sqrt(t) * operator_norm(Cm @ Tt))
+        min_floor = min(min_floor, math.sqrt(t) * operator_norm(C @ Tt))
     [(measured, _)] = sqrt_t_bound_scan(gen, [C], np.concatenate(
         [np.geomspace(1e-6, 10.0, 200), [1.0, 0.25, 1.0 / 16, 1.0 / 64]]))
     ok = (worst_eq <= 1e-9

@@ -9,7 +9,6 @@ from hardycalc import admissibility
 from hardycalc.admissibility import (
     ExtensionTrace,
     GramianReport,
-    ObservationOperator,
     lambda_limit,
     lebesgue_limit,
     observability_gramian,
@@ -19,26 +18,46 @@ from hardycalc.admissibility import (
 from hardycalc.semigroup import Generator, example26, random_stable
 
 
-def _identity_C(n):
-    return ObservationOperator(np.eye(n))
+# every entry point that takes an observation matrix, called on it
+_ENTRY_POINTS = {
+    "observability_gramian": observability_gramian,
+    "sqrt_t_bound_scan": lambda gen, C: sqrt_t_bound_scan(gen, [C], [0.5]),
+    "lebesgue_limit": lambda gen, C: lebesgue_limit(
+        gen, C, np.ones(2), [0.5, 0.25]),
+    "lambda_limit": lambda gen, C: lambda_limit(
+        gen, C, np.ones(2), [2.0, 4.0]),
+}
 
 
-class TestObservationOperator:
-    def test_shape_check(self):
-        with pytest.raises(ValueError):
-            ObservationOperator(np.zeros(3))
+class TestObservationMatrix:
+    GEN = Generator.diagonal([-1.0, -2.0])
 
-    def test_column_mismatch_rejected_at_use(self):
-        gen = Generator.diagonal([-1.0, -2.0])
-        with pytest.raises(ValueError):
-            observability_gramian(gen, ObservationOperator(np.eye(3)))
+    @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+    def test_not_a_matrix(self, entry):
+        with pytest.raises(ValueError, match="shape"):
+            _ENTRY_POINTS[entry](self.GEN, np.ones(2))
+
+    @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+    def test_column_mismatch(self, entry):
+        with pytest.raises(ValueError, match="shape"):
+            _ENTRY_POINTS[entry](self.GEN, np.eye(3))
+
+    @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite(self, entry, bad):
+        # a NaN used to give [nan+nanj] limits silently and a misleading
+        # ConvergenceError from the scan's SVD
+        C = np.eye(2)
+        C[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            _ENTRY_POINTS[entry](self.GEN, C)
 
 
 class TestObservabilityGramian:
     def test_scalar_oracle(self):
         # Q solves A*Q + QA = -C*C: scalar -Q - Q = -1 so Q = 1/2
         gen = Generator.diagonal([-1.0])
-        rep = observability_gramian(gen, _identity_C(1))
+        rep = observability_gramian(gen, np.eye(1))
         assert abs(rep.Q[0, 0] - 0.5) < 1e-13
         assert abs(rep.m_admissible - 0.5) < 1e-12
         assert abs(rep.m_exact - 0.5) < 1e-12
@@ -46,7 +65,7 @@ class TestObservabilityGramian:
     def test_diagonal_oracle(self):
         # eigenvalues -1, -2 with C = I give Q = diag(1/2, 1/4)
         gen = Generator.diagonal([-1.0, -2.0])
-        rep = observability_gramian(gen, _identity_C(2))
+        rep = observability_gramian(gen, np.eye(2))
         assert np.allclose(rep.Q, np.diag([0.5, 0.25]), atol=1e-13)
         assert abs(rep.m_admissible - 0.5) < 1e-12
         assert abs(rep.m_exact - 0.25) < 1e-12
@@ -67,7 +86,7 @@ class TestObservabilityGramian:
 
     def test_zero_C_not_exactly_observable(self):
         gen = Generator.diagonal([-1.0, -2.0])
-        rep = observability_gramian(gen, ObservationOperator(np.zeros((1, 2))))
+        rep = observability_gramian(gen, np.zeros((1, 2)))
         assert rep.m_exact == 0.0
         assert rep.m_admissible == 0.0
 
@@ -75,7 +94,7 @@ class TestObservabilityGramian:
 class TestGramianGuard:
     @staticmethod
     def _cases():
-        return [(random_stable(8, 8), _identity_C(8)), example26(16)]
+        return [(random_stable(8, 8), np.eye(8)), example26(16)]
 
     def test_quadrature_agrees_to_roundoff(self):
         for gen, C in self._cases():
@@ -94,12 +113,12 @@ class TestGramianGuard:
 class TestSqrtMinusA:
     def test_scalar(self):
         out = sqrt_minus_A(Generator.diagonal([-4.0]))
-        assert abs(out.matrix[0, 0] - 2.0) < 1e-13
+        assert abs(out[0, 0] - 2.0) < 1e-13
 
     def test_reference_model(self):
         gen, _ = example26(4)
         out = sqrt_minus_A(gen)
-        assert np.allclose(out.matrix, np.diag([1.0, 2.0, 3.0, 4.0]),
+        assert np.allclose(out, np.diag([1.0, 2.0, 3.0, 4.0]),
                            atol=1e-11)
 
     def test_rejects_non_hermitian(self):
@@ -133,7 +152,7 @@ class TestSqrtTBoundScan:
 
     def test_one_pair_per_operator(self):
         gen, C = example26(4)
-        scans = sqrt_t_bound_scan(gen, [C, 2.0 * C.matrix],
+        scans = sqrt_t_bound_scan(gen, [C, 2.0 * C],
                                   np.geomspace(1e-3, 1.0, 30))
         assert len(scans) == 2
         assert scans[1][0] == pytest.approx(2.0 * scans[0][0], rel=1e-15)
@@ -143,7 +162,7 @@ class TestSqrtTBoundScan:
 class TestExtensionLimits:
     def test_lebesgue_scalar(self):
         gen = Generator.diagonal([-1.0])
-        C = _identity_C(1)
+        C = np.eye(1)
         x = np.array([1.0], dtype=complex)
         ts = [2.0 ** -k for k in range(1, 30)]
         trace = lebesgue_limit(gen, C, x, ts)
@@ -153,7 +172,7 @@ class TestExtensionLimits:
 
     def test_lambda_scalar(self):
         gen = Generator.diagonal([-1.0])
-        C = _identity_C(1)
+        C = np.eye(1)
         x = np.array([1.0], dtype=complex)
         lams = [2.0 ** k for k in range(1, 30)]
         trace = lambda_limit(gen, C, x, lams)
@@ -162,14 +181,14 @@ class TestExtensionLimits:
 
     def test_limits_agree_diagonal(self):
         gen = Generator.diagonal([-1.0, -3.0])
-        C = ObservationOperator(np.diag([1.0, 2.0]))
+        C = np.diag([1.0, 2.0])
         x = np.array([0.5, 1.0], dtype=complex)
         ts = [2.0 ** -k for k in range(1, 30)]
         lams = [2.0 ** k for k in range(1, 30)]
         a = lebesgue_limit(gen, C, x, ts).limit
         b = lambda_limit(gen, C, x, lams).limit
         assert np.max(np.abs(a - b)) < 1e-6
-        assert np.max(np.abs(a - C.matrix @ x)) < 1e-6
+        assert np.max(np.abs(a - C @ x)) < 1e-6
 
     def test_lebesgue_dense_keeps_converging(self):
         # the error of C (1/t) int_0^t T(s) x ds is about t ||A x|| / 2;
@@ -181,7 +200,7 @@ class TestExtensionLimits:
             rng = np.random.default_rng(seed)
             x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
             x /= np.linalg.norm(x)
-            trace = lebesgue_limit(gen, _identity_C(8), x, ts)
+            trace = lebesgue_limit(gen, np.eye(8), x, ts)
             errors = [np.linalg.norm(v - x) for v in trace.iterates]
             assert not trace.diverged
             assert all(b < a / 5.0 for a, b in zip(errors, errors[1:]))
@@ -190,13 +209,13 @@ class TestExtensionLimits:
     def test_trace_fields(self):
         gen = Generator.diagonal([-1.0])
         ts = [2.0 ** -k for k in range(1, 12)]
-        trace = lebesgue_limit(gen, _identity_C(1), np.array([1.0 + 0j]), ts)
+        trace = lebesgue_limit(gen, np.eye(1), np.array([1.0 + 0j]), ts)
         assert len(trace.iterates) == len(ts)
         assert len(trace.differences) == len(ts) - 1
 
     def test_sequence_validation(self):
         gen = Generator.diagonal([-1.0])
-        C = _identity_C(1)
+        C = np.eye(1)
         x = np.array([1.0 + 0j])
         with pytest.raises(ValueError):
             lebesgue_limit(gen, C, x, [0.5, 0.6, 0.7])

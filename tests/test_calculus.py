@@ -11,7 +11,8 @@ from hardycalc import calculus
 from hardycalc.calculus import gA_convolution, gA_spectral, gA_toeplitz
 from hardycalc.hardy import GridSpec
 from hardycalc.numkernel import operator_norm
-from hardycalc.semigroup import Generator, example26, random_stable, resolvent
+from hardycalc.semigroup import (Generator, evaluate_T, example26,
+                                 random_stable, resolvent)
 from hardycalc.symbols import Constant, Delay, add, atom, multiply
 
 REF_GRID = GridSpec(4096, 2.0 ** -8)
@@ -29,13 +30,12 @@ class TestSpectralRoute:
     def test_atom_on_diagonal(self):
         # g(A) = diag(g(lambda)): 1/(2-s) at -2, -3 gives 1/4, 1/5
         out = gA_spectral(FAST_GEN, atom(1.0, 2.0))
-        assert np.allclose(out.matrix, np.diag([0.25, 0.2]), atol=1e-14)
-        assert out.est_error == 0.0
+        assert np.allclose(out, np.diag([0.25, 0.2]), atol=1e-14)
 
     def test_delay_is_semigroup_sample(self):
         out = gA_spectral(FAST_GEN, Delay(0.5))
         ref = np.diag([math.exp(-1.0), math.exp(-1.5)])
-        assert np.allclose(out.matrix, ref, atol=1e-14)
+        assert np.allclose(out, ref, atol=1e-14)
 
     def test_rejects_dense(self):
         gen = random_stable(4, 0)
@@ -49,24 +49,24 @@ class TestResolventRoute:
                   multiply(atom(1.0, 1.0), atom(1.0, 3.0)),
                   add(atom(0.4, 2.0), Constant(0.5)), Delay(0.5),
                   multiply(Delay(0.2), atom(1.0, 1.0))):
-            a = gA_spectral(FAST_GEN, g).matrix
-            b = calculus._gA_exact(FAST_GEN, g).matrix
+            a = gA_spectral(FAST_GEN, g)
+            b = calculus._gA_exact(FAST_GEN, g)
             assert np.max(np.abs(a - b)) < 1e-12
 
     def test_atom_is_resolvent(self):
         gen = random_stable(6, 2)
-        out = calculus._gA_exact(gen, atom(1.0, 2.0)).matrix
+        out = calculus._gA_exact(gen, atom(1.0, 2.0))
         assert np.max(np.abs(out - resolvent(gen, 2.0))) < 1e-11
 
     def test_constant_one_is_identity(self):
         gen = random_stable(5, 9)
-        out = calculus._gA_exact(gen, Constant(1.0)).matrix
+        out = calculus._gA_exact(gen, Constant(1.0))
         assert np.max(np.abs(out - np.eye(5))) < 1e-13
 
     def test_repeated_pole_is_squared_resolvent(self):
         gen = random_stable(5, 3)
-        out = calculus._gA_exact(
-            gen, multiply(atom(1.0, 2.0), atom(1.0, 2.0))).matrix
+        out = calculus._gA_exact(gen,
+                                 multiply(atom(1.0, 2.0), atom(1.0, 2.0)))
         R = resolvent(gen, 2.0)
         assert np.max(np.abs(out - R @ R)) < 1e-11
 
@@ -101,7 +101,7 @@ class TestConvolutionRoute:
         for gen in gens:
             for g in CONV_SYMBOLS:
                 out = gA_convolution(gen, g)
-                ref = calculus._gA_exact(gen, g).matrix
+                ref = calculus._gA_exact(gen, g)
                 err = operator_norm(out.matrix - ref)
                 assert out.est_error >= err
 
@@ -112,7 +112,6 @@ class TestConvolutionRoute:
             raise AssertionError("convolution route called a solver")
 
         monkeypatch.setattr(calculus, "resolvent", forbidden)
-        monkeypatch.setattr(calculus, "linear_solve", forbidden)
         g = add(multiply(Delay(0.2), multiply(atom(1.0, 2.0), atom(1.0, 2.0))),
                 atom(0.5, 1.0))
         for gen in (random_stable(6, 4), Generator.diagonal([-1.0, -2.5 + 1j])):
@@ -145,7 +144,7 @@ class TestConvolutionRoute:
         if double:
             g = multiply(g, atom(1.0, alpha))
         out = gA_convolution(gen, g)
-        err = operator_norm(out.matrix - gA_spectral(gen, g).matrix)
+        err = operator_norm(out.matrix - gA_spectral(gen, g))
         assert err <= out.est_error
 
     def test_delay_contributes_semigroup_factor(self):
@@ -157,17 +156,35 @@ class TestConvolutionRoute:
 class TestToeplitzRoute:
     def test_matches_spectral_diagonal(self):
         out = gA_toeplitz(FAST_GEN, atom(1.0, 2.0), FAST_GRID)
-        assert np.max(np.abs(out.matrix - np.diag([0.25, 0.2]))) < 1e-6
+        assert np.max(np.abs(out - np.diag([0.25, 0.2]))) < 1e-6
 
     def test_matches_resolvent_dense_reference_grid(self):
         gen = random_stable(8, 8)
-        out = gA_toeplitz(gen, atom(1.0, 2.0), REF_GRID).matrix
+        out = gA_toeplitz(gen, atom(1.0, 2.0), REF_GRID)
         ref = resolvent(gen, 2.0)
         assert np.max(np.abs(out - ref)) < 1e-3
 
     def test_constant_one_is_identity(self):
-        out = gA_toeplitz(FAST_GEN, Constant(1.0), FAST_GRID).matrix
+        out = gA_toeplitz(FAST_GEN, Constant(1.0), FAST_GRID)
         assert np.max(np.abs(out - np.eye(2))) < 1e-10
+
+    def test_grid_aligned_delay_is_semigroup_sample(self):
+        # tau = 0.5 is 128 steps of 2^-8, where the multiplier is the exact
+        # phase, so the t = 0 sample is the orbit's sample at tau
+        gen = random_stable(8, 8)
+        out = gA_toeplitz(gen, Delay(0.5), REF_GRID)
+        assert operator_norm(out - evaluate_T(gen, 0.5)) <= 1e-12
+
+    def test_never_solves(self, monkeypatch):
+        # the route must stay independent of the resolvent it is checked
+        # against: g(A) is read off at t = 0, with no solve
+        def forbidden(*args, **kwargs):
+            raise AssertionError("Toeplitz route called a solver")
+
+        monkeypatch.setattr(np.linalg, "solve", forbidden)
+        monkeypatch.setattr(np.linalg, "inv", forbidden)
+        out = gA_toeplitz(FAST_GEN, atom(1.0, 2.0), FAST_GRID)
+        assert np.all(np.isfinite(out))
 
     def test_short_horizon_rejected(self):
         slow = Generator.diagonal([-0.5])

@@ -31,7 +31,7 @@ from hardycalc.hardy import (
     toeplitz_apply,
 )
 from hardycalc.symbols import (Constant, Delay, add, atom, hinf_norm, kernel,
-                               multiply)
+                               multiply, to_text)
 
 
 def _exp_signal(grid, rate=1.0):
@@ -208,7 +208,7 @@ MULTIPLIER_SYMBOLS = (
 
 
 class TestMultiplierOracle:
-    @pytest.mark.parametrize("g", MULTIPLIER_SYMBOLS, ids=str)
+    @pytest.mark.parametrize("g", MULTIPLIER_SYMBOLS, ids=to_text)
     def test_matches_mpmath_reference(self, g):
         # bins 0, 1, 2, 100, Nyquist and the last negative frequency
         grid = GridSpec(1024, 2.0 ** -6)
@@ -220,7 +220,7 @@ class TestMultiplierOracle:
 
 
 class TestInPlaceMultiplier:
-    @pytest.mark.parametrize("g", MULTIPLIER_SYMBOLS, ids=str)
+    @pytest.mark.parametrize("g", MULTIPLIER_SYMBOLS, ids=to_text)
     def test_one_window_exp_per_phase(self, g, monkeypatch):
         # exp(i omega dt) once, then one exponential per delay and per
         # shifted mode; a mode's q is a scalar times exp(i omega dt)
@@ -372,7 +372,7 @@ class TestSignalStacks:
 
     @pytest.mark.parametrize("g", [atom(1.0, 1.0), Delay(0.5),
                                    add(atom(0.4, 2.0), Constant(0.5))],
-                             ids=str)
+                             ids=to_text)
     def test_rows_match_toeplitz_apply(self, g):
         grid = STACK_GRID
         stack = _stack_rows(grid)

@@ -13,8 +13,7 @@ import pytest
 
 import hardycalc
 from hardycalc import admissibility, numkernel, semigroup
-from hardycalc.admissibility import (ObservationOperator, observability_gramian,
-                                     sqrt_t_bound_scan)
+from hardycalc.admissibility import observability_gramian, sqrt_t_bound_scan
 from hardycalc.numkernel import (ConvergenceError, SingularMatrixError,
                                  solve_lyapunov)
 from hardycalc.semigroup import (
@@ -215,8 +214,7 @@ class TestStepMemo:
 
         monkeypatch.setattr(semigroup, "_panel_samples", tracking_samples)
         monkeypatch.setattr(semigroup, "mat_exp", counting_exp)
-        rep = check_thm33(random_stable(8, 8),
-                          ObservationOperator(np.eye(8, dtype=complex)),
+        rep = check_thm33(random_stable(8, 8), np.eye(8, dtype=complex),
                           BATTERY)
         assert rep.passed
         assert len(steps) > len(set(steps))  # steps recur across symbols
@@ -255,8 +253,7 @@ class TestStepMemo:
         monkeypatch.setattr(admissibility, "energy_integrals", gramian)
         monkeypatch.setattr(semigroup, "_panel_samples", tracking_samples)
         monkeypatch.setattr(semigroup, "mat_exp", counting_exp)
-        rep = check_thm33(random_stable(8, 8),
-                          ObservationOperator(np.eye(8, dtype=complex)),
+        rep = check_thm33(random_stable(8, 8), np.eye(8, dtype=complex),
                           BATTERY)
         assert rep.passed
         assert gramian_steps and gramian_steps <= conv_steps
@@ -284,7 +281,7 @@ class TestStepMemo:
                     and getattr(module, "sup_T_norm", None) is sup_T_norm):
                 monkeypatch.setattr(module, "sup_T_norm", counting)
         gen = random_stable(8, 8)
-        C = ObservationOperator(np.eye(8, dtype=complex))
+        C = np.eye(8, dtype=complex)
         observability_gramian(gen, C)
         sqrt_t_bound_scan(gen, [C], np.geomspace(1e-2, 1.0, 20))
         assert calls == []
@@ -334,7 +331,7 @@ class TestNormScan:
         # sqrt(t)||X T(t)|| peaks at t = 1/(2 n^2) for the mode -n^2
         gen, C = example26(4)
         grid = np.geomspace(1e-3, 1.0, 7)
-        ts, norms = norm_scan(gen, [C.matrix], grid)
+        ts, norms = norm_scan(gen, [C], grid)
         peaks = 1.0 / (2.0 * np.arange(1.0, 5.0) ** 2)
         assert set(grid) | set(peaks) == set(ts)
         assert np.all(np.diff(ts) > 0)
@@ -381,7 +378,7 @@ class TestNormScan:
         gen, C = example26(5)
         grid = np.concatenate([np.geomspace(1e-3, 1.0, 9)[::-1], [0.125] * 3,
                                [0.5, 0.02]])
-        X = np.ones((2, 5)) if dense_X else C.matrix
+        X = np.ones((2, 5)) if dense_X else C
         ts, _ = norm_scan(gen, [X], grid)
         peaks = 1.0 / (2.0 * np.arange(1.0, 6.0) ** 2)
         assert np.array_equal(ts, np.unique(np.concatenate([grid, peaks])))
@@ -553,7 +550,7 @@ class TestExample26:
         gen, C = example26(8)
         n = np.arange(1.0, 9.0)
         assert np.allclose(gen.eigenvalues, -(n ** 2))
-        assert np.allclose(np.diag(C.matrix), n)
+        assert np.allclose(np.diag(C), n)
 
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
@@ -596,7 +593,7 @@ class TestDenseScale:
         gen = random_stable(128, 8)
         tracemalloc.start()
         try:
-            rep = check_thm33(gen, ObservationOperator(np.eye(128)), BATTERY)
+            rep = check_thm33(gen, np.eye(128), BATTERY)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
