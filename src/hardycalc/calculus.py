@@ -7,7 +7,7 @@
   point mass (a constant is the mass at tau = 0, and T(0) = I); private,
   because it is the reference the verifier's checks read;
 * convolution: g(A) = integral of T(u) against the symbol's one-sided
-  kernel, by the Gauss-Legendre panel doubling of `semigroup`, over a
+  kernel, by the exact doublings of `semigroup.mode_integrals`, over a
   horizon with a certified truncation tail;
 * toeplitz: g(A) is the output operator whose output map is M_g on the
   orbit, (M_g T(.)x)(t) = g(A) T(t) x, so g(A) is the t = 0 sample of the
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numkernel import ConvergenceError
-from .semigroup import (evaluate_T, panel_doubling, resolvent, sampled_T,
+from .semigroup import (evaluate_T, mode_integrals, resolvent, sampled_T,
                         semigroup_bounds)
 from .symbols import eval_at, kernel
 from .hardy import SampledSignal, toeplitz_apply
@@ -82,9 +82,9 @@ def _mode_tail(K, c, tstar, p):
 
 def _integrate_modes(gen, modes):
     """int_0^inf T(u) u^{p-1} e^{-alpha u}/(p-1)! du for every kernel mode,
-    by `panel_doubling` up to a horizon where the truncation tail under the
+    by `mode_integrals` up to a horizon where the truncation tail under the
     certified envelope ||T(t)|| <= K e^{-rate t} is below 1e-14.  Returns
-    the integrals and error estimates: level change + tail + roundoff."""
+    the integrals and error estimates: start-step change + tail + roundoff."""
     rate = gen.decay_rate()
     K = gen.envelope_constant()
     tstar = 1.0
@@ -97,15 +97,8 @@ def _integrate_modes(gen, modes):
         tstar = max(tstar, t)
     tails = [_mode_tail(K, rate + alpha.real, tstar, p)
              for _, alpha, p, _ in modes]
-
-    def integrate(u, w, Tu):
-        return [np.einsum("i,i...->...", w * u ** (p - 1) * np.exp(-alpha * u)
-                          / math.factorial(p - 1), Tu)
-                for _, alpha, p, _ in modes]
-
-    sums, changes = panel_doubling(gen, tstar, integrate)
-    if gen.kind == "diagonal":
-        sums = [np.diag(s) for s in sums]
+    sums, changes = mode_integrals(
+        gen, [(alpha, p) for _, alpha, p, _ in modes], tstar)
     return sums, [c + t + 1e-12 * max(1.0, float(np.linalg.norm(s)))
                   for c, t, s in zip(changes, tails, sums)]
 

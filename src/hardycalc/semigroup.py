@@ -5,15 +5,11 @@ Two generator kinds are supported: Diagonal (eigenvalues known by
 construction, semigroup evaluated exactly) and Dense (stability certified by
 a Lyapunov witness before any use).  Other modules reach T(t) only through
 the evaluators here (`evaluate_T`, `sampled_T`, `norm_scan`,
-`orbit_energies`, `energy_integrals`, `orbit_average`, `panel_doubling`) and
-the certificate's decay envelope; they test the kind only to guard an input
-or to lift a diagonal result to a matrix.  Samplers produce seeded
-dissipative and similarity-transformed stable test matrices.  All semigroup
-integrals use the composite Gauss-Legendre panel rule defined here.
-
-One result is memoized on the (immutable) dense generator, computed on
-first use: the 17 matrices T(x_k h) and T(h) of each panel step h
-(`_panel_samples`).
+`orbit_energies`, `energy_integrals`, `orbit_average`, `mode_integrals`) and
+the certificate's decay envelope; they test the kind only to guard an input.
+Samplers produce seeded dissipative and similarity-transformed stable test
+matrices.  Every semigroup integral is one 16-point Gauss-Legendre panel on
+a short start step, doubled exactly up to its horizon.
 """
 
 from __future__ import annotations
@@ -44,10 +40,10 @@ __all__ = [
     "example26",
     "generator_from_json",
     "generator_to_json",
+    "mode_integrals",
     "norm_scan",
     "orbit_average",
     "orbit_energies",
-    "panel_doubling",
     "random_dissipative",
     "random_stable",
     "resolvent",
@@ -209,26 +205,10 @@ def orbit_energies(gen, C, xs, ts):
                      for t in ts]).T
 
 
-def _phi1(z):
-    """(e^z - 1)/z, series-protected near zero."""
-    z = np.asarray(z, dtype=complex)
-    small = np.abs(z) < 1e-4
-    safe = np.where(small, 1.0, z)
-    return np.where(small, 1.0 + z / 2.0 + z * z / 6.0 + z ** 3 / 24.0,
-                    (np.exp(safe) - 1.0) / safe)
-
-
 def orbit_average(gen, t, x):
-    """(1/t) int_0^t T(s) x ds for t > 0: (e^{lambda t} - 1)/(lambda t) per
-    mode when diagonal, else from the top-right block int_0^t T(s) ds of
-    exp([[A, I], [0, 0]] t) (Van Loan 1978), never forming the difference
-    T(t) - I that cancels catastrophically for small t."""
-    if gen.kind == "diagonal":
-        return _phi1(gen.eigenvalues * t) * x
-    N = gen.dimension
-    Z = np.zeros((N, N))
-    block = np.block([[gen.matrix, np.eye(N)], [Z, Z]])
-    return mat_exp(block, t)[:N, N:] @ x / t
+    """(1/t) int_0^t T(s) x ds for t > 0, by `mode_integrals`, never forming
+    the difference T(t) - I that cancels catastrophically for small t."""
+    return mode_integrals(gen, [(0.0, 1)], t)[0][0] @ x / t
 
 
 def resolvent(gen, s):
@@ -309,9 +289,8 @@ def semigroup_bounds(gen, eps):
     K e^{-rate h} <= eps, so ||T(t)|| <= eps for every t >= h.
 
     K and rate are the envelope ||T(t)|| <= K e^{-rate t} of the generator.
-    Powers of two put every equal-panel integral on one ladder of steps,
-    the one the convolution route doubles along.  A horizon past t = 1e6
-    signals a near-unstable input and raises StabilityError.
+    A horizon past t = 1e6 signals a near-unstable input and raises
+    StabilityError.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -332,8 +311,6 @@ def sup_T_norm(gen):
 # ---------------------------------------------------------------------------
 # quadrature of semigroup integrals
 
-_GL_MAX_DOUBLINGS = 10
-
 
 @functools.cache
 def _gauss_legendre():
@@ -349,11 +326,6 @@ def panel_rule(edges):
     x, w = _gauss_legendre()
     h = np.diff(edges)[:, None]
     return (edges[:-1, None] + h * x).ravel(), (h * w).ravel()
-
-
-def dyadic_edges(horizon):
-    """Edges 0, T/2^60, T/2^59, ..., T/2, T: 61 panels refined towards 0."""
-    return horizon * np.concatenate([[0.0], 2.0 ** np.arange(-60, 1)])
 
 
 def _power_chain(Th, count):
@@ -376,62 +348,89 @@ def sampled_T(gen, dt, count):
     return _power_chain(evaluate_T(gen, dt), count)
 
 
-def _panel_samples(gen, horizon, panels):
-    """Nodes u, weights w and T(u) for `panels` equal panels on [0, horizon]:
-    (m, N) eigenvalue exponentials when diagonal, else the (m, N, N) stack
-    T(j h) T(x_k h) from a power chain of T(h) and 16 local matrices.
+def _doublings(gen, horizon, shift):
+    """The least k with (||A||_1 + shift) horizon / 2^k <= 1, so that a
+    doubling integral's start panel needs no squaring in mat_exp."""
+    scale = horizon * (float(np.linalg.norm(gen.matrix, 1)) + shift)
+    return max(0, math.ceil(math.log2(scale)))
 
-    The 16 local matrices and T(h) depend only on the step h, so they are
-    memoized on the generator per h; the stack itself is rebuilt on every
-    call, as holding it would cost 16 * panels matrices per entry."""
-    u, w = panel_rule(np.linspace(0.0, horizon, panels + 1))
+
+def _exponentials(gen, ts):
+    """T(t) for every t in ts at once: rows of eigenvalue exponentials (each
+    T(t) held as its diagonal) when diagonal, else one batched mat_exp."""
     if gen.kind == "diagonal":
-        return u, w, np.exp(np.outer(u, gen.eigenvalues))
-    h = horizon / panels
-    memo = getattr(gen, "_step_memo", None)
-    if memo is None:
-        memo = {}
-        object.__setattr__(gen, "_step_memo", memo)
-    if h not in memo:
-        memo[h] = (np.stack([evaluate_T(gen, x * h)
-                             for x in _gauss_legendre()[0]]),
-                   evaluate_T(gen, h))
-    local, Th = memo[h]
-    starts = _power_chain(Th, panels)
-    return u, w, np.matmul(starts[:, None], local).reshape(-1, *Th.shape)
+        return np.exp(np.outer(ts, gen.eigenvalues))
+    return mat_exp(gen.matrix, ts)
 
 
-def panel_doubling(gen, horizon, integrate):
-    """integrate(*_panel_samples(...)), a list of integrals over [0, horizon],
-    on 4, 8, 16, ... panels until every value moves by less than 1e-8;
-    returns the finer values and the norms of their changes."""
-    panels = 4
-    prev = integrate(*_panel_samples(gen, horizon, panels))
-    for _ in range(_GL_MAX_DOUBLINGS):
-        panels *= 2
-        values = integrate(*_panel_samples(gen, horizon, panels))
-        changes = [float(np.linalg.norm(v - q)) for v, q in zip(values, prev)]
-        if max(changes) < 1e-8:
-            return values, changes
-        prev = values
-    raise ConvergenceError("panel quadrature did not converge in "
-                           f"{_GL_MAX_DOUBLINGS} panel doublings")
+def _mode_chain(gen, G, first, h, doublings):
+    """J(h 2^doublings) from a 16-point Gauss-Legendre panel on [0, h] and
+    exact doublings J(2h) = J(h) + T(h) e^{hG} J(h), e^{hG} on axis 0."""
+    u, w = panel_rule(np.array([0.0, h]))
+    times = np.append(u, h)
+    T, E = _exponentials(gen, times), mat_exp(G, times)
+    J = (w[:, None] * (E[:-1] @ first)).T @ T[:-1].reshape(w.size, -1)
+    J, Th, L = J.reshape(-1, *T.shape[1:]), T[-1], E[-1]
+    for _ in range(doublings):
+        mixed = (L @ J.reshape(len(L), -1)).reshape(J.shape)
+        J = J + (Th * mixed if Th.ndim == 1 else Th @ mixed)
+        Th, L = (Th * Th if Th.ndim == 1 else Th @ Th), L @ L
+    return J
+
+
+def mode_integrals(gen, modes, horizon):
+    """J_p(horizon) for each (alpha, p) in modes, where J_p(h) =
+    int_0^h T(u) u^{p-1} e^{-alpha u}/(p-1)! du, and the norm of each one's
+    change when the doubling chain starts at half the step.
+
+    The weights u^q e^{-alpha u}/q! of one alpha are a column of e^{uG} for
+    the Jordan block G = -alpha I + (ones below the diagonal).  T(h) and J
+    stay separate factors (Van Loan 1978): squaring one block exponential
+    would lose eps/h relative accuracy in J_1(h), which is about h I."""
+    rows = []
+    for alpha, p in modes:
+        rows += [(alpha, q) for q in range(p) if (alpha, q) not in rows]
+    G = np.diag([-alpha for alpha, _ in rows])
+    for i, (alpha, q) in enumerate(rows):
+        if q:
+            G[i, rows.index((alpha, q - 1))] = 1.0
+    first = np.array([q == 0 for _, q in rows], dtype=float)
+    k = _doublings(gen, horizon, np.max(np.abs(np.diag(G))))
+    J = _mode_chain(gen, G, first, horizon / 2.0 ** k, k)
+    half = _mode_chain(gen, G, first, horizon / 2.0 ** (k + 1), k + 1)
+    picked = [rows.index((alpha, p - 1)) for alpha, p in modes]
+    J, half = J[picked], half[picked]
+    changes = np.linalg.norm((J - half).reshape(len(picked), -1), axis=1)
+    if gen.kind == "diagonal":
+        J = J[..., None] * np.eye(J.shape[-1])
+    return list(J), changes.tolist()
+
+
+def _gramian(gen, C):
+    """int_0^H T(t)^H C^H C T(t) dt for H = semigroup_bounds(gen, 1e-12):
+    one 16-point Gauss-Legendre panel on [0, H / 2^k], then k exact
+    doublings Q(2h) = Q(h) + T(h)^H Q(h) T(h) (Smith 1968)."""
+    H = semigroup_bounds(gen, 1e-12)
+    k = _doublings(gen, H, 0.0)
+    u, w = panel_rule(np.array([0.0, H / 2.0 ** k]))
+    T = _exponentials(gen, np.append(u, H / 2.0 ** k))
+    Tu, Th = T[:-1], T[-1]
+    if Th.ndim == 1:
+        Q = (C.conj().T @ C) * ((Tu.conj().T * w) @ Tu)
+        for _ in range(k):
+            Q, Th = Q + np.outer(Th.conj(), Th) * Q, Th * Th
+    else:
+        rows = (np.sqrt(w)[:, None, None] * (C @ Tu)).reshape(-1, C.shape[1])
+        Q = rows.conj().T @ rows
+        for _ in range(k):
+            Q, Th = Q + Th.conj().T @ Q @ Th, Th @ Th
+    return Q
 
 
 def energy_integrals(gen, C, xs):
-    """int_0^h ||C T(t) x||^2 dt for each x in xs, h = semigroup_bounds(gen,
-    1e-12): dyadic panels over `orbit_energies` when diagonal, else
-    `panel_doubling`."""
-    horizon = semigroup_bounds(gen, 1e-12)
-    if gen.kind == "diagonal":
-        nodes, w = panel_rule(dyadic_edges(horizon))
-        return orbit_energies(gen, C, xs, nodes) @ w
+    """int_0^H ||C T(t) x||^2 dt = x^H Q x for each x in xs, Q `_gramian`."""
     X = np.stack(xs, axis=1)
-
-    def energies(u, w, Tu):
-        return list(w @ np.sum(np.abs(C @ (Tu @ X)) ** 2, axis=1))
-
-    return np.array(panel_doubling(gen, horizon, energies)[0])
+    return np.einsum("ki,kl,li->i", X.conj(), _gramian(gen, C), X).real
 
 
 # ---------------------------------------------------------------------------

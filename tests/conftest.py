@@ -7,6 +7,7 @@ in plain pytest output without -s.
 
 import json
 
+import numpy as np
 import pytest
 
 ACCEPTANCE_LINES = []
@@ -41,6 +42,20 @@ def all_runs(tmp_path_factory):
         payload = json.loads((out / "reports_all.json").read_text())
         runs.append((code, out, payload))
     return runs
+
+
+def damped_string(M, a=1.0):
+    """The damped wave equation u_tt + 2a u_t = u_xx on (0, 1) in modal
+    energy coordinates: blockdiag([[0, n pi], [-n pi, -2a]]) for n = 1..M.
+    Dissipative and non-normal, of dimension 2M, with frequencies up to
+    M pi, so it is both stiff and oscillating."""
+    from hardycalc.semigroup import Generator
+
+    A = np.zeros((2 * M, 2 * M))
+    for n in range(1, M + 1):
+        A[2 * n - 2:2 * n, 2 * n - 2:2 * n] = [[0.0, n * np.pi],
+                                                [-n * np.pi, -2.0 * a]]
+    return Generator.dense(A)
 
 
 def reports_by_name(payload):

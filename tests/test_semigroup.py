@@ -12,25 +12,23 @@ import numpy as np
 import pytest
 
 import hardycalc
-from hardycalc import admissibility, numkernel, semigroup
+from conftest import damped_string
+from hardycalc import numkernel, semigroup
 from hardycalc.admissibility import observability_gramian, sqrt_t_bound_scan
-from hardycalc.numkernel import (ConvergenceError, SingularMatrixError,
-                                 solve_lyapunov)
+from hardycalc.numkernel import SingularMatrixError, solve_lyapunov
 from hardycalc.semigroup import (
     Generator,
     StabilityError,
-    _panel_samples,
     certify_stable,
-    dyadic_edges,
     energy_integrals,
     evaluate_T,
     example26,
     generator_from_json,
     generator_to_json,
+    mode_integrals,
     norm_scan,
     orbit_average,
     orbit_energies,
-    panel_doubling,
     panel_rule,
     random_dissipative,
     random_stable,
@@ -193,81 +191,6 @@ BATTERY = (atom(1.0, 1.0), atom(1.0, 3.0),
 
 
 class TestStepMemo:
-    def test_thm33_evaluates_each_step_once(self, monkeypatch):
-        # each _panel_samples call on a dense generator needs T(x_k h) at
-        # the 16 nodes and T(h); a step h seen before costs no mat_exp
-        real_samples, real_exp = semigroup._panel_samples, semigroup.mat_exp
-        steps, panel_times, in_panels = [], [], []
-
-        def tracking_samples(g, horizon, panels):
-            steps.append(horizon / panels)
-            in_panels.append(True)
-            try:
-                return real_samples(g, horizon, panels)
-            finally:
-                in_panels.pop()
-
-        def counting_exp(A, t=1.0):
-            if in_panels:
-                panel_times.append(t)
-            return real_exp(A, t)
-
-        monkeypatch.setattr(semigroup, "_panel_samples", tracking_samples)
-        monkeypatch.setattr(semigroup, "mat_exp", counting_exp)
-        rep = check_thm33(random_stable(8, 8), np.eye(8, dtype=complex),
-                          BATTERY)
-        assert rep.passed
-        assert len(steps) > len(set(steps))  # steps recur across symbols
-        assert len(panel_times) == 17 * len(set(steps))
-        assert len(set(panel_times)) == len(panel_times)
-
-    def test_gramian_steps_are_convolution_steps(self, monkeypatch):
-        # the Gramian and the convolution route integrate to powers of two,
-        # so the Gramian's panel steps recur in the convolution route, which
-        # then evaluates no semigroup step for them
-        real_samples, real_exp = semigroup._panel_samples, semigroup.mat_exp
-        real_gramian = admissibility.energy_integrals
-        gramian_steps, conv_steps, in_gramian = set(), set(), []
-        exp_times, shared_exp = [], []
-
-        def counting_exp(A, t=1.0):
-            exp_times.append(t)
-            return real_exp(A, t)
-
-        def gramian(*args):
-            in_gramian.append(True)
-            try:
-                return real_gramian(*args)
-            finally:
-                in_gramian.pop()
-
-        def tracking_samples(g, horizon, panels):
-            h = horizon / panels
-            (gramian_steps if in_gramian else conv_steps).add(h)
-            before = len(exp_times)
-            out = real_samples(g, horizon, panels)
-            if not in_gramian and h in gramian_steps:
-                shared_exp.extend(exp_times[before:])
-            return out
-
-        monkeypatch.setattr(admissibility, "energy_integrals", gramian)
-        monkeypatch.setattr(semigroup, "_panel_samples", tracking_samples)
-        monkeypatch.setattr(semigroup, "mat_exp", counting_exp)
-        rep = check_thm33(random_stable(8, 8), np.eye(8, dtype=complex),
-                          BATTERY)
-        assert rep.passed
-        assert gramian_steps and gramian_steps <= conv_steps
-        assert shared_exp == []
-
-    def test_memoized_samples_match_a_fresh_generator(self):
-        gen = random_stable(6, 4)
-        _panel_samples(gen, 8.0, 8)
-        memoized = _panel_samples(gen, 4.0, 4)  # the same step h = 1
-        assert list(gen._step_memo) == [1.0]
-        fresh = _panel_samples(Generator.dense(gen.matrix), 4.0, 4)
-        for a, b in zip(memoized, fresh):
-            assert np.array_equal(a, b)
-
     def test_gramian_does_not_compute_sup(self, monkeypatch):
         calls = []
 
@@ -509,27 +432,13 @@ class TestPanelQuadrature:
             exact = 2.0 ** (k + 1) / (k + 1)
             assert abs(w @ u ** k - exact) <= 1e-13 * exact
 
-    def test_dyadic_edges(self):
-        edges = dyadic_edges(3.0)
-        assert edges.size == 62
-        assert edges[0] == 0.0 and edges[1] == 3.0 * 2.0 ** -60
-        assert edges[-1] == 3.0
-        # every panel after the first is [a, 2a]
-        assert np.all(np.diff(edges[1:]) == edges[1:-1])
-
     def test_doubling_integrates_dense_semigroup(self):
         # int_0^H T(t) dt = A^{-1} (T(H) - I)
         gen = random_stable(4, 3)
-        vals, changes = panel_doubling(
-            gen, 2.0, lambda u, w, Tu: [np.einsum("i,ijk->jk", w, Tu)])
+        vals, changes = mode_integrals(gen, [(0.0, 1)], 2.0)
         ref = np.linalg.solve(gen.matrix, evaluate_T(gen, 2.0) - np.eye(4))
         assert np.max(np.abs(vals[0] - ref)) < 1e-12
-        assert changes[0] < 1e-8
-
-    def test_doubling_gives_up_when_values_never_settle(self):
-        with pytest.raises(ConvergenceError):
-            panel_doubling(Generator.diagonal([-1.0]), 1.0,
-                           lambda u, w, Tu: [np.array(float(u.size))])
+        assert changes[0] < 1e-12
 
     def test_import_does_not_load_numpy_polynomial(self):
         # the Gauss-Legendre nodes are built on first use, which keeps
@@ -600,6 +509,30 @@ class TestDenseScale:
         assert rep.passed
         assert peak < 128 * 2 ** 20
 
+    @staticmethod
+    def _traced(run):
+        tracemalloc.start()
+        try:
+            return run(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # the oscillating damped string costs the doubling integrals O(N^2)
+    # memory, as a smooth generator does
+    def test_damped_string_thm33_n128_memory(self):
+        gen = damped_string(64)
+        rep, peak = self._traced(
+            lambda: check_thm33(gen, np.eye(128), BATTERY))
+        assert rep.passed
+        assert peak < 64 * 2 ** 20
+
+    def test_damped_string_gramian_n256_memory(self):
+        gen = damped_string(128)
+        gram, peak = self._traced(
+            lambda: observability_gramian(gen, np.eye(256)))
+        assert gram.quadrature_rel_error <= 1e-4
+        assert peak < 256 * 2 ** 20
+
 
 class TestJsonRoundTrip:
     def test_diagonal(self):
@@ -618,7 +551,6 @@ class TestJsonRoundTrip:
 # (module, function) of every test of a generator's kind outside semigroup
 ALLOWED_KIND_TESTS = sorted([
     ("admissibility", "_require_real_diagonal"),  # input guard
-    ("calculus", "_integrate_modes"),  # lifts mode integrals to matrices
     ("calculus", "gA_spectral"),  # input guard
 ])
 

@@ -397,7 +397,7 @@ class TestCalculusPairs:
     def test_reports_the_pair_closest_to_failing(self, capsys):
         # unit and atom are checked once per generator and each product
         # against its own claim; at seed 7 the atom identity is the one
-        # closest to failing on example26_16 and stable8_seed9
+        # closest to failing on example26_16 and stable8_seed8
         _, reports = cli.run(cli.ExperimentConfig(scenario="calculus_axioms",
                                                   seed=7))
         capsys.readouterr()

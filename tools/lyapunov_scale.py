@@ -1,12 +1,15 @@
-"""Time and peak memory of one dense Lyapunov solve against its size.
+"""Time and peak memory of one dense Lyapunov solve against its size, next
+to the doubling Gramian that cross-checks it.
 
     python3 tools/lyapunov_scale.py [--src DIR] [--repeats 3] N [N ...]
 
-For each N it draws the matrix of `random_stable(N, 8)` and times
-`solve_lyapunov(A, I)` (best of --repeats), then repeats the solve once
-under `tracemalloc` for its peak allocation.  --src chooses the hardycalc
-source tree, so two checkouts can be compared.  BLAS runs on one thread.
-Prints one JSON object per N.
+For each N it draws `random_stable(N, 8)` and times `solve_lyapunov(A, I)`
+(the sign iteration) and the Gramian of C = I by exact doubling
+(`semigroup._gramian`, which `energy_integrals` reads), each best of
+--repeats, then repeats each once under `tracemalloc` for its peak
+allocation, and reports ||Q_doubling - Q_sign|| / ||Q_sign||.  --src
+chooses the hardycalc source tree, so two checkouts can be compared.  BLAS
+runs on one thread.  Prints one JSON object per N.
 """
 
 import argparse
@@ -15,6 +18,22 @@ import os
 import sys
 import time
 import tracemalloc
+
+
+def _best_and_peak(run, repeats):
+    """(result, best wall time of `repeats` calls, tracemalloc peak MiB)."""
+    times = []
+    for _ in range(max(1, repeats)):
+        started = time.perf_counter()
+        out = run()
+        times.append(time.perf_counter() - started)
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, min(times), peak / 2 ** 20
 
 
 def main(argv=None):
@@ -28,27 +47,23 @@ def main(argv=None):
         os.environ[var] = "1"  # read when numpy loads BLAS, just below
     sys.path.insert(0, args.src)
     import numpy as np
+    from hardycalc import semigroup
     from hardycalc.numkernel import solve_lyapunov
-    from hardycalc.semigroup import random_stable
 
     for n in args.sizes:
-        A = random_stable(n, 8).matrix
-        R = np.eye(n, dtype=complex)
-        times = []
-        for _ in range(max(1, args.repeats)):
-            started = time.perf_counter()
-            Q = solve_lyapunov(A, R)
-            times.append(time.perf_counter() - started)
-        tracemalloc.start()
-        try:
-            solve_lyapunov(A, R)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        gen = semigroup.random_stable(n, 8)
+        A, R = gen.matrix, np.eye(n, dtype=complex)
+        Q, solve_s, peak = _best_and_peak(lambda: solve_lyapunov(A, R),
+                                          args.repeats)
+        Qd, doubling_s, doubling_peak = _best_and_peak(
+            lambda: semigroup._gramian(gen, R), args.repeats)
         residual = np.linalg.norm(A.conj().T @ Q + Q @ A + R) / np.sqrt(n)
-        print(json.dumps({"n": n, "solve_s": min(times),
-                          "peak_mib": peak / 2 ** 20,
-                          "relative_residual": float(residual)}), flush=True)
+        print(json.dumps({
+            "n": n, "solve_s": solve_s, "peak_mib": peak,
+            "relative_residual": float(residual), "doubling_s": doubling_s,
+            "doubling_peak_mib": doubling_peak,
+            "doubling_rel_diff": float(np.linalg.norm(Qd - Q)
+                                       / np.linalg.norm(Q))}), flush=True)
 
 
 if __name__ == "__main__":
