@@ -5,7 +5,8 @@ the five operations in this module.  The solve, the operator norm and the
 Hermitian eigensolver are thin calls to numpy's LAPACK wrappers; this module
 adds input checks, the named errors below for LAPACK failures, and residual
 certificates.  numpy has no matrix exponential, so mat_exp is Pade
-scaling-and-squaring on top of the LAPACK solve; nor a Lyapunov solver, so a
+scaling-and-squaring of one At, for one scalar time, on top of the LAPACK
+solve; nor a Lyapunov solver, so a
 dense solve_lyapunov runs the scaled Newton sign iteration (Roberts 1980,
 Byers 1987) on LAPACK inverses, O(n^3) per step, instead of an n^2 x n^2
 Kronecker system.
@@ -74,23 +75,21 @@ def _pade13(B):
              + b[7] * B6 + b[5] * B4 + b[3] * B2 + b[1] * eye)
     V = (B6 @ (b[12] * B6 + b[10] * B4 + b[8] * B2)
          + b[6] * B6 + b[4] * B4 + b[2] * B2 + b[0] * eye)
-    # one LAPACK call for a stack; V - U is well conditioned (Higham 2005)
+    # V - U is well conditioned (Higham 2005)
     return np.linalg.solve(V - U, V + U)
 
 
 def mat_exp(A, t=1.0):
-    """e^{At} by order-13 Pade scaling-and-squaring; for a 1-D array t, the
-    stack of e^{A t_k}, scaled together by the largest ||A t_k||_1.
+    """e^{At} for one scalar t >= 0 by order-13 Pade scaling-and-squaring.
 
     The scaling is chosen from the 1-norm of At.  Relative accuracy is
     at the 1e-12 level for ||At|| <= 50; far larger arguments trip the
     overflow guard because the squaring chain would dominate the error.
     """
     A = _as_square(A)
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
+    if t < 0:
         raise ValueError("mat_exp requires t >= 0")
-    B = A * t[..., None, None]
+    B = A * t
     norm1 = float(np.max(np.sum(np.abs(B), axis=-2), initial=0.0))
     if norm1 > _EXP_NORM_GUARD:
         raise OverflowError(f"||At||_1 = {norm1:.3g} exceeds the mat_exp guard")

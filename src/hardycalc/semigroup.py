@@ -8,13 +8,12 @@ the evaluators here (`evaluate_T`, `sampled_T`, `norm_scan`,
 `orbit_energies`, `energy_integrals`, `orbit_average`, `mode_integrals`) and
 the certificate's decay envelope; they test the kind only to guard an input.
 Samplers produce seeded dissipative and similarity-transformed stable test
-matrices.  Every semigroup integral is one 16-point Gauss-Legendre panel on
-a short start step, doubled exactly up to its horizon.
+matrices.  Every semigroup integral is one Taylor series on a short start
+step, doubled exactly up to its horizon.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -312,22 +311,6 @@ def sup_T_norm(gen):
 # quadrature of semigroup integrals
 
 
-@functools.cache
-def _gauss_legendre():
-    """16-point Gauss-Legendre nodes and weights on [0, 1].  Built on first
-    use, so importing the package does not load numpy.polynomial."""
-    x, w = np.polynomial.legendre.leggauss(16)
-    return (x + 1.0) / 2.0, w / 2.0
-
-
-def panel_rule(edges):
-    """Nodes and weights of the composite 16-point Gauss-Legendre rule on
-    the panels [edges[i], edges[i+1]]."""
-    x, w = _gauss_legendre()
-    h = np.diff(edges)[:, None]
-    return (edges[:-1, None] + h * x).ravel(), (h * w).ravel()
-
-
 def _power_chain(Th, count):
     """[I, Th, Th^2, ..., Th^{count-1}] built by block doubling."""
     N = Th.shape[0]
@@ -349,32 +332,52 @@ def sampled_T(gen, dt, count):
 
 
 def _doublings(gen, horizon, shift):
-    """The least k with (||A||_1 + shift) horizon / 2^k <= 1, so that a
-    doubling integral's start panel needs no squaring in mat_exp."""
-    scale = horizon * (float(np.linalg.norm(gen.matrix, 1)) + shift)
+    """The least k with (||A||_2 + shift) horizon / 2^k <= 1.  On the start
+    step h = horizon / 2^k the terms of `_start_series` then shrink like
+    2^j/(j+1)!; the 2-norm, unlike the 1-norm, bounds both sides of the
+    Gramian's A^H X + X A."""
+    scale = horizon * (operator_norm(gen.matrix) + shift)
     return max(0, math.ceil(math.log2(scale)))
 
 
-def _exponentials(gen, ts):
-    """T(t) for every t in ts at once: rows of eigenvalue exponentials (each
-    T(t) held as its diagonal) when diagonal, else one batched mat_exp."""
+# once ||op|| h <= 2 the first omitted term is 2^30/31! ~ 1e-25 of h ||X||
+_START_TERMS = 30
+
+
+def _start_series(op, X, h):
+    """int_0^h e^{u op} X du = sum_j h^{j+1}/(j+1)! op^j(X), summed to a
+    fixed number of terms (Moler & Van Loan 2003, method 1)."""
+    term = total = h * X
+    for j in range(2, _START_TERMS + 1):
+        term = op(term) * (h / j)
+        total = total + term
+    return total
+
+
+def _step(gen, h):
+    """(A, T(h), product): eigenvalue vectors multiplied elementwise when
+    diagonal, else matrices multiplied by matmul."""
     if gen.kind == "diagonal":
-        return np.exp(np.outer(ts, gen.eigenvalues))
-    return mat_exp(gen.matrix, ts)
+        return gen.eigenvalues, np.exp(gen.eigenvalues * h), np.multiply
+    return gen.matrix, mat_exp(gen.matrix, h), np.matmul
 
 
 def _mode_chain(gen, G, first, h, doublings):
-    """J(h 2^doublings) from a 16-point Gauss-Legendre panel on [0, h] and
-    exact doublings J(2h) = J(h) + T(h) e^{hG} J(h), e^{hG} on axis 0."""
-    u, w = panel_rule(np.array([0.0, h]))
-    times = np.append(u, h)
-    T, E = _exponentials(gen, times), mat_exp(G, times)
-    J = (w[:, None] * (E[:-1] @ first)).T @ T[:-1].reshape(w.size, -1)
-    J, Th, L = J.reshape(-1, *T.shape[1:]), T[-1], E[-1]
+    """J(h 2^doublings) from the start series of op(Y) = A Y + G Y (G on
+    axis 0) on [0, h], from Y = first x I, then exact doublings
+    J(2h) = J(h) + T(h) e^{hG} J(h)."""
+    A, Th, mul = _step(gen, h)
+    one = np.ones(A.size) if A.ndim == 1 else np.eye(len(A))
+    Y0 = np.multiply.outer(first, one)
+
+    def rows(M, Y):  # M acting on axis 0
+        return (M @ Y.reshape(len(M), -1)).reshape(Y.shape)
+
+    J = _start_series(lambda Y: mul(A, Y) + rows(G, Y), Y0, h)
+    L = mat_exp(G, h)
     for _ in range(doublings):
-        mixed = (L @ J.reshape(len(L), -1)).reshape(J.shape)
-        J = J + (Th * mixed if Th.ndim == 1 else Th @ mixed)
-        Th, L = (Th * Th if Th.ndim == 1 else Th @ Th), L @ L
+        J = J + mul(Th, rows(L, J))
+        Th, L = mul(Th, Th), L @ L
     return J
 
 
@@ -408,22 +411,17 @@ def mode_integrals(gen, modes, horizon):
 
 def _gramian(gen, C):
     """int_0^H T(t)^H C^H C T(t) dt for H = semigroup_bounds(gen, 1e-12):
-    one 16-point Gauss-Legendre panel on [0, H / 2^k], then k exact
+    the start series of op(X) = A^H X + X A on [0, H / 2^k], then k exact
     doublings Q(2h) = Q(h) + T(h)^H Q(h) T(h) (Smith 1968)."""
     H = semigroup_bounds(gen, 1e-12)
     k = _doublings(gen, H, 0.0)
-    u, w = panel_rule(np.array([0.0, H / 2.0 ** k]))
-    T = _exponentials(gen, np.append(u, H / 2.0 ** k))
-    Tu, Th = T[:-1], T[-1]
-    if Th.ndim == 1:
-        Q = (C.conj().T @ C) * ((Tu.conj().T * w) @ Tu)
-        for _ in range(k):
-            Q, Th = Q + np.outer(Th.conj(), Th) * Q, Th * Th
-    else:
-        rows = (np.sqrt(w)[:, None, None] * (C @ Tu)).reshape(-1, C.shape[1])
-        Q = rows.conj().T @ rows
-        for _ in range(k):
-            Q, Th = Q + Th.conj().T @ Q @ Th, Th @ Th
+    h = H / 2.0 ** k
+    A, Th, mul = _step(gen, h)
+    AH = np.atleast_2d(A).conj().T  # a column of conjugates when diagonal
+    Q = _start_series(lambda X: mul(AH, X) + mul(X, A), C.conj().T @ C, h)
+    for _ in range(k):
+        ThH = np.atleast_2d(Th).conj().T
+        Q, Th = Q + mul(mul(ThH, Q), Th), mul(Th, Th)
     return Q
 
 

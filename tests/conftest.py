@@ -58,6 +58,18 @@ def damped_string(M, a=1.0):
     return Generator.dense(A)
 
 
+def spiked(transpose=False):
+    """-3I + 50 e_0 e_1^T on C^12, or its transpose: stable with spectral
+    radius 3 but norm about 50.  The transpose swaps the sides A^H X and
+    X A of the Gramian's start series, so a start step sized by a norm of
+    one side only shows on one of the pair."""
+    from hardycalc.semigroup import Generator
+
+    A = -3.0 * np.eye(12)
+    A[0, 1] = 50.0
+    return Generator.dense(A.T if transpose else A)
+
+
 def reports_by_name(payload):
     return {r["name"]: r for r in payload["reports"]}
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import spiked
 from hardycalc import admissibility
 from hardycalc.admissibility import (
     ExtensionTrace,
@@ -94,7 +95,8 @@ class TestObservabilityGramian:
 class TestGramianGuard:
     @staticmethod
     def _cases():
-        return [(random_stable(8, 8), np.eye(8)), example26(16)]
+        return [(random_stable(8, 8), np.eye(8)), example26(16),
+                (spiked(), np.eye(12)), (spiked(transpose=True), np.eye(12))]
 
     def test_quadrature_agrees_to_roundoff(self):
         for gen, C in self._cases():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import damped_string
+from conftest import damped_string, spiked
 from hardycalc import calculus
 from hardycalc.calculus import gA_convolution, gA_spectral, gA_toeplitz
 from hardycalc.hardy import GridSpec
@@ -98,10 +98,11 @@ class TestConvolutionRoute:
         # calculus_axioms builds its claimed bound from est_error, so the
         # estimate must never fall below the distance to the resolvent route;
         # the stiff example26(64) and the oscillating damped strings carry
-        # the most roundoff from the doublings
+        # the most roundoff from the doublings; the spiked pair, the most
+        # from a start step sized by a norm that misses one side
         gens = [random_stable(8, s) for s in range(8, 18)]
         gens += [example26(16)[0], example26(64)[0], damped_string(16),
-                 damped_string(32)]
+                 damped_string(32), spiked(), spiked(transpose=True)]
         for gen in gens:
             for g in CONV_SYMBOLS:
                 out = gA_convolution(gen, g)

@@ -233,17 +233,13 @@ class TestSquareFunction:
         assert rep.bound_measured <= 1e-6
 
     def test_weight_error_in_shared_rule_fails(self, monkeypatch):
-        # the two sides share no rule, so a 0.1% weight error in the
-        # Gauss-Legendre panels shows instead of cancelling in the ratio;
-        # eq26 reads its constants from the Gramian, whose quadrature
-        # cross-check uses the same rule and aborts
-        rule = semigroup.panel_rule
-
-        def scaled(edges):
-            nodes, weights = rule(edges)
-            return nodes, (1.0 + 1e-3) * weights
-
-        monkeypatch.setattr(semigroup, "panel_rule", scaled)
+        # the two sides share no rule, so a 0.1% error in the start series
+        # of the doubling integrals shows instead of cancelling in the
+        # ratio; eq26 reads its constants from the Gramian, whose quadrature
+        # cross-check uses the same series and aborts
+        series = semigroup._start_series
+        monkeypatch.setattr(semigroup, "_start_series",
+                            lambda op, X, h: (1.0 + 1e-3) * series(op, X, h))
         gen, _ = example26(32)
         assert not check_square_function(gen).passed
         with pytest.raises(ArithmeticError, match="Gramian cross-check"):
