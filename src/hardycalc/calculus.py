@@ -8,15 +8,18 @@
   because it is the reference the verifier's checks read;
 * convolution: g(A) = integral of T(u) against the symbol's one-sided
   kernel, by the exact doublings of `semigroup.mode_integrals`, over a
-  horizon with a certified truncation tail;
+  horizon with a certified truncation tail; it takes a batch of symbols
+  and runs one chain over the union of the batch's poles, on the longest
+  horizon any of their modes needs;
 * toeplitz: g(A) is the output operator whose output map is M_g on the
   orbit, (M_g T(.)x)(t) = g(A) T(t) x, so g(A) is the t = 0 sample of the
   discrete half-line operator applied to the sampled orbit t -> T(t).
 
 The routes share no numerics beyond the semigroup itself, so pairwise
 agreement is strong evidence that each one is computing the same operator.
-Each route returns the matrix g(A); the convolution route returns it with
-an error estimate (`GAResult`), which the verifier's calculus checks claim.
+Each route returns the matrix g(A); the convolution route returns one
+`GAResult` per symbol, g(A) with an error estimate, which the verifier's
+calculus checks claim.
 `verifier` makes the verdicts.
 """
 
@@ -80,46 +83,60 @@ def _mode_tail(K, c, tstar, p):
         tstar ** k / (math.factorial(k) * c ** (p - k)) for k in range(p))
 
 
-def _integrate_modes(gen, modes):
-    """int_0^inf T(u) u^{p-1} e^{-alpha u}/(p-1)! du for every kernel mode,
-    by `mode_integrals` up to a horizon where the truncation tail under the
-    certified envelope ||T(t)|| <= K e^{-rate t} is below 1e-14.  Returns
-    the integrals and error estimates: start-step change + tail + roundoff."""
+def _integrate_modes(gen, poles):
+    """int_0^inf T(u) u^{p-1} e^{-alpha u}/(p-1)! du for every (alpha, p) in
+    poles, the union of a batch's kernel modes, by one `mode_integrals`
+    chain up to the longest horizon any of them needs: the first power of
+    two where its truncation tail under the certified envelope
+    ||T(t)|| <= K e^{-rate t} is below 1e-14.  Maps each (alpha, p) to its
+    integral and error estimate: start-step change + tail + roundoff."""
     rate = gen.decay_rate()
     K = gen.envelope_constant()
     tstar = 1.0
-    for _, alpha, p, _ in modes:
+    for alpha, p in poles:
         t = 1.0
         while _mode_tail(K, rate + alpha.real, t, p) > 1e-14:
             t *= 2.0
             if t > 1e7:
                 raise ConvergenceError("convolution horizon did not close")
         tstar = max(tstar, t)
-    tails = [_mode_tail(K, rate + alpha.real, tstar, p)
-             for _, alpha, p, _ in modes]
-    sums, changes = mode_integrals(
-        gen, [(alpha, p) for _, alpha, p, _ in modes], tstar)
-    return sums, [c + t + 1e-12 * max(1.0, float(np.linalg.norm(s)))
-                  for c, t, s in zip(changes, tails, sums)]
+    sums, changes = mode_integrals(gen, poles, tstar)
+    return {(alpha, p): (s, c + _mode_tail(K, rate + alpha.real, tstar, p)
+                         + 1e-12 * max(1.0, float(np.linalg.norm(s))))
+            for (alpha, p), s, c in zip(poles, sums, changes)}
 
 
-def gA_convolution(gen, g):
-    """g(A) as the semigroup integrated against the symbol's kernel."""
-    krep = kernel(g)
+def gA_convolution(gen, symbols):
+    """g(A) for each symbol, in order, as the semigroup integrated against
+    the symbol's kernel: one `_integrate_modes` chain over the union of the
+    batch's poles, and one T(tau) per distinct delay or offset tau."""
+    kernels = [kernel(g) for g in symbols]
+    poles = list(dict.fromkeys((alpha, p) for krep in kernels
+                               for _, alpha, p, _ in krep.modes))
+    table = _integrate_modes(gen, poles) if poles else {}
+    shifts = {}
+
+    def shift(tau):
+        if tau not in shifts:
+            shifts[tau] = evaluate_T(gen, tau)
+        return shifts[tau]
+
     N = gen.dimension
-    out = np.zeros((N, N), dtype=complex)
-    est = 0.0
-    for w, tau in krep.delays:
-        out = out + w * evaluate_T(gen, tau)
-    if krep.modes:
-        integrals, errors = _integrate_modes(gen, krep.modes)
-        for (c, alpha, p, off), B, e in zip(krep.modes, integrals, errors):
+    out = []
+    for krep in kernels:
+        ga = np.zeros((N, N), dtype=complex)
+        est = 0.0
+        for w, tau in krep.delays:
+            ga = ga + w * shift(tau)
+        for c, alpha, p, off in krep.modes:
+            B, e = table[alpha, p]
             term = c * B
             if off != 0.0:
-                term = evaluate_T(gen, off) @ term
-            out = out + term
+                term = shift(off) @ term
+            ga = ga + term
             est += abs(c) * e
-    return GAResult(out, est)
+        out.append(GAResult(ga, est))
+    return out
 
 
 def _require_horizon(gen, grid):

@@ -10,6 +10,8 @@ import json
 import numpy as np
 import pytest
 
+pytest_plugins = ["pytester"]
+
 ACCEPTANCE_LINES = []
 
 

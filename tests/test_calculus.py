@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import damped_string, spiked
-from hardycalc import calculus
+from hardycalc import calculus, cli
 from hardycalc.calculus import gA_convolution, gA_spectral, gA_toeplitz
 from hardycalc.hardy import GridSpec
 from hardycalc.numkernel import operator_norm
@@ -74,7 +74,7 @@ class TestResolventRoute:
 
 class TestConvolutionRoute:
     def test_matches_resolvent_diagonal(self):
-        out = gA_convolution(FAST_GEN, atom(1.0, 2.0))
+        out, = gA_convolution(FAST_GEN, [atom(1.0, 2.0)])
         ref = np.diag([0.25, 0.2])
         assert np.max(np.abs(out.matrix - ref)) < 1e-8
         assert out.est_error > 0.0
@@ -83,14 +83,14 @@ class TestConvolutionRoute:
         # the acceptance threshold for this route is 1e-7
         for seed in (8, 14):
             gen = random_stable(8, seed)
-            out = gA_convolution(gen, atom(1.0, 2.0)).matrix
+            out = gA_convolution(gen, [atom(1.0, 2.0)])[0].matrix
             ref = resolvent(gen, 2.0)
             assert np.max(np.abs(out - ref)) < 1e-7
 
     def test_matches_resolvent_dense_seeded_to_roundoff(self):
         for seed in (8, 14):
             gen = random_stable(8, seed)
-            out = gA_convolution(gen, atom(1.0, 2.0)).matrix
+            out = gA_convolution(gen, [atom(1.0, 2.0)])[0].matrix
             ref = resolvent(gen, 2.0)
             assert np.max(np.abs(out - ref)) <= 1e-12
 
@@ -103,12 +103,15 @@ class TestConvolutionRoute:
         gens = [random_stable(8, s) for s in range(8, 18)]
         gens += [example26(16)[0], example26(64)[0], damped_string(16),
                  damped_string(32), spiked(), spiked(transpose=True)]
+        # each symbol alone, and all of them as one batch, whose common
+        # horizon and start step differ from each symbol's own
+        batches = [[g] for g in CONV_SYMBOLS] + [list(CONV_SYMBOLS)]
         for gen in gens:
-            for g in CONV_SYMBOLS:
-                out = gA_convolution(gen, g)
-                ref = calculus._gA_exact(gen, g)
-                err = operator_norm(out.matrix - ref)
-                assert out.est_error >= err
+            for batch in batches:
+                for g, out in zip(batch, gA_convolution(gen, batch)):
+                    ref = calculus._gA_exact(gen, g)
+                    err = operator_norm(out.matrix - ref)
+                    assert out.est_error >= err
 
     def test_never_solves(self, monkeypatch):
         # the route must stay independent of the resolvent it is checked
@@ -120,7 +123,7 @@ class TestConvolutionRoute:
         g = add(multiply(Delay(0.2), multiply(atom(1.0, 2.0), atom(1.0, 2.0))),
                 atom(0.5, 1.0))
         for gen in (random_stable(6, 4), Generator.diagonal([-1.0, -2.5 + 1j])):
-            out = gA_convolution(gen, g)
+            out, = gA_convolution(gen, [g])
             assert np.all(np.isfinite(out.matrix))
 
     def test_mode_tail_matches_mpmath(self):
@@ -148,14 +151,56 @@ class TestConvolutionRoute:
         g = atom(c, alpha)
         if double:
             g = multiply(g, atom(1.0, alpha))
-        out = gA_convolution(gen, g)
+        out, = gA_convolution(gen, [g])
         err = operator_norm(out.matrix - gA_spectral(gen, g))
         assert err <= out.est_error
 
     def test_delay_contributes_semigroup_factor(self):
-        out = gA_convolution(FAST_GEN, Delay(0.5)).matrix
+        out = gA_convolution(FAST_GEN, [Delay(0.5)])[0].matrix
         ref = np.diag([math.exp(-1.0), math.exp(-1.5)])
         assert np.max(np.abs(out - ref)) < 1e-10
+
+
+class TestConvolutionBatch:
+    """One call runs one mode-integral chain for the whole batch."""
+
+    @pytest.fixture
+    def chains(self, monkeypatch):
+        calls = []
+        integrate = calculus.mode_integrals
+
+        def counted(gen, modes, horizon):
+            calls.append(gen)
+            return integrate(gen, modes, horizon)
+
+        monkeypatch.setattr(calculus, "mode_integrals", counted)
+        return calls
+
+    @pytest.mark.parametrize("scenario", ["thm33", "calculus_axioms"])
+    def test_one_chain_per_generator(self, chains, scenario, capsys):
+        _, reports = cli.run(cli.ExperimentConfig(scenario=scenario, seed=7))
+        capsys.readouterr()
+        assert len(chains) == len(reports)
+        assert len({id(gen) for gen in chains}) == len(reports)
+
+    def test_empty_batch(self, chains):
+        assert gA_convolution(FAST_GEN, []) == []
+        assert chains == []
+
+    def test_delays_and_constants_need_no_chain(self, chains):
+        out = gA_convolution(FAST_GEN, [Delay(0.5), Constant(0.7),
+                                        add(Delay(0.2), Constant(1.0))])
+        assert chains == []
+        assert [o.est_error for o in out] == [0.0, 0.0, 0.0]
+        assert np.allclose(out[1].matrix, 0.7 * np.eye(2), atol=1e-15)
+
+    def test_batch_matches_single_calls(self):
+        # a shared horizon and start step move each g(A) by roundoff only
+        gen = random_stable(8, 8)
+        batch = gA_convolution(gen, CONV_SYMBOLS)
+        for g, out in zip(CONV_SYMBOLS, batch):
+            one, = gA_convolution(gen, [g])
+            assert operator_norm(out.matrix - one.matrix) <= 1e-12
 
 
 class TestToeplitzRoute:

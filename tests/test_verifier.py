@@ -369,20 +369,22 @@ def _calculus_subassertions(gen, battery):
     def norm(M):
         return float(np.linalg.norm(M, 2))
 
-    ident = gA_convolution(gen, Constant(1.0))
-    at = gA_convolution(gen, atom(1.0, 2.0))
+    # the verifier's one batch: 1, 1/(2-s), the battery, then the products
+    pairs = [(g1, g2) for g1 in battery for g2 in battery]
+    out = gA_convolution(gen, [Constant(1.0), atom(1.0, 2.0), *battery,
+                               *(multiply(g1, g2) for g1, g2 in pairs)])
+    ident, at = out[0], out[1]
+    single = dict(zip(battery, out[2:2 + len(battery)]))
     subs = [("1(A) = I", ident.est_error,
              norm(ident.matrix - np.eye(gen.dimension))),
             ("(1/(2-s))(A) = (2I-A)^-1", at.est_error,
              norm(at.matrix - resolvent(gen, 2.0)))]
-    for g1 in battery:
-        for g2 in battery:
-            a, b = gA_convolution(gen, g1), gA_convolution(gen, g2)
-            ab = gA_convolution(gen, multiply(g1, g2))
-            subs.append((f"g1={to_text(g1)}, g2={to_text(g2)}",
-                         ab.est_error + a.est_error * norm(b.matrix)
-                         + b.est_error * norm(a.matrix),
-                         norm(ab.matrix - a.matrix @ b.matrix)))
+    for (g1, g2), ab in zip(pairs, out[2 + len(battery):]):
+        a, b = single[g1], single[g2]
+        subs.append((f"g1={to_text(g1)}, g2={to_text(g2)}",
+                     ab.est_error + a.est_error * norm(b.matrix)
+                     + b.est_error * norm(a.matrix),
+                     norm(ab.matrix - a.matrix @ b.matrix)))
     return subs
 
 
@@ -445,11 +447,10 @@ class TestCalculusPairs:
         g1, g2 = atom(1.0, 1.0), atom(1.0, 3.0)
         convolve = verifier.gA_convolution
 
-        def wrong(gen, g):
-            out = convolve(gen, g)
-            if g == multiply(g1, g2):
-                out = dataclasses.replace(out, matrix=(1 + 1e-6) * out.matrix)
-            return out
+        def wrong(gen, symbols):
+            return [dataclasses.replace(out, matrix=(1 + 1e-6) * out.matrix)
+                    if g == multiply(g1, g2) else out
+                    for g, out in zip(symbols, convolve(gen, symbols))]
 
         monkeypatch.setattr(verifier, "gA_convolution", wrong)
         rep = check_calculus_pairs(CALCULUS_GEN, [g1, g2])
@@ -465,7 +466,7 @@ class TestResolventIdentity:
         conv, _ = check_resolvent_identity(self.GENS, self.GRID)
         room = {}
         for seed, gen in self.GENS:
-            ga = gA_convolution(gen, G)
+            ga, = gA_convolution(gen, [G])
             measured = float(np.linalg.norm(ga.matrix - resolvent(gen, 2.0), 2))
             room[seed] = (measured / (ga.est_error * (1.0 + 1e-9) + 1e-9),
                           ga.est_error, measured)
@@ -480,9 +481,9 @@ class TestResolventIdentity:
         # a 1e-7 relative error is far above the route's error estimate
         convolve = verifier.gA_convolution
 
-        def wrong(gen, g):
-            out = convolve(gen, g)
-            return dataclasses.replace(out, matrix=(1 + 1e-7) * out.matrix)
+        def wrong(gen, symbols):
+            return [dataclasses.replace(out, matrix=(1 + 1e-7) * out.matrix)
+                    for out in convolve(gen, symbols)]
 
         monkeypatch.setattr(verifier, "gA_convolution", wrong)
         conv, toep = check_resolvent_identity(self.GENS, self.GRID)
