@@ -8,13 +8,12 @@ squared exact-observability constant (lambda_min).  `observability_gramian`
 is the only source of these constants for the checks: gamma_A and the
 Gramian of g(A) in T0, the constants of Theorem 3.3, the square-root
 constants m1 = m2 of Theorem 3.4, the analytic lemma and eq. (26), and the
-sqrt(t) bound.  Each Gramian it returns is cross-checked against the
-time quadrature `semigroup.energy_integrals` on five seeded states;
-disagreement beyond 1e-4 relative aborts with ArithmeticError rather than
-returning a silently wrong constant.  The one Lyapunov solve outside it is
-the Gramian G of Corollary 3.3(a), which is the measured side of the
-identity G = I rather than a constant.  Verdicts on these numbers are made
-in `verifier`.
+sqrt(t) bound.  Each Gramian it returns is cross-checked whole against the
+doubling Gramian `semigroup.gramian`; a relative 2-norm disagreement beyond
+1e-4 aborts with ArithmeticError rather than returning a silently wrong
+constant.  The one Lyapunov solve outside it is the Gramian G of
+Corollary 3.3(a), which is the measured side of the identity G = I rather
+than a constant.  Verdicts on these numbers are made in `verifier`.
 """
 
 from __future__ import annotations
@@ -23,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkernel import hermitian_eigs, solve_lyapunov
-from .semigroup import energy_integrals, norm_scan, orbit_average, resolvent
+from .numkernel import hermitian_eigs, operator_norm, solve_lyapunov
+from .semigroup import gramian, norm_scan, orbit_average, resolvent
 
 __all__ = [
     "ExtensionTrace",
@@ -60,21 +59,16 @@ def _observation_matrix(C, gen):
 
 def observability_gramian(gen, C):
     """Gramian by Lyapunov solve, with eigenvalue extraction and a mandatory
-    time-domain cross-check on five seeded random states."""
+    cross-check against the doubling Gramian: their relative 2-norm
+    difference bounds the relative error of m_admissible (Weyl)."""
     Cm = _observation_matrix(C, gen)
     A = gen.matrix
     R = Cm.conj().T @ Cm
     Q = solve_lyapunov(A, R)
     spec = hermitian_eigs(Q)
     residual = float(np.linalg.norm(A.conj().T @ Q + Q @ A + R))
-    rng = np.random.default_rng(0)
-    xs = []
-    for _ in range(5):
-        v = rng.standard_normal(gen.dimension) + 1j * rng.standard_normal(gen.dimension)
-        xs.append(v / np.linalg.norm(v))
-    refs = np.array([float((x.conj() @ Q @ x).real) for x in xs])
-    quads = energy_integrals(gen, Cm, xs)
-    rel = float(np.max(np.abs(quads - refs) / np.maximum(np.abs(refs), 1e-30)))
+    diff, scale = operator_norm(gramian(gen, Cm) - Q), operator_norm(Q)
+    rel = diff / scale if scale else (np.inf if diff else 0.0)
     if rel > 1e-4:
         raise ArithmeticError(
             f"Gramian cross-check failed: quadrature disagrees by {rel:.3g} "

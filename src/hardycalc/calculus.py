@@ -34,7 +34,7 @@ from .numkernel import ConvergenceError
 from .semigroup import (evaluate_T, mode_integrals, resolvent, sampled_T,
                         semigroup_bounds)
 from .symbols import eval_at, kernel
-from .hardy import SampledSignal, toeplitz_apply
+from .hardy import SampledSignal, WraparoundError, toeplitz_apply
 
 __all__ = [
     "GAResult",
@@ -140,9 +140,10 @@ def gA_convolution(gen, symbols):
 
 
 def _require_horizon(gen, grid):
+    """A grid ending before the decay horizon is a WraparoundError too."""
     horizon = semigroup_bounds(gen, 1e-10)
     if grid.horizon < horizon:
-        raise ValueError(
+        raise WraparoundError(
             f"grid horizon {grid.horizon:g} is shorter than the decay "
             f"horizon {horizon:g}; enlarge the grid")
 

@@ -3,9 +3,9 @@ validates the configuration, dispatches through the scenario registry of
 `scenarios`, prints one verdict line per report, and writes the JSON/CSV
 artifacts.  The checks themselves live in `verifier`.
 
-Exit codes: 0 all pass, 1 check failure, 2 malformed configuration
-(including a grid step that does not divide 0.5 and a grid on which a
-signal fails the wraparound guard), 3 unknown scenario.
+Exit codes: 0 all pass, 1 check failure, 2 malformed configuration (a
+value of the wrong JSON type, a grid step not dividing 0.5, a grid too
+short for the wraparound or decay-horizon guard), 3 unknown scenario.
 """
 
 from __future__ import annotations
@@ -43,6 +43,16 @@ class ExperimentConfig:
     write_json: bool = False
     write_csv: bool = False
     symbols: tuple = ()
+
+
+# the exact decoded JSON types of each config value besides symbols, so
+# that true is no integer; json.load makes no subclass instances
+_INTEGER, _FLAG = ((int,), "an integer"), ((bool,), "true or false")
+_CONFIG_TYPES = {"scenario": ((str,), "a string"), "seed": _INTEGER,
+                 "modes": _INTEGER, "grid_n": _INTEGER,
+                 "grid_dt": ((int, float), "a number"),
+                 "out": ((str, type(None)), "a string or null"),
+                 "json": _FLAG, "csv": _FLAG}
 
 
 def _validate(config):
@@ -116,11 +126,12 @@ def _config_from_args(args):
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError("config root must be a JSON object")
-        allowed = {"scenario", "seed", "modes", "grid_n", "grid_dt", "out",
-                   "json", "csv", "symbols"}
-        unknown = sorted(set(doc) - allowed)
+        unknown = sorted(set(doc) - set(_CONFIG_TYPES) - {"symbols"})
         if unknown:
             raise ConfigError(f"unknown config keys: {unknown}")
+        for key, (kinds, what) in _CONFIG_TYPES.items():
+            if key in doc and type(doc[key]) not in kinds:
+                raise ConfigError(f"{key} must be {what}")
     defaults = ExperimentConfig()
     env_seed = os.environ.get("HARDYCALC_SEED")
     if env_seed is not None:
@@ -138,9 +149,6 @@ def _config_from_args(args):
     if not isinstance(symbols, (list, tuple)) or not all(
             isinstance(s, str) for s in symbols):
         raise ConfigError("symbols must be a list of strings")
-    for key in ("json", "csv"):
-        if not isinstance(doc.get(key, False), bool):
-            raise ConfigError(f"{key} must be true or false")
     try:
         return ExperimentConfig(
             scenario=str(pick(args.scenario, "scenario")),

@@ -5,7 +5,7 @@ Two generator kinds are supported: Diagonal (eigenvalues known by
 construction, semigroup evaluated exactly) and Dense (stability certified by
 a Lyapunov witness before any use).  Other modules reach T(t) only through
 the evaluators here (`evaluate_T`, `sampled_T`, `norm_scan`,
-`orbit_energies`, `energy_integrals`, `orbit_average`, `mode_integrals`) and
+`orbit_energies`, `gramian`, `orbit_average`, `mode_integrals`) and
 the certificate's decay envelope; they test the kind only to guard an input.
 Samplers produce seeded dissipative and similarity-transformed stable test
 matrices.  Every semigroup integral is one Taylor series on a short start
@@ -34,11 +34,11 @@ __all__ = [
     "StabilityCertificate",
     "StabilityError",
     "certify_stable",
-    "energy_integrals",
     "evaluate_T",
     "example26",
     "generator_from_json",
     "generator_to_json",
+    "gramian",
     "mode_integrals",
     "norm_scan",
     "orbit_average",
@@ -409,8 +409,9 @@ def mode_integrals(gen, modes, horizon):
     return list(J), changes.tolist()
 
 
-def _gramian(gen, C):
-    """int_0^H T(t)^H C^H C T(t) dt for H = semigroup_bounds(gen, 1e-12):
+def gramian(gen, C):
+    """Q = int_0^H T(t)^H C^H C T(t) dt for H = semigroup_bounds(gen, 1e-12),
+    so x^H Q x is the energy int_0^H ||C T(t) x||^2 dt of every state x:
     the start series of op(X) = A^H X + X A on [0, H / 2^k], then k exact
     doublings Q(2h) = Q(h) + T(h)^H Q(h) T(h) (Smith 1968)."""
     H = semigroup_bounds(gen, 1e-12)
@@ -423,12 +424,6 @@ def _gramian(gen, C):
         ThH = np.atleast_2d(Th).conj().T
         Q, Th = Q + mul(mul(ThH, Q), Th), mul(Th, Th)
     return Q
-
-
-def energy_integrals(gen, C, xs):
-    """int_0^H ||C T(t) x||^2 dt = x^H Q x for each x in xs, Q `_gramian`."""
-    X = np.stack(xs, axis=1)
-    return np.einsum("ki,kl,li->i", X.conj(), _gramian(gen, C), X).real
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ measured value the worst ratio to the symbol's own bound, and its witness
 the maximizing symbol.
 
 Every Gramian constant comes from `admissibility.observability_gramian`,
-which cross-checks the Lyapunov solution by quadrature; only
+which cross-checks the whole Lyapunov solution by quadrature; only
 `check_cor33a` solves a Lyapunov equation itself, because its Gramian is
 the measured side of the identity G = I.
 
@@ -39,7 +39,7 @@ from .hardy import (GridSpec, SampledSignal, _apply_multiplier,
                     discrete_multiplier, shift, times)
 from .numkernel import hermitian_eigs, operator_norm, solve_lyapunov
 from .report import finish_report
-from .semigroup import (energy_integrals, evaluate_T, example26, norm_scan,
+from .semigroup import (evaluate_T, example26, gramian, norm_scan,
                         orbit_energies, resolvent, semigroup_bounds,
                         sup_T_norm)
 from .symbols import Constant, add, atom, hinf_norm, multiply, to_text
@@ -248,23 +248,19 @@ def check_analytic_lemma(gen):
 
 def check_eq26(gen):
     """Exact observability of (-A)^{1/2} in the halved-time normalization:
-    ||x||^2 <= m1^2 * int ||C T(tau/2) x||^2 dtau, the integral computed
-    both from the Gramian and by direct quadrature."""
+    ||x||^2 <= m1^2 * int ||C T(tau/2) x||^2 dtau = 2 m1^2 x^H Q x.  The
+    worst unit state gives the ratio 1/(m1^2 * 2 lambda_min(Q)); the
+    Gramian's whole-matrix quadrature cross-check enters as a fraction of a
+    1e-6 budget."""
     started = time.perf_counter()
     gram, m1 = _sqrt_gramian(gen)
     scaled_exact = 2.0 * gram.m_exact
     if scaled_exact <= 0:
         raise ValueError("(-A)^{1/2} is not exactly observable here")
-    states = _unit_states(gen.dimension, 1, 3)
-    qs = [2.0 * float((x.conj() @ gram.Q @ x).real) for x in states]
-    ratios = [float(np.vdot(x, x).real) / (m1 * m1 * q)
-              for x, q in zip(states, qs)]
-    # direct quadrature of the halved-time energy for two states
-    quads = 2.0 * energy_integrals(gen, sqrt_minus_A(gen), states[:2])
-    quad_fracs = [abs(float(val) - q) / q / 1e-6 for val, q in zip(quads, qs)]
-    measured = max(max(ratios), max(quad_fracs))
+    quad_frac = gram.quadrature_rel_error / 1e-6
+    measured = max(1.0 / (m1 * m1 * scaled_exact), quad_frac)
     details = {"exact_observability_scaled": scaled_exact, "m1": m1,
-               "tau_quadrature_budget_fraction": max(quad_fracs),
+               "tau_quadrature_budget_fraction": quad_frac,
                "zero_state": "0 <= 0 trivially"}
     return finish_report("eq26", 1.0, measured, "unit states + quadrature",
                          1e-6, started, details)
@@ -275,7 +271,8 @@ def check_square_function(gen):
     int ||(-tA)^{1/2} T(t) x||^2 dt/t = int ||(-A)^{1/2} T(t) x||^2 dt,
     agreement 1e-6 relative.  The sides share no rule, so that a weight
     error cannot cancel: the trapezoid rule in tau = log t (exponentially
-    convergent here) over `orbit_energies` versus `energy_integrals`."""
+    convergent here) over `orbit_energies` versus x^H Q x for the doubling
+    Gramian Q of `gramian`."""
     started = time.perf_counter()
     root = sqrt_minus_A(gen)
     states = _unit_states(gen.dimension, 2, 2)
@@ -287,9 +284,10 @@ def check_square_function(gen):
     t_log = np.exp(tau)
     # ||(-tA)^{1/2} T(t) x||^2 at the log nodes, and (F/t) dt = F dtau
     lhs_all = (t_log * orbit_energies(gen, root, states, t_log)) @ w_log
-    rhs_all = energy_integrals(gen, root, states)
+    Q = gramian(gen, root)
+    rhs_all = [float((x.conj() @ Q @ x).real) for x in states]
     per_state = [abs(lhs - rhs) / max(abs(rhs), 1e-300)
-                 for lhs, rhs in zip(lhs_all.tolist(), rhs_all.tolist())]
+                 for lhs, rhs in zip(lhs_all.tolist(), rhs_all)]
     idx, measured = _worst(dict(enumerate(per_state)))
     witness = f"state {idx}, lhs={lhs_all[idx]:.9g}"
     details = {"per_state_rel_diff": per_state,

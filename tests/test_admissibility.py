@@ -111,6 +111,25 @@ class TestGramianGuard:
             with pytest.raises(ArithmeticError):
                 observability_gramian(gen, C)
 
+    def test_error_orthogonal_to_five_seeded_states_raises(self, monkeypatch):
+        # a cross-check on the five states of default_rng(0) cannot see an
+        # error along v, which is orthogonal to all of them; this one moves
+        # m_admissible from 0.218 to 0.289 on random_stable(8, 8), C = I
+        rng = np.random.default_rng(0)
+        X = np.stack([rng.standard_normal(8) + 1j * rng.standard_normal(8)
+                      for _ in range(5)], axis=1)
+        v = np.linalg.qr(X, mode="complete")[0][:, 5]
+        assert np.max(np.abs(X.conj().T @ v)) < 1e-12
+        solve = admissibility.solve_lyapunov
+
+        def wrong(A, R):
+            Q = solve(A, R)
+            return Q + 0.5 * np.linalg.norm(Q, 2) * np.outer(v, v.conj())
+
+        monkeypatch.setattr(admissibility, "solve_lyapunov", wrong)
+        with pytest.raises(ArithmeticError):
+            observability_gramian(random_stable(8, 8), np.eye(8))
+
 
 class TestSqrtMinusA:
     def test_scalar(self):

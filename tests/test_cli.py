@@ -105,6 +105,34 @@ class TestExitCodes:
         assert f"config error: {key}" in capsys.readouterr().err
         assert not list(tmp_path.glob("reports_*"))
 
+    @pytest.mark.parametrize("key,value", [
+        ("out", 5), ("modes", 1.5), ("seed", True), ("seed", "7"),
+        ("grid_n", 4096.0), ("grid_dt", "0.25"), ("grid_dt", False),
+        ("scenario", 3), ("scenario", None)])
+    def test_value_of_wrong_type_is_2(self, key, value, tmp_path, capsys):
+        # out = 5 was a TypeError traceback; modes = 1.5 ran as 1 and
+        # seed = true as seed 1
+        doc = {"scenario": "example26", "json": True, "out": str(tmp_path)}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(dict(doc, **{key: value})))
+        assert main(["run", "--config", str(p)]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"config error: {key} must be")
+        assert captured.out == ""
+        assert not list(tmp_path.glob("reports_*"))
+
+    def test_null_out_and_integer_grid_dt_are_accepted(self, tmp_path,
+                                                        monkeypatch):
+        configs = []
+        monkeypatch.setattr(cli, "run",
+                            lambda config: (configs.append(config), (0, []))[1])
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"out": None, "grid_dt": 1}))
+        assert main(["run", "--config", str(p)]) == 0
+        assert configs[0].out is None and configs[0].grid_dt == 1.0
+
     def test_infinite_grid_dt_is_2(self, capsys):
         # inf > 0, so a bare positivity test let it through to a traceback
         assert main(["run", "--scenario", "toeplitz_properties",
@@ -122,6 +150,19 @@ class TestExitCodes:
         assert lines[0].startswith("config error: horizon grid_n*grid_dt")
         assert "0.064" in lines[0] and "wraparound guard failed" in lines[0]
         assert "too short" not in lines[0]
+        assert captured.out == ""
+
+    def test_short_grid_for_resolvent_identity_is_one_config_line_and_2(
+            self, capsys):
+        # a horizon of 4 ends before the generators' decay horizon of 16;
+        # gA_toeplitz's guard used to end in a ValueError traceback
+        assert main(["run", "--scenario", "resolvent_identity",
+                     "--grid-n", "16", "--grid-dt", "0.25"]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("config error: horizon grid_n*grid_dt = 4 ")
+        assert "shorter than the decay horizon" in lines[0]
         assert captured.out == ""
 
     def test_grid_dt_not_dividing_half_is_one_config_line_and_2(

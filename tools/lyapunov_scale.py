@@ -5,11 +5,13 @@ to the doubling Gramian that cross-checks it.
 
 For each N it draws `random_stable(N, 8)` and times `solve_lyapunov(A, I)`
 (the sign iteration) and the Gramian of C = I by exact doubling
-(`semigroup._gramian`, which `energy_integrals` reads), each best of
---repeats, then repeats each once under `tracemalloc` for its peak
-allocation, and reports ||Q_doubling - Q_sign|| / ||Q_sign||.  --src
-chooses the hardycalc source tree, so two checkouts can be compared.  BLAS
-runs on one thread.  Prints one JSON object per N.
+(`semigroup.gramian`), each best of --repeats, then repeats each once under
+`tracemalloc` for its peak allocation, and reports
+||Q_doubling - Q_sign||_2 / ||Q_sign||_2, the ratio that
+`observability_gramian`'s cross-check gates.  --src chooses the hardycalc
+source tree, so two checkouts can be compared; the tree must have the
+public `semigroup.gramian`.  BLAS runs on one thread.  Prints one JSON
+object per N.
 """
 
 import argparse
@@ -48,7 +50,7 @@ def main(argv=None):
     sys.path.insert(0, args.src)
     import numpy as np
     from hardycalc import semigroup
-    from hardycalc.numkernel import solve_lyapunov
+    from hardycalc.numkernel import operator_norm, solve_lyapunov
 
     for n in args.sizes:
         gen = semigroup.random_stable(n, 8)
@@ -56,14 +58,14 @@ def main(argv=None):
         Q, solve_s, peak = _best_and_peak(lambda: solve_lyapunov(A, R),
                                           args.repeats)
         Qd, doubling_s, doubling_peak = _best_and_peak(
-            lambda: semigroup._gramian(gen, R), args.repeats)
+            lambda: semigroup.gramian(gen, R), args.repeats)
         residual = np.linalg.norm(A.conj().T @ Q + Q @ A + R) / np.sqrt(n)
         print(json.dumps({
             "n": n, "solve_s": solve_s, "peak_mib": peak,
             "relative_residual": float(residual), "doubling_s": doubling_s,
             "doubling_peak_mib": doubling_peak,
-            "doubling_rel_diff": float(np.linalg.norm(Qd - Q)
-                                       / np.linalg.norm(Q))}), flush=True)
+            "doubling_rel_diff": operator_norm(Qd - Q) / operator_norm(Q)}),
+            flush=True)
 
 
 if __name__ == "__main__":
