@@ -13,7 +13,9 @@
   horizon any of their modes needs;
 * toeplitz: g(A) is the output operator whose output map is M_g on the
   orbit, (M_g T(.)x)(t) = g(A) T(t) x, so g(A) is the t = 0 sample of the
-  discrete half-line operator applied to the sampled orbit t -> T(t).
+  discrete half-line operator applied to the sampled orbit t -> T(t): the
+  sum over k < n of v_k T(k dt), v = DFT(multiplier)[:n]/2n the discrete
+  kernel that the doubled window realizes.
 
 The routes share no numerics beyond the semigroup itself, so pairwise
 agreement is strong evidence that each one is computing the same operator.
@@ -34,7 +36,7 @@ from .numkernel import ConvergenceError
 from .semigroup import (evaluate_T, mode_integrals, resolvent, sampled_T,
                         semigroup_bounds)
 from .symbols import eval_at, kernel
-from .hardy import SampledSignal, WraparoundError, toeplitz_apply
+from .hardy import WraparoundError, discrete_multiplier
 
 __all__ = [
     "GAResult",
@@ -150,9 +152,8 @@ def _require_horizon(gen, grid):
 
 def gA_toeplitz(gen, g, grid):
     """g(A) as the t = 0 sample of M_g applied to the matrix orbit
-    t -> T(t)."""
+    t -> T(t): the sum of v_k T(k dt) against the discrete kernel v."""
     _require_horizon(gen, grid)
     n = grid.n_samples
-    N = gen.dimension
-    orbit = SampledSignal(grid, sampled_T(gen, grid.dt, n).reshape(n, N * N))
-    return toeplitz_apply(g, orbit).values[0].reshape(N, N)
+    v = np.fft.fft(discrete_multiplier(g, grid))[:n] / (2 * n)
+    return np.tensordot(v, sampled_T(gen, grid.dt, n), 1)

@@ -1,5 +1,5 @@
 """Discrete half-line machinery: shift and the Toeplitz operator M_g acting
-on sampled vector-valued signals.
+on sampled scalar signals.
 
 Signals live on a uniform grid over [0, T_h).  M_g is realized on the
 doubled (zero-padded) window: the padded DFT turns the anticausal
@@ -9,15 +9,13 @@ and restriction back to the first window is the discrete causal projection.
 padded spectrum of the input, the product with a multiplier, and the causal
 window (the inverse DFT restricted to the first window).
 
-The steps act on signal stacks: arrays with one signal per row along axis
-0 and time along axis 1, and for vector-valued signals the components along
-axis 2.  Each step is one numpy call over the whole stack, the wraparound
-guard and the finiteness check hold per row, and a vector-valued row is
-guarded jointly over its components.  `toeplitz_apply` is a stack of one.
-A caller that applies several symbols to several signals builds each
-spectrum and each multiplier once and runs the steps on stacks, or on row
-chunks of them through work stacks it passes as `out`, so numpy's FFT sees
-a few multi-row calls rather than one call per signal.  Because
+The steps act on signal stacks, one scalar signal per row and time along
+axis 1: each step is one numpy call over the whole stack, the wraparound
+guard and the finiteness check hold per row, and `toeplitz_apply` is a
+stack of one.  A caller that applies several symbols to several signals
+builds each spectrum and each multiplier once and runs the steps on stacks,
+or on row chunks of them through work stacks it passes as `out`, so numpy's
+FFT sees a few multi-row calls rather than one call per signal.  Because
 the causal window is linear, a residual between two applications is formed
 in the spectrum and takes one inverse DFT, not two.
 
@@ -84,23 +82,22 @@ def times(grid):
 
 @dataclass(frozen=True)
 class SampledSignal:
-    """values[k] ~ f(k dt); scalar signals are shape (n,), vector-valued
-    signals shape (n, d)."""
+    """values[k] ~ f(k dt), a scalar signal of shape (n,)."""
 
     grid: GridSpec
     values: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex)
-        if v.shape[0] != self.grid.n_samples:
-            raise ValueError("signal length must equal n_samples")
+        if v.shape != (self.grid.n_samples,):
+            raise ValueError(f"signal shape {v.shape} is not (n_samples,)")
         if not np.all(np.isfinite(v)):
             raise ValueError("signal contains non-finite values")
         object.__setattr__(self, "values", v)
 
 
 def l2_norm(f):
-    """Discrete L2 norm sqrt(dt * sum of squared sample norms).
+    """Discrete L2 norm sqrt(dt * sum of squared sample moduli).
 
     The sums are numpy's pairwise sums rather than a BLAS dot, so the value
     does not depend on the BLAS thread count."""
@@ -110,9 +107,8 @@ def l2_norm(f):
 def _l2_norms(stack, dt):
     """`l2_norm` of each row of a signal stack, in one numpy call per sum;
     each row's value is bit for bit its `l2_norm`."""
-    axes = tuple(range(1, stack.ndim))
-    return math.sqrt(dt) * np.sqrt(np.sum(np.square(stack.real), axis=axes)
-                                   + np.sum(np.square(stack.imag), axis=axes))
+    return math.sqrt(dt) * np.sqrt(np.sum(np.square(stack.real), axis=1)
+                                   + np.sum(np.square(stack.imag), axis=1))
 
 
 def shift(f, tau):
@@ -175,6 +171,8 @@ def discrete_multiplier(krep, grid):
     trace of the originating symbol at O(dt^4); the phases of point masses
     (delays, and a constant as the mass at 0, whose phase is 1) are exact,
     which makes a delay the sample shift only when tau/dt is an integer.
+    Masses and shifted modes at tau >= grid.horizon read only the zero pad
+    and are skipped, as their phases would wrap round the doubled window.
     """
     if not isinstance(krep, KernelRep):
         krep = kernel(krep)
@@ -191,10 +189,11 @@ def discrete_multiplier(krep, grid):
 
     phase(dt, z)
     for weight, tau in krep.delays:
-        phase(tau, a)
-        a *= weight
-        m += a
+        if tau < grid.horizon:
+            m += np.multiply(weight, phase(tau, a), out=a)
     for coef, alpha, p, off in krep.modes:
+        if off >= grid.horizon:
+            continue
         j = p - 1
         num = coef * dt ** p / math.factorial(j) * _series_numerator(j)
         np.multiply(z, np.exp(-alpha * dt), out=a)  # q
@@ -211,30 +210,29 @@ def discrete_multiplier(krep, grid):
     return m
 
 
-def _guarded_spectrum(stack, out=None):
+def _guarded_spectrum(stack, out=None, floor=0.0):
     """DFT of each row of a signal stack padded with a zero anticausal half,
     after the wraparound guard of each row; one FFT call for the stack.
     `out`, if given, is a doubled-window stack that receives the spectra in
     place of a new array.
 
     The guard requires the last quarter of a row to sit below 1e-6 of the
-    row's peak sample norm (the Euclidean norm over a vector-valued row's
-    components), so the circular convolution on the doubled window stays
-    within the grid error budget of the half-line operator.  The threshold
-    leaves room for outputs of a previous application, whose tails carry
-    the intrinsic multiplier truncation floor exp(-alpha*horizon).
+    row's peak modulus, so the circular convolution on the doubled window
+    stays within the grid error budget of the half-line operator.  The
+    threshold leaves room for outputs of a previous application, whose
+    tails carry the intrinsic multiplier truncation floor
+    exp(-alpha*horizon).  `floor`, a scalar or one value per row, is the
+    least peak a row is judged against.
     """
     n = stack.shape[1]
-    norms = (np.abs(stack) if stack.ndim == 2
-             else np.linalg.norm(stack, axis=2))
-    peak = np.max(norms, axis=1)
+    norms = np.abs(stack)
+    peak = np.maximum(np.max(norms, axis=1), floor)
     if np.any((peak > 0.0) & (np.max(norms[:, 3 * n // 4:], axis=1)
                               > 1e-6 * peak)):
         raise WraparoundError("a signal's last quarter exceeds 1e-6 of its "
-                              "peak sample norm")
+                              "peak modulus")
     if out is None:
-        out = np.empty((stack.shape[0], 2 * n) + stack.shape[2:],
-                       dtype=complex)
+        out = np.empty((stack.shape[0], 2 * n), dtype=complex)
     out[:, :n] = stack
     out[:, n:] = 0.0
     return np.fft.fft(out, axis=1, out=out)
@@ -255,8 +253,7 @@ def _apply_multiplier(spectra, m, out=None):
     """Multiply a stack of doubled-window spectra by the multiplier m and
     take the causal window of the product, a view into `out` (a new array
     if not given); the spectra are left unchanged."""
-    return _causal_window(np.multiply(
-        spectra, m if spectra.ndim == 2 else m[:, None], out=out))
+    return _causal_window(np.multiply(spectra, m, out=out))
 
 
 def toeplitz_apply(g, f):

@@ -94,6 +94,8 @@ class Generator:
         lam = np.atleast_1d(np.asarray(eigenvalues, dtype=complex))
         if lam.ndim != 1 or lam.size == 0:
             raise ValueError("diagonal generator needs a nonempty eigenvalue list")
+        if not np.all(np.isfinite(lam)):
+            raise ValueError("diagonal generator eigenvalues must be finite")
         if np.any(lam.real >= 0):
             raise StabilityError("diagonal generator requires Re(lambda) < 0")
         # P = I: -(A^H + A) = diag(-2 Re lambda) >= 2 min(-Re lambda) I
@@ -311,8 +313,9 @@ def sup_T_norm(gen):
 # quadrature of semigroup integrals
 
 
-def _power_chain(Th, count):
-    """[I, Th, Th^2, ..., Th^{count-1}] built by block doubling."""
+def sampled_T(gen, dt, count):
+    """The stack of T(k dt) for k < count: powers of T(dt) by doubling."""
+    Th = evaluate_T(gen, dt)
     N = Th.shape[0]
     mats = np.empty((count, N, N), dtype=complex)
     mats[0] = np.eye(N)
@@ -324,11 +327,6 @@ def _power_chain(Th, count):
         mats[m + 1:m + k + 1] = np.matmul(mats[1:k + 1], mats[m])
         m += k
     return mats
-
-
-def sampled_T(gen, dt, count):
-    """The stack of T(k dt) for k < count: powers of T(dt) by doubling."""
-    return _power_chain(evaluate_T(gen, dt), count)
 
 
 def _doublings(gen, horizon, shift):

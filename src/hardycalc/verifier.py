@@ -392,13 +392,15 @@ def _row_chunks(rows, width):
     return [slice(a, b) for a, b in zip(cuts, cuts[1:])], work
 
 
-def _product_residuals(syms, mults, spectra, pairs, grid):
+def _product_residuals(syms, mults, spectra, peaks, pairs, grid):
     """Multiplicativity residuals ||M_{g_i g_j} f_k - M_{g_i} M_{g_j} f_k||
     keyed (i, j, k) for each pair (i, j) of indices into syms, and the norms
     ||M_{g_j} f_k|| keyed (j, k) for every second factor j.
 
-    mults[i] is the multiplier of syms[i] and spectra the stack of guarded
-    spectra F_k of the scalar signals f_k, a row per signal.  The pairs are
+    mults[i] is the multiplier of syms[i], spectra the stack of guarded
+    spectra F_k of the signals f_k, a row per signal, and peaks[k] the peak
+    of f_k, the floor of the guard on M_{g_j} f_k: an output at roundoff
+    (a delay past the signal) has no tail to judge.  The pairs are
     walked by second factor, so each product multiplier is built once (or
     taken from mults when the product is itself one of syms) and only the
     output spectra G_jk of M_{g_j} f_k for one symbol are held at a time.
@@ -418,7 +420,7 @@ def _product_residuals(syms, mults, spectra, pairs, grid):
                                      out=work[:c.stop - c.start])
             norms.update(zip([(j, k) for k in range(c.start, c.stop)],
                              _l2_norms(outs, grid.dt).tolist()))
-            _guarded_spectrum(outs, out=out_spectra[c])
+            _guarded_spectrum(outs, out=out_spectra[c], floor=peaks[c])
         for i in sorted(i for i, second in pairs if second == j):
             g = multiply(syms[i], syms[j])
             prod = (mults[syms.index(g)] if g in syms
@@ -483,6 +485,7 @@ def check_toeplitz(grid, battery):
         mults[i] = discrete_multiplier(g, grid)
     labels, stack = _signals(grid)
     f_norms = _l2_norms(stack, grid.dt).tolist()
+    peaks = np.max(np.abs(stack), axis=1)
     # One buffer holds the signals and then their spectra: row k keeps f_k
     # in its first half until the shift check has used it and replaces the
     # row by the spectrum, so the signals cost no memory of their own.
@@ -503,7 +506,7 @@ def check_toeplitz(grid, battery):
 
     started = time.perf_counter()
     pairs = [(i, j) for i in range(len(syms)) for j in range(i, len(syms))]
-    resid, norms = _product_residuals(syms, mults, spectra, pairs, grid)
+    resid, norms = _product_residuals(syms, mults, spectra, peaks, pairs, grid)
     del spectra, mults
     (i, j, k), r = _worst(resid)
     reports = [finish_report(
@@ -538,11 +541,12 @@ def check_toeplitz(grid, battery):
     fine = GridSpec(2 * base.n_samples, base.dt / 2.0)
     worst = []
     for level in (base, fine):
-        spectra = _guarded_spectrum(_signals(level)[1])
+        stack = _signals(level)[1]
         mults = [discrete_multiplier(g, level) for g in ref_syms]
-        resid, _ = _product_residuals(ref_syms, mults, spectra, ref_pairs,
-                                      level)
-        worst.append({(i, j): max(resid[i, j, k] for k in range(len(spectra)))
+        resid, _ = _product_residuals(
+            ref_syms, mults, _guarded_spectrum(stack),
+            np.max(np.abs(stack), axis=1), ref_pairs, level)
+        worst.append({(i, j): max(resid[i, j, k] for k in range(len(stack)))
                       for i, j in ref_pairs})
     (i, j), r = _worst({p: worst[1][p] / worst[0][p] for p in ref_pairs})
     reports.append(finish_report(

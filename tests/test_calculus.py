@@ -1,6 +1,7 @@
 """The four construction routes for g(A) and their cross agreement."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -10,11 +11,11 @@ from hypothesis import given, settings, strategies as st
 from conftest import damped_string, spiked
 from hardycalc import calculus, cli
 from hardycalc.calculus import gA_convolution, gA_spectral, gA_toeplitz
-from hardycalc.hardy import GridSpec
+from hardycalc.hardy import GridSpec, SampledSignal, toeplitz_apply
 from hardycalc.numkernel import operator_norm
 from hardycalc.semigroup import (Generator, evaluate_T, example26,
-                                 random_stable, resolvent)
-from hardycalc.symbols import Constant, Delay, add, atom, multiply
+                                 random_stable, resolvent, sampled_T)
+from hardycalc.symbols import Constant, Delay, add, atom, multiply, parse
 
 REF_GRID = GridSpec(4096, 2.0 ** -8)
 FAST_GRID = GridSpec(1024, 2.0 ** -6)
@@ -235,6 +236,40 @@ class TestToeplitzRoute:
         monkeypatch.setattr(np.linalg, "inv", forbidden)
         out = gA_toeplitz(FAST_GEN, atom(1.0, 2.0), FAST_GRID)
         assert np.all(np.isfinite(out))
+
+    @pytest.mark.parametrize("gen", [random_stable(8, 8), Generator.diagonal(
+        [-2.0, -3.0 + 1.0j, -1.5])], ids=["dense", "diagonal"])
+    def test_is_the_orbit_sample_of_toeplitz_apply(self, gen):
+        # the discrete kernel against the orbit is the t = 0 sample of M_g
+        # applied to each scalar entry t -> T(t)[a, b] of the orbit
+        n, N = REF_GRID.n_samples, gen.dimension
+        orbit = sampled_T(gen, REF_GRID.dt, n).reshape(n, N * N)
+        for text in ("1/(2-s)", "1", "exp(0.5*s)", "exp(0.3*s)",
+                     "(1/(1-s))*(1/(3-s))", "0.3*(1/(1-s))*(1/(3-s))"):
+            g = parse(text)
+            ref = np.array([toeplitz_apply(g, SampledSignal(REF_GRID, col))
+                            .values[0] for col in orbit.T]).reshape(N, N)
+            out = gA_toeplitz(gen, g, REF_GRID)
+            assert (operator_norm(out - ref)
+                    <= 1e-13 * operator_norm(ref)), text
+
+    def test_delay_past_the_horizon_is_zero(self):
+        # 33 = 2 horizons + 1: a wrapped phase would read T(1), norm ~0.1
+        gen = random_stable(8, 8)
+        out = gA_toeplitz(gen, Delay(33.0), REF_GRID)
+        assert operator_norm(out) <= 1e-10
+
+    def test_peak_memory_at_dimension_32(self):
+        # the orbit stack itself is 64 MiB; an N^2-column padded FFT of it
+        # would take three times that
+        gen = random_stable(32, 3)
+        tracemalloc.start()
+        try:
+            gA_toeplitz(gen, atom(1.0, 2.0), REF_GRID)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2 ** 20
 
     def test_short_horizon_rejected(self):
         slow = Generator.diagonal([-0.5])

@@ -152,6 +152,19 @@ class TestExitCodes:
         assert "too short" not in lines[0]
         assert captured.out == ""
 
+    @pytest.mark.parametrize("grid_dt", [2.0 ** -8, 2.0 ** -6, 2.0 ** -4])
+    def test_delay_past_a_signal_passes_the_guard(self, grid_dt, tmp_path,
+                                                  capsys):
+        # exp(12*s) shifts gauss(t-2) to roundoff: that output is judged
+        # against its input's peak, not its own, and exp(24*s) past the
+        # horizon of 16 must not wrap around the doubled window
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"scenario": "toeplitz_properties",
+                                 "grid_dt": grid_dt,
+                                 "symbols": ["exp(12*s)"]}))
+        assert main(["run", "--config", str(p)]) == 0
+        assert "4 checks, 0 failed" in capsys.readouterr().out
+
     def test_short_grid_for_resolvent_identity_is_one_config_line_and_2(
             self, capsys):
         # a horizon of 4 ends before the generators' decay horizon of 16;

@@ -31,7 +31,7 @@ from hardycalc.hardy import (
     toeplitz_apply,
 )
 from hardycalc.symbols import (Constant, Delay, add, atom, hinf_norm, kernel,
-                               multiply, to_text)
+                               multiply, parse, to_text)
 
 
 def _exp_signal(grid, rate=1.0):
@@ -65,10 +65,11 @@ class TestSampledSignal:
         with pytest.raises(ValueError):
             SampledSignal(GridSpec(16, 0.25), np.array([np.nan] + [0.0] * 15))
 
-    def test_vector_valued_shape(self):
-        grid = GridSpec(16, 0.25)
-        sig = SampledSignal(grid, np.zeros((16, 3), dtype=complex))
-        assert sig.values.shape == (16, 3)
+    @pytest.mark.parametrize("values", [np.zeros((16, 3)), np.float64(1.0)],
+                             ids=["2-D", "scalar"])
+    def test_only_one_dimensional(self, values):
+        with pytest.raises(ValueError, match="shape"):
+            SampledSignal(GridSpec(16, 0.25), values)
 
 
 class TestL2Norm:
@@ -86,14 +87,6 @@ class TestL2Norm:
         grid = GridSpec(2 ** 16, 2.0 ** -12)
         val = l2_norm(_exp_signal(grid))
         assert abs(val - math.sqrt(0.5)) < 1e-4
-
-    def test_vector_valued_matches_stacked(self):
-        grid = GridSpec(64, 0.125)
-        rng = np.random.default_rng(4)
-        v = rng.normal(size=(64, 2))
-        ref = math.sqrt(l2_norm(SampledSignal(grid, v[:, 0])) ** 2
-                        + l2_norm(SampledSignal(grid, v[:, 1])) ** 2)
-        assert l2_norm(SampledSignal(grid, v)) == pytest.approx(ref, rel=1e-12)
 
     def test_independent_of_blas_threads(self):
         # a BLAS dot splits its sum by thread; numpy's pairwise sum does not
@@ -276,6 +269,15 @@ class TestToeplitzApply:
         d2 = shift(f, tau)
         assert l2_norm(SampledSignal(grid, d1.values - d2.values)) < 1e-12
 
+    @pytest.mark.parametrize("text", ["exp(20*s)", "exp(20*s)*(1/(1-s))"])
+    def test_shift_past_the_horizon_reads_the_pad(self, text):
+        # horizon 16: f(t + 20) lies past the signal for every t, and a
+        # phase wrapped round the doubled window of 32 would read f(0) at
+        # t = 12
+        grid = GridSpec(4096, 2.0 ** -8)
+        out = toeplitz_apply(parse(text), _exp_signal(grid, rate=2.0))
+        assert np.max(np.abs(out.values)) < 1e-12
+
     def test_wraparound_guard_constant_signal(self):
         grid = GridSpec(1024, 2.0 ** -6)
         f = SampledSignal(grid, np.ones(1024, dtype=complex))
@@ -323,23 +325,13 @@ class TestToeplitzApply:
             resids.append(l2_norm(SampledSignal(grid, lhs.values - rhs.values)))
         assert resids[1] < resids[0] / 4.0
 
-    def test_vector_valued_signal(self):
-        grid = GridSpec(1024, 2.0 ** -6)
-        t = times(grid)
-        vals = np.stack([np.exp(-2.0 * t), np.exp(-3.0 * t)], axis=1).astype(complex)
-        out = toeplitz_apply(Constant(0.5), SampledSignal(grid, vals))
-        assert np.max(np.abs(out.values - 0.5 * vals)) < 1e-12
-
     def test_output_owns_its_window(self):
         # a view into the doubled inverse-DFT buffer would keep 2n samples
         # alive for every stored output
         grid = GridSpec(1024, 2.0 ** -6)
-        t = times(grid)
-        for vals in (np.exp(-2.0 * t),
-                     np.stack([np.exp(-2.0 * t), np.exp(-3.0 * t)], axis=1)):
-            out = toeplitz_apply(atom(1.0, 1.0), SampledSignal(grid, vals))
-            base = out.values.base
-            assert base is None or base.size <= out.values.size
+        out = toeplitz_apply(atom(1.0, 1.0), _exp_signal(grid, rate=2.0))
+        base = out.values.base
+        assert base is None or base.size <= out.values.size
 
     def test_shared_spectrum_matches_and_is_unchanged(self):
         # one guarded spectrum serves several multipliers: each product must
@@ -424,20 +416,18 @@ class TestSignalStacks:
         with pytest.raises(WraparoundError):
             _guarded_spectrum(stack)
 
-    def test_vector_valued_guard_is_joint(self):
-        # the second component alone is constant and fails the guard; at
-        # 1e-7 of the first component's peak it passes the joint guard
+    def test_floor_is_the_least_peak_a_row_is_judged_against(self):
+        # the constant row at 1e-9 passes when floored at 1, and the floor
+        # leaves every spectrum as it was
         grid = STACK_GRID
-        t = times(grid)
-        small = 1e-7 * np.ones(grid.n_samples, dtype=complex)
-        vals = np.stack([np.exp(-2.0 * t), small], axis=1)
-        out = toeplitz_apply(Constant(0.5), SampledSignal(grid, vals))
-        assert np.max(np.abs(out.values - 0.5 * vals)) < 1e-12
+        stack = _stack_rows(grid)
+        stack[1] = 1e-9 * np.ones(grid.n_samples)
+        floor = np.array([0.0, 1.0, 0.0, 0.0])
+        spectra = _guarded_spectrum(stack, floor=floor)
+        for row, f in zip(spectra, stack):
+            assert np.array_equal(row, np.fft.fft(np.r_[f, 0.0 * f]))
         with pytest.raises(WraparoundError):
-            toeplitz_apply(Constant(0.5), SampledSignal(grid, small))
-        # and a stack of two vector-valued rows keeps the joint guard per row
-        spectra = _guarded_spectrum(np.stack([vals, vals[:, ::-1]]))
-        assert spectra.shape == (2, 2 * grid.n_samples, 2)
+            _guarded_spectrum(stack, floor=np.array([1.0, 1e-9, 1.0, 1.0]))
 
     def test_non_finite_window_raises(self):
         grid = STACK_GRID

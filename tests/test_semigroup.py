@@ -1,6 +1,7 @@
 """Generator construction, semigroup evaluation and stability certificates."""
 
 import ast
+import json
 import math
 import os
 import subprocess
@@ -53,6 +54,16 @@ class TestGenerator:
             Generator.diagonal([1.0, -2.0])
         with pytest.raises(StabilityError):
             Generator.diagonal([0.0])
+
+    @pytest.mark.parametrize("lam", ([-1.0, math.nan],
+                                     [-1.0, complex(-2.0, math.nan)],
+                                     [-1.0, -math.inf]),
+                             ids=("nan", "nan-imag", "-inf"))
+    def test_diagonal_rejects_non_finite(self, lam):
+        # a NaN margin would certify nothing, and semigroup_bounds would
+        # silently return 1.0
+        with pytest.raises(ValueError, match="finite"):
+            Generator.diagonal(lam)
 
     def test_dense_factory_certifies(self):
         A = np.array([[-1.0, 0.3], [0.0, -2.0]])
@@ -556,6 +567,12 @@ class TestJsonRoundTrip:
         back = generator_from_json(generator_to_json(gen))
         assert back.kind == gen.kind
         assert np.allclose(back.eigenvalues, gen.eigenvalues)
+
+    def test_diagonal_nan_rejected(self):
+        doc = json.loads('{"kind": "diagonal", "dimension": 2, "seed": null,'
+                         ' "eigenvalues": [[-1.0, 0.0], [NaN, 0.0]]}')
+        with pytest.raises(ValueError, match="finite"):
+            generator_from_json(doc)
 
     def test_dense(self):
         gen = random_stable(5, 3)

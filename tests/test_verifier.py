@@ -559,7 +559,8 @@ class TestToeplitzResiduals:
         pairs = [(i, j) for i in range(3) for j in range(3)]
         resid, norms = verifier._product_residuals(
             syms, [discrete_multiplier(g, grid) for g in syms],
-            _guarded_spectrum(stack), pairs, grid)
+            _guarded_spectrum(stack), np.max(np.abs(stack), axis=1), pairs,
+            grid)
         assert set(resid) == {(i, j, k) for i, j in pairs
                               for k in range(len(sigs))}
         for (i, j, k), r in resid.items():
