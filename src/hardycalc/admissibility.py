@@ -1,5 +1,5 @@
 """Observability Gramians, admissibility constants, the sqrt(t) scan, and
-the extension of C to states outside its natural domain.
+the two extension limits of an observation operator C.
 
 For a stable generator A and observation C, the Gramian
 Q = int_0^inf T(t)^H C^H C T(t) dt solves A^H Q + Q A = -C^H C.  Its extreme
@@ -104,8 +104,8 @@ def sqrt_minus_A(gen):
 
 @dataclass(frozen=True)
 class ExtensionTrace:
-    """Iterates of an extension scheme: the final value, the per-step
-    differences, and a divergence flag raised when the differences grow."""
+    """Operator iterates of an extension scheme: the final value, the
+    per-step differences, and a divergence flag raised when they grow."""
 
     limit: np.ndarray
     iterates: list
@@ -124,26 +124,23 @@ def _finish_trace(iterates):
                           differences=diffs, diverged=diverged)
 
 
-def lebesgue_limit(gen, C, x, t_sequence):
-    """Extension of Cx through averaged orbits C (1/t) int_0^t T(s) x ds
-    along a strictly decreasing positive sequence of times."""
+def lebesgue_limit(gen, C, t_sequence):
+    """Extension of C through averaged orbits C (1/t) int_0^t T(s) ds along
+    a strictly decreasing positive sequence of times."""
     ts = [float(t) for t in t_sequence]
     if len(ts) < 2 or ts[0] <= 0 or any(b >= a or b <= 0
                                         for a, b in zip(ts, ts[1:])):
         raise ValueError("need a strictly decreasing positive time sequence")
     Cm = _observation_matrix(C, gen)
-    x = np.asarray(x, dtype=complex)
-    return _finish_trace([Cm @ orbit_average(gen, t, x) for t in ts])
+    return _finish_trace([Cm @ orbit_average(gen, t) for t in ts])
 
 
-def lambda_limit(gen, C, x, lambda_sequence):
-    """Extension of Cx through resolvent smoothing lambda C R(lambda) x
-    along a strictly increasing positive real sequence."""
+def lambda_limit(gen, C, lambda_sequence):
+    """Extension of C through resolvent smoothing lambda C R(lambda) along
+    a strictly increasing positive real sequence."""
     lams = [float(l) for l in lambda_sequence]
     if len(lams) < 2 or lams[0] <= 0 or any(b <= a for a, b in
                                             zip(lams, lams[1:])):
         raise ValueError("need a strictly increasing positive sequence")
     Cm = _observation_matrix(C, gen)
-    x = np.asarray(x, dtype=complex)
-    iterates = [lam * (Cm @ (resolvent(gen, lam) @ x)) for lam in lams]
-    return _finish_trace(iterates)
+    return _finish_trace([lam * (Cm @ resolvent(gen, lam)) for lam in lams])

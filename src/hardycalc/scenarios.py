@@ -119,7 +119,7 @@ SCENARIOS = {s.name: s for s in (
     Scenario("eq26", "check_eq26", _model32),
     Scenario("square_function", "check_square_function", _model32),
     Scenario("extensions", "check_extensions",
-             lambda cfg: _once(*example26(16), cfg.seed)),
+             lambda cfg: _once(*example26(16))),
 )}
 
 

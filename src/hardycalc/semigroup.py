@@ -5,7 +5,7 @@ Two generator kinds are supported: Diagonal (eigenvalues known by
 construction, semigroup evaluated exactly) and Dense (stability certified by
 a Lyapunov witness before any use).  Other modules reach T(t) only through
 the evaluators here (`evaluate_T`, `sampled_T`, `norm_scan`,
-`orbit_energies`, `gramian`, `orbit_average`, `mode_integrals`) and
+`gramian_rule`, `gramian`, `orbit_average`, `mode_integrals`) and
 the certificate's decay envelope; they test the kind only to guard an input.
 Samplers produce seeded dissipative and similarity-transformed stable test
 matrices.  Every semigroup integral is one Taylor series on a short start
@@ -39,10 +39,10 @@ __all__ = [
     "generator_from_json",
     "generator_to_json",
     "gramian",
+    "gramian_rule",
     "mode_integrals",
     "norm_scan",
     "orbit_average",
-    "orbit_energies",
     "random_dissipative",
     "random_stable",
     "resolvent",
@@ -191,25 +191,25 @@ def norm_scan(gen, Xs, ts):
     return ts, norms
 
 
-def orbit_energies(gen, C, xs, ts):
-    """The (len(xs), len(ts)) array of ||C T(t) x||^2 for a matrix C:
-    vectorized when diagonal, else one T(t) per time shared by every x."""
+def gramian_rule(gen, C, ts, ws):
+    """The quadrature rule sum_j ws[j] T(t_j)^H C^H C T(t_j) for a matrix
+    C: R o (E^H diag(w) E) with R = C^H C and E the eigenvalue exponentials
+    when diagonal, else one T(t) per time."""
     ts = np.asarray(ts, dtype=float)
     if np.any(ts < 0):
         raise ValueError("semigroup time must be nonnegative")
+    R = C.conj().T @ C
     if gen.kind == "diagonal":
         E = np.exp(np.outer(ts, gen.eigenvalues))
-        return np.array([np.sum(np.abs((E * x) @ C.T) ** 2, axis=1)
-                         for x in xs])
-    X = np.stack(xs, axis=1)
-    return np.array([np.sum(np.abs(C @ (evaluate_T(gen, t) @ X)) ** 2, axis=0)
-                     for t in ts]).T
+        return R * (E.conj().T @ (np.asarray(ws)[:, None] * E))
+    Ts = (evaluate_T(gen, t) for t in ts)
+    return sum(w * (Tt.conj().T @ R @ Tt) for Tt, w in zip(Ts, ws))
 
 
-def orbit_average(gen, t, x):
-    """(1/t) int_0^t T(s) x ds for t > 0, by `mode_integrals`, never forming
+def orbit_average(gen, t):
+    """(1/t) int_0^t T(s) ds for t > 0, by `mode_integrals`, never forming
     the difference T(t) - I that cancels catastrophically for small t."""
-    return mode_integrals(gen, [(0.0, 1)], t)[0][0] @ x / t
+    return mode_integrals(gen, [(0.0, 1)], t)[0][0] / t
 
 
 def resolvent(gen, s):

@@ -174,7 +174,7 @@ def test_criterion_11_extensions(criterion_line, all_runs):
     ok = ext["bound_measured"] <= 1e-6 and ext["pass"]
     criterion_line(
         ok, 11,
-        f"Lebesgue-set and resolvent-scaling extensions agree with Cx "
+        f"Lebesgue-set and resolvent-scaling extensions agree with C "
         f"within {ext['bound_measured']:.3g} (<= 1e-6) on the 16-mode "
         f"model")
 

@@ -165,6 +165,27 @@ class TestExitCodes:
         assert main(["run", "--config", str(p)]) == 0
         assert "4 checks, 0 failed" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("delay,code", [(4, 2), (2, 0)])
+    def test_grid_too_short_for_a_delayed_mode(self, delay, code, tmp_path,
+                                               capsys):
+        # after exp(4*s), the mode of 1/(1-s) has decayed only to e^-12 by
+        # the horizon of 16: its wrapped tail is a floor above the 1e-6
+        # gates, so the grid is a config error; after exp(2*s), e^-14 is not
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"scenario": "toeplitz_properties",
+                                 "symbols": [f"exp({delay}*s)", "1/(1-s)"]}))
+        assert main(["run", "--config", str(p)]) == code
+        captured = capsys.readouterr()
+        if code:
+            lines = captured.err.splitlines()
+            assert len(lines) == 1
+            assert lines[0].startswith("config error: horizon grid_n*grid_dt"
+                                       " = 16 ")
+            assert "(exp(4*s))*(1/(1-s))" in lines[0]
+            assert captured.out == ""
+        else:
+            assert "4 checks, 0 failed" in captured.out
+
     def test_short_grid_for_resolvent_identity_is_one_config_line_and_2(
             self, capsys):
         # a horizon of 4 ends before the generators' decay horizon of 16;

@@ -27,10 +27,10 @@ from hardycalc.semigroup import (
     generator_from_json,
     generator_to_json,
     gramian,
+    gramian_rule,
     mode_integrals,
     norm_scan,
     orbit_average,
-    orbit_energies,
     random_dissipative,
     random_stable,
     resolvent,
@@ -335,47 +335,45 @@ class TestNormScan:
 
 
 class TestEnergies:
-    """`orbit_energies`, `gramian` and `sampled_T` on both kinds."""
+    """`gramian_rule`, `gramian` and `sampled_T` on both kinds."""
 
     GENS = [example26(6)[0], random_stable(5, 3),
             Generator.diagonal([-1.0, -0.5 + 3j, -4.0])]
+    TS, WS = [0.0, 0.1, 1.3, 0.4], [0.5, 2.0, 1.0, 0.25]
 
     @staticmethod
-    def _inputs(gen, seed=0):
+    def _observation(gen, seed=0):
         rng = np.random.default_rng(seed)
         N = gen.dimension
-        C = rng.standard_normal((2, N)) + 1j * rng.standard_normal((2, N))
-        xs = [rng.standard_normal(N) + 1j * rng.standard_normal(N)
-              for _ in range(3)]
-        return C, xs
+        return rng.standard_normal((2, N)) + 1j * rng.standard_normal((2, N))
 
     @pytest.mark.parametrize("gen", GENS, ids=["example26", "dense",
                                                "complex_diagonal"])
-    def test_orbit_energies_match_evaluate_T(self, gen):
-        C, xs = self._inputs(gen)
-        ts = [0.0, 0.1, 1.3, 0.4]
-        E = orbit_energies(gen, C, xs, ts)
-        assert E.shape == (3, 4)
-        ref = [[np.linalg.norm(C @ evaluate_T(gen, t) @ x) ** 2 for t in ts]
-               for x in xs]
-        assert np.allclose(E, ref, rtol=1e-12, atol=0.0)
+    def test_gramian_rule_matches_evaluate_T(self, gen):
+        C = self._observation(gen)
+        ref = sum(w * (C @ evaluate_T(gen, t)).conj().T @ (C @ evaluate_T(
+            gen, t)) for t, w in zip(self.TS, self.WS))
+        rule = gramian_rule(gen, C, self.TS, self.WS)
+        assert rule.shape == (gen.dimension, gen.dimension)
+        assert np.linalg.norm(rule - ref, 2) <= 1e-13 * np.linalg.norm(ref, 2)
 
     @pytest.mark.parametrize("gen", GENS, ids=["example26", "dense",
                                                "complex_diagonal"])
     def test_energy_integrals_are_the_gramian_form(self, gen):
         # int_0^inf T(t)^H C^H C T(t) dt = Q with A^H Q + Q A = -C^H C, so
         # every state's energy x^H Q x agrees too
-        C, _ = self._inputs(gen, seed=1)
+        C = self._observation(gen, seed=1)
         Q = solve_lyapunov(gen.matrix, C.conj().T @ C)
         assert np.allclose(gramian(gen, C), Q, rtol=1e-9, atol=0.0)
 
     def test_dense_and_diagonal_storage_agree(self):
         lam = np.array([-1.0, -0.5 + 3j, -4.0])
         diag, dense = Generator.diagonal(lam), Generator.dense(np.diag(lam))
-        C, xs = self._inputs(diag, seed=2)
+        C = self._observation(diag, seed=2)
         ts = np.linspace(0.0, 3.0, 7)
-        assert np.allclose(orbit_energies(diag, C, xs, ts),
-                           orbit_energies(dense, C, xs, ts), rtol=1e-12)
+        ws = np.linspace(1.0, 2.0, 7)
+        assert np.allclose(gramian_rule(diag, C, ts, ws),
+                           gramian_rule(dense, C, ts, ws), rtol=1e-12)
         assert np.allclose(gramian(diag, C), gramian(dense, C), rtol=1e-9)
 
     def test_dense_evaluates_each_time_once(self, monkeypatch):
@@ -387,15 +385,15 @@ class TestEnergies:
             return evaluate_T(g, t)
 
         monkeypatch.setattr(semigroup, "evaluate_T", counting)
-        C, xs = self._inputs(gen)
-        orbit_energies(gen, C, xs, [0.5, 0.25, 1.0])
+        gramian_rule(gen, self._observation(gen), [0.5, 0.25, 1.0],
+                     [1.0, 1.0, 1.0])
         assert calls == [0.5, 0.25, 1.0]
 
     @pytest.mark.parametrize("gen", GENS[:2], ids=["diagonal", "dense"])
-    def test_orbit_energies_reject_negative_times(self, gen):
-        C, xs = self._inputs(gen)
+    def test_gramian_rule_rejects_negative_times(self, gen):
         with pytest.raises(ValueError, match="nonnegative"):
-            orbit_energies(gen, C, xs, [0.5, -1.0])
+            gramian_rule(gen, self._observation(gen), [0.5, -1.0],
+                         [1.0, 1.0])
 
     @pytest.mark.parametrize("gen", GENS, ids=["example26", "dense",
                                                "complex_diagonal"])
@@ -417,7 +415,7 @@ class TestOrbitAverage:
         x = np.arange(1.0, 7.0) + 1j
         ref = np.linalg.solve(gen.matrix,
                               (evaluate_T(gen, 0.5) - np.eye(6)) @ x) / 0.5
-        assert np.allclose(orbit_average(gen, 0.5, x), ref,
+        assert np.allclose(orbit_average(gen, 0.5) @ x, ref,
                            rtol=1e-12, atol=0.0)
 
     def test_diagonal_small_and_large_times(self):
@@ -429,7 +427,7 @@ class TestOrbitAverage:
                 ref = sum(z ** k / math.factorial(k + 1) for k in range(30))
             else:
                 ref = (np.exp(z) - 1.0) / z
-            assert np.allclose(orbit_average(gen, t, x), ref * x,
+            assert np.allclose(orbit_average(gen, t) @ x, ref * x,
                                rtol=1e-12, atol=0.0)
 
 

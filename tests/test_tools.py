@@ -1,11 +1,15 @@
-"""Smoke tests of the scripts under tools/."""
+"""Smoke tests of the scripts under tools/, and the report stability that
+`report_diff.py` relies on."""
 
+import dataclasses
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from hardycalc import cli, verifier
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
@@ -61,3 +65,24 @@ def test_report_diff_fails_on_verdict_witness_or_names(tmp_path, new):
     out = _report_diff(tmp_path, [_report("a", 0.5), _report("b", 0.25)], new)
     assert out.returncode == 1
     assert out.stdout
+
+
+def test_witnesses_survive_rounding(tmp_path, monkeypatch, capsys):
+    # a relative change of 1e-15 in every convolution g(A) is rounding:
+    # no witness may move with it, so report_diff exits 0
+    def sweep():
+        reports = []
+        for name in ("calculus_axioms", "resolvent_identity"):
+            reports += cli.run(cli.ExperimentConfig(scenario=name, seed=7))[1]
+        capsys.readouterr()
+        return [r.to_json_dict() for r in reports]
+
+    old = sweep()
+    convolve = verifier.gA_convolution
+    monkeypatch.setattr(verifier, "gA_convolution", lambda gen, symbols: [
+        dataclasses.replace(out, matrix=(1.0 + 1e-15) * out.matrix)
+        for out in convolve(gen, symbols)])
+    new = sweep()
+    assert [r["witness"] for r in new] == [r["witness"] for r in old]
+    out = _report_diff(tmp_path, old, new)
+    assert out.returncode == 0, out.stdout

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import hardycalc
-from hardycalc import cli, numkernel, semigroup, verifier
+from hardycalc import cli, numkernel, scenarios, semigroup, verifier
 from hardycalc.admissibility import observability_gramian, sqrt_minus_A
 from hardycalc.calculus import gA_convolution
 from hardycalc.hardy import (GridSpec, SampledSignal, _guarded_spectrum,
@@ -225,8 +225,8 @@ class TestSquareFunction:
         rep = check_square_function(gen)
         assert rep.bound_measured <= 1e-6
         assert rep.passed
-        assert len(rep.details["per_state_rel_diff"]) == 4
-        assert max(rep.details["per_state_rel_diff"]) == rep.bound_measured
+        assert rep.witness == "whole operator, N=32"
+        assert rep.details["rhs_norm"] == pytest.approx(0.5, rel=1e-12)
 
     def test_scalar(self):
         rep = check_square_function(SCALAR)
@@ -244,6 +244,63 @@ class TestSquareFunction:
         assert not check_square_function(gen).passed
         with pytest.raises(ArithmeticError, match="Gramian cross-check"):
             check_eq26(gen)
+
+
+def _orthogonal_unit(states):
+    """A fixed unit vector orthogonal to every vector in states."""
+    basis = np.linalg.qr(np.stack(states, axis=1))[0]
+    v = np.arange(1.0, len(states[0]) + 1.0) + 1j
+    v -= basis @ (basis.conj().T @ v)
+    return v / np.linalg.norm(v)
+
+
+def _seeded_states(N, seed, count):
+    """The first and last basis vectors, then `count` unit vectors from
+    default_rng(seed): the states the square-function and extension checks
+    once sampled instead of comparing whole operators."""
+    rng = np.random.default_rng(seed)
+    states = [np.eye(N)[0].astype(complex), np.eye(N)[-1].astype(complex)]
+    for _ in range(count):
+        v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        states.append(v / np.linalg.norm(v))
+    return states
+
+
+class TestWholeOperator:
+    """An error orthogonal to any fixed set of states fails the checks that
+    compare operators; a check on those states alone would pass it."""
+
+    def test_square_function_sees_an_error_off_the_states(self, monkeypatch):
+        gen, _ = example26(32)
+        v = _orthogonal_unit(_seeded_states(32, 2, 2))
+        doubling = verifier.gramian
+
+        def perturbed(g, C):
+            Q = doubling(g, C)
+            return Q + 1e-4 * np.linalg.norm(Q, 2) * np.outer(v, v.conj())
+
+        assert check_square_function(gen).passed
+        monkeypatch.setattr(verifier, "gramian", perturbed)
+        rep = check_square_function(gen)
+        assert not rep.passed
+        assert rep.bound_measured == pytest.approx(1e-4, rel=1e-3)
+
+    def test_extensions_see_an_error_off_the_states(self, monkeypatch):
+        # e_3 and the seed-7 state; the error E x = 0 on both
+        states = [np.eye(16)[2].astype(complex), _seeded_states(16, 7, 1)[2]]
+        v = _orthogonal_unit(states)
+        lebesgue = verifier.lebesgue_limit
+
+        def perturbed(gen, C, *rest):
+            E = 1e-4 * np.linalg.norm(C, 2) * np.outer(np.eye(16)[0], v.conj())
+            return lebesgue(gen, C + E, *rest)
+
+        cfg = cli.ExperimentConfig(scenario="extensions", seed=7)
+        assert scenarios.run_scenario("extensions", cfg)[0].passed
+        monkeypatch.setattr(verifier, "lebesgue_limit", perturbed)
+        rep, = scenarios.run_scenario("extensions", cfg)
+        assert not rep.passed
+        assert rep.bound_measured == pytest.approx(1e-4, rel=1e-3)
 
 
 _GRAMIAN_KERNELS = ("solve_lyapunov", "hermitian_eigs")
@@ -345,6 +402,22 @@ def _package_imports(node, package):
             if n.partition(".")[0] == package]
 
 
+class TestNoRandomState:
+    def test_verifier_draws_no_random_numbers(self):
+        # every check compares whole operators or fixed inputs: no seeded
+        # state or sample is drawn inside the verifier
+        tree = ast.parse(Path(verifier.__file__).read_text())
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.alias):
+                names.update(node.name.split("."))
+        assert not names & {"random", "default_rng", "RandomState"}
+
+
 class TestImportGraph:
     def test_imports_are_module_level_and_acyclic(self):
         # a function-level import hides a dependency, and usually a cycle
@@ -394,8 +467,9 @@ CALCULUS_GEN = Generator.diagonal([-2.0, -3.0])
 class TestCalculusPairs:
     def test_reports_the_pair_closest_to_failing(self, capsys):
         # unit and atom are checked once per generator and each product
-        # against its own claim; at seed 7 the atom identity is the one
-        # closest to failing on example26_16 and stable8_seed8
+        # against its own claim; the report names the one closest to
+        # failing when its headroom is at least 1e-3, and the atom identity
+        # otherwise, where rounding would decide the argmax
         _, reports = cli.run(cli.ExperimentConfig(scenario="calculus_axioms",
                                                   seed=7))
         capsys.readouterr()
@@ -410,7 +484,8 @@ class TestCalculusPairs:
             gen = gens[rep.name[len("calculus_axioms["):-1]]
             subs = _calculus_subassertions(gen, battery)
             room = [m / (c * (1.0 + 1e-9) + 1e-9) for _, c, m in subs]
-            label, claimed, measured = subs[room.index(max(room))]
+            label, claimed, measured = subs[
+                room.index(max(room)) if max(room) >= 1e-3 else 1]
             assert rep.witness.startswith(label + " on ")
             assert rep.tolerance == 1e-9
             assert rep.bound_claimed == pytest.approx(claimed, rel=1e-9)
@@ -471,6 +546,8 @@ class TestResolventIdentity:
             room[seed] = (measured / (ga.est_error * (1.0 + 1e-9) + 1e-9),
                           ga.est_error, measured)
         seed = max(room, key=lambda s: room[s][0])
+        if room[seed][0] < 1e-3:  # far from failing: the first seed
+            seed = self.GENS[0][0]
         assert conv.witness == f"seed {seed}"
         assert conv.tolerance == 1e-9
         assert conv.bound_claimed == room[seed][1]
