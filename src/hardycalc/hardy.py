@@ -9,15 +9,19 @@ and restriction back to the first window is the discrete causal projection.
 padded spectrum of the input, the product with a multiplier, and the causal
 window (the inverse DFT restricted to the first window).
 
-The steps act on signal stacks, one scalar signal per row and time along
-axis 1: each step is one numpy call over the whole stack, the wraparound
-guard and the finiteness check hold per row, and `toeplitz_apply` is a
-stack of one.  A caller that applies several symbols to several signals
-builds each spectrum and each multiplier once and runs the steps on stacks,
-or on row chunks of them through work stacks it passes as `out`, so numpy's
-FFT sees a few multi-row calls rather than one call per signal.  Because
-the causal window is linear, a residual between two applications is formed
-in the spectrum and takes one inverse DFT, not two.
+The steps act on signal stacks, time along axis 1: each step is one numpy
+call over the whole stack, and `toeplitz_apply` is a stack of one.  A row
+carries one scalar signal or, when the caller knows the discrete kernel to
+be real (it then maps real signals to real signals), two real signals
+a + ib: the leading `packed` rows of a stack carry two each, and the norms
+and the wraparound guard read such a row's real and imaginary parts as two
+signals.  The guard holds per signal and the finiteness check per row.  A
+caller that applies several symbols to several signals builds each
+spectrum and each multiplier once and runs the steps on stacks, or on row
+chunks of them through work stacks it passes as `out`, so numpy's FFT sees
+a few multi-row calls rather than one call per signal.  Because the causal
+window is linear, a residual between two applications is formed in the
+spectrum and takes one inverse DFT, not two.
 
 The multiplier is not the raw boundary sample g(i omega_j): it is the
 transfer function of the sampled kernel with order-4 endpoint weights
@@ -104,11 +108,16 @@ def l2_norm(f):
     return float(_l2_norms(f.values[None], f.grid.dt)[0])
 
 
-def _l2_norms(stack, dt):
-    """`l2_norm` of each row of a signal stack, in one numpy call per sum;
-    each row's value is bit for bit its `l2_norm`."""
-    return math.sqrt(dt) * np.sqrt(np.sum(np.square(stack.real), axis=1)
-                                   + np.sum(np.square(stack.imag), axis=1))
+def _l2_norms(stack, dt, packed=0):
+    """`l2_norm` of each signal of a stack whose first `packed` rows carry
+    two real signals (real part, then imaginary part), in one numpy call
+    per sum; the value of a row of one signal is bit for bit its
+    `l2_norm`."""
+    re = np.sum(np.square(stack.real), axis=1)
+    im = np.sum(np.square(stack.imag), axis=1)
+    sums = np.concatenate([np.column_stack([re[:packed], im[:packed]]).ravel(),
+                           re[packed:] + im[packed:]])
+    return math.sqrt(dt) * np.sqrt(sums)
 
 
 def shift(f, tau):
@@ -166,10 +175,11 @@ def discrete_multiplier(krep, grid):
 
     With z = exp(i omega dt) on the window, a mode of pole alpha and power
     p = j + 1 contributes scale * N_j(q) / (1-q)^{j+1} at q = e^{-alpha dt} z,
-    so z is the only exponential over the window besides the exact phases
-    exp(i omega tau) of delays and shifted modes.  Converges to the boundary
-    trace of the originating symbol at O(dt^4); the phases of point masses
-    (delays, and a constant as the mass at 0, whose phase is 1) are exact,
+    so z, computed only when a mode starts before the horizon, is the only
+    exponential over the window besides the exact phases exp(i omega tau)
+    of delays and shifted modes.  Converges to the boundary trace of the
+    originating symbol at O(dt^4); the phases of point masses are exact (a
+    constant is the mass at 0, added as its weight, since its phase is 1),
     which makes a delay the sample shift only when tau/dt is an integer.
     Masses and shifted modes at tau >= grid.horizon read only the zero pad
     and are skipped, as their phases would wrap round the doubled window.
@@ -187,13 +197,16 @@ def discrete_multiplier(krep, grid):
         np.multiply(1j * tau, omega, out=out)
         return np.exp(out, out=out)
 
-    phase(dt, z)
     for weight, tau in krep.delays:
-        if tau < grid.horizon:
+        if tau == 0.0:
+            m += weight
+        elif tau < grid.horizon:
             m += np.multiply(weight, phase(tau, a), out=a)
-    for coef, alpha, p, off in krep.modes:
-        if off >= grid.horizon:
-            continue
+    modes = [(c, a, p, off) for c, a, p, off in krep.modes
+             if off < grid.horizon]
+    if modes:
+        phase(dt, z)
+    for coef, alpha, p, off in modes:
         j = p - 1
         num = coef * dt ** p / math.factorial(j) * _series_numerator(j)
         np.multiply(z, np.exp(-alpha * dt), out=a)  # q
@@ -202,7 +215,8 @@ def discrete_multiplier(krep, grid):
             b *= a
             b += c
         np.subtract(1.0, a, out=a)
-        a **= j + 1
+        if j:
+            a **= j + 1
         b /= a
         if off != 0.0:
             b *= phase(off, a)
@@ -210,22 +224,34 @@ def discrete_multiplier(krep, grid):
     return m
 
 
-def _guarded_spectrum(stack, out=None, floor=0.0):
-    """DFT of each row of a signal stack padded with a zero anticausal half,
-    after the wraparound guard of each row; one FFT call for the stack.
-    `out`, if given, is a doubled-window stack that receives the spectra in
-    place of a new array.
+def _moduli(stack, packed):
+    """|f| of each signal of a stack whose first `packed` rows carry two
+    real signals, a row per signal."""
+    out = np.empty((len(stack) + packed, stack.shape[1]))
+    np.abs(stack[:packed].real, out=out[:2 * packed:2])
+    np.abs(stack[:packed].imag, out=out[1:2 * packed:2])
+    np.abs(stack[packed:], out=out[2 * packed:])
+    return out
 
-    The guard requires the last quarter of a row to sit below 1e-6 of the
-    row's peak modulus, so the circular convolution on the doubled window
-    stays within the grid error budget of the half-line operator.  The
-    threshold leaves room for outputs of a previous application, whose
+
+def _guarded_spectrum(stack, out=None, floor=0.0, packed=0):
+    """DFT of each row of a signal stack padded with a zero anticausal half,
+    after the wraparound guard of each signal; one FFT call for the stack,
+    whose first `packed` rows carry two real signals.  `out`, if given, is
+    a doubled-window stack that receives the spectra in place of a new
+    array.
+
+    The guard requires the last quarter of a signal to sit below 1e-6 of
+    the signal's peak modulus, so the circular convolution on the doubled
+    window stays within the grid error budget of the half-line operator.
+    The threshold leaves room for outputs of a previous application, whose
     tails carry the intrinsic multiplier truncation floor
-    exp(-alpha*horizon).  `floor`, a scalar or one value per row, is the
-    least peak a row is judged against.
+    exp(-alpha*horizon).  `floor`, a scalar or one value per signal, is the
+    least peak a signal is judged against.  Two signals of a row are judged
+    apart: the modulus of the row would hide the tail of the smaller one.
     """
     n = stack.shape[1]
-    norms = np.abs(stack)
+    norms = _moduli(stack, packed)
     peak = np.maximum(np.max(norms, axis=1), floor)
     if np.any((peak > 0.0) & (np.max(norms[:, 3 * n // 4:], axis=1)
                               > 1e-6 * peak)):

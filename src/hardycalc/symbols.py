@@ -244,17 +244,6 @@ class KernelRep:
         object.__setattr__(self, "delays",
                            tuple((complex(w), float(t)) for w, t in self.delays))
 
-    def boundary_values(self, omega):
-        """Transform of the kernel on the axis (matches eval_boundary of the
-        originating symbol)."""
-        w = np.atleast_1d(np.asarray(omega, dtype=float))
-        out = np.zeros(w.shape, dtype=complex)
-        for c, a, p, off in self.modes:
-            out += c * np.exp(1j * w * off) / (a - 1j * w) ** p
-        for weight, tau in self.delays:
-            out += weight * np.exp(1j * w * tau)
-        return out
-
 
 def _merge(modes, delays):
     acc = {}

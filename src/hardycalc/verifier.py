@@ -370,6 +370,52 @@ def _shifts(f, taus):
     return np.array([shift(f, tau).values for tau in taus])
 
 
+def _battery_kernels(syms, pairs):
+    """(symbol, kernel) of each battery symbol and each pair product."""
+    for g in [*syms, *(multiply(syms[i], syms[j]) for i, j in pairs)]:
+        yield g, kernel(g)
+
+
+def _real_on_grid(kreps, grid):
+    """Whether the discrete kernel of every KernelRep in kreps is real on
+    grid, so that its M_g maps real signals to real signals: every mode
+    coefficient, pole and point-mass weight is real, and every mass or mode
+    offset before the horizon sits on a whole step.  A mass between grid
+    points is a band-limited shift whose Nyquist bin is not real:
+    `exp(0.3*s)` on a step of 2^-8 gives a real signal an imaginary part
+    5e-4 of its norm."""
+    for krep in kreps:
+        offsets = [tau for _, tau in krep.delays] + [o for *_, o in krep.modes]
+        if not (all(c.imag == 0.0 and a.imag == 0.0
+                    for c, a, _, _ in krep.modes)
+                and all(w.imag == 0.0 for w, _ in krep.delays)
+                and all(tau >= grid.horizon or (tau / grid.dt).is_integer()
+                        for tau in offsets)):
+            return False
+    return True
+
+
+def _pack(stack, real):
+    """The rows the walks run on, and how many of them, leading, carry two
+    signals.  A real kernel gives M_g (a + ib) = M_g a + i M_g b for real
+    a and b, so when every kernel is real the leading real signals of the
+    stack go two to a row, a in the real part and b in the imaginary part;
+    an odd one out and every complex signal keep a row of their own, as
+    every signal does when some kernel is complex."""
+    lead = next((k for k, f in enumerate(stack) if np.any(f.imag)),
+                len(stack))
+    pairs = 2 * (lead // 2) if real else 0
+    return np.concatenate([stack[:pairs:2] + 1j * stack[1:pairs:2].real,
+                           stack[pairs:]]), pairs // 2
+
+
+def _carried(rows, packed):
+    """The indices of the signals that each row of a stack carries, when
+    its first `packed` rows carry two."""
+    return [(2 * r, 2 * r + 1) if r < packed else (packed + r,)
+            for r in range(rows)]
+
+
 def _row_chunks(rows, width):
     """Slices that cover range(rows) in chunks of two or three rows (one
     chunk when rows < 4), and a work stack of `width` columns for the
@@ -380,61 +426,71 @@ def _row_chunks(rows, width):
     return [slice(a, b) for a, b in zip(cuts, cuts[1:])], work
 
 
-def _product_residuals(syms, mults, spectra, peaks, pairs, grid):
+def _product_residuals(syms, mults, spectra, peaks, pairs, grid, packed=0):
     """Multiplicativity residuals ||M_{g_i g_j} f_k - M_{g_i} M_{g_j} f_k||
     keyed (i, j, k) for each pair (i, j) of indices into syms, and the norms
     ||M_{g_j} f_k|| keyed (j, k) for every second factor j.
 
     mults[i] is the multiplier of syms[i], spectra the stack of guarded
-    spectra F_k of the signals f_k, a row per signal, and peaks[k] the peak
-    of f_k, the floor of the guard on M_{g_j} f_k: an output at roundoff
-    (a delay past the signal) has no tail to judge.  The pairs are
-    walked by second factor, so each product multiplier is built once (or
-    taken from mults when the product is itself one of syms) and only the
-    output spectra G_jk of M_{g_j} f_k for one symbol are held at a time.
-    Each residual is formed in the spectrum, prod*F_k - m_i*G_jk, and takes
-    one inverse DFT.  Outputs and residuals run in row chunks of two or
-    three, one numpy call per chunk, through one chunk-sized work stack and
-    a one-row scratch that serve the whole walk: full-size temporaries
+    spectra of the signals f_k, whose first `packed` rows carry two real
+    signals each (`_pack`; only real kernels may see such rows), and
+    peaks[k] the peak of f_k, the floor of the guard on M_{g_j} f_k: an
+    output at roundoff (a delay past the signal) has no tail to judge.  The
+    pairs are walked by second factor, so each product multiplier is built
+    once (or taken from mults when the product is itself one of syms) and
+    only the output spectra G_j of M_{g_j} for one symbol are held at a
+    time.  Each residual is formed in the spectrum, prod*F - m_i*G_j, and
+    takes one inverse DFT.  Outputs and residuals run in row chunks of two
+    or three, one numpy call per chunk, through one chunk-sized work stack
+    and a one-row scratch that serve the whole walk: full-size temporaries
     would set the peak memory, and freeing them would fragment the heap.
     """
     chunks, work = _row_chunks(*spectra.shape)
+    carried = _carried(len(spectra), packed)
+    # the signals of each chunk, and its count of rows that carry two
+    layout = [([k for row in carried[c] for k in row],
+               max(0, min(packed, c.stop) - c.start)) for c in chunks]
     out_spectra = np.empty_like(spectra)
     scratch = np.empty(spectra.shape[1], dtype=complex)
     resid, norms = {}, {}
     for j in sorted({j for _, j in pairs}):
-        for c in chunks:
+        for c, (ks, paired) in zip(chunks, layout):
             outs = _apply_multiplier(spectra[c], mults[j],
                                      out=work[:c.stop - c.start])
-            norms.update(zip([(j, k) for k in range(c.start, c.stop)],
-                             _l2_norms(outs, grid.dt).tolist()))
-            _guarded_spectrum(outs, out=out_spectra[c], floor=peaks[c])
+            norms.update(zip([(j, k) for k in ks],
+                             _l2_norms(outs, grid.dt, paired).tolist()))
+            _guarded_spectrum(outs, out=out_spectra[c], floor=peaks[ks],
+                              packed=paired)
         for i in sorted(i for i, second in pairs if second == j):
             g = multiply(syms[i], syms[j])
             prod = (mults[syms.index(g)] if g in syms
                     else discrete_multiplier(g, grid))
-            for c in chunks:
+            for c, (ks, paired) in zip(chunks, layout):
                 diff = np.multiply(spectra[c], prod,
                                    out=work[:c.stop - c.start])
                 for row, out_spectrum in zip(diff, out_spectra[c]):
                     row -= np.multiply(out_spectrum, mults[i], out=scratch)
-                resid.update(zip([(i, j, k) for k in range(c.start, c.stop)],
-                                 _l2_norms(_causal_window(diff),
-                                           grid.dt).tolist()))
+                resid.update(zip([(i, j, k) for k in ks],
+                                 _l2_norms(_causal_window(diff), grid.dt,
+                                           paired).tolist()))
             # freed before the next product multiplier is built: its own
             # scratch arrays set the peak memory of this function
             del prod
     return resid, norms
 
 
-def _shift_residuals(f, mults, taus):
-    """Shift residuals ||sigma_tau M_{g_i} f - M_{g_i} sigma_tau f|| keyed
-    (i, t) for multipliers mults[i] and shifts taus[t], and the guarded
-    spectrum of f.  The signal and its shifts are one stack: one guarded
-    forward call gives their spectra, and per multiplier the inverse calls
-    run in row chunks of two or three through one work stack, the first row
-    giving M_{g_i} f and the others the M_{g_i} sigma_tau f."""
-    spectra = _guarded_spectrum(_shifts(f, (0.0,) + taus))
+def _shift_residuals(f, mults, taus, signals=(0,)):
+    """Shift residuals ||sigma_tau M_{g_i} f_k - M_{g_i} sigma_tau f_k||
+    keyed (i, k, t) for multipliers mults[i], the signals f_k that the row
+    f carries (k in `signals`: two real signals in its real and imaginary
+    parts, or one) and shifts taus[t], and the guarded spectrum of f.  The
+    row and its shifts are one stack: one guarded forward call gives their
+    spectra, and per multiplier the inverse calls run in row chunks of two
+    or three through one work stack, the first row giving M_{g_i} f and the
+    others the M_{g_i} sigma_tau f."""
+    two = len(signals) == 2
+    spectra = _guarded_spectrum(_shifts(f, (0.0,) + taus),
+                                packed=two * (len(taus) + 1))
     chunks, work = _row_chunks(*spectra.shape)
     resid = {}
     for i, m in enumerate(mults):
@@ -446,18 +502,20 @@ def _shift_residuals(f, mults, taus):
             # row r of spectra is sigma_tau f for tau = taus[r - 1]
             lo = max(c.start, 1)
             diff[lo - 1:c.stop - 1] -= outs[lo - c.start:]
-        resid.update(zip([(i, t) for t in range(len(taus))],
-                         _l2_norms(diff, f.grid.dt).tolist()))
+        resid.update(zip([(i, k, t) for t in range(len(taus))
+                          for k in signals],
+                         _l2_norms(diff, f.grid.dt, two * len(diff)).tolist()))
     return resid, spectra[0]
 
 
-def _require_kernel_decay(syms, pairs, grid):
-    """WraparoundError if a kernel mode of a battery symbol or pair product
-    starts before the horizon (`discrete_multiplier` skips the others) and
-    is still e^{-Re alpha (horizon - offset)} > 1e-6 there: the doubled
-    window wraps that tail onto the output, a floor no 1e-6 gate absorbs."""
-    for g in syms + [multiply(syms[i], syms[j]) for i, j in pairs]:
-        for _, alpha, _, off in kernel(g).modes:
+def _require_kernel_decay(kernels, grid):
+    """WraparoundError if a kernel mode of one of the (symbol, kernel)
+    pairs starts before the horizon (`discrete_multiplier` skips the
+    others) and is still e^{-Re alpha (horizon - offset)} > 1e-6 there: the
+    doubled window wraps that tail onto the output, a floor no 1e-6 gate
+    absorbs."""
+    for g, krep in kernels:
+        for _, alpha, _, off in krep.modes:
             decay = alpha.real * (grid.horizon - off)
             if off < grid.horizon and decay < math.log(1e6):
                 raise WraparoundError(
@@ -472,15 +530,21 @@ def check_toeplitz(grid, battery):
     product residual when the step is halved."""
     syms = list(battery)
     pairs = [(i, j) for i in range(len(syms)) for j in range(i, len(syms))]
-    _require_kernel_decay(syms, pairs, grid)
+    kernels = list(_battery_kernels(syms, pairs))
+    _require_kernel_decay(kernels, grid)
 
     # Each multiplier is built once and each input spectrum computed once,
     # the multipliers as one stack; outputs are recomputed from them rather
-    # than held.  The shift check runs first: per signal, one stack holds
-    # the signal and its shifts, and the signal's row of it is kept as the
-    # input spectrum of the multiplicativity walk.  Residuals are scanned in
-    # (symbol, signal, ...) order, so the first worst case names the
-    # witness.
+    # than held.  When every kernel of the battery and its pair products is
+    # real on the grid, the four real signals travel two to a row (`_pack`)
+    # and the complex one alone, so every walk pushes three rows, not five,
+    # through each FFT and multiplier product; each signal's norms and
+    # residuals are read from its row's real part, imaginary part or both,
+    # and the wraparound guard judges each signal on its own.  The shift
+    # check runs first: per row, one stack holds the row and its shifts, and
+    # the row's spectrum is kept as the input of the multiplicativity walk.
+    # Residuals are keyed (symbol, signal, ...), so the first worst case
+    # names the witness.
     started = time.perf_counter()
     n = grid.n_samples
     # filled a row at a time, so the built multipliers are freed one by one
@@ -490,26 +554,32 @@ def check_toeplitz(grid, battery):
     labels, stack = _signals(grid)
     f_norms = _l2_norms(stack, grid.dt).tolist()
     peaks = np.max(np.abs(stack), axis=1)
-    # One buffer holds the signals and then their spectra: row k keeps f_k
-    # in its first half until the shift check has used it and replaces the
-    # row by the spectrum, so the signals cost no memory of their own.
-    spectra = np.empty((len(stack), 2 * n), dtype=complex)
-    spectra[:, :n] = stack
-    del stack
+    rows, packed = _pack(stack, _real_on_grid([k for _, k in kernels], grid))
+    # One buffer holds the rows and then their spectra: row r keeps its
+    # samples in its first half until the shift check has used them and
+    # replaces the row by the spectrum.
+    spectra = np.empty((len(rows), 2 * n), dtype=complex)
+    spectra[:, :n] = rows
+    del stack, rows
     taus = (grid.dt, 16 * grid.dt, 0.5)
     resid = {}
-    for k in range(len(spectra)):
-        resid_k, spectra[k] = _shift_residuals(
-            SampledSignal(grid, spectra[k, :n]), mults, taus)
-        resid.update(((i, k, t), r) for (i, t), r in resid_k.items())
-    (i, k, t), r = _worst(resid)
+    for r, signals in enumerate(_carried(len(spectra), packed)):
+        resid_r, spectra[r] = _shift_residuals(
+            SampledSignal(grid, spectra[r, :n]), mults, taus, signals)
+        resid.update(resid_r)
+    # the first (symbol, signal, tau) while every residual is below 1e-12,
+    # where rounding would decide the argmax (`_closest`)
+    i, k, t = _closest({key: (0.0, x) for key, x in resid.items()},
+                       (0, 0, 0))
     shift_report = finish_report(
-        "toeplitz_shift_commutation", 0.0, r,
+        "toeplitz_shift_commutation", 0.0, resid[i, k, t],
         f"{to_text(syms[i])} on {labels[k]}, tau={taus[t]:g}", 1e-6,
-        started, {"taus": [float(t) for t in taus]})
+        started, {"taus": [float(t) for t in taus],
+                  "max_residual": _worst(resid)[1]})
 
     started = time.perf_counter()
-    resid, norms = _product_residuals(syms, mults, spectra, peaks, pairs, grid)
+    resid, norms = _product_residuals(syms, mults, spectra, peaks, pairs,
+                                      grid, packed)
     del spectra, mults
     (i, j, k), r = _worst(resid)
     reports = [finish_report(
@@ -538,6 +608,7 @@ def check_toeplitz(grid, battery):
     ref_syms = (atom(1.0, 1.0), atom(1.0, 3.0),
                 add(atom(0.4, 2.0), Constant(0.5)))
     ref_pairs = ((0, 1), (1, 2))
+    ref_kernels = [k for _, k in _battery_kernels(ref_syms, ref_pairs)]
     base_n = max(16, min(grid.n_samples // 8,
                          2 ** math.floor(math.log2(32.0 * grid.horizon))))
     base = GridSpec(base_n, grid.horizon / base_n)
@@ -545,10 +616,11 @@ def check_toeplitz(grid, battery):
     worst = []
     for level in (base, fine):
         stack = _signals(level)[1]
+        rows, packed = _pack(stack, _real_on_grid(ref_kernels, level))
         mults = [discrete_multiplier(g, level) for g in ref_syms]
         resid, _ = _product_residuals(
-            ref_syms, mults, _guarded_spectrum(stack),
-            np.max(np.abs(stack), axis=1), ref_pairs, level)
+            ref_syms, mults, _guarded_spectrum(rows, packed=packed),
+            np.max(np.abs(stack), axis=1), ref_pairs, level, packed)
         worst.append({(i, j): max(resid[i, j, k] for k in range(len(stack)))
                       for i, j in ref_pairs})
     (i, j), r = _worst({p: worst[1][p] / worst[0][p] for p in ref_pairs})

@@ -395,27 +395,27 @@ class TestToeplitzBuildOnce:
         # 3 symbols and 2 products
         assert len(builds) == 6 + 20 + 2 * (3 + 2)
         assert len(set(builds)) == len(builds)
-        # forward DFTs, keyed by doubled-window length.  Main grid (4096
-        # samples): 5 signals, 15 shifted signals, 30 outputs; each
-        # refinement grid (512 and 1024 samples): 5 signals and the outputs
-        # of 2 second factors
-        assert transforms("fft") == {8192: 5 + 15 + 30, 1024: 15, 2048: 15}
-        # inverse DFTs.  Main grid: 30 outputs M_{g_j} f_k, one per product
-        # residual (21 pairs, 5 signals), 30 outputs and 90 shifted
-        # applications for the shift check.  Refinement grids: 10 outputs
-        # and 10 residuals each.
-        assert transforms("ifft") == {8192: 30 + 21 * 5 + 30 + 90,
-                                      1024: 20, 2048: 20}
-        assert sum(transforms("ifft").values()) == 295
-        # numpy calls.  Forward: one per signal with its shifts (4 rows),
-        # one per row chunk (2 and 3 of the 5 signals) and second factor for
-        # the output spectra, and on each refinement grid one for the
-        # signals.  Inverse: two (row chunks of 2 and 2) per (signal,
-        # symbol) in the shift check, and two (row chunks of 2 and 3) per
-        # second factor for the outputs and per pair for the residuals.
-        assert len(calls["fft"]) == 5 + 6 * 2 + 2 * (1 + 2 * 2)
-        assert len(calls["ifft"]) == (5 * 6 * 2 + 6 * 2 + 21 * 2
-                                      + 2 * (2 * 2 + 2 * 2))
+        # every kernel is real on the grid, so the four real signals travel
+        # two to a row and the complex one alone: 3 rows.  Forward DFTs,
+        # keyed by doubled-window length.  Main grid (4096 samples): 3 rows,
+        # 9 shifted rows, 18 output rows; each refinement grid (512 and 1024
+        # samples): 3 rows and the outputs of 2 second factors
+        assert transforms("fft") == {8192: 3 + 9 + 18, 1024: 9, 2048: 9}
+        # inverse DFTs.  Main grid: 18 output rows M_{g_j} f, one per
+        # product residual (21 pairs, 3 rows), 18 output rows and 54
+        # shifted applications for the shift check.  Refinement grids: 6
+        # output rows and 6 residual rows each.
+        assert transforms("ifft") == {8192: 18 + 21 * 3 + 18 + 54,
+                                      1024: 12, 2048: 12}
+        assert sum(transforms("ifft").values()) == 177
+        # numpy calls.  Forward: one per row with its shifts (4 rows), one
+        # per second factor for the output spectra (one chunk of the 3
+        # rows), and on each refinement grid one for the rows.  Inverse: two
+        # (row chunks of 2 and 2) per (row, symbol) in the shift check, and
+        # one per second factor for the outputs and per pair for the
+        # residuals.
+        assert len(calls["fft"]) == 3 + 6 + 2 * (1 + 2)
+        assert len(calls["ifft"]) == (3 * 6 * 2 + 6 + 21 + 2 * (2 + 2))
         # no call runs a single signal
         assert min(rows for name in calls for _, rows in calls[name]) >= 2
 

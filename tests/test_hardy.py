@@ -133,6 +133,11 @@ class TestDiscreteMultiplier:
         assert m.shape == (128,)
         assert np.allclose(m, 0.7)
 
+    @pytest.mark.parametrize("c", [0.7, -1.25, 0.3 - 0.2j])
+    def test_constant_is_exact_on_every_bin(self, c):
+        m = discrete_multiplier(Constant(c), GridSpec(64, 0.125))
+        assert np.all(m == c)
+
     def test_delay_phase(self):
         grid = GridSpec(64, 0.125)
         m = discrete_multiplier(Delay(0.5), grid)
@@ -213,10 +218,12 @@ class TestMultiplierOracle:
 
 
 class TestInPlaceMultiplier:
-    @pytest.mark.parametrize("g", MULTIPLIER_SYMBOLS, ids=to_text)
+    @pytest.mark.parametrize("g", MULTIPLIER_SYMBOLS + (Constant(0.7),),
+                             ids=to_text)
     def test_one_window_exp_per_phase(self, g, monkeypatch):
-        # exp(i omega dt) once, then one exponential per delay and per
-        # shifted mode; a mode's q is a scalar times exp(i omega dt)
+        # exp(i omega dt) once if there is a mode, then one exponential per
+        # delay other than the mass at 0 and per shifted mode; a mode's q
+        # is a scalar times exp(i omega dt)
         grid = GridSpec(64, 0.125)
         krep = kernel(g)
         real_exp, calls = np.exp, []
@@ -228,8 +235,9 @@ class TestInPlaceMultiplier:
 
         monkeypatch.setattr(np, "exp", counting_exp)
         discrete_multiplier(krep, grid)
+        delays = sum(0.0 < tau < grid.horizon for _, tau in krep.delays)
         shifted = sum(off != 0.0 for *_, off in krep.modes)
-        assert len(calls) == 1 + len(krep.delays) + shifted
+        assert len(calls) == bool(krep.modes) + delays + shifted
 
     def test_peak_allocation(self):
         # the 2 MB result on the 131,072-point doubled window beside the
@@ -359,8 +367,9 @@ def _stack_rows(grid):
 
 
 class TestSignalStacks:
-    """The private steps act on stacks, a signal per row; every row must
-    come out as the per-signal `toeplitz_apply` would make it."""
+    """The private steps act on stacks; a row of one signal must come out
+    as the per-signal `toeplitz_apply` would make it, and the two real
+    signals of a packed row are normed and guarded apart."""
 
     @pytest.mark.parametrize("g", [atom(1.0, 1.0), Delay(0.5),
                                    add(atom(0.4, 2.0), Constant(0.5))],
@@ -428,6 +437,31 @@ class TestSignalStacks:
             assert np.array_equal(row, np.fft.fft(np.r_[f, 0.0 * f]))
         with pytest.raises(WraparoundError):
             _guarded_spectrum(stack, floor=np.array([1.0, 1e-9, 1.0, 1.0]))
+
+    def test_packed_rows_give_two_norms(self):
+        # a row a + ib of two real signals: the norm of each part, bit for
+        # bit its l2_norm, then one norm per later row
+        grid = STACK_GRID
+        stack = _stack_rows(grid)
+        packed = np.array([stack[0] + 1j * stack[1].real, stack[3]])
+        norms = _l2_norms(packed, grid.dt, packed=1)
+        assert norms.tolist() == [l2_norm(SampledSignal(grid, stack[k]))
+                                  for k in (0, 1, 3)]
+
+    @pytest.mark.parametrize("small", ["real", "imag"])
+    def test_packed_signals_are_guarded_apart(self, small):
+        # only the smaller partner has a tail above 1e-6 of its own peak
+        # (e^-6 at t = 12); the row's modulus hides it, the guard of each
+        # signal does not, and that signal's own floor still applies
+        grid = STACK_GRID
+        t = times(grid)
+        big, tail = np.exp(-2.0 * t), 1e-4 * np.exp(-0.5 * t)
+        row = (tail + 1j * big if small == "real" else big + 1j * tail)[None]
+        _guarded_spectrum(row)
+        with pytest.raises(WraparoundError):
+            _guarded_spectrum(row, packed=1)
+        floor = [1.0, 0.0] if small == "real" else [0.0, 1.0]
+        _guarded_spectrum(row, floor=np.array(floor), packed=1)
 
     def test_non_finite_window_raises(self):
         grid = STACK_GRID

@@ -86,3 +86,28 @@ def test_witnesses_survive_rounding(tmp_path, monkeypatch, capsys):
     assert [r["witness"] for r in new] == [r["witness"] for r in old]
     out = _report_diff(tmp_path, old, new)
     assert out.returncode == 0, out.stdout
+
+
+def test_toeplitz_witnesses_survive_rounding(tmp_path, monkeypatch, capsys):
+    # a relative change of 1e-15 in every Toeplitz output M_g f is rounding:
+    # no witness may move with it, so report_diff exits 0
+    def sweep():
+        reports = cli.run(cli.ExperimentConfig(scenario="toeplitz_properties",
+                                               seed=7))[1]
+        capsys.readouterr()
+        return [r.to_json_dict() for r in reports]
+
+    old = sweep()
+    apply = verifier._apply_multiplier
+
+    def scaled(spectra, m, out=None):
+        outs = apply(spectra, m, out=out)
+        outs *= 1.0 + 1e-15
+        return outs
+
+    monkeypatch.setattr(verifier, "_apply_multiplier", scaled)
+    new = sweep()
+    assert [r["bound_measured"] for r in new] != \
+        [r["bound_measured"] for r in old]
+    out = _report_diff(tmp_path, old, new)
+    assert out.returncode == 0, out.stdout

@@ -20,7 +20,7 @@ from hardycalc.hardy import (GridSpec, SampledSignal, _guarded_spectrum,
                              toeplitz_apply)
 from hardycalc.semigroup import Generator, example26, random_stable, resolvent
 from hardycalc.symbols import (Constant, Delay, add, atom, eval_at,
-                               hinf_norm, multiply, to_text)
+                               hinf_norm, kernel, multiply, to_text)
 from hardycalc.verifier import (
     check_T0,
     check_analytic_lemma,
@@ -624,16 +624,37 @@ class TestZeroBound:
 TOEPLITZ_GRID = GridSpec(1024, 2.0 ** -6)
 TOEPLITZ_BATTERY = (atom(1.0, 1.0), Delay(0.5),
                     add(atom(0.4, 2.0), Constant(0.5)))
+# a complex pole makes complex kernels: one signal per row
+COMPLEX_BATTERY = TOEPLITZ_BATTERY + (atom(1.0, 1.0 + 2.0j),)
+TAUS = (TOEPLITZ_GRID.dt, 16 * TOEPLITZ_GRID.dt, 0.5)
+
+
+def _product_oracles(g, h, f):
+    """||M_{gh} f - M_g M_h f||, ||M_{gh} f|| and ||M_h f|| from
+    per-signal applications."""
+    out = toeplitz_apply(h, f)
+    lhs = toeplitz_apply(multiply(g, h), f)
+    rhs = toeplitz_apply(g, out)
+    return (l2_norm(SampledSignal(f.grid, lhs.values - rhs.values)),
+            l2_norm(lhs), l2_norm(out))
+
+
+def _shift_oracle(g, f, tau):
+    """||sigma_tau M_g f - M_g sigma_tau f|| from per-signal applications."""
+    lhs = shift(toeplitz_apply(g, f), tau)
+    rhs = toeplitz_apply(g, shift(f, tau))
+    return l2_norm(SampledSignal(f.grid, lhs.values - rhs.values))
 
 
 class TestToeplitzResiduals:
     def test_spectral_residual_matches_two_applications(self):
-        # the residual formed in the spectrum, one inverse DFT per (pair,
-        # signal), against the difference of two separate applications
-        grid, syms = TOEPLITZ_GRID, list(TOEPLITZ_BATTERY)
+        # complex kernels, one signal per row: the residual formed in the
+        # spectrum, one inverse DFT per (pair, signal), against the
+        # difference of two separate applications
+        grid, syms = TOEPLITZ_GRID, list(COMPLEX_BATTERY)
         _, stack = verifier._signals(grid)
         sigs = [SampledSignal(grid, f) for f in stack]
-        pairs = [(i, j) for i in range(3) for j in range(3)]
+        pairs = [(i, j) for i in range(len(syms)) for j in range(len(syms))]
         resid, norms = verifier._product_residuals(
             syms, [discrete_multiplier(g, grid) for g in syms],
             _guarded_spectrum(stack), np.max(np.abs(stack), axis=1), pairs,
@@ -641,32 +662,118 @@ class TestToeplitzResiduals:
         assert set(resid) == {(i, j, k) for i, j in pairs
                               for k in range(len(sigs))}
         for (i, j, k), r in resid.items():
-            g, h, f = syms[i], syms[j], sigs[k]
-            lhs = toeplitz_apply(multiply(g, h), f)
-            rhs = toeplitz_apply(g, toeplitz_apply(h, f))
-            oracle = l2_norm(SampledSignal(grid, lhs.values - rhs.values))
-            assert abs(r - oracle) <= 1e-12 * l2_norm(lhs)
+            oracle, lhs_norm, norm = _product_oracles(syms[i], syms[j],
+                                                      sigs[k])
+            assert abs(r - oracle) <= 1e-12 * lhs_norm
             # the outputs M_h f_k come from one stacked call, bit for bit
-            assert norms[j, k] == l2_norm(toeplitz_apply(h, f))
+            assert norms[j, k] == norm
 
     def test_shift_residuals_match_per_signal(self):
-        # one stack holds a signal and its shifts; each residual against
-        # shift and toeplitz_apply on single signals, bit for bit
-        grid, syms = TOEPLITZ_GRID, list(TOEPLITZ_BATTERY)
-        taus = (grid.dt, 16 * grid.dt, 0.5)
+        # complex kernels, one signal per row: one stack holds a signal and
+        # its shifts; each residual against shift and toeplitz_apply on
+        # single signals, bit for bit
+        grid, syms = TOEPLITZ_GRID, list(COMPLEX_BATTERY)
         mults = np.array([discrete_multiplier(g, grid) for g in syms])
         for values in verifier._signals(grid)[1]:
             f = SampledSignal(grid, values)
-            resid, spectrum = verifier._shift_residuals(f, mults, taus)
+            resid, spectrum = verifier._shift_residuals(f, mults, TAUS)
             assert np.array_equal(spectrum, _guarded_spectrum(values[None])[0])
-            assert set(resid) == {(i, t) for i in range(len(syms))
-                                  for t in range(len(taus))}
-            for (i, t), r in resid.items():
-                g, tau = syms[i], taus[t]
-                lhs = shift(toeplitz_apply(g, f), tau)
-                rhs = toeplitz_apply(g, shift(f, tau))
-                assert r == l2_norm(SampledSignal(grid,
-                                                  lhs.values - rhs.values))
+            assert set(resid) == {(i, 0, t) for i in range(len(syms))
+                                  for t in range(len(TAUS))}
+            for (i, _, t), r in resid.items():
+                assert r == _shift_oracle(syms[i], f, TAUS[t])
+
+    def test_packed_product_residuals_match_per_signal(self):
+        # real kernels, two real signals per row: each signal's residual
+        # and output norm against per-signal applications, to rounding
+        grid, syms = TOEPLITZ_GRID, list(TOEPLITZ_BATTERY)
+        _, stack = verifier._signals(grid)
+        sigs = [SampledSignal(grid, f) for f in stack]
+        rows, packed = verifier._pack(stack, True)
+        assert packed == 2 and len(rows) == 3
+        pairs = [(i, j) for i in range(len(syms)) for j in range(len(syms))]
+        resid, norms = verifier._product_residuals(
+            syms, [discrete_multiplier(g, grid) for g in syms],
+            _guarded_spectrum(rows, packed=packed),
+            np.max(np.abs(stack), axis=1), pairs, grid, packed)
+        assert set(resid) == {(i, j, k) for i, j in pairs
+                              for k in range(len(sigs))}
+        for (i, j, k), r in resid.items():
+            oracle, _, norm = _product_oracles(syms[i], syms[j], sigs[k])
+            assert abs(r - oracle) <= 1e-15 * l2_norm(sigs[k])
+            assert abs(norms[j, k] - norm) <= 1e-14 * norm
+
+    def test_packed_shift_residuals_match_per_signal(self):
+        grid, syms = TOEPLITZ_GRID, list(TOEPLITZ_BATTERY)
+        _, stack = verifier._signals(grid)
+        rows, packed = verifier._pack(stack, True)
+        mults = np.array([discrete_multiplier(g, grid) for g in syms])
+        for row, signals in zip(rows, verifier._carried(len(rows), packed)):
+            resid, _ = verifier._shift_residuals(SampledSignal(grid, row),
+                                                 mults, TAUS, signals)
+            assert set(resid) == {(i, k, t) for i in range(len(syms))
+                                  for k in signals for t in range(len(TAUS))}
+            for (i, k, t), r in resid.items():
+                f = SampledSignal(grid, stack[k])
+                assert abs(r - _shift_oracle(syms[i], f, TAUS[t])) \
+                    <= 1e-15 * l2_norm(f)
+
+    @pytest.mark.parametrize("battery, rows", [
+        (TOEPLITZ_BATTERY, [(0, 1), (2, 3), (4,)]),
+        (COMPLEX_BATTERY, [(0,), (1,), (2,), (3,), (4,)]),
+        # real, but the mode starts between grid points (0.3 = 19.2 steps):
+        # its Nyquist bin is not real, so it would mix the signals of a row
+        ((multiply(atom(1.0, 1.0), Delay(0.3)),),
+         [(0,), (1,), (2,), (3,), (4,)])],
+        ids=["real", "complex", "off-grid offset"])
+    def test_signals_are_packed_only_under_real_kernels(self, battery, rows,
+                                                        monkeypatch):
+        seen = []
+        walk = verifier._shift_residuals
+
+        def spy(f, mults, taus, signals=(0,)):
+            seen.append(signals)
+            return walk(f, mults, taus, signals)
+
+        monkeypatch.setattr(verifier, "_shift_residuals", spy)
+        check_toeplitz(TOEPLITZ_GRID, battery)
+        assert seen == rows
+
+    @pytest.mark.parametrize("g, real", [
+        (add(atom(0.4, 2.0), Constant(0.5)), True),
+        (multiply(Delay(0.5), atom(1.0, 3.0)), True),
+        (atom(0.5j, 1.0), False),
+        (atom(1.0, 1.0 + 2.0j), False),
+        (multiply(Constant(1j), Delay(0.5)), False),
+        # 19.2 steps, or past the horizon of 16, where it is skipped
+        (Delay(0.3), False),
+        (Delay(16.3), True)], ids=lambda v: v if isinstance(v, bool)
+        else to_text(v))
+    def test_real_on_grid(self, g, real):
+        assert verifier._real_on_grid([kernel(g)], TOEPLITZ_GRID) is real
+
+    def test_shift_witness_is_stable(self, monkeypatch):
+        # residuals at rounding name the first (symbol, signal, tau), and
+        # the worst goes to details; one near the gate is named itself
+        report = next(r for r in check_toeplitz(TOEPLITZ_GRID, (Delay(0.5),))
+                      if r.name == "toeplitz_shift_commutation")
+        assert report.details["max_residual"] < 1e-12
+        assert report.witness == f"exp(0.5*s) on exp(-2t), tau={TAUS[0]:g}"
+        assert report.bound_measured <= report.details["max_residual"]
+        walk = verifier._shift_residuals
+
+        def bumped(f, mults, taus, signals=(0,)):
+            resid, spectrum = walk(f, mults, taus, signals)
+            if 3 in signals:
+                resid[0, 3, 1] = 1e-7
+            return resid, spectrum
+
+        monkeypatch.setattr(verifier, "_shift_residuals", bumped)
+        report = next(r for r in check_toeplitz(TOEPLITZ_GRID, (Delay(0.5),))
+                      if r.name == "toeplitz_shift_commutation")
+        assert report.witness == \
+            f"exp(0.5*s) on gauss(t-2), tau={TAUS[1]:g}"
+        assert report.bound_measured == report.details["max_residual"] == 1e-7
 
     def test_scaled_product_multiplier_fails(self, monkeypatch):
         # a 1e-4 relative error in the multiplier of M_{gh} alone must show
