@@ -5,7 +5,8 @@ artifacts.  The checks themselves live in `verifier`.
 
 Exit codes: 0 all pass, 1 check failure, 2 malformed configuration (a
 value of the wrong JSON type, a grid step not dividing 0.5, a grid too
-short for the wraparound or decay-horizon guard), 3 unknown scenario.
+short for the wraparound or decay-horizon guard, a symbol offset between
+grid points that trips the wraparound guard), 3 unknown scenario.
 """
 
 from __future__ import annotations
@@ -194,10 +195,15 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except WraparoundError as exc:
-        print(f"config error: horizon grid_n*grid_dt = "
-              f"{config.grid_n * config.grid_dt:g} with grid_dt = "
-              f"{config.grid_dt:g}: the wraparound guard failed ({exc})",
-              file=sys.stderr)
+        # a check that found another cause re-raises the guard's error with
+        # that cause named; otherwise the horizon is too short
+        if isinstance(exc.__cause__, WraparoundError):
+            print(f"config error: {exc}", file=sys.stderr)
+        else:
+            print(f"config error: horizon grid_n*grid_dt = "
+                  f"{config.grid_n * config.grid_dt:g} with grid_dt = "
+                  f"{config.grid_dt:g}: the wraparound guard failed ({exc})",
+                  file=sys.stderr)
         return 2
     except UnknownScenarioError as exc:
         print(f"{exc}; see 'hardycalc list'", file=sys.stderr)

@@ -33,7 +33,11 @@ phases that shift by whole samples); a delay between grid points is a
 band-limited shift of the padded window, not a sample shift.  A kernel
 mode's weighted sum over the samples is a rational function of
 q = e^{-alpha dt} exp(i omega dt) with coefficients fixed per mode, so the
-window's unit-circle points exp(i omega dt) are computed once for all modes.
+unit-circle points exp(i omega dt) are computed once for all modes, and
+only on the n + 1 bins of nonnegative frequency: the transform of a measure
+K satisfies m_K(-omega) = conj(m_{conj K}(omega)), so the negative bins are
+the conjugated response of the conjugate kernel, which is K itself when its
+coefficients are real.
 """
 
 from __future__ import annotations
@@ -123,14 +127,21 @@ def _l2_norms(stack, dt, packed=0):
 def shift(f, tau):
     """Left shift (sigma_tau f)(t) = f(t + tau) for tau = m dt, m >= 0;
     vacated samples at the far end are zero (negligible for decaying f)."""
-    m_float = tau / f.grid.dt
+    return SampledSignal(f.grid, _shift_into(f.values, tau, f.grid.dt,
+                                             np.empty_like(f.values)))
+
+
+def _shift_into(values, tau, dt, out):
+    """The samples of `shift` by tau of the samples `values` on a step dt,
+    written to out, an array of their length."""
+    m_float = tau / dt
     m = int(round(m_float))
     if abs(m_float - m) > 1e-9 or m < 0:
         raise ValueError("shift requires tau a nonnegative multiple of dt")
-    out = np.zeros_like(f.values)
-    if m < f.grid.n_samples:
-        out[: f.grid.n_samples - m] = f.values[m:]
-    return SampledSignal(f.grid, out)
+    kept = max(len(values) - m, 0)
+    out[:kept] = values[m:]
+    out[kept:] = 0.0
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -169,39 +180,38 @@ def _series_numerator(j):
     return N
 
 
-def discrete_multiplier(krep, grid):
-    """Frequency response of the discretized one-sided kernel on the doubled
-    window; length 2 n_samples, ordered like numpy's FFT bins.
+def _real_coefficients(krep):
+    """Whether every mode coefficient, pole and point-mass weight of a
+    KernelRep is real: the kernel is then its own conjugate."""
+    return (all(c.imag == 0.0 and a.imag == 0.0 for c, a, _, _ in krep.modes)
+            and all(w.imag == 0.0 for w, _ in krep.delays))
 
-    With z = exp(i omega dt) on the window, a mode of pole alpha and power
-    p = j + 1 contributes scale * N_j(q) / (1-q)^{j+1} at q = e^{-alpha dt} z,
-    so z, computed only when a mode starts before the horizon, is the only
-    exponential over the window besides the exact phases exp(i omega tau)
-    of delays and shifted modes.  Converges to the boundary trace of the
-    originating symbol at O(dt^4); the phases of point masses are exact (a
-    constant is the mass at 0, added as its weight, since its phase is 1),
-    which makes a delay the sample shift only when tau/dt is an integer.
-    Masses and shifted modes at tau >= grid.horizon read only the zero pad
-    and are skipped, as their phases would wrap round the doubled window.
-    """
-    if not isinstance(krep, KernelRep):
-        krep = kernel(krep)
-    n2 = 2 * grid.n_samples
+
+def _conjugate(krep):
+    """The conjugate kernel: every coefficient, pole and weight conjugated."""
+    return KernelRep(
+        modes=tuple((c.conjugate(), a.conjugate(), p, off)
+                    for c, a, p, off in krep.modes),
+        delays=tuple((w.conjugate(), tau) for w, tau in krep.delays))
+
+
+def _response(krep, omega, grid, out):
+    """Frequency response of the discretized one-sided kernel at the
+    frequencies omega, written to out (zeroed first)."""
     dt = grid.dt
-    omega = 2.0 * math.pi * np.fft.fftfreq(n2, d=dt)
-    m = np.zeros(n2, dtype=complex)
-    z, a, b = (np.empty(n2, dtype=complex) for _ in range(3))
+    out.fill(0.0)
+    z, a, b = (np.empty(len(omega), dtype=complex) for _ in range(3))
 
-    def phase(tau, out):
-        """exp(i omega tau), written to out."""
-        np.multiply(1j * tau, omega, out=out)
-        return np.exp(out, out=out)
+    def phase(tau, dest):
+        """exp(i omega tau), written to dest."""
+        np.multiply(1j * tau, omega, out=dest)
+        return np.exp(dest, out=dest)
 
     for weight, tau in krep.delays:
         if tau == 0.0:
-            m += weight
+            out += weight
         elif tau < grid.horizon:
-            m += np.multiply(weight, phase(tau, a), out=a)
+            out += np.multiply(weight, phase(tau, a), out=a)
     modes = [(c, a, p, off) for c, a, p, off in krep.modes
              if off < grid.horizon]
     if modes:
@@ -220,7 +230,49 @@ def discrete_multiplier(krep, grid):
         b /= a
         if off != 0.0:
             b *= phase(off, a)
-        m += b
+        out += b
+    return out
+
+
+def discrete_multiplier(krep, grid):
+    """Frequency response of the discretized one-sided kernel on the doubled
+    window; length 2 n_samples, ordered like numpy's FFT bins.
+
+    With z = exp(i omega dt), a mode of pole alpha and power p = j + 1
+    contributes scale * N_j(q) / (1-q)^{j+1} at q = e^{-alpha dt} z, so z,
+    computed only when a mode starts before the horizon, is the only
+    exponential besides the exact phases exp(i omega tau) of delays and
+    shifted modes.  Converges to the boundary trace of the originating
+    symbol at O(dt^4); the phases of point masses are exact (a constant is
+    the mass at 0, added as its weight, since its phase is 1), which makes a
+    delay the sample shift only when tau/dt is an integer.  Masses and
+    shifted modes at tau >= grid.horizon read only the zero pad and are
+    skipped, as their phases would wrap round the doubled window.
+
+    The response is evaluated on the n + 1 bins omega_k = 2 pi k/(2n dt),
+    k = 0..n, only.  Bins 0..n-1 are H_K(omega_k); bin 2n - k, k = 1..n
+    (the Nyquist bin n included, which numpy puts at -pi/dt), is
+    conj(H_{conj K}(omega_k)), since the transform of a measure satisfies
+    m_K(-omega) = conj(m_{conj K}(omega)).  A kernel with real coefficients
+    is its own conjugate and takes one evaluation, a complex one two.
+    omega is formed as numpy's `fftfreq` forms it, whose negative bins are
+    the positive ones negated exactly, and conjugation commutes exactly
+    with every step (complex products, quotients, integer powers and exp),
+    so the result is the one an evaluation on all 2n bins gives.
+    """
+    if not isinstance(krep, KernelRep):
+        krep = kernel(krep)
+    n = grid.n_samples
+    omega = 2.0 * math.pi * (np.arange(n + 1) * (1.0 / (2 * n * grid.dt)))
+    m = np.empty(2 * n, dtype=complex)
+    _response(krep, omega, grid, m[:n + 1])
+    if _real_coefficients(krep):
+        np.conjugate(m[n - 1:0:-1], out=m[n + 1:])
+        m[n] = m[n].conjugate()
+    else:
+        conj = _response(_conjugate(krep), omega, grid,
+                         np.empty(n + 1, dtype=complex))
+        np.conjugate(conj[n:0:-1], out=m[n:])
     return m
 
 

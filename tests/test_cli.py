@@ -186,6 +186,36 @@ class TestExitCodes:
         else:
             assert "4 checks, 0 failed" in captured.out
 
+    def test_offset_off_the_grid_is_named_and_2(self, tmp_path, capsys):
+        # 0.3 is 76.8 steps of 2^-8: the band-limited shift rings past the
+        # wraparound guard, and the horizon of 16 is not to blame
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"scenario": "toeplitz_properties",
+                                 "symbols": ["exp(0.3*s)"]}))
+        assert main(["run", "--config", str(p)]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("config error: exp(0.3*s) has an offset "
+                                   "of 0.3 = 76.8 steps of 0.00390625")
+        assert "horizon" not in lines[0]
+        assert captured.out == ""
+
+    def test_short_horizon_for_a_delayed_mode_is_still_named(self, tmp_path,
+                                                             capsys):
+        # an offset off the grid in the battery does not hide the decay
+        # guard of exp(4*s) before 1/(1-s), which blames the horizon
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"scenario": "toeplitz_properties",
+                                 "symbols": ["exp(4*s)", "1/(1-s)",
+                                             "exp(0.3*s)"]}))
+        assert main(["run", "--config", str(p)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("config error: horizon grid_n*grid_dt"
+                                   " = 16 ")
+        assert "(exp(4*s))*(1/(1-s))" in lines[0]
+
     def test_short_grid_for_resolvent_identity_is_one_config_line_and_2(
             self, capsys):
         # a horizon of 4 ends before the generators' decay horizon of 16;

@@ -775,6 +775,38 @@ class TestToeplitzResiduals:
             f"exp(0.5*s) on gauss(t-2), tau={TAUS[1]:g}"
         assert report.bound_measured == report.details["max_residual"] == 1e-7
 
+    def test_norm_witness_is_stable(self, monkeypatch):
+        # a constant's ratios tie near 1 at rounding: the witness is the
+        # first (symbol, signal) within 1e-12 of the worst ratio, which is
+        # measured and goes to details, so roundoff in the norms cannot
+        # move the witness
+        battery = (Constant(0.7), Delay(0.5))
+
+        def norm_report(scale=lambda key: 1.0):
+            walk = verifier._product_residuals
+
+            def scaled(*args, **kwargs):
+                resid, norms = walk(*args, **kwargs)
+                return resid, {key: x * scale(key) for key, x in norms.items()}
+
+            with monkeypatch.context() as m:
+                m.setattr(verifier, "_product_residuals", scaled)
+                return next(r for r in check_toeplitz(TOEPLITZ_GRID, battery)
+                            if r.name == "toeplitz_norm_bound")
+
+        report = norm_report()
+        assert report.witness == "0.7 on exp(-2t)"
+        assert report.bound_measured == report.details["max_ratio"]
+        assert abs(report.bound_measured - 1.0) < 1e-15
+        for scale in (lambda key: 1.0 + 1e-15,
+                      lambda key: 1.0 + 1e-15 * (key == (0, 3))):
+            bumped = norm_report(scale)
+            assert bumped.witness == report.witness
+            assert bumped.bound_measured == bumped.details["max_ratio"]
+        # a ratio above the others by more than roundoff is named itself
+        assert norm_report(lambda key: 1.0 + 1e-9 * (key == (0, 3))).witness \
+            == "0.7 on gauss(t-2)"
+
     def test_scaled_product_multiplier_fails(self, monkeypatch):
         # a 1e-4 relative error in the multiplier of M_{gh} alone must show
         # in the residual rather than cancel against M_g M_h
