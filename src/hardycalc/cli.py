@@ -17,11 +17,12 @@ import dataclasses
 import json
 import math
 import os
+import platform
 import sys
 from dataclasses import dataclass
 
 from .hardy import WraparoundError
-from .numkernel import ConvergenceError
+from .numkernel import ConvergenceError, linalg_build
 from .scenarios import SCENARIOS, UnknownScenarioError, run_scenario
 from .semigroup import StabilityError
 from .symbols import parse
@@ -77,6 +78,19 @@ def _validate(config):
             raise ConfigError(f"bad symbol {text!r}: {exc}") from exc
 
 
+# the thread-count variables of OpenMP and the BLAS builds numpy may load
+_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                     "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+                     "NUMEXPR_NUM_THREADS")
+
+
+def _environment():
+    """The Python version, the numpy and BLAS builds and the thread
+    variables (None when unset) that a run's numbers came from."""
+    return {"python": platform.python_version(), **linalg_build(),
+            "threads": {k: os.environ.get(k) for k in _THREAD_VARIABLES}}
+
+
 def list_scenarios():
     """Registry names, one per line, in stable registration order."""
     return "\n".join(SCENARIOS)
@@ -102,6 +116,7 @@ def run(config):
         stem = os.path.join(outdir, f"reports_{config.scenario}")
         if config.write_json:
             doc = {"scenario": config.scenario, "seed": config.seed,
+                   "env": _environment(),
                    "reports": [r.to_json_dict() for r in reports]}
             with open(stem + ".json", "w") as fh:
                 json.dump(doc, fh, indent=2)

@@ -24,6 +24,7 @@ __all__ = [
     "HermitianSpectrum",
     "SingularMatrixError",
     "hermitian_eigs",
+    "linalg_build",
     "linear_solve",
     "mat_exp",
     "operator_norm",
@@ -46,6 +47,14 @@ def _as_square(A, name="matrix"):
     if not np.all(np.isfinite(A)):
         raise ValueError(f"{name} contains non-finite entries")
     return A
+
+
+def linalg_build():
+    """The numpy version and the name and version of the BLAS that numpy
+    was built against, which runs every kernel here."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")}}
 
 
 # ---------------------------------------------------------------------------
@@ -127,24 +136,35 @@ def linear_solve(M, B):
 
 
 def operator_norm(M):
-    """Largest singular value of M, from LAPACK's SVD (np.linalg.norm(M, 2)).
+    """Largest singular value of a matrix M, from LAPACK's SVD; for a stack
+    M of shape (k, m, n), the k norms as an array, from one np.linalg.svd
+    call.  numpy runs zgesdd on each matrix of the stack in turn, so every
+    norm is bit for bit the one a call on that matrix alone gives.
 
-    A square diagonal M short-circuits to max_k |d_k|, which is exact and
-    spares the diagonal semigroups T(t) an SVD of their full matrix.
+    A square diagonal matrix with finite entries short-circuits to
+    max_k |d_k|, which is exact and spares the diagonal semigroups T(t) an
+    SVD of their full matrix.
     """
     M = np.asarray(M, dtype=complex)
-    if M.ndim != 2:
-        raise ValueError("operator_norm expects a matrix")
-    if M.size == 0:
-        return 0.0
-    if M.shape[0] == M.shape[1]:
-        d = np.diag(M)
-        if float(np.max(np.abs(M - np.diag(d)))) == 0.0:
-            return float(np.max(np.abs(d)))
-    try:
-        return float(np.linalg.norm(M, 2))
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError("SVD did not converge") from exc
+    if M.ndim not in (2, 3):
+        raise ValueError("operator_norm expects a matrix or a stack of them")
+    stack = M if M.ndim == 3 else M[None]
+    norms = np.zeros(len(stack))
+    dense = np.full(len(stack), stack.size > 0)
+    m, n = stack.shape[1:]
+    if m == n and stack.size:
+        d = np.diagonal(stack, axis1=1, axis2=2)
+        dense = ~(np.all((stack == 0) | np.eye(n, dtype=bool), axis=(1, 2))
+                  & np.all(np.isfinite(d), axis=1))
+        norms[~dense] = np.max(np.abs(d[~dense]), axis=1)
+    if np.any(dense):
+        try:
+            sigma = np.linalg.svd(stack if dense.all() else stack[dense],
+                                  compute_uv=False)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError("SVD did not converge") from exc
+        norms[dense] = np.max(sigma, axis=1)
+    return norms if M.ndim == 3 else float(norms[0])
 
 
 @dataclass(frozen=True)

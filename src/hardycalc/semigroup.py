@@ -3,10 +3,11 @@ exponential-stability certificates.
 
 Two generator kinds are supported: Diagonal (eigenvalues known by
 construction, semigroup evaluated exactly) and Dense (stability certified by
-a Lyapunov witness before any use).  Other modules reach T(t) only through
-the evaluators here (`evaluate_T`, `sampled_T`, `norm_scan`,
-`gramian_rule`, `gramian`, `orbit_average`, `mode_integrals`) and
-the certificate's decay envelope; they test the kind only to guard an input.
+a Lyapunov witness before any use: P = I when A is dissipative with a clear
+margin, else the solution of A^H P + P A = -I).  Other modules reach T(t)
+only through the evaluators here (`evaluate_T`, `sampled_T`, `norm_scan`,
+`gramian_rule`, `gramian`, `orbit_average`, `mode_integrals`) and the
+certificate's decay envelope; they test the kind only to guard an input.
 Samplers produce seeded dissipative and similarity-transformed stable test
 matrices.  Every semigroup integral is one Taylor series on a short start
 step, doubled exactly up to its horizon.
@@ -60,8 +61,8 @@ class StabilityError(ValueError):
 class StabilityCertificate:
     """Lyapunov witness: P Hermitian positive definite with
     -(A^H P + P A) >= margin I, and p_min, p_max the extreme eigenvalues of
-    P.  residual measures how far -(A^H P + P A) is from the I a dense
-    generator solves for (0 for the diagonal witness P = I).
+    P.  residual measures how far -(A^H P + P A) is from the I the
+    Lyapunov solve aims at (0 for the identity witness P = I).
     """
 
     P: np.ndarray
@@ -98,10 +99,8 @@ class Generator:
             raise ValueError("diagonal generator eigenvalues must be finite")
         if np.any(lam.real >= 0):
             raise StabilityError("diagonal generator requires Re(lambda) < 0")
-        # P = I: -(A^H + A) = diag(-2 Re lambda) >= 2 min(-Re lambda) I
-        cert = StabilityCertificate(P=np.eye(lam.size),
-                                    margin=2.0 * float(np.min(-lam.real)),
-                                    residual=0.0, p_min=1.0, p_max=1.0)
+        # -(A^H + A) = diag(-2 Re lambda) >= 2 min(-Re lambda) I
+        cert = _identity_witness(lam.size, 2.0 * float(np.min(-lam.real)))
         return Generator(kind="diagonal", matrix=np.diag(lam),
                          eigenvalues=lam, certificate=cert, seed=seed)
 
@@ -120,16 +119,57 @@ class Generator:
     def envelope_constant(self):
         """K with ||T(t)|| <= K e^{-decay_rate() t}:
         sqrt(lambda_max(P)/lambda_min(P)), as x^H P x decays at least like
-        e^{-2 decay_rate t} along every orbit (1 when diagonal)."""
+        e^{-2 decay_rate t} along every orbit (1 for the witness P = I)."""
         cert = self.certificate
         return math.sqrt(cert.p_max / cert.p_min)
 
 
+def _identity_witness(n, margin):
+    """The witness P = I with -(A^H + A) >= margin I: x^H x decays at least
+    like e^{-margin t} along every orbit, so ||T(t)|| <= e^{-margin t/2}."""
+    return StabilityCertificate(P=np.eye(n), margin=margin, residual=0.0,
+                                p_min=1.0, p_max=1.0)
+
+
+_HORIZON_LIMIT = 1e6
+# The identity witness must clear the 1e-10 max(1, ||W||_F) residual that
+# hermitian_eigs accepts by two orders, and with K = 1 its horizon
+# log(1/eps)/(margin/2) must stay below semigroup_bounds' limit for every
+# normal eps <= 1; otherwise the Lyapunov solve runs, as it did before.
+_IDENTITY_ACCURACY = 1e-8
+_IDENTITY_MIN_MARGIN = -2.0 * math.log(np.finfo(float).tiny) / _HORIZON_LIMIT
+
+
+def _dissipative_witness(A):
+    """P = I when W = -(A + A^H) is positive definite by Cholesky and
+    lambda_min(W), the margin, clears both floors above; else None."""
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        return None  # the Lyapunov solve names the error
+    W = -(A + A.conj().T)
+    try:
+        np.linalg.cholesky(W)
+    except np.linalg.LinAlgError:
+        return None
+    spec = hermitian_eigs(W)
+    floor = max(_IDENTITY_ACCURACY * max(1.0, float(np.linalg.norm(W))),
+                _IDENTITY_MIN_MARGIN)
+    if not spec.lambda_min > floor:
+        return None
+    return _identity_witness(A.shape[0], spec.lambda_min)
+
+
 def certify_stable(A):
-    """Solve A^H P + P A = -I and verify P > 0 by Cholesky.  A solve that
-    fails in any named way (singular, no convergence, residual) is a
-    StabilityError."""
+    """A Lyapunov witness P > 0 with -(A^H P + P A) >= margin I.
+
+    A dissipative A, with -(A + A^H) positive definite and a margin clear
+    of the eigensolver's accuracy, is certified by P = I (Lumer & Phillips
+    1961).  Otherwise solve A^H P + P A = -I and verify P > 0 by Cholesky;
+    a solve that fails in any named way (singular, no convergence,
+    residual) is a StabilityError."""
     A = np.asarray(A, dtype=complex)
+    cert = _dissipative_witness(A)
+    if cert is not None:
+        return cert
     eye = np.eye(A.shape[0], dtype=complex)
     try:
         P = solve_lyapunov(A, eye)
@@ -167,7 +207,9 @@ def norm_scan(gen, Xs, ts):
     A diagonal generator adds the peak times -1/(2 Re lambda_k) of
     sqrt(t) e^{Re lambda_k t} inside the grid's range; when every X is
     diagonal too, the norms are max_k |X_kk| e^{Re lambda_k t}, exact and
-    vectorized.  Otherwise each T(t) is evaluated once for every X."""
+    vectorized.  Otherwise each T(t) is evaluated once for every X, and
+    the norms of the products X T(t) of one shape are one stacked
+    `operator_norm` call."""
     ts = np.asarray(ts, dtype=float)
     if np.any(ts < 0):
         raise ValueError("semigroup time must be nonnegative")
@@ -184,10 +226,16 @@ def norm_scan(gen, Xs, ts):
         decay = np.exp(np.outer(ts, lam))
         return ts, np.array([np.max(np.abs(np.diagonal(X)) * decay, axis=1)
                              for X in Xs])
+    shapes = {}
+    for i, X in enumerate(Xs):
+        shapes.setdefault(np.shape(X), []).append(i)
+    stacks = [(rows, np.array([Xs[i] for i in rows]))
+              for rows in shapes.values()]
     norms = np.empty((len(Xs), ts.size))
     for j, t in enumerate(ts):
         Tt = evaluate_T(gen, t)
-        norms[:, j] = [operator_norm(X @ Tt) for X in Xs]
+        for rows, X in stacks:
+            norms[rows, j] = operator_norm(X @ Tt)
     return ts, norms
 
 
@@ -280,9 +328,6 @@ def random_stable(n, seed):
             last_error = exc
     raise StabilityError("random_stable: certification failed after 5 attempts") \
         from last_error
-
-
-_HORIZON_LIMIT = 1e6
 
 
 def semigroup_bounds(gen, eps):

@@ -3,6 +3,7 @@
 import ast
 import csv
 import json
+import platform
 import sys
 from pathlib import Path
 
@@ -278,7 +279,7 @@ class TestArtifacts:
         capsys.readouterr()
         assert code == 0
         doc = json.loads((tmp_path / "reports_example26.json").read_text())
-        assert set(doc) == {"scenario", "seed", "reports"}
+        assert set(doc) == {"scenario", "seed", "env", "reports"}
         assert doc["scenario"] == "example26"
         assert doc["seed"] == 7
         names = [r["name"] for r in doc["reports"]]
@@ -291,6 +292,27 @@ class TestArtifacts:
             rows = list(csv.reader(fh))
         assert rows[0] == ["name", "claimed", "measured", "pass"]
         assert len(rows) == len(doc["reports"]) + 1
+
+    def test_json_stamps_the_environment(self, tmp_path, capsys,
+                                         monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        for name in ("MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+                     "NUMEXPR_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        assert main(["run", "--scenario", "eq26", "--json",
+                     "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        env = json.loads((tmp_path / "reports_eq26.json").read_text())["env"]
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert env == {
+            "python": platform.python_version(), "numpy": np.__version__,
+            "blas": {"name": blas["name"], "version": blas["version"]},
+            "threads": {"OMP_NUM_THREADS": "2", "OPENBLAS_NUM_THREADS": "1",
+                        "MKL_NUM_THREADS": None,
+                        "VECLIB_MAXIMUM_THREADS": None,
+                        "NUMEXPR_NUM_THREADS": None}}
+        assert env["blas"]["name"] and env["blas"]["version"]
 
     def test_run_deterministic(self, tmp_path, capsys):
         docs = []
@@ -474,6 +496,7 @@ class TestRunApi:
 CLI_IMPORTS = sorted([
     ("hardy", "WraparoundError"),
     ("numkernel", "ConvergenceError"),
+    ("numkernel", "linalg_build"),
     ("scenarios", "SCENARIOS"),
     ("scenarios", "UnknownScenarioError"),
     ("scenarios", "run_scenario"),

@@ -207,6 +207,53 @@ class TestOperatorNorm:
     def test_rejects_non_matrix(self):
         with pytest.raises(ValueError):
             operator_norm(np.zeros(4))
+        with pytest.raises(ValueError):
+            operator_norm(np.zeros((2, 3, 3, 3)))
+
+    @staticmethod
+    def _stack(kind):
+        rng = np.random.default_rng(41)
+        dense = rng.normal(size=(5, 7, 7)) + 1j * rng.normal(size=(5, 7, 7))
+        diagonal = dense * np.eye(7)
+        if kind == "dense":
+            return dense
+        if kind == "diagonal":
+            return diagonal
+        if kind == "mixed":
+            return np.concatenate([dense[:2], diagonal[:2],
+                                   np.zeros((1, 7, 7)), dense[2:]])
+        if kind == "rectangular":
+            return dense[:, :3, :]
+        return np.zeros((0, 7, 7)) if kind == "empty" else np.zeros((3, 0, 0))
+
+    @pytest.mark.parametrize("kind", ["dense", "diagonal", "mixed",
+                                      "rectangular", "empty",
+                                      "empty-matrices"])
+    def test_stack_is_bit_for_bit_per_matrix(self, kind):
+        stack = self._stack(kind)
+        norms = operator_norm(stack)
+        assert norms.shape == (len(stack),)
+        assert np.array_equal(norms, [operator_norm(M) for M in stack])
+        if len(stack):  # a nonempty list of matrices is a stack too
+            assert np.array_equal(operator_norm(list(stack)), norms)
+
+    def test_stacked_diagonals_stay_exact(self):
+        stack = self._stack("mixed")
+        norms = operator_norm(stack)
+        for M, v in zip(stack, norms):
+            if np.array_equal(M, np.diag(np.diag(M))):
+                assert v == np.max(np.abs(np.diag(M)))
+            else:
+                assert v == np.linalg.norm(M, 2)
+
+    def test_stack_that_does_not_converge_raises(self):
+        # LAPACK's SVD does not converge on a NaN entry, in a stack as alone
+        stack = self._stack("mixed")
+        stack[1, 0, 3] = np.nan
+        with pytest.raises(ConvergenceError):
+            operator_norm(stack)
+        with pytest.raises(ConvergenceError):
+            operator_norm(stack[1])
 
 
 class TestHermitianEigs:

@@ -16,8 +16,8 @@ import hardycalc
 from conftest import damped_string
 from hardycalc import numkernel, semigroup
 from hardycalc.admissibility import observability_gramian, sqrt_t_bound_scan
-from hardycalc.numkernel import (SingularMatrixError, operator_norm,
-                                 solve_lyapunov)
+from hardycalc.numkernel import (SingularMatrixError, hermitian_eigs,
+                                 operator_norm, solve_lyapunov)
 from hardycalc.semigroup import (
     Generator,
     StabilityError,
@@ -89,13 +89,46 @@ class TestGenerator:
             certify_stable(np.array([[-1.0, 4.0], [0.0, -3.0]]))
 
     def test_certificate_residual(self):
-        A = np.array([[-2.0, 1.0], [-1.0, -1.5]])
+        # -(A + A^H) = [[2, -4], [-4, 6]] is indefinite, so the Lyapunov
+        # solve runs
+        A = np.array([[-1.0, 4.0], [0.0, -3.0]])
         cert = certify_stable(A)
         P = cert.P
         resid = A.conj().T @ P + P @ A + np.eye(2)
         assert np.max(np.abs(resid)) < 1e-9
         spec_min = float(np.min(np.linalg.eigvalsh(P)))
         assert spec_min > 0.0
+
+    def test_dissipative_matrix_gets_the_identity_witness(self):
+        # -(A + A^H) = diag(4, 3): P = I with margin lambda_min = 3
+        A = np.array([[-2.0, 1.0], [-1.0, -1.5]])
+        gen = Generator.dense(A)
+        cert = gen.certificate
+        assert np.array_equal(cert.P, np.eye(2))
+        assert cert.margin == hermitian_eigs(-(A + A.T)).lambda_min
+        assert cert.margin == pytest.approx(3.0, rel=1e-15)
+        assert cert.residual == 0.0
+        assert gen.envelope_constant() == 1.0
+        assert gen.decay_rate() == cert.margin / 2.0
+
+    def test_dissipative_sampler_never_solves(self, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("sign iteration on a dissipative sample")
+
+        monkeypatch.setattr(numkernel, "_lyapunov_sign", no_solve)
+        for seed in range(7, 32):
+            gen = random_dissipative(8, seed)
+            assert np.array_equal(gen.certificate.P, np.eye(8))
+
+    def test_margin_below_the_eigensolver_accuracy_solves(self):
+        # lambda_min(W) is about 1, above the horizon floor but below
+        # 1e-8 ||W||_F = 4: the identity margin is not trusted
+        A = 1e8 * np.array([[-1.0, 2.0 - 1e-8], [0.0, -1.0]])
+        W = -(A + A.T)
+        assert 0.5 < hermitian_eigs(W).lambda_min < 1e-8 * np.linalg.norm(W)
+        cert = certify_stable(A)
+        assert not np.array_equal(cert.P, np.eye(2))
+        assert cert.residual <= 1e-9 and cert.margin > 0.0
 
 
 class TestEvaluateT:
@@ -223,17 +256,40 @@ class TestStepMemo:
         assert len(calls) == 1
 
 
+# -(A + A^H) = [[2, -(2 - 1e-9)], [-(2 - 1e-9), 2]] is positive definite
+# with lambda_min 1e-9: P = I would certify a decay rate of 5e-10
+BARELY_DISSIPATIVE = np.array([[-1.0, 2.0 - 1e-9], [0.0, -1.0]])
+
+
 class TestEnvelope:
     def test_bound_holds_on_time_grid(self):
         # sup_[0,1] ||T|| (= 1 on these seeds) in place of K falls short of
-        # ||T(t)|| by up to 1.2%; K from the Lyapunov certificate must not
-        gens = [random_stable(8, seed) for seed in range(8, 18)]
-        gens.append(Generator.dense(np.array([[-1.0, 4.0], [0.0, -1.0]])))
-        for gen in gens:
+        # ||T(t)|| by up to 1.2%; K from the certificate must not, whether
+        # its witness is P = I or the Lyapunov solution
+        identity = ([random_stable(8, seed) for seed in range(8, 18)]
+                    + [random_dissipative(n, n) for n in range(4, 17)]
+                    + [Generator.dense(example26(16)[0].matrix)])
+        lyapunov = [Generator.dense(np.array([[-1.0, 4.0], [0.0, -1.0]])),
+                    Generator.dense(-np.eye(2) + 3.0 * np.eye(2, k=1)),
+                    damped_string(8), Generator.dense(BARELY_DISSIPATIVE)]
+        for gen, witness_is_identity in ([(g, True) for g in identity]
+                                         + [(g, False) for g in lyapunov]):
+            assert np.array_equal(gen.certificate.P, np.eye(gen.dimension)) \
+                == witness_is_identity
             K, rate = gen.envelope_constant(), gen.decay_rate()
             for t in np.linspace(0.0, 8.0, 161):
                 norm = np.linalg.norm(evaluate_T(gen, t), 2)
                 assert norm <= K * math.exp(-rate * t) * (1.0 + 1e-12)
+
+    def test_barely_dissipative_keeps_the_lyapunov_horizon(self):
+        # with P = I the horizon log(1e12)/rate would pass t = 1e6, so
+        # semigroup_bounds would refuse a generator the solve certifies
+        margin = hermitian_eigs(-(BARELY_DISSIPATIVE
+                                  + BARELY_DISSIPATIVE.T)).lambda_min
+        assert math.log(1e12) / (margin / 2.0) > 1e6
+        gen = Generator.dense(BARELY_DISSIPATIVE)
+        assert gen.envelope_constant() > 1.0
+        assert semigroup_bounds(gen, 1e-12) <= 2.0 ** 10
 
     def test_diagonal_constant_is_one(self):
         assert Generator.diagonal([-1.0, -2.0 + 3j]).envelope_constant() == 1.0

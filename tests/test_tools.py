@@ -35,11 +35,11 @@ def _report(name, measured, passed=True, witness="w", runtime=1.0):
             "runtime_ms": runtime, "details": {"per_state": [measured, 2.0]}}
 
 
-def _report_diff(tmp_path, old, new):
+def _report_diff(tmp_path, old, new, envs=({}, {})):
     paths = []
-    for label, reports in (("old", old), ("new", new)):
+    for label, reports, env in (("old", old, envs[0]), ("new", new, envs[1])):
         path = tmp_path / f"{label}.json"
-        path.write_text(json.dumps({"scenario": "all", "seed": 7,
+        path.write_text(json.dumps({"scenario": "all", "seed": 7, "env": env,
                                     "reports": reports}))
         paths.append(str(path))
     return subprocess.run(
@@ -55,6 +55,15 @@ def test_report_diff_lists_moved_fields_and_ignores_runtime(tmp_path):
     assert out.stdout.splitlines() == [
         "b bound_measured: 0.25 -> 0.2500001  rel +4e-07",
         "b details.per_state[0]: 0.25 -> 0.2500001  rel +4e-07"]
+
+
+def test_report_diff_reads_the_reports_only(tmp_path):
+    # two machines' artifacts differ in their env stamp, not in a report
+    envs = ({"numpy": "2.4.6", "threads": {"OMP_NUM_THREADS": None}},
+            {"numpy": "2.5.0", "threads": {"OMP_NUM_THREADS": "1"}})
+    out = _report_diff(tmp_path, [_report("a", 0.5)], [_report("a", 0.5)],
+                       envs)
+    assert out.returncode == 0 and out.stdout == ""
 
 
 @pytest.mark.parametrize("new", [

@@ -37,6 +37,7 @@ from hardycalc.verifier import (
 
 SCALAR = Generator.diagonal([-1.0])
 G = atom(1.0, 2.0)  # g(-1) = 1/3, sup |g| on the imaginary axis = 1/2
+BATTERY = scenarios._battery(cli.ExperimentConfig())  # the default six
 
 
 def _verdict(rep):
@@ -118,6 +119,61 @@ class TestCor33a:
         gen = Generator.dense(np.array([[-1.0, 4.0], [0.0, -1.0]]))
         with pytest.raises(ValueError, match="not positive"):
             check_cor33a(gen, G)
+
+    def test_battery_norms_are_one_call(self, monkeypatch):
+        # the six g(A) norms are one stacked operator_norm call, counted
+        # through every hardycalc module that binds the kernel
+        gen = semigroup.random_dissipative(8, 7)
+        calls = _count_norm_calls(monkeypatch, [
+            importlib.import_module(f"hardycalc.{info.name}")
+            for info in pkgutil.iter_modules(hardycalc.__path__)])
+        assert check_cor33a(gen, BATTERY).passed
+        assert calls == [(len(BATTERY), 8, 8)]
+
+
+def _count_norm_calls(monkeypatch, modules):
+    """The shapes of the operator_norm calls made through `modules`."""
+    calls = []
+    original = numkernel.operator_norm
+
+    def counting(M):
+        calls.append(np.shape(M))
+        return original(M)
+
+    for module in modules:
+        if getattr(module, "operator_norm", None) is original:
+            monkeypatch.setattr(module, "operator_norm", counting)
+    return calls
+
+
+class TestStackedNorms:
+    """Each check's norms of one battery are one operator_norm call; eq21
+    takes one per symbol, over its ten resolvent samples, and the product
+    rule one per first factor, over the second factors."""
+
+    @pytest.mark.parametrize("check, calls", [
+        (lambda b: check_thm33(random_stable(8, 8), np.eye(8), b), 1),
+        (lambda b: check_thm34(example26(8)[0], b), 1),
+        (lambda b: check_calculus_pairs(random_stable(8, 8), b),
+         1 + len(BATTERY)),
+        (lambda b: check_eq21(random_stable(8, 8), b), len(BATTERY))])
+    def test_one_call_per_battery(self, monkeypatch, check, calls):
+        counted = _count_norm_calls(monkeypatch, [verifier])
+        assert check(BATTERY).passed
+        assert len(counted) == calls
+        assert sum(shape[0] for shape in counted) >= len(BATTERY)
+
+    def test_eq21_solves_each_sample_once(self, monkeypatch):
+        gen = random_stable(8, 8)
+        samples = []
+
+        def counting(g, s):
+            samples.append(s)
+            return resolvent(g, s)
+
+        monkeypatch.setattr(verifier, "resolvent", counting)
+        check_eq21(gen, BATTERY)
+        assert samples == list(verifier._EQ21_SAMPLES)
 
 
 class TestThm34:
