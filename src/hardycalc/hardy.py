@@ -131,12 +131,19 @@ def shift(f, tau):
                                              np.empty_like(f.values)))
 
 
+def _whole_steps(tau, dt):
+    """The whole number m of steps of dt with |tau/dt - m| <= 1e-9, or None
+    if there is none: the one test of whether a shift or an offset falls on
+    the grid."""
+    m = round(tau / dt)
+    return m if abs(tau / dt - m) <= 1e-9 else None
+
+
 def _shift_into(values, tau, dt, out):
     """The samples of `shift` by tau of the samples `values` on a step dt,
     written to out, an array of their length."""
-    m_float = tau / dt
-    m = int(round(m_float))
-    if abs(m_float - m) > 1e-9 or m < 0:
+    m = _whole_steps(tau, dt)
+    if m is None or m < 0:
         raise ValueError("shift requires tau a nonnegative multiple of dt")
     kept = max(len(values) - m, 0)
     out[:kept] = values[m:]

@@ -25,7 +25,6 @@ registry in `scenarios` says which check each scenario runs on what.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import time
@@ -39,7 +38,7 @@ from .calculus import _gA_exact, gA_convolution, gA_toeplitz
 from .hardy import (GridSpec, SampledSignal, WraparoundError,
                     _apply_multiplier, _causal_window, _guarded_spectrum,
                     _l2_norms, _real_coefficients, _shift_into,
-                    discrete_multiplier, times)
+                    _whole_steps, discrete_multiplier, times)
 from .numkernel import hermitian_eigs, operator_norm, solve_lyapunov
 from .report import finish_report
 from .semigroup import (evaluate_T, example26, gramian, gramian_rule,
@@ -374,45 +373,34 @@ def _battery_kernels(syms, pairs):
         yield g, kernel(g)
 
 
-def _off_grid_offsets(krep, grid):
-    """The point-mass and mode offsets of a KernelRep before the horizon
-    that fall between grid points, where `discrete_multiplier`'s exact phase
-    is a band-limited shift of the padded window, not a sample shift."""
-    return [tau for tau in [t for _, t in krep.delays]
-            + [off for *_, off in krep.modes]
-            if tau < grid.horizon and not (tau / grid.dt).is_integer()]
+def _require_grid_fits(kernels, grid, taus):
+    """WraparoundError, naming the cause, unless the grid carries the
+    Toeplitz checks of the (symbol, kernel) pairs with the shifts taus.
 
-
-def _real_on_grid(kreps, grid):
-    """Whether the discrete kernel of every KernelRep in kreps is real on
-    grid, so that its M_g maps real signals to real signals: its
-    coefficients are real (`_real_coefficients`, the multiplier's own test)
-    and no offset is off the grid (`_off_grid_offsets`).  A band-limited
-    shift's Nyquist bin is not real: `exp(0.3*s)` on a step of 2^-8 gives a
-    real signal an imaginary part 5e-4 of its norm."""
-    return all(_real_coefficients(krep) and not _off_grid_offsets(krep, grid)
-               for krep in kreps)
-
-
-@contextlib.contextmanager
-def _off_grid_named(kernels, grid):
-    """Re-raise a WraparoundError of the block as one that names the first
-    of the (symbol, kernel) pairs with an offset off the grid, and the
-    offset, when there is one: the band-limited shift rings at the jump of
-    a signal, and its ringing, not the horizon, trips the guard."""
-    try:
-        yield
-    except WraparoundError as exc:
-        named = [(g, offs[0]) for g, krep in kernels
-                 if (offs := _off_grid_offsets(krep, grid))]
-        if not named:
-            raise
-        g, tau = named[0]
-        raise WraparoundError(
-            f"{to_text(g)} has an offset of {tau:g} = "
-            f"{tau / grid.dt:g} steps of {grid.dt:g}, between grid points: "
-            f"that band-limited shift rings past the wraparound guard "
-            f"({exc})") from exc
+    Every mode that starts before the horizon (`discrete_multiplier` skips
+    the others) must have decayed below 1e-6 there: the doubled window wraps
+    its tail onto the output, a floor no 1e-6 gate absorbs.  Every shift,
+    and every point-mass and mode offset before the horizon, must be a
+    whole number of steps (`_whole_steps`): between grid points the
+    multiplier's exact phase is a band-limited shift of the padded window,
+    not a sample shift, and the checks would measure its ringing at a
+    signal's jump instead of the calculus."""
+    for g, krep in kernels:
+        for _, alpha, _, off in krep.modes:
+            decay = alpha.real * (grid.horizon - off)
+            if off < grid.horizon and decay < math.log(1e6):
+                raise WraparoundError(
+                    f"a kernel mode of {to_text(g)} is still e^-{decay:.3g} "
+                    "of its peak at the horizon, above 1e-6")
+    offsets = [("the shift check shifts by", tau) for tau in taus] + [
+        (f"{to_text(g)} has an offset of", tau) for g, krep in kernels
+        for tau in [t for _, t in krep.delays] + [o for *_, o in krep.modes]
+        if tau < grid.horizon]
+    for what, tau in offsets:
+        if _whole_steps(tau, grid.dt) is None:
+            raise WraparoundError(
+                f"{what} {tau:g} = {tau / grid.dt:g} steps of {grid.dt:g}, "
+                "between grid points")
 
 
 def _pack(stack, real):
@@ -537,21 +525,6 @@ def _shift_residuals(f, mults, taus, signals=(0,)):
     return resid, spectra[0]
 
 
-def _require_kernel_decay(kernels, grid):
-    """WraparoundError if a kernel mode of one of the (symbol, kernel)
-    pairs starts before the horizon (`discrete_multiplier` skips the
-    others) and is still e^{-Re alpha (horizon - offset)} > 1e-6 there: the
-    doubled window wraps that tail onto the output, a floor no 1e-6 gate
-    absorbs."""
-    for g, krep in kernels:
-        for _, alpha, _, off in krep.modes:
-            decay = alpha.real * (grid.horizon - off)
-            if off < grid.horizon and decay < math.log(1e6):
-                raise WraparoundError(
-                    f"a kernel mode of {to_text(g)} is still e^-{decay:.3g} "
-                    "of its peak at the horizon, above 1e-6")
-
-
 def check_toeplitz(grid, battery):
     """The discrete half-line operator M_g on five sampled signals:
     multiplicativity M_{gh} = M_g M_h, commutation with shifts, the norm
@@ -560,12 +533,13 @@ def check_toeplitz(grid, battery):
     syms = list(battery)
     pairs = [(i, j) for i in range(len(syms)) for j in range(i, len(syms))]
     kernels = list(_battery_kernels(syms, pairs))
-    _require_kernel_decay(kernels, grid)
+    taus = (grid.dt, 16 * grid.dt, 0.5)
+    _require_grid_fits(kernels, grid, taus)
 
     # Each multiplier is built once and each input spectrum computed once,
     # the multipliers as one stack; outputs are recomputed from them rather
-    # than held.  When every kernel of the battery and its pair products is
-    # real on the grid, the four real signals travel two to a row (`_pack`)
+    # than held.  When every kernel of the battery and its pair products has
+    # real coefficients, the four real signals travel two to a row (`_pack`)
     # and the complex one alone, so every walk pushes three rows, not five,
     # through each FFT and multiplier product; each signal's norms and
     # residuals are read from its row's real part, imaginary part or both,
@@ -583,14 +557,14 @@ def check_toeplitz(grid, battery):
     labels, stack = _signals(grid)
     f_norms = _l2_norms(stack, grid.dt).tolist()
     peaks = np.max(np.abs(stack), axis=1)
-    rows, packed = _pack(stack, _real_on_grid([k for _, k in kernels], grid))
+    rows, packed = _pack(stack, all(_real_coefficients(krep)
+                                    for _, krep in kernels))
     # One buffer holds the rows and then their spectra: row r keeps its
     # samples in its first half until the shift check has used them and
     # replaces the row by the spectrum.
     spectra = np.empty((len(rows), 2 * n), dtype=complex)
     spectra[:, :n] = rows
     del stack, rows
-    taus = (grid.dt, 16 * grid.dt, 0.5)
     resid = {}
     for r, signals in enumerate(_carried(len(spectra), packed)):
         resid_r, spectra[r] = _shift_residuals(
@@ -607,11 +581,8 @@ def check_toeplitz(grid, battery):
                   "max_residual": _worst(resid)[1]})
 
     started = time.perf_counter()
-    # the guard judged the inputs in the shift walk; here it judges the
-    # outputs, which an offset off the grid makes ring
-    with _off_grid_named(kernels, grid):
-        resid, norms = _product_residuals(syms, mults, spectra, peaks, pairs,
-                                          grid, packed)
+    resid, norms = _product_residuals(syms, mults, spectra, peaks, pairs,
+                                      grid, packed)
     del spectra, mults
     (i, j, k), r = _worst(resid)
     reports = [finish_report(
@@ -645,7 +616,6 @@ def check_toeplitz(grid, battery):
     ref_syms = (atom(1.0, 1.0), atom(1.0, 3.0),
                 add(atom(0.4, 2.0), Constant(0.5)))
     ref_pairs = ((0, 1), (1, 2))
-    ref_kernels = [k for _, k in _battery_kernels(ref_syms, ref_pairs)]
     base_n = max(16, min(grid.n_samples // 8,
                          2 ** math.floor(math.log2(32.0 * grid.horizon))))
     base = GridSpec(base_n, grid.horizon / base_n)
@@ -653,7 +623,8 @@ def check_toeplitz(grid, battery):
     worst = []
     for level in (base, fine):
         stack = _signals(level)[1]
-        rows, packed = _pack(stack, _real_on_grid(ref_kernels, level))
+        # the fixed battery, real atoms and a constant, is real
+        rows, packed = _pack(stack, True)
         mults = [discrete_multiplier(g, level) for g in ref_syms]
         resid, _ = _product_residuals(
             ref_syms, mults, _guarded_spectrum(rows, packed=packed),

@@ -141,16 +141,17 @@ class TestExitCodes:
         assert "config error: grid_dt" in capsys.readouterr().err
 
     def test_short_horizon_is_one_config_line_and_2(self, capsys):
-        # a 0.064 horizon leaves the signals' tails above the wraparound
-        # guard; the grid is configuration, so this is not a traceback
+        # a 0.064 horizon leaves the battery's kernel modes far above 1e-6
+        # at its end; the grid is configuration, so this is not a traceback
         assert main(["run", "--scenario", "toeplitz_properties",
                      "--grid-n", "64", "--grid-dt", "0.001"]) == 2
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith("config error: horizon grid_n*grid_dt")
-        assert "0.064" in lines[0] and "wraparound guard failed" in lines[0]
-        assert "too short" not in lines[0]
+        assert lines[0].startswith("config error: horizon grid_n*grid_dt"
+                                   " = 0.064 ")
+        assert "a kernel mode of 1/(1-s) is still e^-0.064" in lines[0]
+        assert "between grid points" not in lines[0]
         assert captured.out == ""
 
     @pytest.mark.parametrize("grid_dt", [2.0 ** -8, 2.0 ** -6, 2.0 ** -4])
@@ -187,25 +188,37 @@ class TestExitCodes:
         else:
             assert "4 checks, 0 failed" in captured.out
 
-    def test_offset_off_the_grid_is_named_and_2(self, tmp_path, capsys):
-        # 0.3 is 76.8 steps of 2^-8: the band-limited shift rings past the
-        # wraparound guard, and the horizon of 16 is not to blame
+    def _off_grid_line(self, symbol, tmp_path, capsys):
+        """The one stderr line of a toeplitz_properties run on `symbol`,
+        which must exit 2 with nothing on stdout."""
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"scenario": "toeplitz_properties",
-                                 "symbols": ["exp(0.3*s)"]}))
+                                 "symbols": [symbol]}))
         assert main(["run", "--config", str(p)]) == 2
         captured = capsys.readouterr()
-        lines = captured.err.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("config error: exp(0.3*s) has an offset "
-                                   "of 0.3 = 76.8 steps of 0.00390625")
-        assert "horizon" not in lines[0]
         assert captured.out == ""
+        [line] = captured.err.splitlines()
+        return line
+
+    def test_offset_off_the_grid_is_named_and_2(self, tmp_path, capsys):
+        # 0.3 is 76.8 steps of 2^-8, where the multiplier is a band-limited
+        # shift, not a sample shift: the grid is refused before any FFT
+        line = self._off_grid_line("exp(0.3*s)", tmp_path, capsys)
+        assert line.startswith("config error: horizon grid_n*grid_dt = 16 ")
+        assert line.endswith("exp(0.3*s) has an offset of 0.3 = 76.8 steps "
+                             "of 0.00390625, between grid points")
+
+    def test_mode_offset_off_the_grid_is_named_and_2(self, tmp_path, capsys):
+        # the delayed mode used to pass the wraparound guard and FAIL
+        # toeplitz_shift_commutation at 1.7e-6 on the band-limited ringing
+        line = self._off_grid_line("(1/(1-s))*exp(0.3*s)", tmp_path, capsys)
+        assert line.endswith("(1/(1-s))*(exp(0.3*s)) has an offset of 0.3 = "
+                             "76.8 steps of 0.00390625, between grid points")
 
     def test_short_horizon_for_a_delayed_mode_is_still_named(self, tmp_path,
                                                              capsys):
         # an offset off the grid in the battery does not hide the decay
-        # guard of exp(4*s) before 1/(1-s), which blames the horizon
+        # guard of exp(4*s) before 1/(1-s), which is judged first
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"scenario": "toeplitz_properties",
                                  "symbols": ["exp(4*s)", "1/(1-s)",
@@ -215,7 +228,9 @@ class TestExitCodes:
         assert len(lines) == 1
         assert lines[0].startswith("config error: horizon grid_n*grid_dt"
                                    " = 16 ")
-        assert "(exp(4*s))*(1/(1-s))" in lines[0]
+        assert "a kernel mode of (exp(4*s))*(1/(1-s)) is still e^-12" \
+            in lines[0]
+        assert "between grid points" not in lines[0]
 
     def test_short_grid_for_resolvent_identity_is_one_config_line_and_2(
             self, capsys):
@@ -241,20 +256,26 @@ class TestExitCodes:
         assert main(["run", "--config", str(p)]) == 2
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [
-            "config error: grid_dt = 0.3 must divide 0.5, the shift of the "
-            "Toeplitz checks"]
+            "config error: horizon grid_n*grid_dt = 1228.8 with grid_dt = "
+            "0.3 does not carry the check: the shift check shifts by 0.5 = "
+            "1.66667 steps of 0.3, between grid points"]
         assert captured.out == ""
 
     def test_grid_dt_not_dividing_half_default_battery_is_2(self, capsys):
-        # with Delay(0.5) in the battery the fractional delay rang past the
-        # wraparound guard, which was reported as a short horizon (1228.8)
+        # the 0.5 shift is named before the battery's Delay(0.5), and
+        # before any FFT runs
         assert main(["run", "--grid-dt", "0.3"]) == 2
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith("config error: grid_dt = 0.3 must divide")
-        assert "too short" not in lines[0]
+        assert lines[0].endswith("the shift check shifts by 0.5 = 1.66667 "
+                                 "steps of 0.3, between grid points")
         assert captured.out == ""
+
+    def test_grid_dt_not_dividing_half_runs_other_scenarios(self, capsys):
+        # only the Toeplitz check shifts by 0.5
+        assert main(["run", "--scenario", "thm33", "--grid-dt", "0.3"]) == 0
+        assert "21 checks, 0 failed" in capsys.readouterr().out
 
     def test_missing_config_file_is_2(self, capsys):
         assert main(["run", "--config", "/no/such/file.json"]) == 2

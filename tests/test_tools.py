@@ -76,6 +76,24 @@ def test_report_diff_fails_on_verdict_witness_or_names(tmp_path, new):
     assert out.stdout
 
 
+@pytest.mark.parametrize("content", [None, "{\"seed\": 7}", "not json"],
+                         ids=["missing", "no reports", "not json"])
+def test_report_diff_unreadable_input_is_2(tmp_path, content):
+    # 1 means a verdict or witness moved; a bad input must not read as that
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"reports": [_report("a", 0.5)]}))
+    bad = tmp_path / "bad.json"
+    if content is not None:
+        bad.write_text(content)
+    out = subprocess.run(
+        [sys.executable, str(TOOLS / "report_diff.py"), str(good), str(bad)],
+        capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    [line] = out.stderr.splitlines()
+    assert line.startswith("report_diff: ") and str(bad) in line
+
+
 def test_witnesses_survive_rounding(tmp_path, monkeypatch, capsys):
     # a relative change of 1e-15 in every convolution g(A) is rounding:
     # no witness may move with it, so report_diff exits 0

@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 
 import hardycalc
+from conftest import damped_string, spiked
 from hardycalc import cli, numkernel, scenarios, semigroup, verifier
 from hardycalc.admissibility import observability_gramian, sqrt_minus_A
 from hardycalc.calculus import gA_convolution
-from hardycalc.hardy import (GridSpec, SampledSignal, _guarded_spectrum,
+from hardycalc.hardy import (GridSpec, SampledSignal, WraparoundError,
+                             _guarded_spectrum, _real_coefficients,
                              discrete_multiplier, l2_norm, shift,
                              toeplitz_apply)
 from hardycalc.semigroup import Generator, example26, random_stable, resolvent
@@ -101,6 +103,27 @@ class TestThm33:
         rep = check_thm33(SCALAR, np.eye(1), [G])
         assert rep.bound_claimed == 1.0
         assert abs(rep.bound_measured - 2.0 / 3.0) < 1e-7
+
+
+# generators whose -(A + A^H) is indefinite or singular: the certificate is
+# the sign-iteration Lyapunov solve's, with an envelope constant K > 1 (253,
+# 1.37 and 16.7), which the dissipative scenario inputs never reach
+NON_DISSIPATIVE = {
+    "jordan6": lambda: Generator.dense(-np.eye(6) + 3.0 * np.eye(6, k=1)),
+    "damped_string8": lambda: damped_string(8),
+    "spiked": spiked,
+}
+
+
+class TestNonDissipative:
+    @pytest.mark.parametrize("make", NON_DISSIPATIVE.values(),
+                             ids=list(NON_DISSIPATIVE))
+    def test_lyapunov_certificate_under_verdicts(self, make):
+        gen = make()
+        assert not np.array_equal(gen.certificate.P, np.eye(gen.dimension))
+        assert gen.envelope_constant() > 1.0
+        assert check_thm33(gen, np.eye(gen.dimension), BATTERY).passed
+        assert check_calculus_pairs(gen, scenarios._CALCULUS_BATTERY).passed
 
 
 class TestCor33a:
@@ -777,23 +800,33 @@ class TestToeplitzResiduals:
     @pytest.mark.parametrize("battery, rows", [
         (TOEPLITZ_BATTERY, [(0, 1), (2, 3), (4,)]),
         (COMPLEX_BATTERY, [(0,), (1,), (2,), (3,), (4,)]),
-        # real, but the mode starts between grid points (0.3 = 19.2 steps):
-        # its Nyquist bin is not real, so it would mix the signals of a row
-        ((multiply(atom(1.0, 1.0), Delay(0.3)),),
-         [(0,), (1,), (2,), (3,), (4,)])],
+        # real, but the mode starts between grid points (0.3 = 19.2 steps),
+        # where a band-limited shift would mix the signals of a row: the
+        # grid is refused before any multiplier is built or walk entered
+        ((multiply(atom(1.0, 1.0), Delay(0.3)),), None)],
         ids=["real", "complex", "off-grid offset"])
     def test_signals_are_packed_only_under_real_kernels(self, battery, rows,
                                                         monkeypatch):
-        seen = []
-        walk = verifier._shift_residuals
+        seen, built = [], []
+        walk, build = verifier._shift_residuals, verifier.discrete_multiplier
 
         def spy(f, mults, taus, signals=(0,)):
             seen.append(signals)
             return walk(f, mults, taus, signals)
 
+        def counted(g, grid):
+            built.append(g)
+            return build(g, grid)
+
         monkeypatch.setattr(verifier, "_shift_residuals", spy)
-        check_toeplitz(TOEPLITZ_GRID, battery)
-        assert seen == rows
+        monkeypatch.setattr(verifier, "discrete_multiplier", counted)
+        if rows is None:
+            with pytest.raises(WraparoundError, match="0.3 = 19.2 steps"):
+                check_toeplitz(TOEPLITZ_GRID, battery)
+            assert seen == [] and built == []
+        else:
+            check_toeplitz(TOEPLITZ_GRID, battery)
+            assert seen == rows and built
 
     @pytest.mark.parametrize("g, real", [
         (add(atom(0.4, 2.0), Constant(0.5)), True),
@@ -806,7 +839,18 @@ class TestToeplitzResiduals:
         (Delay(16.3), True)], ids=lambda v: v if isinstance(v, bool)
         else to_text(v))
     def test_real_on_grid(self, g, real):
-        assert verifier._real_on_grid([kernel(g)], TOEPLITZ_GRID) is real
+        # `_pack`'s flag reads the coefficients alone, since an offset
+        # between grid points is refused before any walk; one past the
+        # horizon is skipped by the multiplier and fits
+        krep = kernel(g)
+        off_grid = g == Delay(0.3)
+        if off_grid:
+            with pytest.raises(WraparoundError, match="exp.0.3.s. has an "
+                               "offset of 0.3 = 19.2 steps"):
+                verifier._require_grid_fits([(g, krep)], TOEPLITZ_GRID, TAUS)
+        else:
+            verifier._require_grid_fits([(g, krep)], TOEPLITZ_GRID, TAUS)
+        assert (_real_coefficients(krep) and not off_grid) is real
 
     def test_shift_witness_is_stable(self, monkeypatch):
         # residuals at rounding name the first (symbol, signal, tau), and

@@ -7,7 +7,9 @@ report field whose value differs, `runtime_ms` ignored: the report name, the
 field's path, the old and new values and, for numbers, the relative change.
 Exits 1 when the report names, a verdict (`pass`) or a witness differ, and 0
 otherwise, so that a refactor that only moves numbers at the rounding level
-passes and one that changes a verdict does not.
+passes and one that changes a verdict does not.  A file that cannot be read,
+is not JSON or holds no `reports` list exits 2 with one `report_diff:` line
+on stderr.
 """
 
 from __future__ import annotations
@@ -72,15 +74,29 @@ def diff_reports(old_doc, new_doc):
     return lines, decisive
 
 
+def _load(path):
+    """The JSON report file at path; ValueError if it cannot be read or has
+    no `reports` list."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(doc, dict) or not isinstance(doc.get("reports"), list):
+        raise ValueError(f"{path} has no 'reports' list")
+    return doc
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old")
     parser.add_argument("new")
     args = parser.parse_args(argv)
-    docs = []
-    for path in (args.old, args.new):
-        with open(path) as fh:
-            docs.append(json.load(fh))
+    try:
+        docs = [_load(path) for path in (args.old, args.new)]
+    except ValueError as exc:
+        print(f"report_diff: {exc}", file=sys.stderr)
+        return 2
     lines, decisive = diff_reports(*docs)
     for line in lines:
         print(line)
