@@ -2,8 +2,8 @@
 calculus of exponentially stable matrix semigroups.
 
 The package constructs g(A) for bounded-analytic symbols g on the open left
-half-plane by several independent routes (spectral, resolvent, kernel
-convolution, and a discrete Toeplitz/FFT realization), computes admissibility
+half-plane by three independent routes (the closed form in resolvents,
+kernel convolution, and a discrete Toeplitz/FFT realization), computes admissibility
 and exact-observability constants from observability Gramians, and
 machine-checks a battery of operator inequalities at desk scale.
 """

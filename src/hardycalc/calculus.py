@@ -1,6 +1,5 @@
-"""Four independent routes to g(A) for a stable generator A.
+"""Three independent routes to g(A) for a stable generator A.
 
-* spectral: evaluate g on the eigenvalues (diagonal generators only);
 * closed form (`_gA_exact`): partial fractions,
   g(A) = sum c_k T(s_k) (alpha_k I - A)^{-p_k} + sum w_j T(tau_j),
   resolvent powers at the poles with a semigroup factor for each shift and
@@ -35,13 +34,12 @@ import numpy as np
 from .numkernel import ConvergenceError
 from .semigroup import (evaluate_T, mode_integrals, resolvent, sampled_T,
                         semigroup_bounds)
-from .symbols import eval_at, kernel
+from .symbols import kernel
 from .hardy import WraparoundError, discrete_multiplier
 
 __all__ = [
     "GAResult",
     "gA_convolution",
-    "gA_spectral",
     "gA_toeplitz",
 ]
 
@@ -50,13 +48,6 @@ __all__ = [
 class GAResult:
     matrix: np.ndarray
     est_error: float
-
-
-def gA_spectral(gen, g):
-    """g(A) by evaluating g on the spectrum; exact for diagonal generators."""
-    if gen.kind != "diagonal":
-        raise ValueError("spectral route requires a diagonal generator")
-    return np.diag(eval_at(g, gen.eigenvalues))
 
 
 def _gA_exact(gen, g):

@@ -9,7 +9,7 @@ scaling-and-squaring of one At, for one scalar time, on top of the LAPACK
 solve; nor a Lyapunov solver, so a
 dense solve_lyapunov runs the scaled Newton sign iteration (Roberts 1980,
 Byers 1987) on LAPACK inverses, O(n^3) per step, instead of an n^2 x n^2
-Kronecker system.
+Kronecker system, and gates its solution on the normwise backward error.
 """
 
 from __future__ import annotations
@@ -264,8 +264,10 @@ def solve_lyapunov(A, R):
     scaled Newton sign iteration (O(n^3) per step, a handful of steps).  A
     dense A with an eigenvalue in the closed right half-plane raises
     SingularMatrixError, or ConvergenceError if the iteration does not
-    settle.  The output is Hermitized and the residual is verified below
-    1e-10 * ||R||.
+    settle.  The output is Hermitized, and its normwise backward error
+    ||A^H Q + Q A + R||_F / (2 ||A||_F ||Q||_F + ||R||_F) must be at most
+    1e-10 (Higham 2002, sec. 16.2): the residual that rounding leaves grows
+    like u ||A|| ||Q||, which no absolute bound on it can follow.
     """
     A = _as_square(A, "A")
     R = _as_square(R, "R")
@@ -287,7 +289,8 @@ def solve_lyapunov(A, R):
         Q = 0.5 * _lyapunov_sign(A, Rh)
     Q = 0.5 * (Q + Q.conj().T)
     residual = float(np.linalg.norm(A.conj().T @ Q + Q @ A + Rh))
-    if residual > 1e-10 * max(norm_R, 1e-300):
+    scale = 2.0 * float(np.linalg.norm(A)) * float(np.linalg.norm(Q)) + norm_R
+    if not residual <= 1e-10 * scale:
         raise ArithmeticError(
-            f"Lyapunov residual {residual:.3g} exceeds 1e-10 * ||R||")
+            f"Lyapunov backward error {residual / scale:.3g} exceeds 1e-10")
     return Q

@@ -3,8 +3,10 @@ exponential-stability certificates.
 
 Two generator kinds are supported: Diagonal (eigenvalues known by
 construction, semigroup evaluated exactly) and Dense (stability certified by
-a Lyapunov witness before any use: P = I when A is dissipative with a clear
-margin, else the solution of A^H P + P A = -I).  Other modules reach T(t)
+a Lyapunov witness before any use).  One proof certifies every witness P:
+P > 0 by Cholesky, and lambda_min(-(P A + (P A)^H)) above its rounding
+floor.  It is tried on P = I, then on the solution of A^H P + P A = -I; no
+step reads how well P solves that equation.  Other modules reach T(t)
 only through the evaluators here (`evaluate_T`, `sampled_T`, `norm_scan`,
 `gramian_rule`, `gramian`, `orbit_average`, `mode_integrals`) and the
 certificate's decay envelope; they test the kind only to guard an input.
@@ -37,8 +39,6 @@ __all__ = [
     "certify_stable",
     "evaluate_T",
     "example26",
-    "generator_from_json",
-    "generator_to_json",
     "gramian",
     "gramian_rule",
     "mode_integrals",
@@ -61,13 +61,10 @@ class StabilityError(ValueError):
 class StabilityCertificate:
     """Lyapunov witness: P Hermitian positive definite with
     -(A^H P + P A) >= margin I, and p_min, p_max the extreme eigenvalues of
-    P.  residual measures how far -(A^H P + P A) is from the I the
-    Lyapunov solve aims at (0 for the identity witness P = I).
-    """
+    P."""
 
     P: np.ndarray
     margin: float
-    residual: float
     p_min: float
     p_max: float
 
@@ -99,8 +96,11 @@ class Generator:
             raise ValueError("diagonal generator eigenvalues must be finite")
         if np.any(lam.real >= 0):
             raise StabilityError("diagonal generator requires Re(lambda) < 0")
-        # -(A^H + A) = diag(-2 Re lambda) >= 2 min(-Re lambda) I
-        cert = _identity_witness(lam.size, 2.0 * float(np.min(-lam.real)))
+        # -(A^H + A) = diag(-2 Re lambda) >= 2 min(-Re lambda) I, so the
+        # witness P = I has x^H x decay at least like e^{-margin t}
+        cert = StabilityCertificate(P=np.eye(lam.size),
+                                    margin=2.0 * float(np.min(-lam.real)),
+                                    p_min=1.0, p_max=1.0)
         return Generator(kind="diagonal", matrix=np.diag(lam),
                          eigenvalues=lam, certificate=cert, seed=seed)
 
@@ -124,71 +124,73 @@ class Generator:
         return math.sqrt(cert.p_max / cert.p_min)
 
 
-def _identity_witness(n, margin):
-    """The witness P = I with -(A^H + A) >= margin I: x^H x decays at least
-    like e^{-margin t} along every orbit, so ||T(t)|| <= e^{-margin t/2}."""
-    return StabilityCertificate(P=np.eye(n), margin=margin, residual=0.0,
-                                p_min=1.0, p_max=1.0)
-
-
 _HORIZON_LIMIT = 1e6
-# The identity witness must clear the 1e-10 max(1, ||W||_F) residual that
-# hermitian_eigs accepts by two orders, and with K = 1 its horizon
-# log(1/eps)/(margin/2) must stay below semigroup_bounds' limit for every
-# normal eps <= 1; otherwise the Lyapunov solve runs, as it did before.
-_IDENTITY_ACCURACY = 1e-8
-_IDENTITY_MIN_MARGIN = -2.0 * math.log(np.finfo(float).tiny) / _HORIZON_LIMIT
+# Floors on the margin lambda_min(W) of a witness.  It must clear the
+# 1e-10 max(1, ||W||_F) residual that hermitian_eigs accepts by two orders,
+# and the horizon log(1/eps)/(margin/2) of the witness P = I must stay below
+# semigroup_bounds' limit for every normal eps <= 1, or else the Lyapunov
+# solution, whose margin is near 1, is tried next.
+_EIGS_ACCURACY = 1e-8
+_MIN_MARGIN = -2.0 * math.log(np.finfo(float).tiny) / _HORIZON_LIMIT
+# The third covers forming M = P A: in complex arithmetic its error is at
+# most sqrt(2) gamma_{n+2} ||P||_F ||A||_F <= 3 sqrt(2) n u ||P||_F ||A||_F
+# (Higham 2002, sec. 3.6), W = -(M + M^H) takes it twice, and
+# c = 16 > 2 * 3 sqrt(2) covers both with room to spare.  (The rounding of
+# the sum itself, u ||W||, lies under the first floor; the product with
+# P = I is exact.)
+_PRODUCT_ERROR = 16.0 * np.finfo(float).eps / 2.0
 
 
-def _dissipative_witness(A):
-    """P = I when W = -(A + A^H) is positive definite by Cholesky and
-    lambda_min(W), the margin, clears both floors above; else None."""
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        return None  # the Lyapunov solve names the error
-    W = -(A + A.conj().T)
+def _witness(A, P):
+    """The certificate of P for A, or None when P proves nothing.
+
+    P is a witness when it is positive definite by Cholesky and
+    W = -(M + M^H) with M = P A, Hermitian by construction, has
+    lambda_min(W) above all three floors above: then x^H P x decays at
+    least like e^{-(margin / p_max) t} along every orbit, whatever P's
+    distance from the solution of any Lyapunov equation."""
     try:
-        np.linalg.cholesky(W)
+        np.linalg.cholesky(P)
     except np.linalg.LinAlgError:
         return None
-    spec = hermitian_eigs(W)
-    floor = max(_IDENTITY_ACCURACY * max(1.0, float(np.linalg.norm(W))),
-                _IDENTITY_MIN_MARGIN)
-    if not spec.lambda_min > floor:
+    M = P @ A
+    W = -(M + M.conj().T)
+    margin = hermitian_eigs(W).lambda_min
+    floor = max(_EIGS_ACCURACY * max(1.0, float(np.linalg.norm(W))),
+                _MIN_MARGIN,
+                _PRODUCT_ERROR * len(A) * float(np.linalg.norm(P))
+                * float(np.linalg.norm(A)))
+    if not margin > floor:
         return None
-    return _identity_witness(A.shape[0], spec.lambda_min)
+    p = np.linalg.eigvalsh(P)
+    return StabilityCertificate(P=P, margin=margin, p_min=float(p[0]),
+                                p_max=float(p[-1]))
 
 
 def certify_stable(A):
     """A Lyapunov witness P > 0 with -(A^H P + P A) >= margin I.
 
-    A dissipative A, with -(A + A^H) positive definite and a margin clear
-    of the eigensolver's accuracy, is certified by P = I (Lumer & Phillips
-    1961).  Otherwise solve A^H P + P A = -I and verify P > 0 by Cholesky;
-    a solve that fails in any named way (singular, no convergence,
-    residual) is a StabilityError."""
+    `_witness` is tried on P = I, which certifies a dissipative A with a
+    clear margin (Lumer & Phillips 1961), then on the solution of
+    A^H P + P A = -I.  A solve that fails in any named way (singular, no
+    convergence, backward error), or a solution that proves no margin, is
+    a StabilityError."""
     A = np.asarray(A, dtype=complex)
-    cert = _dissipative_witness(A)
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or not np.all(np.isfinite(A)):
+        raise ValueError(f"A must be a finite square matrix, got {A.shape}")
+    eye = np.eye(A.shape[0], dtype=complex)
+    cert = _witness(A, eye)
     if cert is not None:
         return cert
-    eye = np.eye(A.shape[0], dtype=complex)
     try:
-        P = solve_lyapunov(A, eye)
+        cert = _witness(A, solve_lyapunov(A, eye))
     except (SingularMatrixError, ConvergenceError, ArithmeticError) as exc:
         raise StabilityError("not exponentially stable: Lyapunov witness "
                              "unavailable") from exc
-    try:
-        np.linalg.cholesky(P)
-    except np.linalg.LinAlgError as exc:
-        raise StabilityError("not exponentially stable: Lyapunov witness "
-                             "not positive definite") from exc
-    witness = -(A.conj().T @ P + P @ A)
-    residual = float(np.linalg.norm(witness - eye))
-    if residual > 1e-9:
-        raise StabilityError(f"certificate residual {residual:.3g} too large")
-    margin = hermitian_eigs(witness).lambda_min
-    spec = hermitian_eigs(P)
-    return StabilityCertificate(P=P, margin=margin, residual=residual,
-                                p_min=spec.lambda_min, p_max=spec.lambda_max)
+    if cert is None:
+        raise StabilityError("not exponentially stable: the Lyapunov "
+                             "solution is no witness")
+    return cert
 
 
 def evaluate_T(gen, t):
@@ -467,33 +469,3 @@ def gramian(gen, C):
         ThH = np.atleast_2d(Th).conj().T
         Q, Th = Q + mul(mul(ThH, Q), Th), mul(Th, Th)
     return Q
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def _complex_pairs(values):
-    flat = np.asarray(values, dtype=complex).reshape(-1)
-    return [[float(z.real), float(z.imag)] for z in flat]
-
-
-def generator_to_json(gen):
-    doc = {"kind": gen.kind, "dimension": gen.dimension, "seed": gen.seed}
-    if gen.kind == "diagonal":
-        doc["eigenvalues"] = _complex_pairs(gen.eigenvalues)
-    else:
-        doc["matrix"] = _complex_pairs(gen.matrix)  # row-major re/im pairs
-    return doc
-
-
-def generator_from_json(doc):
-    kind = doc["kind"]
-    if kind == "diagonal":
-        lam = np.array([complex(re, im) for re, im in doc["eigenvalues"]])
-        return Generator.diagonal(lam, seed=doc.get("seed"))
-    if kind == "dense":
-        n = int(doc["dimension"])
-        flat = np.array([complex(re, im) for re, im in doc["matrix"]])
-        return Generator.dense(flat.reshape(n, n), seed=doc.get("seed"))
-    raise ValueError(f"unknown generator kind {kind!r}")

@@ -328,6 +328,16 @@ class TestSolveLyapunov:
             assert np.max(np.abs(resid)) < 1e-9 * np.max(np.abs(R))
             assert np.max(np.abs(Q - Q.conj().T)) < 1e-10
 
+    def test_backward_error_admits_a_large_solution(self):
+        # ||Q||_F = 7.5e5: rounding leaves a residual of 4.7e-10, above the
+        # absolute 1e-10 ||R||_F, but its backward error is about 1e-19
+        A, R = np.array([[-1.0, 3000.0], [0.0, -2.0]]), np.eye(2)
+        Q = solve_lyapunov(A, R)
+        residual = np.linalg.norm(A.T @ Q + Q @ A + R)
+        assert residual > 1e-10 * np.linalg.norm(R)
+        scale = 2.0 * np.linalg.norm(A) * np.linalg.norm(Q) + np.linalg.norm(R)
+        assert residual <= 1e-10 * scale
+
     def test_gramian_relation(self):
         # closed form for the scalar case: q = r / (2 |Re lambda|)
         Q = solve_lyapunov(np.array([[-0.5]]), np.array([[3.0]]))

@@ -22,10 +22,11 @@ def test_lyapunov_scale_prints_one_json_line():
     assert len(lines) == 1
     row = json.loads(lines[0])
     assert set(row) == {"n", "solve_s", "peak_mib", "relative_residual",
-                        "doubling_s", "doubling_peak_mib",
+                        "backward_error", "doubling_s", "doubling_peak_mib",
                         "doubling_rel_diff"}
     assert row["n"] == 4
     assert row["relative_residual"] <= 1e-10
+    assert row["backward_error"] <= 1e-10
     assert row["doubling_rel_diff"] <= 1e-10
 
 

@@ -6,7 +6,9 @@ to the doubling Gramian that cross-checks it.
 For each N it draws `random_stable(N, 8)` and times `solve_lyapunov(A, I)`
 (the sign iteration) and the Gramian of C = I by exact doubling
 (`semigroup.gramian`), each best of --repeats, then repeats each once under
-`tracemalloc` for its peak allocation, and reports
+`tracemalloc` for its peak allocation, and reports the sign solve's
+normwise backward error ||A^H Q + Q A + R||_F / (2 ||A||_F ||Q||_F + ||R||_F),
+which `solve_lyapunov` gates at 1e-10, and
 ||Q_doubling - Q_sign||_2 / ||Q_sign||_2, the ratio that
 `observability_gramian`'s cross-check gates.  --src chooses the hardycalc
 source tree, so two checkouts can be compared; the tree must have the
@@ -59,10 +61,13 @@ def main(argv=None):
                                           args.repeats)
         Qd, doubling_s, doubling_peak = _best_and_peak(
             lambda: semigroup.gramian(gen, R), args.repeats)
-        residual = np.linalg.norm(A.conj().T @ Q + Q @ A + R) / np.sqrt(n)
+        residual = np.linalg.norm(A.conj().T @ Q + Q @ A + R)
+        backward_error = residual / (2.0 * np.linalg.norm(A)
+                                     * np.linalg.norm(Q) + np.linalg.norm(R))
         print(json.dumps({
             "n": n, "solve_s": solve_s, "peak_mib": peak,
-            "relative_residual": float(residual), "doubling_s": doubling_s,
+            "relative_residual": float(residual / np.sqrt(n)),
+            "backward_error": float(backward_error), "doubling_s": doubling_s,
             "doubling_peak_mib": doubling_peak,
             "doubling_rel_diff": operator_norm(Qd - Q) / operator_norm(Q)}),
             flush=True)
