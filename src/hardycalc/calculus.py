@@ -14,7 +14,10 @@
   orbit, (M_g T(.)x)(t) = g(A) T(t) x, so g(A) is the t = 0 sample of the
   discrete half-line operator applied to the sampled orbit t -> T(t): the
   sum over k < n of v_k T(k dt), v = DFT(multiplier)[:n]/2n the discrete
-  kernel that the doubled window realizes.
+  kernel that the doubled window realizes.  Since T(k dt) = T(dt)^k, the
+  sum is one polynomial in T(dt), evaluated from about sqrt(n) stored
+  powers rather than the n-matrix orbit; a grid that does not carry M_g is
+  refused by the grid-fit rule the Toeplitz checks use.
 
 The routes share no numerics beyond the semigroup itself, so pairwise
 agreement is strong evidence that each one is computing the same operator.
@@ -31,11 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkernel import ConvergenceError
-from .semigroup import (evaluate_T, mode_integrals, resolvent, sampled_T,
+from .numkernel import ConvergenceError, _poly_matrix
+from .semigroup import (evaluate_T, mode_integrals, resolvent,
                         semigroup_bounds)
 from .symbols import kernel
-from .hardy import WraparoundError, discrete_multiplier
+from .hardy import WraparoundError, _require_grid_fits, discrete_multiplier
 
 __all__ = [
     "GAResult",
@@ -143,8 +146,13 @@ def _require_horizon(gen, grid):
 
 def gA_toeplitz(gen, g, grid):
     """g(A) as the t = 0 sample of M_g applied to the matrix orbit
-    t -> T(t): the sum of v_k T(k dt) against the discrete kernel v."""
+    t -> T(t): sum_k v_k T(dt)^k, one polynomial in T(dt), against the
+    discrete kernel v.  A grid shorter than the decay horizon, or one that
+    does not carry M_g (a kernel mode not decayed by its horizon, an offset
+    between grid points), raises WraparoundError."""
     _require_horizon(gen, grid)
+    krep = kernel(g)
+    _require_grid_fits([(g, krep)], grid, ())
     n = grid.n_samples
-    v = np.fft.fft(discrete_multiplier(g, grid))[:n] / (2 * n)
-    return np.tensordot(v, sampled_T(gen, grid.dt, n), 1)
+    v = np.fft.fft(discrete_multiplier(krep, grid))[:n] / (2 * n)
+    return _poly_matrix(v, evaluate_T(gen, grid.dt))

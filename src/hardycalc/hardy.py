@@ -1,5 +1,5 @@
-"""Discrete half-line machinery: shift and the Toeplitz operator M_g acting
-on sampled scalar signals.
+"""Discrete half-line machinery: the Toeplitz operator M_g acting on sampled
+scalar signals, and the one rule for which grids carry it.
 
 Signals live on a uniform grid over [0, T_h).  M_g is realized on the
 doubled (zero-padded) window: the padded DFT turns the anticausal
@@ -47,15 +47,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symbols import KernelRep, kernel
+from .symbols import KernelRep, kernel, to_text
 
 __all__ = [
     "GridSpec",
     "SampledSignal",
     "WraparoundError",
     "discrete_multiplier",
-    "l2_norm",
-    "shift",
     "times",
     "toeplitz_apply",
 ]
@@ -104,31 +102,17 @@ class SampledSignal:
         object.__setattr__(self, "values", v)
 
 
-def l2_norm(f):
-    """Discrete L2 norm sqrt(dt * sum of squared sample moduli).
-
-    The sums are numpy's pairwise sums rather than a BLAS dot, so the value
-    does not depend on the BLAS thread count."""
-    return float(_l2_norms(f.values[None], f.grid.dt)[0])
-
-
 def _l2_norms(stack, dt, packed=0):
-    """`l2_norm` of each signal of a stack whose first `packed` rows carry
-    two real signals (real part, then imaginary part), in one numpy call
-    per sum; the value of a row of one signal is bit for bit its
-    `l2_norm`."""
+    """Discrete L2 norm sqrt(dt * sum of squared sample moduli) of each
+    signal of a stack whose first `packed` rows carry two real signals
+    (real part, then imaginary part), in one numpy call per sum.  The sums
+    are numpy's pairwise sums rather than a BLAS dot, so the values do not
+    depend on the BLAS thread count."""
     re = np.sum(np.square(stack.real), axis=1)
     im = np.sum(np.square(stack.imag), axis=1)
     sums = np.concatenate([np.column_stack([re[:packed], im[:packed]]).ravel(),
                            re[packed:] + im[packed:]])
     return math.sqrt(dt) * np.sqrt(sums)
-
-
-def shift(f, tau):
-    """Left shift (sigma_tau f)(t) = f(t + tau) for tau = m dt, m >= 0;
-    vacated samples at the far end are zero (negligible for decaying f)."""
-    return SampledSignal(f.grid, _shift_into(f.values, tau, f.grid.dt,
-                                             np.empty_like(f.values)))
 
 
 def _whole_steps(tau, dt):
@@ -140,8 +124,9 @@ def _whole_steps(tau, dt):
 
 
 def _shift_into(values, tau, dt, out):
-    """The samples of `shift` by tau of the samples `values` on a step dt,
-    written to out, an array of their length."""
+    """The left shift f(t + tau), tau = m dt with m >= 0, of the samples
+    `values` on a step dt, written to out, an array of their length; the
+    vacated samples at the far end are zero (negligible for decaying f)."""
     m = _whole_steps(tau, dt)
     if m is None or m < 0:
         raise ValueError("shift requires tau a nonnegative multiple of dt")
@@ -149,6 +134,37 @@ def _shift_into(values, tau, dt, out):
     out[:kept] = values[m:]
     out[kept:] = 0.0
     return out
+
+
+def _require_grid_fits(kernels, grid, taus):
+    """WraparoundError, naming the cause, unless the grid carries M_g for
+    each (symbol, kernel) pair and the shifts taus: the Toeplitz checks
+    pass their shifts, the Toeplitz route to g(A) none.
+
+    Every mode that starts before the horizon (`discrete_multiplier` skips
+    the others) must have decayed below 1e-6 there: the doubled window wraps
+    its tail onto the output, a floor no 1e-6 gate absorbs.  Every shift,
+    and every point-mass and mode offset before the horizon, must be a
+    whole number of steps (`_whole_steps`): between grid points the
+    multiplier's exact phase is a band-limited shift of the padded window,
+    not a sample shift, and the checks would measure its ringing at a
+    signal's jump instead of the calculus."""
+    for g, krep in kernels:
+        for _, alpha, _, off in krep.modes:
+            decay = alpha.real * (grid.horizon - off)
+            if off < grid.horizon and decay < math.log(1e6):
+                raise WraparoundError(
+                    f"a kernel mode of {to_text(g)} is still e^-{decay:.3g} "
+                    "of its peak at the horizon, above 1e-6")
+    offsets = [("the shift check shifts by", tau) for tau in taus] + [
+        (f"{to_text(g)} has an offset of", tau) for g, krep in kernels
+        for tau in [t for _, t in krep.delays] + [o for *_, o in krep.modes]
+        if tau < grid.horizon]
+    for what, tau in offsets:
+        if _whole_steps(tau, grid.dt) is None:
+            raise WraparoundError(
+                f"{what} {tau:g} = {tau / grid.dt:g} steps of {grid.dt:g}, "
+                "between grid points")
 
 
 # ---------------------------------------------------------------------------

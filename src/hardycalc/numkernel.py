@@ -1,15 +1,17 @@
 """Dense complex linear algebra kernel.
 
-Everything downstream (semigroup evaluation, Gramians, norm scans) is built on
-the five operations in this module.  The solve, the operator norm and the
-Hermitian eigensolver are thin calls to numpy's LAPACK wrappers; this module
-adds input checks, the named errors below for LAPACK failures, and residual
-certificates.  numpy has no matrix exponential, so mat_exp is Pade
-scaling-and-squaring of one At, for one scalar time, on top of the LAPACK
-solve; nor a Lyapunov solver, so a
-dense solve_lyapunov runs the scaled Newton sign iteration (Roberts 1980,
-Byers 1987) on LAPACK inverses, O(n^3) per step, instead of an n^2 x n^2
-Kronecker system, and gates its solution on the normwise backward error.
+Everything downstream (semigroup evaluation, Gramians, norm scans, the
+Toeplitz route's read-off) is built on the six operations in this module.
+The solve, the operator norm and the Hermitian eigensolver are thin calls
+to numpy's LAPACK wrappers; this module adds input checks, the named errors
+below for LAPACK failures, and residual certificates.  numpy has no matrix
+exponential, so mat_exp is Pade scaling-and-squaring of one At, for one
+scalar time, on top of the LAPACK solve; nor a matrix polynomial, so
+_poly_matrix evaluates one by Paterson-Stockmeyer from about sqrt(n)
+stored powers; nor a Lyapunov solver, so a dense solve_lyapunov runs the
+scaled Newton sign iteration (Roberts 1980, Byers 1987) on LAPACK
+inverses, O(n^3) per step, instead of an n^2 x n^2 Kronecker system, and
+gates its solution on the normwise backward error.
 """
 
 from __future__ import annotations
@@ -110,6 +112,26 @@ def mat_exp(A, t=1.0):
     for _ in range(s):
         F = F @ F
     return F
+
+
+def _poly_matrix(coeffs, M):
+    """sum_k coeffs[k] M^k by Paterson & Stockmeyer (1973): the powers
+    M^0 .. M^s, s = ceil(sqrt(n)) for n coefficients, are stored; each block
+    of s coefficients, the last padded with zeros, is one contraction
+    against M^0 .. M^{s-1}, and Horner in M^s runs over the blocks, so about
+    2(s + 1) matrices are held, never n."""
+    c = np.asarray(coeffs, dtype=complex)
+    N, s = M.shape[0], math.isqrt(len(c) - 1) + 1
+    powers = np.empty((s + 1, N, N), dtype=complex)
+    powers[0] = np.eye(N)
+    for k in range(1, s + 1):
+        np.matmul(powers[k - 1], M, out=powers[k])
+    blocks = np.pad(c, (0, -len(c) % s)).reshape(-1, s) @ powers[:s].reshape(
+        s, N * N)
+    out = blocks[-1].reshape(N, N)
+    for block in blocks[-2::-1]:
+        out = out @ powers[s] + block.reshape(N, N)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ a Lyapunov witness before any use).  One proof certifies every witness P:
 P > 0 by Cholesky, and lambda_min(-(P A + (P A)^H)) above its rounding
 floor.  It is tried on P = I, then on the solution of A^H P + P A = -I; no
 step reads how well P solves that equation.  Other modules reach T(t)
-only through the evaluators here (`evaluate_T`, `sampled_T`, `norm_scan`,
+only through the evaluators here (`evaluate_T`, `norm_scan`,
 `gramian_rule`, `gramian`, `orbit_average`, `mode_integrals`) and the
 certificate's decay envelope; they test the kind only to guard an input.
 Samplers produce seeded dissipative and similarity-transformed stable test
@@ -47,7 +47,6 @@ __all__ = [
     "random_dissipative",
     "random_stable",
     "resolvent",
-    "sampled_T",
     "semigroup_bounds",
     "sup_T_norm",
 ]
@@ -358,22 +357,6 @@ def sup_T_norm(gen):
 
 # ---------------------------------------------------------------------------
 # quadrature of semigroup integrals
-
-
-def sampled_T(gen, dt, count):
-    """The stack of T(k dt) for k < count: powers of T(dt) by doubling."""
-    Th = evaluate_T(gen, dt)
-    N = Th.shape[0]
-    mats = np.empty((count, N, N), dtype=complex)
-    mats[0] = np.eye(N)
-    if count > 1:
-        mats[1] = Th
-    m = 1
-    while m < count - 1:
-        k = min(m, count - 1 - m)
-        mats[m + 1:m + k + 1] = np.matmul(mats[1:k + 1], mats[m])
-        m += k
-    return mats
 
 
 def _doublings(gen, horizon, shift):

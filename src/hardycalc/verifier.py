@@ -37,8 +37,8 @@ from .admissibility import (lambda_limit, lebesgue_limit,
 from .calculus import _gA_exact, gA_convolution, gA_toeplitz
 from .hardy import (GridSpec, SampledSignal, WraparoundError,
                     _apply_multiplier, _causal_window, _guarded_spectrum,
-                    _l2_norms, _real_coefficients, _shift_into,
-                    _whole_steps, discrete_multiplier, times)
+                    _l2_norms, _real_coefficients, _require_grid_fits,
+                    _shift_into, discrete_multiplier, times)
 from .numkernel import hermitian_eigs, operator_norm, solve_lyapunov
 from .report import finish_report
 from .semigroup import (evaluate_T, example26, gramian, gramian_rule,
@@ -371,36 +371,6 @@ def _battery_kernels(syms, pairs):
     """(symbol, kernel) of each battery symbol and each pair product."""
     for g in [*syms, *(multiply(syms[i], syms[j]) for i, j in pairs)]:
         yield g, kernel(g)
-
-
-def _require_grid_fits(kernels, grid, taus):
-    """WraparoundError, naming the cause, unless the grid carries the
-    Toeplitz checks of the (symbol, kernel) pairs with the shifts taus.
-
-    Every mode that starts before the horizon (`discrete_multiplier` skips
-    the others) must have decayed below 1e-6 there: the doubled window wraps
-    its tail onto the output, a floor no 1e-6 gate absorbs.  Every shift,
-    and every point-mass and mode offset before the horizon, must be a
-    whole number of steps (`_whole_steps`): between grid points the
-    multiplier's exact phase is a band-limited shift of the padded window,
-    not a sample shift, and the checks would measure its ringing at a
-    signal's jump instead of the calculus."""
-    for g, krep in kernels:
-        for _, alpha, _, off in krep.modes:
-            decay = alpha.real * (grid.horizon - off)
-            if off < grid.horizon and decay < math.log(1e6):
-                raise WraparoundError(
-                    f"a kernel mode of {to_text(g)} is still e^-{decay:.3g} "
-                    "of its peak at the horizon, above 1e-6")
-    offsets = [("the shift check shifts by", tau) for tau in taus] + [
-        (f"{to_text(g)} has an offset of", tau) for g, krep in kernels
-        for tau in [t for _, t in krep.delays] + [o for *_, o in krep.modes]
-        if tau < grid.horizon]
-    for what, tau in offsets:
-        if _whole_steps(tau, grid.dt) is None:
-            raise WraparoundError(
-                f"{what} {tau:g} = {tau / grid.dt:g} steps of {grid.dt:g}, "
-                "between grid points")
 
 
 def _pack(stack, real):

@@ -72,6 +72,35 @@ def spiked(transpose=False):
     return Generator.dense(A.T if transpose else A)
 
 
+def l2_norm(f):
+    """Discrete L2 norm of one `SampledSignal`: the one-signal oracle of the
+    packed walks' norms."""
+    from hardycalc.hardy import _l2_norms
+
+    return float(_l2_norms(f.values[None], f.grid.dt)[0])
+
+
+def shift(f, tau):
+    """Left shift (sigma_tau f)(t) = f(t + tau) of one `SampledSignal`, for
+    tau a nonnegative whole number of steps: the one-signal oracle of the
+    shift check's walk."""
+    from hardycalc.hardy import SampledSignal, _shift_into
+
+    return SampledSignal(f.grid, _shift_into(f.values, tau, f.grid.dt,
+                                             np.empty_like(f.values)))
+
+
+def power_stack(M, n):
+    """The n powers M^k, k < n, as one stack, each the previous one times
+    M: with M = T(dt), the sampled orbit T(k dt) that the Toeplitz route
+    no longer stores, kept here as the oracle of its polynomial."""
+    stack = np.empty((n, *M.shape), dtype=complex)
+    stack[0] = np.eye(len(M))
+    for k in range(1, n):
+        stack[k] = stack[k - 1] @ M
+    return stack
+
+
 def reports_by_name(payload):
     return {r["name"]: r for r in payload["reports"]}
 

@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import damped_string, spiked
+from conftest import damped_string, power_stack, spiked
 from hardycalc import calculus, cli
 from hardycalc.calculus import gA_convolution, gA_toeplitz
-from hardycalc.hardy import GridSpec, SampledSignal, toeplitz_apply
-from hardycalc.numkernel import operator_norm
+from hardycalc.hardy import (GridSpec, SampledSignal, WraparoundError,
+                             discrete_multiplier, toeplitz_apply)
+from hardycalc.numkernel import _poly_matrix, operator_norm
 from hardycalc.semigroup import (Generator, evaluate_T, example26,
-                                 random_stable, resolvent, sampled_T)
+                                 random_stable, resolvent)
 from hardycalc.symbols import (Constant, Delay, add, atom, eval_at, multiply,
                                parse)
 
@@ -250,15 +251,23 @@ class TestToeplitzRoute:
         [-2.0, -3.0 + 1.0j, -1.5])], ids=["dense", "diagonal"])
     def test_is_the_orbit_sample_of_toeplitz_apply(self, gen):
         # the discrete kernel against the orbit is the t = 0 sample of M_g
-        # applied to each scalar entry t -> T(t)[a, b] of the orbit
+        # applied to each scalar entry t -> T(t)[a, b] of the orbit, here
+        # the stack of powers of T(dt); the identity holds for any kernel,
+        # so exp(0.3*s), which the grid does not carry, is read off by the
+        # polynomial on its discrete kernel directly
         n, N = REF_GRID.n_samples, gen.dimension
-        orbit = sampled_T(gen, REF_GRID.dt, n).reshape(n, N * N)
+        Th = evaluate_T(gen, REF_GRID.dt)
+        orbit = power_stack(Th, n).reshape(n, N * N)
         for text in ("1/(2-s)", "1", "exp(0.5*s)", "exp(0.3*s)",
                      "(1/(1-s))*(1/(3-s))", "0.3*(1/(1-s))*(1/(3-s))"):
             g = parse(text)
             ref = np.array([toeplitz_apply(g, SampledSignal(REF_GRID, col))
                             .values[0] for col in orbit.T]).reshape(N, N)
-            out = gA_toeplitz(gen, g, REF_GRID)
+            if text == "exp(0.3*s)":
+                v = np.fft.fft(discrete_multiplier(g, REF_GRID))[:n] / (2 * n)
+                out = _poly_matrix(v, Th)
+            else:
+                out = gA_toeplitz(gen, g, REF_GRID)
             assert (operator_norm(out - ref)
                     <= 1e-13 * operator_norm(ref)), text
 
@@ -269,8 +278,9 @@ class TestToeplitzRoute:
         assert operator_norm(out) <= 1e-10
 
     def test_peak_memory_at_dimension_32(self):
-        # the orbit stack itself is 64 MiB; an N^2-column padded FFT of it
-        # would take three times that
+        # the polynomial in T(dt) holds about 2 (sqrt(4096) + 1) = 130
+        # matrices of 16 KiB, 2 MiB; an orbit stack of the 4096 samples
+        # would be 64 MiB
         gen = random_stable(32, 3)
         tracemalloc.start()
         try:
@@ -278,7 +288,34 @@ class TestToeplitzRoute:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 128 * 2 ** 20
+        assert peak < 16 * 2 ** 20
+
+    def test_damped_string_read_off_at_dimension_128(self):
+        # the horizon of 64 takes 16384 samples, whose orbit stack would be
+        # 4 GiB; the polynomial holds about 2 (sqrt(16384) + 1) = 258
+        # matrices of 256 KiB, and tau = 0.5 is 128 whole steps
+        gen = damped_string(64)
+        grid = GridSpec(16384, 2.0 ** -8)
+        tracemalloc.start()
+        try:
+            out = gA_toeplitz(gen, Delay(0.5), grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        ref = evaluate_T(gen, 0.5)
+        assert operator_norm(out - ref) <= 1e-12 * operator_norm(ref)
+        assert peak < 96 * 2 ** 20
+
+    @pytest.mark.parametrize("g, cause", [
+        (atom(1.0, 0.01), "kernel mode of"),
+        (atom(1.0, 0.1), "kernel mode of"),
+        (Delay(0.3), "offset of 0.3 = 76.8 steps")],
+        ids=["slow_mode", "mode", "off_grid_delay"])
+    def test_grid_that_does_not_carry_the_symbol_rejected(self, g, cause):
+        # Toeplitz checks' grid-fit rule: without it these came out 2.66,
+        # 4.3e-2 and 2.4e-3 relative off the closed form, with no error
+        with pytest.raises(WraparoundError, match=cause):
+            gA_toeplitz(random_stable(8, 8), g, REF_GRID)
 
     def test_short_horizon_rejected(self):
         slow = Generator.diagonal([-0.5])

@@ -6,6 +6,7 @@ mpmath at 30 digits instead.
 """
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import power_stack
 from hardycalc import numkernel
 from hardycalc.numkernel import (
     ConvergenceError,
@@ -24,6 +26,14 @@ from hardycalc.numkernel import (
     solve_lyapunov,
 )
 from hardycalc.semigroup import random_stable
+
+# T(dt) of a dense stable generator and of a diagonal one on the 2^-8 step:
+# the matrices the Toeplitz route evaluates its polynomial on
+_STEP_MATRICES = {
+    "dense": mat_exp(random_stable(8, 8).matrix, 2.0 ** -8),
+    "diagonal": np.diag(np.exp(np.array([-2.0, -3.0 + 1.0j, -1.5, -0.5 - 7j])
+                               * 2.0 ** -8)),
+}
 
 
 def _mp_matrix(M):
@@ -130,6 +140,33 @@ class TestMatExp:
     def test_overflow_guard(self):
         with pytest.raises(OverflowError):
             mat_exp(np.array([[1e9]]), 1.0)
+
+
+class TestPolyMatrix:
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 4096])
+    @pytest.mark.parametrize("kind", sorted(_STEP_MATRICES))
+    def test_matches_the_stack_sum(self, kind, n):
+        # the oracle stores every power M^k, k < n, and sums c_k M^k
+        M = _STEP_MATRICES[kind]
+        rng = np.random.default_rng(n)
+        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        ref = np.tensordot(c, power_stack(M, n), 1)
+        out = numkernel._poly_matrix(c, M)
+        assert operator_norm(out - ref) <= 1e-13 * operator_norm(ref)
+
+    def test_stores_about_twice_root_n_matrices(self):
+        # n = 4096 coefficients: s + 1 = 65 stored powers, one contraction
+        # of 64 blocks and Horner's two temporaries, matrices of 16 KiB at
+        # N = 32, besides the zero-padded copy of the coefficients
+        M = mat_exp(random_stable(32, 3).matrix, 2.0 ** -8)
+        c = np.ones(4096, dtype=complex)
+        tracemalloc.start()
+        try:
+            numkernel._poly_matrix(c, M)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * (64 + 2) * M.nbytes + c.nbytes
 
 
 class TestLinearSolve:

@@ -31,7 +31,6 @@ from hardycalc.semigroup import (
     random_dissipative,
     random_stable,
     resolvent,
-    sampled_T,
     semigroup_bounds,
     sup_T_norm,
 )
@@ -468,7 +467,7 @@ class TestNormScan:
 
 
 class TestEnergies:
-    """`gramian_rule`, `gramian` and `sampled_T` on both kinds."""
+    """`gramian_rule` and `gramian` on both kinds."""
 
     GENS = [example26(6)[0], random_stable(5, 3),
             Generator.diagonal([-1.0, -0.5 + 3j, -4.0])]
@@ -527,17 +526,6 @@ class TestEnergies:
         with pytest.raises(ValueError, match="nonnegative"):
             gramian_rule(gen, self._observation(gen), [0.5, -1.0],
                          [1.0, 1.0])
-
-    @pytest.mark.parametrize("gen", GENS, ids=["example26", "dense",
-                                               "complex_diagonal"])
-    def test_sampled_T_is_T_at_multiples_of_the_step(self, gen):
-        mats = sampled_T(gen, 0.125, 11)
-        assert mats.shape == (11, gen.dimension, gen.dimension)
-        assert np.array_equal(mats[0], np.eye(gen.dimension))
-        assert np.array_equal(mats[1], evaluate_T(gen, 0.125))
-        for k in range(2, 11):
-            assert np.allclose(mats[k], evaluate_T(gen, 0.125 * k),
-                               rtol=0.0, atol=1e-13)
 
 
 class TestOrbitAverage:

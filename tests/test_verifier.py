@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 import hardycalc
-from conftest import damped_string, spiked
+from conftest import damped_string, l2_norm, shift, spiked
 from hardycalc import cli, numkernel, scenarios, semigroup, verifier
 from hardycalc.admissibility import observability_gramian, sqrt_minus_A
 from hardycalc.calculus import gA_convolution
 from hardycalc.hardy import (GridSpec, SampledSignal, WraparoundError,
                              _guarded_spectrum, _real_coefficients,
-                             discrete_multiplier, l2_norm, shift,
+                             _require_grid_fits, discrete_multiplier,
                              toeplitz_apply)
 from hardycalc.semigroup import Generator, example26, random_stable, resolvent
 from hardycalc.symbols import (Constant, Delay, add, atom, eval_at,
@@ -847,9 +847,9 @@ class TestToeplitzResiduals:
         if off_grid:
             with pytest.raises(WraparoundError, match="exp.0.3.s. has an "
                                "offset of 0.3 = 19.2 steps"):
-                verifier._require_grid_fits([(g, krep)], TOEPLITZ_GRID, TAUS)
+                _require_grid_fits([(g, krep)], TOEPLITZ_GRID, TAUS)
         else:
-            verifier._require_grid_fits([(g, krep)], TOEPLITZ_GRID, TAUS)
+            _require_grid_fits([(g, krep)], TOEPLITZ_GRID, TAUS)
         assert (_real_coefficients(krep) and not off_grid) is real
 
     def test_shift_witness_is_stable(self, monkeypatch):
