@@ -9,19 +9,20 @@ and restriction back to the first window is the discrete causal projection.
 padded spectrum of the input, the product with a multiplier, and the causal
 window (the inverse DFT restricted to the first window).
 
-The steps act on signal stacks, time along axis 1: each step is one numpy
-call over the whole stack, and `toeplitz_apply` is a stack of one.  A row
-carries one scalar signal or, when the caller knows the discrete kernel to
-be real (it then maps real signals to real signals), two real signals
-a + ib: the leading `packed` rows of a stack carry two each, and the norms
-and the wraparound guard read such a row's real and imaginary parts as two
-signals.  The guard holds per signal and the finiteness check per row.  A
-caller that applies several symbols to several signals builds each
-spectrum and each multiplier once and runs the steps on stacks, or on row
-chunks of them through work stacks it passes as `out`, so numpy's FFT sees
-a few multi-row calls rather than one call per signal.  Because the causal
-window is linear, a residual between two applications is formed in the
-spectrum and takes one inverse DFT, not two.
+The steps act on signal stacks, time along axis 1, and `toeplitz_apply` is
+a stack of one.  Each FFT transforms one contiguous row in place: numpy's
+multi-row call maps a fresh scratch buffer of several MB on every call, and
+a one-row call needs none, with the same bits.  A row carries one scalar
+signal or, when the caller knows the discrete kernel to be real (it then
+maps real signals to real signals), two real signals a + ib: the leading
+`packed` rows of a stack carry two each, and the norms and the wraparound
+guard read such a row's real and imaginary parts as two signals.  The
+guard holds per signal and the finiteness check per row.  A caller that
+applies several symbols to several signals builds each spectrum and each
+multiplier once and runs the steps on single rows through a work row it
+passes as `out`.  Because the causal window is linear, a residual between
+two applications is formed in the spectrum and takes one inverse DFT, not
+two.
 
 The multiplier is not the raw boundary sample g(i omega_j): it is the
 transfer function of the sampled kernel with order-4 endpoint weights
@@ -311,10 +312,10 @@ def _moduli(stack, packed):
 
 def _guarded_spectrum(stack, out=None, floor=0.0, packed=0):
     """DFT of each row of a signal stack padded with a zero anticausal half,
-    after the wraparound guard of each signal; one FFT call for the stack,
-    whose first `packed` rows carry two real signals.  `out`, if given, is
-    a doubled-window stack that receives the spectra in place of a new
-    array.
+    after the wraparound guard of each signal; one in-place FFT call per
+    row, so numpy maps no multi-row scratch.  The first `packed` rows carry
+    two real signals.  `out`, if given, is a doubled-window stack that
+    receives the spectra in place of a new array.
 
     The guard requires the last quarter of a signal to sit below 1e-6 of
     the signal's peak modulus, so the circular convolution on the doubled
@@ -336,15 +337,20 @@ def _guarded_spectrum(stack, out=None, floor=0.0, packed=0):
         out = np.empty((stack.shape[0], 2 * n), dtype=complex)
     out[:, :n] = stack
     out[:, n:] = 0.0
-    return np.fft.fft(out, axis=1, out=out)
+    for row in out:
+        np.fft.fft(row, out=row)
+    return out
 
 
 def _causal_window(spectra):
-    """Inverse DFT of a stack of doubled-window spectra, in place, restricted
-    to the causal window: a view into the overwritten spectra, so a caller
-    that keeps it copies it rather than hold the doubled buffer alive.
-    Like a `SampledSignal`, every row of the window must be finite."""
-    out = np.fft.ifft(spectra, axis=1, out=spectra)[:, :spectra.shape[1] // 2]
+    """Inverse DFT of each row of a stack of doubled-window spectra, in place
+    and one row per call like `_guarded_spectrum`, restricted to the causal
+    window: a view into the overwritten spectra, so a caller that keeps it
+    copies it rather than hold the doubled buffer alive.  Like a
+    `SampledSignal`, every row of the window must be finite."""
+    for row in spectra:
+        np.fft.ifft(row, out=row)
+    out = spectra[:, :spectra.shape[1] // 2]
     if not np.all(np.isfinite(out)):
         raise ValueError("signal contains non-finite values")
     return out

@@ -394,16 +394,6 @@ def _carried(rows, packed):
             for r in range(rows)]
 
 
-def _row_chunks(rows, width):
-    """Slices that cover range(rows) in chunks of two or three rows (one
-    chunk when rows < 4), and a work stack of `width` columns for the
-    largest chunk, the last."""
-    count = max(1, rows // 2)
-    cuts = [rows * q // count for q in range(count + 1)]
-    work = np.empty((rows - cuts[-2], width), dtype=complex)
-    return [slice(a, b) for a, b in zip(cuts, cuts[1:])], work
-
-
 def _product_residuals(syms, mults, spectra, peaks, pairs, grid, packed=0):
     """Multiplicativity residuals ||M_{g_i g_j} f_k - M_{g_i} M_{g_j} f_k||
     keyed (i, j, k) for each pair (i, j) of indices into syms, and the norms
@@ -418,39 +408,34 @@ def _product_residuals(syms, mults, spectra, peaks, pairs, grid, packed=0):
     once (or taken from mults when the product is itself one of syms) and
     only the output spectra G_j of M_{g_j} for one symbol are held at a
     time.  Each residual is formed in the spectrum, prod*F - m_i*G_j, and
-    takes one inverse DFT.  Outputs and residuals run in row chunks of two
-    or three, one numpy call per chunk, through one chunk-sized work stack
-    and a one-row scratch that serve the whole walk: full-size temporaries
-    would set the peak memory, and freeing them would fragment the heap.
+    takes one inverse DFT.  Outputs and residuals run one row at a time
+    through one work row and a one-row scratch that serve the whole walk:
+    full-size temporaries would set the peak memory, and freeing them would
+    fragment the heap.
     """
-    chunks, work = _row_chunks(*spectra.shape)
     carried = _carried(len(spectra), packed)
-    # the signals of each chunk, and its count of rows that carry two
-    layout = [([k for row in carried[c] for k in row],
-               max(0, min(packed, c.stop) - c.start)) for c in chunks]
     out_spectra = np.empty_like(spectra)
+    work = np.empty((1, spectra.shape[1]), dtype=complex)
     scratch = np.empty(spectra.shape[1], dtype=complex)
     resid, norms = {}, {}
     for j in sorted({j for _, j in pairs}):
-        for c, (ks, paired) in zip(chunks, layout):
-            outs = _apply_multiplier(spectra[c], mults[j],
-                                     out=work[:c.stop - c.start])
+        for r, ks in enumerate(carried):
+            paired = int(r < packed)
+            outs = _apply_multiplier(spectra[r:r + 1], mults[j], out=work)
             norms.update(zip([(j, k) for k in ks],
                              _l2_norms(outs, grid.dt, paired).tolist()))
-            _guarded_spectrum(outs, out=out_spectra[c], floor=peaks[ks],
-                              packed=paired)
+            _guarded_spectrum(outs, out=out_spectra[r:r + 1],
+                              floor=peaks[list(ks)], packed=paired)
         for i in sorted(i for i, second in pairs if second == j):
             g = multiply(syms[i], syms[j])
             prod = (mults[syms.index(g)] if g in syms
                     else discrete_multiplier(g, grid))
-            for c, (ks, paired) in zip(chunks, layout):
-                diff = np.multiply(spectra[c], prod,
-                                   out=work[:c.stop - c.start])
-                for row, out_spectrum in zip(diff, out_spectra[c]):
-                    row -= np.multiply(out_spectrum, mults[i], out=scratch)
+            for r, ks in enumerate(carried):
+                diff = np.multiply(spectra[r:r + 1], prod, out=work)
+                diff[0] -= np.multiply(out_spectra[r], mults[i], out=scratch)
                 resid.update(zip([(i, j, k) for k in ks],
                                  _l2_norms(_causal_window(diff), grid.dt,
-                                           paired).tolist()))
+                                           int(r < packed)).tolist()))
             # freed before the next product multiplier is built: its own
             # scratch arrays set the peak memory of this function
             del prod
@@ -463,10 +448,9 @@ def _shift_residuals(f, mults, taus, signals=(0,)):
     f carries (k in `signals`: two real signals in its real and imaginary
     parts, or one) and shifts taus[t], and the guarded spectrum of f.  The
     row and its shifts are written straight into one doubled-window stack
-    that receives their spectra from one guarded forward call, and per
-    multiplier the inverse calls run in row chunks of two or three through
-    one work stack, the first row giving M_{g_i} f and the others the
-    M_{g_i} sigma_tau f."""
+    that receives their spectra from one guarded forward pass, and per
+    multiplier the rows are applied one at a time through one work row,
+    the first giving M_{g_i} f and the others the M_{g_i} sigma_tau f."""
     two = len(signals) == 2
     grid = f.grid
     n = grid.n_samples
@@ -476,19 +460,18 @@ def _shift_residuals(f, mults, taus, signals=(0,)):
         _shift_into(f.values, tau, grid.dt, row[:n])
     _guarded_spectrum(spectra[:, :n], out=spectra,
                       packed=two * (len(taus) + 1))
-    chunks, work = _row_chunks(*spectra.shape)
+    work = np.empty((1, 2 * n), dtype=complex)
     diff = np.empty((len(taus), n), dtype=complex)
     resid = {}
     for i, m in enumerate(mults):
-        for c in chunks:
-            outs = _apply_multiplier(spectra[c], m,
-                                     out=work[:c.stop - c.start])
-            if c.start == 0:
+        for r in range(len(spectra)):
+            out = _apply_multiplier(spectra[r:r + 1], m, out=work)[0]
+            if r == 0:
                 for row, tau in zip(diff, taus):
-                    _shift_into(outs[0], tau, grid.dt, row)
-            # row r of spectra is sigma_tau f for tau = taus[r - 1]
-            lo = max(c.start, 1)
-            diff[lo - 1:c.stop - 1] -= outs[lo - c.start:]
+                    _shift_into(out, tau, grid.dt, row)
+            else:
+                # row r of spectra is sigma_tau f for tau = taus[r - 1]
+                diff[r - 1] -= out
         resid.update(zip([(i, k, t) for t in range(len(taus))
                           for k in signals],
                          _l2_norms(diff, grid.dt, two * len(diff)).tolist()))
@@ -513,9 +496,11 @@ def check_toeplitz(grid, battery):
     # and the complex one alone, so every walk pushes three rows, not five,
     # through each FFT and multiplier product; each signal's norms and
     # residuals are read from its row's real part, imaginary part or both,
-    # and the wraparound guard judges each signal on its own.  The shift
-    # check runs first: per row, one stack holds the row and its shifts, and
-    # the row's spectrum is kept as the input of the multiplicativity walk.
+    # and the wraparound guard judges each signal on its own.  Every walk
+    # transforms and multiplies one row at a time through one work row, so
+    # numpy's FFT maps no multi-row scratch.  The shift check runs first:
+    # per row, one stack holds the row and its shifts, and the row's
+    # spectrum is kept as the input of the multiplicativity walk.
     # Residuals are keyed (symbol, signal, ...), so the first worst case
     # names the witness.
     started = time.perf_counter()

@@ -431,8 +431,7 @@ class TestToeplitzBuildOnce:
     def test_each_multiplier_and_spectrum_built_once(self, monkeypatch,
                                                      capsys):
         builds = []
-        # (window length, rows) of every numpy FFT call: one call may carry
-        # a stack of signals, so transforms are counted by rows
+        # (window length, rows) of every numpy FFT call
         calls = {"fft": [], "ifft": []}
         build = verifier.discrete_multiplier
 
@@ -481,16 +480,10 @@ class TestToeplitzBuildOnce:
         assert transforms("ifft") == {8192: 18 + 21 * 3 + 18 + 54,
                                       1024: 12, 2048: 12}
         assert sum(transforms("ifft").values()) == 177
-        # numpy calls.  Forward: one per row with its shifts (4 rows), one
-        # per second factor for the output spectra (one chunk of the 3
-        # rows), and on each refinement grid one for the rows.  Inverse: two
-        # (row chunks of 2 and 2) per (row, symbol) in the shift check, and
-        # one per second factor for the outputs and per pair for the
-        # residuals.
-        assert len(calls["fft"]) == 3 + 6 + 2 * (1 + 2)
-        assert len(calls["ifft"]) == (3 * 6 * 2 + 6 + 21 + 2 * (2 + 2))
-        # no call runs a single signal
-        assert min(rows for name in calls for _, rows in calls[name]) >= 2
+        # every numpy call transforms one row, so numpy maps no multi-row
+        # scratch: one call per transform counted above
+        assert {name: [rows for _, rows in calls[name]] for name in calls} \
+            == {"fft": [1] * 48, "ifft": [1] * 177}
 
 
 class TestRunApi:

@@ -6,6 +6,7 @@ import graphlib
 import importlib
 import math
 import pkgutil
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -744,7 +745,7 @@ class TestToeplitzResiduals:
             oracle, lhs_norm, norm = _product_oracles(syms[i], syms[j],
                                                       sigs[k])
             assert abs(r - oracle) <= 1e-12 * lhs_norm
-            # the outputs M_h f_k come from one stacked call, bit for bit
+            # the outputs M_h f_k of the row walk, bit for bit
             assert norms[j, k] == norm
 
     def test_shift_residuals_match_per_signal(self):
@@ -906,6 +907,19 @@ class TestToeplitzResiduals:
         # a ratio above the others by more than roundoff is named itself
         assert norm_report(lambda key: 1.0 + 1e-9 * (key == (0, 3))).witness \
             == "0.7 on gauss(t-2)"
+
+    def test_peak_allocation(self):
+        # one work row per walk on the benchmark's 65536-sample grid: the
+        # multipliers, the input and output spectra and the shift stack,
+        # below the 37.8 MiB that three-row work stacks took
+        grid = GridSpec(65536, 2.0 ** -8)
+        tracemalloc.start()
+        try:
+            check_toeplitz(grid, BATTERY)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 35 * 2 ** 20
 
     def test_scaled_product_multiplier_fails(self, monkeypatch):
         # a 1e-4 relative error in the multiplier of M_{gh} alone must show
