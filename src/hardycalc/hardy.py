@@ -10,9 +10,15 @@ padded spectrum of the input, the product with a multiplier, and the causal
 window (the inverse DFT restricted to the first window).
 
 The steps act on signal stacks, time along axis 1, and `toeplitz_apply` is
-a stack of one.  Each FFT transforms one contiguous row in place: numpy's
-multi-row call maps a fresh scratch buffer of several MB on every call, and
-a one-row call needs none, with the same bits.  A row carries one scalar
+a stack of one.  Each FFT transforms one contiguous row in place, with the
+bits of numpy's multi-row call, which maps a fresh scratch buffer of
+several MB on every call.  A one-row call takes scratch too: numpy's
+pocketfft allocates about 4 MiB on every 2^17-point call, which a fresh
+interpreter maps afresh each time (992 minor faults a call).  Once glibc
+has raised its mmap threshold, as it has after the first transforms of a
+Toeplitz check, the scratch comes from the reused heap: on one thread the
+check's 225 transforms fault 3.0k times in all in a fresh interpreter and
+1.5k times in a second check.  A row carries one scalar
 signal or, when the caller knows the discrete kernel to be real (it then
 maps real signals to real signals), two real signals a + ib: the leading
 `packed` rows of a stack carry two each, and the norms and the wraparound
@@ -22,7 +28,17 @@ applies several symbols to several signals builds each spectrum and each
 multiplier once and runs the steps on single rows through a work row it
 passes as `out`.  Because the causal window is linear, a residual between
 two applications is formed in the spectrum and takes one inverse DFT, not
-two.
+two (`_difference`).
+
+A real kernel's multiplier may be held on its n + 1 nonnegative bins
+alone, half the window: bin 2n - k is conj(bin k), and `_bins` multiplies
+by either form, bit for bit alike.  The steps keep no state and numpy's
+FFTs and ufunc loops release the GIL, so a caller may run them on two
+threads at once on disjoint rows, as `verifier.check_toeplitz` does.  The
+second thread keeps its own pocketfft scratch in its own glibc malloc
+arena, about 4 MiB more resident memory on a 2^17-point window, which
+stays after the thread is joined; a caller allocates the rows that thread
+writes, so that they stay out of its arena.
 
 The multiplier is not the raw boundary sample g(i omega_j): it is the
 transfer function of the sampled kernel with order-4 endpoint weights
@@ -219,12 +235,13 @@ def _conjugate(krep):
         delays=tuple((w.conjugate(), tau) for w, tau in krep.delays))
 
 
-def _response(krep, omega, grid, out):
+def _response(krep, omega, grid, out, scratch):
     """Frequency response of the discretized one-sided kernel at the
-    frequencies omega, written to out (zeroed first)."""
+    frequencies omega, written to out (zeroed first); scratch holds three
+    arrays of omega's length."""
     dt = grid.dt
     out.fill(0.0)
-    z, a, b = (np.empty(len(omega), dtype=complex) for _ in range(3))
+    z, a, b = scratch
 
     def phase(tau, dest):
         """exp(i omega tau), written to dest."""
@@ -258,7 +275,24 @@ def _response(krep, omega, grid, out):
     return out
 
 
-def discrete_multiplier(krep, grid):
+# Most bins per block of `_response` and of `_difference`'s scratch: a
+# block's frequencies and scratch arrays take under 0.5 MiB.  A range is cut
+# into blocks of near-equal length (`_blocks`), nine of 7,281 or 7,282 bins
+# for the n + 1 bins of a 65,536-sample grid, so that no block is a single
+# bin: a one-bin block of `_response` came out one unit in the last place
+# off.
+_BLOCK = 8192
+
+
+def _blocks(lo, hi, size):
+    """(start, stop) of the fewest blocks that cut the range lo..hi-1 into
+    pieces no longer than size, whose lengths differ by at most one."""
+    count = -(-(hi - lo) // size)
+    cuts = [lo + k * (hi - lo) // count for k in range(count + 1)]
+    return list(zip(cuts, cuts[1:]))
+
+
+def discrete_multiplier(krep, grid, out=None):
     """Frequency response of the discretized one-sided kernel on the doubled
     window; length 2 n_samples, ordered like numpy's FFT bins.
 
@@ -274,40 +308,59 @@ def discrete_multiplier(krep, grid):
     skipped, as their phases would wrap round the doubled window.
 
     The response is evaluated on the n + 1 bins omega_k = 2 pi k/(2n dt),
-    k = 0..n, only.  Bins 0..n-1 are H_K(omega_k); bin 2n - k, k = 1..n
-    (the Nyquist bin n included, which numpy puts at -pi/dt), is
+    k = 0..n, only, in blocks of `_BLOCK` bins written straight into the
+    result.  Bins 0..n-1 are H_K(omega_k); bin 2n - k, k = 1..n (the
+    Nyquist bin n included, which numpy puts at -pi/dt), is
     conj(H_{conj K}(omega_k)), since the transform of a measure satisfies
     m_K(-omega) = conj(m_{conj K}(omega)).  A kernel with real coefficients
     is its own conjugate and takes one evaluation, a complex one two.
     omega is formed as numpy's `fftfreq` forms it, whose negative bins are
     the positive ones negated exactly, and conjugation commutes exactly
     with every step (complex products, quotients, integer powers and exp),
-    so the result is the one an evaluation on all 2n bins gives.
+    so the result is the one an evaluation on all 2n bins gives, and every
+    step is elementwise, so the blocks do not change a bit of it.
+
+    `out`, if given, receives the result in place of a new array: the whole
+    window of 2n bins or, for a kernel with real coefficients, its first
+    n + 1 bins alone, the half window from which bin 2n - k is conj(bin k)
+    (`_bins` multiplies by it so).
     """
     if not isinstance(krep, KernelRep):
         krep = kernel(krep)
     n = grid.n_samples
-    omega = 2.0 * math.pi * (np.arange(n + 1) * (1.0 / (2 * n * grid.dt)))
-    m = np.empty(2 * n, dtype=complex)
-    _response(krep, omega, grid, m[:n + 1])
-    if _real_coefficients(krep):
-        np.conjugate(m[n - 1:0:-1], out=m[n + 1:])
-        m[n] = m[n].conjugate()
-    else:
-        conj = _response(_conjugate(krep), omega, grid,
-                         np.empty(n + 1, dtype=complex))
-        np.conjugate(conj[n:0:-1], out=m[n:])
-    return m
-
-
-def _moduli(stack, packed):
-    """|f| of each signal of a stack whose first `packed` rows carry two
-    real signals, a row per signal."""
-    out = np.empty((len(stack) + packed, stack.shape[1]))
-    np.abs(stack[:packed].real, out=out[:2 * packed:2])
-    np.abs(stack[:packed].imag, out=out[1:2 * packed:2])
-    np.abs(stack[packed:], out=out[2 * packed:])
+    real = _real_coefficients(krep)
+    if out is None:
+        out = np.empty(2 * n, dtype=complex)
+    elif len(out) != 2 * n and not (real and len(out) == n + 1):
+        raise ValueError("a multiplier takes 2n bins, or n + 1 for a kernel "
+                         "with real coefficients")
+    conj = None if real else _conjugate(krep)
+    blocks = _blocks(0, n + 1, _BLOCK)
+    omega = np.empty(max(hi - lo for lo, hi in blocks))
+    scratch = np.empty((3 if real else 4, len(omega)), dtype=complex)
+    for lo, hi in blocks:
+        w, block = omega[:hi - lo], scratch[:, :hi - lo]
+        np.multiply(np.arange(lo, hi), 1.0 / (2 * n * grid.dt), out=w)
+        w *= 2.0 * math.pi
+        _response(krep, w, grid, out[lo:hi], block[:3])
+        if conj is not None:
+            # bins 2n - k for k = hi-1 down to max(lo, 1), in bin order
+            k0 = max(lo, 1)
+            c = _response(conj, w, grid, block[3], block[:3])
+            np.conjugate(c[k0 - lo:][::-1],
+                         out=out[2 * n - hi + 1:2 * n - k0 + 1])
+    if real:
+        if len(out) == 2 * n:
+            np.conjugate(out[n - 1:0:-1], out=out[n + 1:])
+        out[n] = out[n].conjugate()
     return out
+
+
+def _signals_of(stack, packed):
+    """Each signal of a stack whose first `packed` rows carry two real
+    signals: the real and imaginary parts of such a row, or the row."""
+    for r, row in enumerate(stack):
+        yield from (row.real, row.imag) if r < packed else (row,)
 
 
 def _guarded_spectrum(stack, out=None, floor=0.0, packed=0):
@@ -325,14 +378,17 @@ def _guarded_spectrum(stack, out=None, floor=0.0, packed=0):
     exp(-alpha*horizon).  `floor`, a scalar or one value per signal, is the
     least peak a signal is judged against.  Two signals of a row are judged
     apart: the modulus of the row would hide the tail of the smaller one.
+    Every signal is judged before any row is transformed, one signal at a
+    time, so the guard's moduli take one signal's length.
     """
     n = stack.shape[1]
-    norms = _moduli(stack, packed)
-    peak = np.maximum(np.max(norms, axis=1), floor)
-    if np.any((peak > 0.0) & (np.max(norms[:, 3 * n // 4:], axis=1)
-                              > 1e-6 * peak)):
-        raise WraparoundError("a signal's last quarter exceeds 1e-6 of its "
-                              "peak modulus")
+    floors = np.broadcast_to(floor, (len(stack) + packed,))
+    for f, least in zip(_signals_of(stack, packed), floors):
+        modulus = np.abs(f)
+        peak = max(np.max(modulus), least)
+        if peak > 0.0 and np.max(modulus[3 * n // 4:]) > 1e-6 * peak:
+            raise WraparoundError("a signal's last quarter exceeds 1e-6 of "
+                                  "its peak modulus")
     if out is None:
         out = np.empty((stack.shape[0], 2 * n), dtype=complex)
     out[:, :n] = stack
@@ -356,11 +412,47 @@ def _causal_window(spectra):
     return out
 
 
+def _bins(spectrum, m, lo, hi, out):
+    """Bins lo..hi-1 of spectrum * m on a doubled window of 2n bins, written
+    to out, for a range on one side of bin n + 1.
+
+    m is the whole window, or the n + 1 bins 0..n of a real kernel's
+    multiplier (`discrete_multiplier`), whose bin 2n - k is conj(bin k).
+    Above bin n the product then is conj(conj(x) * m_{2n-k}): conjugation
+    is an exact negation, so that is x * conj(m_{2n-k}) bit for bit, and no
+    mirrored copy of m is made."""
+    width = len(spectrum)
+    if hi <= width // 2 + 1 or len(m) == width:
+        return np.multiply(spectrum[lo:hi], m[lo:hi], out=out)
+    np.conjugate(spectrum[lo:hi], out=out)
+    out *= m[width - lo:width - hi:-1]
+    return np.conjugate(out, out=out)
+
+
+def _difference(a, ma, b, mb, out, scratch):
+    """a * ma - b * mb on a doubled window (`_bins`), written to out, a block
+    at a time through a scratch of any length: two applications' residual,
+    formed in the spectrum."""
+    h = len(a) // 2 + 1
+    for lo, hi in (_blocks(0, h, len(scratch))
+                   + _blocks(h, len(a), len(scratch))):
+        sub = _bins(a, ma, lo, hi, out[lo:hi])
+        sub -= _bins(b, mb, lo, hi, scratch[:hi - lo])
+    return out
+
+
 def _apply_multiplier(spectra, m, out=None):
-    """Multiply a stack of doubled-window spectra by the multiplier m and
-    take the causal window of the product, a view into `out` (a new array
-    if not given); the spectra are left unchanged."""
-    return _causal_window(np.multiply(spectra, m, out=out))
+    """Multiply a stack of doubled-window spectra by the multiplier m, the
+    whole window or a real kernel's half (`_bins`), and take the causal
+    window of the product, a view into `out` (a new array if not given);
+    the spectra are left unchanged."""
+    if out is None:
+        out = np.empty_like(spectra)
+    width = spectra.shape[1]
+    for row, dest in zip(spectra, out):
+        for lo, hi in ((0, width // 2 + 1), (width // 2 + 1, width)):
+            _bins(row, m, lo, hi, dest[lo:hi])
+    return _causal_window(out)
 
 
 def toeplitz_apply(g, f):

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 import time
 
 import numpy as np
@@ -35,8 +36,8 @@ from .admissibility import (lambda_limit, lebesgue_limit,
                             observability_gramian, sqrt_minus_A,
                             sqrt_t_bound_scan)
 from .calculus import _gA_exact, gA_convolution, gA_toeplitz
-from .hardy import (GridSpec, SampledSignal, WraparoundError,
-                    _apply_multiplier, _causal_window, _guarded_spectrum,
+from .hardy import (_BLOCK, GridSpec, WraparoundError, _apply_multiplier,
+                    _causal_window, _difference, _guarded_spectrum,
                     _l2_norms, _real_coefficients, _require_grid_fits,
                     _shift_into, discrete_multiplier, times)
 from .numkernel import hermitian_eigs, operator_norm, solve_lyapunov
@@ -394,121 +395,224 @@ def _carried(rows, packed):
             for r in range(rows)]
 
 
-def _product_residuals(syms, mults, spectra, peaks, pairs, grid, packed=0):
+def _halves(items):
+    """The two halves of a sequence, the first the longer by at most one."""
+    cut = (len(items) + 1) // 2
+    return items[:cut], items[cut:]
+
+
+def _inline(task, items):
+    """[task(first half of items, 0), task(second half of items, 1)], both
+    on the calling thread: a walk's halves run one after the other."""
+    return [task(half, h) for h, half in enumerate(_halves(items))]
+
+
+def _two_way(task, items):
+    """`_inline`, with the second half on a second thread: numpy's FFTs and
+    ufunc loops release the GIL, so the halves run at once.  The halves may
+    write only disjoint outputs, and each gets its own buffers by its index.
+    The thread is joined before this returns or raises, and an error of
+    either half is raised here, the first half's first.  With nothing in
+    the second half no thread is started."""
+    first, second = _halves(items)
+    if not second:
+        return _inline(task, items)
+    done = {}
+
+    def run():
+        try:
+            done["result"] = task(second, 1)
+        except BaseException as exc:  # re-raised on the calling thread
+            done["error"] = exc
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    try:
+        mine = task(first, 0)
+    finally:
+        thread.join()
+    if "error" in done:
+        raise done["error"]
+    return [mine, done["result"]]
+
+
+def _product_residuals(syms, mults, spectra, peaks, pairs, grid, packed=0,
+                       split=None):
     """Multiplicativity residuals ||M_{g_i g_j} f_k - M_{g_i} M_{g_j} f_k||
     keyed (i, j, k) for each pair (i, j) of indices into syms, and the norms
     ||M_{g_j} f_k|| keyed (j, k) for every second factor j.
 
-    mults[i] is the multiplier of syms[i], spectra the stack of guarded
-    spectra of the signals f_k, whose first `packed` rows carry two real
-    signals each (`_pack`; only real kernels may see such rows), and
-    peaks[k] the peak of f_k, the floor of the guard on M_{g_j} f_k: an
-    output at roundoff (a delay past the signal) has no tail to judge.  The
-    pairs are walked by second factor, so each product multiplier is built
-    once (or taken from mults when the product is itself one of syms) and
-    only the output spectra G_j of M_{g_j} for one symbol are held at a
-    time.  Each residual is formed in the spectrum, prod*F - m_i*G_j, and
-    takes one inverse DFT.  Outputs and residuals run one row at a time
-    through one work row and a one-row scratch that serve the whole walk:
-    full-size temporaries would set the peak memory, and freeing them would
-    fragment the heap.
+    mults[i] is the multiplier of syms[i], the whole window or a real
+    kernel's half (`hardy._bins`), spectra the stack of guarded spectra of
+    the signals f_k, whose first `packed` rows carry two real signals each
+    (`_pack`; only real kernels may see such rows), and peaks[k] the peak of
+    f_k, the floor of the guard on M_{g_j} f_k: an output at roundoff (a
+    delay past the signal) has no tail to judge.  The pairs are walked by
+    second factor, so each product multiplier is built once (or taken from
+    mults when the product is itself one of syms), on half the window when
+    both factors are, and only the output spectra G_j of M_{g_j} for one
+    symbol are held at a time.  Each residual is formed in the spectrum,
+    prod*F - m_i*G_j, and takes one inverse DFT.
+
+    Per second factor, `split` (`_two_way` unless given) runs the output
+    rows in two halves and then the first factors in two halves, each half
+    building its own product multipliers.  Each half runs its rows one at
+    a time through a work row, a scratch block (`hardy._difference`) and a
+    held product multiplier of its own, all allocated here on the calling
+    thread: full-size temporaries would set the peak memory, and freeing
+    them would fragment the heap.
     """
+    split = split or _two_way
     carried = _carried(len(spectra), packed)
+    n = grid.n_samples
+    halved = all(len(m) == n + 1 for m in mults)
+    bufs = [(np.empty((1, 2 * n), dtype=complex),
+             np.empty(min(_BLOCK, n + 1), dtype=complex),
+             np.empty(n + 1 if halved else 2 * n, dtype=complex))
+            for _ in range(2)]
     out_spectra = np.empty_like(spectra)
-    work = np.empty((1, spectra.shape[1]), dtype=complex)
-    scratch = np.empty(spectra.shape[1], dtype=complex)
-    resid, norms = {}, {}
-    for j in sorted({j for _, j in pairs}):
-        for r, ks in enumerate(carried):
-            paired = int(r < packed)
+    # the symbol algebra stays on the calling thread
+    products = {(i, j): multiply(syms[i], syms[j]) for i, j in pairs}
+
+    def outputs(rows, h):
+        work, norms = bufs[h][0], {}
+        for r in rows:
+            ks, paired = carried[r], int(r < packed)
             outs = _apply_multiplier(spectra[r:r + 1], mults[j], out=work)
             norms.update(zip([(j, k) for k in ks],
                              _l2_norms(outs, grid.dt, paired).tolist()))
             _guarded_spectrum(outs, out=out_spectra[r:r + 1],
                               floor=peaks[list(ks)], packed=paired)
-        for i in sorted(i for i, second in pairs if second == j):
-            g = multiply(syms[i], syms[j])
-            prod = (mults[syms.index(g)] if g in syms
-                    else discrete_multiplier(g, grid))
+        return norms
+
+    def residuals(firsts, h):
+        work, scratch, held = bufs[h]
+        resid = {}
+        for i in firsts:
+            g = products[i, j]
+            if g in syms:
+                prod = mults[syms.index(g)]
+            else:
+                half = len(mults[i]) == len(mults[j]) == n + 1
+                prod = discrete_multiplier(
+                    g, grid, out=held[:n + 1 if half else 2 * n])
             for r, ks in enumerate(carried):
-                diff = np.multiply(spectra[r:r + 1], prod, out=work)
-                diff[0] -= np.multiply(out_spectra[r], mults[i], out=scratch)
+                _difference(spectra[r], prod, out_spectra[r], mults[i],
+                            work[0], scratch)
                 resid.update(zip([(i, j, k) for k in ks],
-                                 _l2_norms(_causal_window(diff), grid.dt,
+                                 _l2_norms(_causal_window(work), grid.dt,
                                            int(r < packed)).tolist()))
-            # freed before the next product multiplier is built: its own
-            # scratch arrays set the peak memory of this function
-            del prod
+        return resid
+
+    resid, norms = {}, {}
+    for j in sorted({j for _, j in pairs}):
+        for part in split(outputs, range(len(carried))):
+            norms.update(part)
+        for part in split(residuals, sorted(i for i, second in pairs
+                                            if second == j)):
+            resid.update(part)
     return resid, norms
 
 
-def _shift_residuals(f, mults, taus, signals=(0,)):
+def _shift_buffers(n, count):
+    """The shift check's buffers, allocated once per check on the calling
+    thread: the stack that receives the spectra of a row's `count` shifts
+    and, for each half of the multipliers, a work row and the window that
+    holds M_g f."""
+    return (np.empty((count, 2 * n), dtype=complex),
+            [(np.empty((1, 2 * n), dtype=complex), np.empty(n, dtype=complex))
+             for _ in range(2)])
+
+
+def _shift_residuals(row, mults, taus, dt, signals=(0,), buffers=None):
     """Shift residuals ||sigma_tau M_{g_i} f_k - M_{g_i} sigma_tau f_k||
     keyed (i, k, t) for multipliers mults[i], the signals f_k that the row
     f carries (k in `signals`: two real signals in its real and imaginary
-    parts, or one) and shifts taus[t], and the guarded spectrum of f.  The
-    row and its shifts are written straight into one doubled-window stack
-    that receives their spectra from one guarded forward pass, and per
-    multiplier the rows are applied one at a time through one work row,
-    the first giving M_{g_i} f and the others the M_{g_i} sigma_tau f."""
+    parts, or one) and shifts taus[t].
+
+    row is a doubled-window row whose first half holds the samples of f;
+    it receives the guarded spectrum of f.  The shifts of f are written
+    straight into the shift stack of `buffers` (`_shift_buffers`, made here
+    if not given), which receives their spectra.  `_two_way` transforms
+    the row and its shifts in two halves, and then splits the multipliers
+    in two halves; per multiplier a half applies the rows one at a time
+    through its work row, the first giving M_{g_i} f, held in its window,
+    and the others the M_{g_i} sigma_tau f, each subtracted from the shift
+    of M_{g_i} f in the anticausal half of the work row, which the causal
+    window leaves free."""
     two = len(signals) == 2
-    grid = f.grid
-    n = grid.n_samples
-    spectra = np.empty((len(taus) + 1, 2 * n), dtype=complex)
-    spectra[0, :n] = f.values
-    for row, tau in zip(spectra[1:], taus):
-        _shift_into(f.values, tau, grid.dt, row[:n])
-    _guarded_spectrum(spectra[:, :n], out=spectra,
-                      packed=two * (len(taus) + 1))
-    work = np.empty((1, 2 * n), dtype=complex)
-    diff = np.empty((len(taus), n), dtype=complex)
-    resid = {}
-    for i, m in enumerate(mults):
-        for r in range(len(spectra)):
-            out = _apply_multiplier(spectra[r:r + 1], m, out=work)[0]
-            if r == 0:
-                for row, tau in zip(diff, taus):
-                    _shift_into(out, tau, grid.dt, row)
-            else:
-                # row r of spectra is sigma_tau f for tau = taus[r - 1]
-                diff[r - 1] -= out
-        resid.update(zip([(i, k, t) for t in range(len(taus))
-                          for k in signals],
-                         _l2_norms(diff, grid.dt, two * len(diff)).tolist()))
-    return resid, spectra[0]
+    n = len(row) // 2
+    shifts, bufs = buffers or _shift_buffers(n, len(taus))
+    for dest, tau in zip(shifts, taus):
+        _shift_into(row[:n], tau, dt, dest[:n])
+    _two_way(lambda rows, h: [
+        _guarded_spectrum(r[None, :n], out=r[None], packed=int(two))
+        for r in rows], [row, *shifts])
+
+    def task(indices, h):
+        work, held = bufs[h]
+        resid = {}
+        for i in indices:
+            held[:] = _apply_multiplier(row[None], mults[i], out=work)[0]
+            for t, (tau, shifted) in enumerate(zip(taus, shifts)):
+                out = _apply_multiplier(shifted[None], mults[i], out=work)[0]
+                diff = work[0, n:]
+                _shift_into(held, tau, dt, diff)
+                diff -= out
+                resid.update(zip([(i, k, t) for k in signals],
+                                 _l2_norms(diff[None], dt,
+                                           int(two)).tolist()))
+        return resid
+
+    return {key: x for part in _two_way(task, range(len(mults)))
+            for key, x in part.items()}
 
 
 def check_toeplitz(grid, battery):
     """The discrete half-line operator M_g on five sampled signals:
     multiplicativity M_{gh} = M_g M_h, commutation with shifts, the norm
     bound ||M_g f|| <= ||g|| ||f||, and the fourth-order shrink of the
-    product residual when the step is halved."""
+    product residual when the step is halved.
+
+    Every walk runs in two halves, the calling thread one and a second
+    thread (`_two_way`) the other: per row of the shift check, the spectra
+    of the row and its shifts and then the multipliers; per second factor
+    of the product walk, the output rows and then the first factors, each
+    half building its own product multipliers; and the two refinement
+    levels.  The halves write disjoint
+    outputs through buffers allocated on the calling thread, and their
+    results are merged in walk order, so every report is the one a walk on
+    one thread gives, bit for bit.  The second thread costs its own numpy
+    FFT scratch, about 4 MiB on the 2^17-point window of a 65,536-sample
+    grid, which its malloc arena keeps after the thread is joined; holding
+    each real kernel's multiplier on its n + 1 nonnegative bins, half the
+    window, pays for it."""
     syms = list(battery)
     pairs = [(i, j) for i in range(len(syms)) for j in range(i, len(syms))]
     kernels = list(_battery_kernels(syms, pairs))
     taus = (grid.dt, 16 * grid.dt, 0.5)
     _require_grid_fits(kernels, grid, taus)
 
-    # Each multiplier is built once and each input spectrum computed once,
-    # the multipliers as one stack; outputs are recomputed from them rather
+    # Each multiplier is built once, straight into its held row, and each
+    # input spectrum computed once; outputs are recomputed from them rather
     # than held.  When every kernel of the battery and its pair products has
     # real coefficients, the four real signals travel two to a row (`_pack`)
     # and the complex one alone, so every walk pushes three rows, not five,
     # through each FFT and multiplier product; each signal's norms and
     # residuals are read from its row's real part, imaginary part or both,
     # and the wraparound guard judges each signal on its own.  Every walk
-    # transforms and multiplies one row at a time through one work row, so
-    # numpy's FFT maps no multi-row scratch.  The shift check runs first:
-    # per row, one stack holds the row and its shifts, and the row's
-    # spectrum is kept as the input of the multiplicativity walk.
+    # transforms and multiplies one row at a time through a work row of its
+    # half, so numpy's FFT maps no multi-row scratch.  The shift check runs
+    # first, through one shift stack for the whole check, and turns each
+    # row into its spectrum, the input of the multiplicativity walk.
     # Residuals are keyed (symbol, signal, ...), so the first worst case
     # names the witness.
     started = time.perf_counter()
     n = grid.n_samples
-    # filled a row at a time, so the built multipliers are freed one by one
-    mults = np.empty((len(syms), 2 * n), dtype=complex)
-    for i, g in enumerate(syms):
-        mults[i] = discrete_multiplier(g, grid)
+    mults = [np.empty(n + 1 if _real_coefficients(krep) else 2 * n,
+                      dtype=complex) for _, krep in kernels[:len(syms)]]
+    for g, m in zip(syms, mults):
+        discrete_multiplier(g, grid, out=m)
     labels, stack = _signals(grid)
     f_norms = _l2_norms(stack, grid.dt).tolist()
     peaks = np.max(np.abs(stack), axis=1)
@@ -520,11 +624,12 @@ def check_toeplitz(grid, battery):
     spectra = np.empty((len(rows), 2 * n), dtype=complex)
     spectra[:, :n] = rows
     del stack, rows
+    buffers = _shift_buffers(n, len(taus))
     resid = {}
     for r, signals in enumerate(_carried(len(spectra), packed)):
-        resid_r, spectra[r] = _shift_residuals(
-            SampledSignal(grid, spectra[r, :n]), mults, taus, signals)
-        resid.update(resid_r)
+        resid.update(_shift_residuals(spectra[r], mults, taus, grid.dt,
+                                      signals, buffers))
+    del buffers
     # the first (symbol, signal, tau) while every residual is below 1e-12,
     # where rounding would decide the argmax (`_closest`)
     i, k, t = _closest({key: (0.0, x) for key, x in resid.items()},
@@ -575,17 +680,27 @@ def check_toeplitz(grid, battery):
                          2 ** math.floor(math.log2(32.0 * grid.horizon))))
     base = GridSpec(base_n, grid.horizon / base_n)
     fine = GridSpec(2 * base.n_samples, base.dt / 2.0)
-    worst = []
-    for level in (base, fine):
-        stack = _signals(level)[1]
-        # the fixed battery, real atoms and a constant, is real
-        rows, packed = _pack(stack, True)
-        mults = [discrete_multiplier(g, level) for g in ref_syms]
-        resid, _ = _product_residuals(
-            ref_syms, mults, _guarded_spectrum(rows, packed=packed),
-            np.max(np.abs(stack), axis=1), ref_pairs, level, packed)
-        worst.append({(i, j): max(resid[i, j, k] for k in range(len(stack)))
-                      for i, j in ref_pairs})
+
+    def level_residuals(levels, h):
+        worst = []
+        for level in levels:
+            stack = _signals(level)[1]
+            # the fixed battery, real atoms and a constant, is real
+            rows, packed = _pack(stack, True)
+            mults = [discrete_multiplier(g, level, out=np.empty(
+                level.n_samples + 1, dtype=complex)) for g in ref_syms]
+            # inline: the two levels are the halves of this walk
+            resid = _product_residuals(
+                ref_syms, mults, _guarded_spectrum(rows, packed=packed),
+                np.max(np.abs(stack), axis=1), ref_pairs, level, packed,
+                split=_inline)[0]
+            worst.append({(i, j): max(resid[i, j, k]
+                                      for k in range(len(stack)))
+                          for i, j in ref_pairs})
+        return worst
+
+    worst = [w for part in _two_way(level_residuals, (base, fine))
+             for w in part]
     (i, j), r = _worst({p: worst[1][p] / worst[0][p] for p in ref_pairs})
     reports.append(finish_report(
         "toeplitz_refinement", 0.25, r,

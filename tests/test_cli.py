@@ -3,7 +3,9 @@
 import ast
 import csv
 import json
+import os
 import platform
+import subprocess
 import sys
 from pathlib import Path
 
@@ -435,9 +437,9 @@ class TestToeplitzBuildOnce:
         calls = {"fft": [], "ifft": []}
         build = verifier.discrete_multiplier
 
-        def counting_build(g, grid):
+        def counting_build(g, grid, out=None):
             builds.append((to_text(g), grid))
-            return build(g, grid)
+            return build(g, grid, out=out)
 
         def counting(name):
             transform = getattr(np.fft, name)
@@ -553,3 +555,16 @@ class TestRegistry:
                             not in sys.stdlib_module_names]
         assert sorted(package) == CLI_IMPORTS
         assert outside == []
+
+    def test_import_starts_no_thread(self):
+        # the Toeplitz check starts its second thread per walk, with the
+        # `threading` module that numpy already imports: importing the
+        # command starts none and loads no concurrent.futures (whose
+        # logging import would cost set-up time)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = ("import sys, threading; import hardycalc.cli; "
+                "assert threading.active_count() == 1, threading.enumerate(); "
+                "assert 'concurrent.futures' not in sys.modules")
+        subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       timeout=60, check=True,
+                       env=dict(os.environ, PYTHONPATH=src))

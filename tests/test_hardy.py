@@ -24,6 +24,7 @@ from hardycalc.hardy import (
     WraparoundError,
     _apply_multiplier,
     _causal_window,
+    _difference,
     _guarded_spectrum,
     _l2_norms,
     _series_numerator,
@@ -302,17 +303,21 @@ class TestInPlaceMultiplier:
         assert len(calls) == per_kernel * (1 if _is_real(krep) else 2)
 
     def test_peak_allocation(self):
-        # the 2 MB result on the 131,072-point doubled window beside the
-        # half-window frequencies, exp(i omega dt) and two scratch arrays
+        # the 2 MB result on the 131,072-point doubled window beside one
+        # block's frequencies, exp(i omega dt) and two scratch arrays, under
+        # 0.6 MB, the whole peak when the caller holds the n + 1 bins
         krep = kernel(multiply(atom(1.0, 1.0), atom(1.0, 3.0)))
         grid = GridSpec(65536, 2.0 ** -8)
-        tracemalloc.start()
-        try:
-            discrete_multiplier(krep, grid)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 7.5e6
+        for out, bound in ((None, 2.7e6),
+                           (np.empty(grid.n_samples + 1, dtype=complex),
+                            0.6e6)):
+            tracemalloc.start()
+            try:
+                discrete_multiplier(krep, grid, out=out)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < bound
 
 
 class TestToeplitzApply:
@@ -426,6 +431,42 @@ def _stack_rows(grid):
     return np.array([np.exp(-2.0 * t), t * np.exp(-2.5 * t),
                      np.exp(-2.0 * t) * np.cos(3.0 * t),
                      np.exp((-3.0 + 1j) * t)], dtype=complex)
+
+
+class TestHalfWindowHold:
+    """A real kernel's multiplier held on its n + 1 nonnegative bins gives
+    the products of the whole window, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "g", [g for g in MULTIPLIER_SYMBOLS if _is_real(kernel(g))],
+        ids=to_text)
+    def test_half_window_multiplies_as_the_whole(self, g):
+        grid = STACK_GRID
+        n = grid.n_samples
+        whole = discrete_multiplier(g, grid)
+        out = np.full(2 * n, np.nan, dtype=complex)
+        assert discrete_multiplier(g, grid, out=out) is out
+        assert np.array_equal(out, whole)
+        half = discrete_multiplier(g, grid,
+                                   out=np.empty(n + 1, dtype=complex))
+        assert np.array_equal(half, whole[:n + 1])
+        spectra = _guarded_spectrum(_stack_rows(grid))
+        assert np.array_equal(_apply_multiplier(spectra, half),
+                              _apply_multiplier(spectra, whole))
+        other = discrete_multiplier(atom(1.0, 3.0), grid)
+        for m in (half, whole):
+            diff = _difference(spectra[0], m, spectra[3], other[:n + 1],
+                               np.empty(2 * n, dtype=complex),
+                               np.empty(n + 1, dtype=complex))
+            assert np.array_equal(diff, spectra[0] * whole
+                                  - spectra[3] * other)
+
+    def test_complex_kernel_keeps_the_whole_window(self):
+        grid = STACK_GRID
+        with pytest.raises(ValueError, match="n . 1 for a kernel with real"):
+            discrete_multiplier(atom(1.0, 1.0 + 2.0j), grid,
+                                out=np.empty(grid.n_samples + 1,
+                                             dtype=complex))
 
 
 class TestSignalStacks:

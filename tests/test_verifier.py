@@ -6,6 +6,8 @@ import graphlib
 import importlib
 import math
 import pkgutil
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -719,6 +721,13 @@ def _product_oracles(g, h, f):
             l2_norm(lhs), l2_norm(out))
 
 
+def _doubled(values):
+    """A doubled-window row holding the samples in its first half."""
+    row = np.zeros(2 * len(values), dtype=complex)
+    row[:len(values)] = values
+    return row
+
+
 def _shift_oracle(g, f, tau):
     """||sigma_tau M_g f - M_g sigma_tau f|| from per-signal applications."""
     lhs = shift(toeplitz_apply(g, f), tau)
@@ -756,8 +765,9 @@ class TestToeplitzResiduals:
         mults = np.array([discrete_multiplier(g, grid) for g in syms])
         for values in verifier._signals(grid)[1]:
             f = SampledSignal(grid, values)
-            resid, spectrum = verifier._shift_residuals(f, mults, TAUS)
-            assert np.array_equal(spectrum, _guarded_spectrum(values[None])[0])
+            row = _doubled(values)
+            resid = verifier._shift_residuals(row, mults, TAUS, grid.dt)
+            assert np.array_equal(row, _guarded_spectrum(values[None])[0])
             assert set(resid) == {(i, 0, t) for i in range(len(syms))
                                   for t in range(len(TAUS))}
             for (i, _, t), r in resid.items():
@@ -789,8 +799,8 @@ class TestToeplitzResiduals:
         rows, packed = verifier._pack(stack, True)
         mults = np.array([discrete_multiplier(g, grid) for g in syms])
         for row, signals in zip(rows, verifier._carried(len(rows), packed)):
-            resid, _ = verifier._shift_residuals(SampledSignal(grid, row),
-                                                 mults, TAUS, signals)
+            resid = verifier._shift_residuals(_doubled(row), mults, TAUS,
+                                              grid.dt, signals)
             assert set(resid) == {(i, k, t) for i in range(len(syms))
                                   for k in signals for t in range(len(TAUS))}
             for (i, k, t), r in resid.items():
@@ -811,13 +821,13 @@ class TestToeplitzResiduals:
         seen, built = [], []
         walk, build = verifier._shift_residuals, verifier.discrete_multiplier
 
-        def spy(f, mults, taus, signals=(0,)):
+        def spy(row, mults, taus, dt, signals=(0,), buffers=None):
             seen.append(signals)
-            return walk(f, mults, taus, signals)
+            return walk(row, mults, taus, dt, signals, buffers)
 
-        def counted(g, grid):
+        def counted(g, grid, out=None):
             built.append(g)
-            return build(g, grid)
+            return build(g, grid, out=out)
 
         monkeypatch.setattr(verifier, "_shift_residuals", spy)
         monkeypatch.setattr(verifier, "discrete_multiplier", counted)
@@ -863,11 +873,11 @@ class TestToeplitzResiduals:
         assert report.bound_measured <= report.details["max_residual"]
         walk = verifier._shift_residuals
 
-        def bumped(f, mults, taus, signals=(0,)):
-            resid, spectrum = walk(f, mults, taus, signals)
+        def bumped(row, mults, taus, dt, signals=(0,), buffers=None):
+            resid = walk(row, mults, taus, dt, signals, buffers)
             if 3 in signals:
                 resid[0, 3, 1] = 1e-7
-            return resid, spectrum
+            return resid
 
         monkeypatch.setattr(verifier, "_shift_residuals", bumped)
         report = next(r for r in check_toeplitz(TOEPLITZ_GRID, (Delay(0.5),))
@@ -909,9 +919,11 @@ class TestToeplitzResiduals:
             == "0.7 on gauss(t-2)"
 
     def test_peak_allocation(self):
-        # one work row per walk on the benchmark's 65536-sample grid: the
-        # multipliers, the input and output spectra and the shift stack,
-        # below the 37.8 MiB that three-row work stacks took
+        # on the benchmark's 65536-sample grid: the multipliers on half the
+        # window, the input and output spectra, the shift stack and, per
+        # half of each walk, a work row, one side's scratch and a product
+        # multiplier, below the 33.7 MiB that whole-window multipliers and
+        # one thread took
         grid = GridSpec(65536, 2.0 ** -8)
         tracemalloc.start()
         try:
@@ -919,7 +931,81 @@ class TestToeplitzResiduals:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 35 * 2 ** 20
+        assert peak < 30 * 2 ** 20
+
+    @pytest.mark.parametrize("battery", [TOEPLITZ_BATTERY, COMPLEX_BATTERY],
+                             ids=["real", "complex"])
+    def test_two_way_reports_match_one_thread(self, battery, monkeypatch):
+        # every walk's halves write disjoint outputs and merge in walk
+        # order: field for field the reports of both halves run inline
+        def fields(reports):
+            return [{k: v for k, v in r.to_json_dict().items()
+                     if k != "runtime_ms"} for r in reports]
+
+        two_way = fields(check_toeplitz(TOEPLITZ_GRID, battery))
+        monkeypatch.setattr(verifier, "_two_way", verifier._inline)
+        assert fields(check_toeplitz(TOEPLITZ_GRID, battery)) == two_way
+
+    def test_second_half_runs_on_a_second_thread(self):
+        caller = threading.get_ident()
+
+        def task(items, h):
+            return list(items), h, threading.get_ident()
+
+        (first, h0, t0), (second, h1, t1) = verifier._two_way(task, range(5))
+        assert (first, h0, second, h1) == ([0, 1, 2], 0, [3, 4], 1)
+        assert t0 == caller != t1
+        # nothing in the second half: no thread
+        assert [t for *_, t in verifier._two_way(task, range(1))] == \
+            [caller, caller]
+
+    def test_concurrent_checks_under_a_short_switch_interval(self):
+        # three callers, six threads on the machine's two cores, switching
+        # every few microseconds: a row written by the wrong half or a lost
+        # update of a merged result would change a report
+        def fields(reports):
+            return [{k: v for k, v in r.to_json_dict().items()
+                     if k != "runtime_ms"} for r in reports]
+
+        battery = COMPLEX_BATTERY
+        expected = fields(check_toeplitz(TOEPLITZ_GRID, battery))
+        got = [None] * 3
+
+        def call(c):
+            got[c] = fields(check_toeplitz(TOEPLITZ_GRID, battery))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(5e-6)
+        try:
+            callers = [threading.Thread(target=call, args=(c,))
+                       for c in range(3)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert got == [expected] * 3
+
+    @pytest.mark.parametrize("owner", ["worker", "caller"])
+    def test_error_of_either_half_is_raised_after_join(self, owner,
+                                                       monkeypatch):
+        # the guard of an output row fails on the half that owns it: the
+        # check raises that error, and no thread is left running
+        guard = verifier._guarded_spectrum
+
+        def failing(*args, **kwargs):
+            on_caller = threading.current_thread() is threading.main_thread()
+            if "floor" in kwargs and on_caller == (owner == "caller"):
+                raise WraparoundError(f"a row of the {owner}")
+            return guard(*args, **kwargs)
+
+        before = threading.active_count()
+        monkeypatch.setattr(verifier, "_guarded_spectrum", failing)
+        with pytest.raises(WraparoundError, match=f"a row of the {owner}"):
+            check_toeplitz(TOEPLITZ_GRID, TOEPLITZ_BATTERY)
+        assert threading.active_count() == before
 
     def test_scaled_product_multiplier_fails(self, monkeypatch):
         # a 1e-4 relative error in the multiplier of M_{gh} alone must show
@@ -928,9 +1014,11 @@ class TestToeplitzResiduals:
                     for h in TOEPLITZ_BATTERY} - set(TOEPLITZ_BATTERY)
         build = verifier.discrete_multiplier
 
-        def scaled(g, grid):
-            m = build(g, grid)
-            return (1.0 + 1e-4) * m if g in products else m
+        def scaled(g, grid, out=None):
+            m = build(g, grid, out=out)
+            if g in products:
+                m *= 1.0 + 1e-4
+            return m
 
         def multiplicativity():
             reports = verifier.check_toeplitz(TOEPLITZ_GRID, TOEPLITZ_BATTERY)
