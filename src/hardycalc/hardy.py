@@ -32,13 +32,21 @@ two (`_difference`).
 
 A real kernel's multiplier may be held on its n + 1 nonnegative bins
 alone, half the window: bin 2n - k is conj(bin k), and `_bins` multiplies
-by either form, bit for bit alike.  The steps keep no state and numpy's
-FFTs and ufunc loops release the GIL, so a caller may run them on two
-threads at once on disjoint rows, as `verifier.check_toeplitz` does.  The
-second thread keeps its own pocketfft scratch in its own glibc malloc
-arena, about 4 MiB more resident memory on a 2^17-point window, which
-stays after the thread is joined; a caller allocates the rows that thread
-writes, so that they stay out of its arena.
+by either form, bit for bit alike.
+
+`toeplitz_residuals` runs the steps over a battery of symbols and a stack
+of signals: the shift walk, then the product walk, each in two halves
+through `two_way`, the calling thread one and a second thread the other.
+The steps keep no state and numpy's FFTs and ufunc loops release the GIL,
+so the halves run at once.  They write disjoint outputs through buffers
+allocated on the calling thread, and their results merge by key, so every
+result is the one a walk on one thread gives, bit for bit.  The second
+thread keeps its own pocketfft scratch in its own glibc malloc arena,
+about 4 MiB more resident memory on a 2^17-point window, which stays after
+the thread is joined; holding real multipliers on half the window pays for
+it, and the rows that thread writes are allocated by its caller, so that
+they stay out of its arena.  A walk may itself run as a half of a caller's
+`two_way`, and then nests its own split.
 
 The multiplier is not the raw boundary sample g(i omega_j): it is the
 transfer function of the sampled kernel with order-4 endpoint weights
@@ -60,11 +68,12 @@ coefficients are real.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .symbols import KernelRep, kernel, to_text
+from .symbols import KernelRep, kernel, multiply, to_text
 
 __all__ = [
     "GridSpec",
@@ -73,6 +82,8 @@ __all__ = [
     "discrete_multiplier",
     "times",
     "toeplitz_apply",
+    "toeplitz_residuals",
+    "two_way",
 ]
 
 
@@ -462,3 +473,235 @@ def toeplitz_apply(g, f):
     out = _apply_multiplier(_guarded_spectrum(f.values[None]),
                             discrete_multiplier(g, f.grid))
     return SampledSignal(f.grid, out[0].copy())
+
+
+# ---------------------------------------------------------------------------
+# the Toeplitz walks
+
+
+def two_way(task, items):
+    """[task(first half of items, 0), task(second half of items, 1)], the
+    first half the longer by at most one, and the second on a second
+    thread, so the halves run at once.  The halves may write only disjoint
+    outputs, and each gets its own buffers by its index.  The thread is
+    joined before this returns or raises, and an error of either half is
+    raised here, the first half's first.  With nothing in the second half
+    no thread is started."""
+    cut = (len(items) + 1) // 2
+    first, second = items[:cut], items[cut:]
+    if not second:
+        return [task(first, 0), task(second, 1)]
+    done = {}
+
+    def run():
+        try:
+            done["result"] = task(second, 1)
+        except BaseException as exc:  # re-raised on the calling thread
+            done["error"] = exc
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    try:
+        mine = task(first, 0)
+    finally:
+        thread.join()
+    if "error" in done:
+        raise done["error"]
+    return [mine, done["result"]]
+
+
+def _pack(stack, real):
+    """The rows the walks run on, and how many of them, leading, carry two
+    signals.  A real kernel gives M_g (a + ib) = M_g a + i M_g b for real
+    a and b, so when every kernel is real the leading real signals of the
+    stack go two to a row, a in the real part and b in the imaginary part;
+    an odd one out and every complex signal keep a row of their own, as
+    every signal does when some kernel is complex."""
+    lead = next((k for k, f in enumerate(stack) if np.any(f.imag)),
+                len(stack))
+    pairs = 2 * (lead // 2) if real else 0
+    return np.concatenate([stack[:pairs:2] + 1j * stack[1:pairs:2].real,
+                           stack[pairs:]]), pairs // 2
+
+
+def _carried(rows, packed):
+    """The indices of the signals that each row of a stack carries, when
+    its first `packed` rows carry two."""
+    return [(2 * r, 2 * r + 1) if r < packed else (packed + r,)
+            for r in range(rows)]
+
+
+def _shift_residuals(row, mults, taus, dt, signals, buffers):
+    """Shift residuals ||sigma_tau M_{g_i} f_k - M_{g_i} sigma_tau f_k||
+    keyed (i, k, t) for multipliers mults[i], the signals f_k that the row
+    f carries (k in `signals`: two real signals in its real and imaginary
+    parts, or one) and shifts taus[t]; with no shifts, none.
+
+    row is a doubled-window row whose first half holds the samples of f;
+    it receives the guarded spectrum of f.  The shifts of f are written
+    straight into the shift stack of `buffers`, which receives their
+    spectra; `buffers` also holds, for each half of the multipliers, a
+    work row and the window that holds M_{g_i} f.  `two_way` transforms the row and its shifts
+    in two halves, and then splits the multipliers in two halves; per
+    multiplier a half applies the rows one at a time through its work row,
+    the first giving M_{g_i} f, held in its window, and the others the
+    M_{g_i} sigma_tau f, each subtracted from the shift of M_{g_i} f in
+    the anticausal half of the work row, which the causal window leaves
+    free."""
+    two = len(signals) == 2
+    n = len(row) // 2
+    shifts, bufs = buffers
+    for dest, tau in zip(shifts, taus):
+        _shift_into(row[:n], tau, dt, dest[:n])
+    two_way(lambda rows, h: [
+        _guarded_spectrum(r[None, :n], out=r[None], packed=int(two))
+        for r in rows], [row, *shifts])
+    if not taus:
+        return {}
+
+    def task(indices, h):
+        work, held = bufs[h]
+        resid = {}
+        for i in indices:
+            held[:] = _apply_multiplier(row[None], mults[i], out=work)[0]
+            for t, (tau, shifted) in enumerate(zip(taus, shifts)):
+                out = _apply_multiplier(shifted[None], mults[i], out=work)[0]
+                diff = work[0, n:]
+                _shift_into(held, tau, dt, diff)
+                diff -= out
+                resid.update(zip([(i, k, t) for k in signals],
+                                 _l2_norms(diff[None], dt,
+                                           int(two)).tolist()))
+        return resid
+
+    return {key: x for part in two_way(task, range(len(mults)))
+            for key, x in part.items()}
+
+
+def _product_residuals(syms, products, mults, spectra, peaks, grid, packed):
+    """Multiplicativity residuals ||M_{g_i g_j} f_k - M_{g_i} M_{g_j} f_k||
+    keyed (i, j, k) for each pair (i, j) of indices into syms whose product
+    is products[i, j], and the norms ||M_{g_j} f_k|| keyed (j, k) for every
+    second factor j.
+
+    mults[i] is the multiplier of syms[i], the whole window or a real
+    kernel's half (`_bins`), spectra the stack of guarded spectra of the
+    signals f_k, whose first `packed` rows carry two real signals each
+    (`_pack`; only real kernels may see such rows), and peaks[k] the peak of
+    f_k, the floor of the guard on M_{g_j} f_k: an output at roundoff (a
+    delay past the signal) has no tail to judge.  The pairs are walked by
+    second factor, so each product multiplier is built once (or taken from
+    mults when the product is itself one of syms), on half the window when
+    both factors are, and only the output spectra G_j of M_{g_j} for one
+    symbol are held at a time.  Each residual is formed in the spectrum,
+    prod*F - m_i*G_j, and takes one inverse DFT.
+
+    Per second factor, `two_way` runs the output rows in two halves and
+    then the first factors in two halves, each half building its own
+    product multipliers.  Each half runs its rows one at a time through a
+    work row, a scratch block (`_difference`) and a held product multiplier
+    of its own, all allocated here on the calling thread: full-size
+    temporaries would set the peak memory, and freeing them would fragment
+    the heap.
+    """
+    carried = _carried(len(spectra), packed)
+    n = grid.n_samples
+    halved = all(len(m) == n + 1 for m in mults)
+    bufs = [(np.empty((1, 2 * n), dtype=complex),
+             np.empty(min(_BLOCK, n + 1), dtype=complex),
+             np.empty(n + 1 if halved else 2 * n, dtype=complex))
+            for _ in range(2)]
+    out_spectra = np.empty_like(spectra)
+
+    def outputs(rows, h):
+        work, norms = bufs[h][0], {}
+        for r in rows:
+            ks, paired = carried[r], int(r < packed)
+            outs = _apply_multiplier(spectra[r:r + 1], mults[j], out=work)
+            norms.update(zip([(j, k) for k in ks],
+                             _l2_norms(outs, grid.dt, paired).tolist()))
+            _guarded_spectrum(outs, out=out_spectra[r:r + 1],
+                              floor=peaks[list(ks)], packed=paired)
+        return norms
+
+    def residuals(firsts, h):
+        work, scratch, held = bufs[h]
+        resid = {}
+        for i in firsts:
+            g = products[i, j]
+            if g in syms:
+                prod = mults[syms.index(g)]
+            else:
+                half = len(mults[i]) == len(mults[j]) == n + 1
+                prod = discrete_multiplier(
+                    g, grid, out=held[:n + 1 if half else 2 * n])
+            for r, ks in enumerate(carried):
+                _difference(spectra[r], prod, out_spectra[r], mults[i],
+                            work[0], scratch)
+                resid.update(zip([(i, j, k) for k in ks],
+                                 _l2_norms(_causal_window(work), grid.dt,
+                                           int(r < packed)).tolist()))
+        return resid
+
+    resid, norms = {}, {}
+    for j in sorted({j for _, j in products}):
+        for part in two_way(outputs, range(len(carried))):
+            norms.update(part)
+        for part in two_way(residuals, sorted(i for i, second in products
+                                              if second == j)):
+            resid.update(part)
+    return resid, norms
+
+
+def toeplitz_residuals(battery, pairs, signals, grid, taus):
+    """The measured sides of the Toeplitz identities for a battery of
+    symbols g_i on a stack of signals f_k sampled on grid, a row each:
+
+    - shift residuals ||sigma_tau M_{g_i} f_k - M_{g_i} sigma_tau f_k||
+      keyed (i, k, t) for each shift taus[t];
+    - product residuals ||M_{g_i g_j} f_k - M_{g_i} M_{g_j} f_k|| keyed
+      (i, j, k) for each pair (i, j) of indices into the battery;
+    - output norms ||M_{g_j} f_k|| keyed (j, k) for every second factor j;
+    - the norms ||f_k||, a list.
+
+    The grid-fit rule runs first, on the battery, its pair products and
+    the shifts, before any multiplier is built.  Each battery multiplier is
+    built once, on half the window for a real kernel, and each input
+    spectrum computed once; outputs are recomputed from them rather than
+    held.  When every kernel of the battery and its pair products has real
+    coefficients, the real signals travel two to a row (`_pack`), and the
+    wraparound guard still judges each signal on its own.  The shift walk
+    runs first, through one shift stack, and turns each row into its
+    spectrum, the input of the product walk.  The stack is not held once
+    its rows are packed, so a caller that passes it without keeping it
+    frees it for the walks."""
+    syms = list(battery)
+    products = {(i, j): multiply(syms[i], syms[j]) for i, j in pairs}
+    kernels = [(g, kernel(g)) for g in [*syms, *products.values()]]
+    _require_grid_fits(kernels, grid, taus)
+    n = grid.n_samples
+    mults = [discrete_multiplier(g, grid, out=np.empty(
+        n + 1 if _real_coefficients(krep) else 2 * n, dtype=complex))
+        for g, krep in kernels[:len(syms)]]
+    f_norms = _l2_norms(signals, grid.dt).tolist()
+    peaks = np.max(np.abs(signals), axis=1)
+    rows, packed = _pack(signals, all(_real_coefficients(krep)
+                                      for _, krep in kernels))
+    # One buffer holds the rows and then their spectra: row r keeps its
+    # samples in its first half until the shift walk has used them and
+    # replaces the row by the spectrum.
+    spectra = np.empty((len(rows), 2 * n), dtype=complex)
+    spectra[:, :n] = rows
+    del signals, rows
+    # the shift walk's buffers, allocated once on the calling thread
+    buffers = (np.empty((len(taus), 2 * n), dtype=complex),
+               [(np.empty((1, 2 * n), dtype=complex),
+                 np.empty(n, dtype=complex)) for _ in range(2)])
+    shifted = {}
+    for r, ks in enumerate(_carried(len(spectra), packed)):
+        shifted.update(_shift_residuals(spectra[r], mults, taus, grid.dt,
+                                        ks, buffers))
+    del buffers
+    resid, norms = _product_residuals(syms, products, mults, spectra, peaks,
+                                      grid, packed)
+    return shifted, resid, norms, f_norms

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 import time
 
 import numpy as np
@@ -36,16 +35,12 @@ from .admissibility import (lambda_limit, lebesgue_limit,
                             observability_gramian, sqrt_minus_A,
                             sqrt_t_bound_scan)
 from .calculus import _gA_exact, gA_convolution, gA_toeplitz
-from .hardy import (_BLOCK, GridSpec, WraparoundError, _apply_multiplier,
-                    _causal_window, _difference, _guarded_spectrum,
-                    _l2_norms, _real_coefficients, _require_grid_fits,
-                    _shift_into, discrete_multiplier, times)
+from .hardy import GridSpec, times, toeplitz_residuals, two_way
 from .numkernel import hermitian_eigs, operator_norm, solve_lyapunov
 from .report import finish_report
 from .semigroup import (evaluate_T, example26, gramian, gramian_rule,
                         norm_scan, resolvent, semigroup_bounds, sup_T_norm)
-from .symbols import (Constant, add, atom, hinf_norm, kernel, multiply,
-                      to_text)
+from .symbols import Constant, add, atom, hinf_norm, multiply, to_text
 
 __all__ = [
     "check_T0",
@@ -353,297 +348,45 @@ def check_example26(gen, C):
     return reports
 
 
+# the five test signals of check_toeplitz, a row each of `_signals`
+_SIGNAL_LABELS = ("exp(-2t)", "t*exp(-2.5t)", "exp(-2t)cos(3t)",
+                  "gauss(t-2)", "exp((-3+i)t)")
+
+
 def _signals(grid):
-    """Labels of the five test signals and their samples as one stack, a
-    row per signal."""
+    """The samples of the five test signals as one stack, a row per
+    signal."""
     t = times(grid)
-    raw = [
-        ("exp(-2t)", np.exp(-2.0 * t)),
-        ("t*exp(-2.5t)", t * np.exp(-2.5 * t)),
-        ("exp(-2t)cos(3t)", np.exp(-2.0 * t) * np.cos(3.0 * t)),
-        ("gauss(t-2)", np.exp(-2.0 * (t - 2.0) ** 2)),
-        ("exp((-3+i)t)", np.exp((-3.0 + 1j) * t)),
-    ]
-    return [lab for lab, _ in raw], np.array([v for _, v in raw],
-                                             dtype=complex)
-
-
-def _battery_kernels(syms, pairs):
-    """(symbol, kernel) of each battery symbol and each pair product."""
-    for g in [*syms, *(multiply(syms[i], syms[j]) for i, j in pairs)]:
-        yield g, kernel(g)
-
-
-def _pack(stack, real):
-    """The rows the walks run on, and how many of them, leading, carry two
-    signals.  A real kernel gives M_g (a + ib) = M_g a + i M_g b for real
-    a and b, so when every kernel is real the leading real signals of the
-    stack go two to a row, a in the real part and b in the imaginary part;
-    an odd one out and every complex signal keep a row of their own, as
-    every signal does when some kernel is complex."""
-    lead = next((k for k, f in enumerate(stack) if np.any(f.imag)),
-                len(stack))
-    pairs = 2 * (lead // 2) if real else 0
-    return np.concatenate([stack[:pairs:2] + 1j * stack[1:pairs:2].real,
-                           stack[pairs:]]), pairs // 2
-
-
-def _carried(rows, packed):
-    """The indices of the signals that each row of a stack carries, when
-    its first `packed` rows carry two."""
-    return [(2 * r, 2 * r + 1) if r < packed else (packed + r,)
-            for r in range(rows)]
-
-
-def _halves(items):
-    """The two halves of a sequence, the first the longer by at most one."""
-    cut = (len(items) + 1) // 2
-    return items[:cut], items[cut:]
-
-
-def _inline(task, items):
-    """[task(first half of items, 0), task(second half of items, 1)], both
-    on the calling thread: a walk's halves run one after the other."""
-    return [task(half, h) for h, half in enumerate(_halves(items))]
-
-
-def _two_way(task, items):
-    """`_inline`, with the second half on a second thread: numpy's FFTs and
-    ufunc loops release the GIL, so the halves run at once.  The halves may
-    write only disjoint outputs, and each gets its own buffers by its index.
-    The thread is joined before this returns or raises, and an error of
-    either half is raised here, the first half's first.  With nothing in
-    the second half no thread is started."""
-    first, second = _halves(items)
-    if not second:
-        return _inline(task, items)
-    done = {}
-
-    def run():
-        try:
-            done["result"] = task(second, 1)
-        except BaseException as exc:  # re-raised on the calling thread
-            done["error"] = exc
-
-    thread = threading.Thread(target=run)
-    thread.start()
-    try:
-        mine = task(first, 0)
-    finally:
-        thread.join()
-    if "error" in done:
-        raise done["error"]
-    return [mine, done["result"]]
-
-
-def _product_residuals(syms, mults, spectra, peaks, pairs, grid, packed=0,
-                       split=None):
-    """Multiplicativity residuals ||M_{g_i g_j} f_k - M_{g_i} M_{g_j} f_k||
-    keyed (i, j, k) for each pair (i, j) of indices into syms, and the norms
-    ||M_{g_j} f_k|| keyed (j, k) for every second factor j.
-
-    mults[i] is the multiplier of syms[i], the whole window or a real
-    kernel's half (`hardy._bins`), spectra the stack of guarded spectra of
-    the signals f_k, whose first `packed` rows carry two real signals each
-    (`_pack`; only real kernels may see such rows), and peaks[k] the peak of
-    f_k, the floor of the guard on M_{g_j} f_k: an output at roundoff (a
-    delay past the signal) has no tail to judge.  The pairs are walked by
-    second factor, so each product multiplier is built once (or taken from
-    mults when the product is itself one of syms), on half the window when
-    both factors are, and only the output spectra G_j of M_{g_j} for one
-    symbol are held at a time.  Each residual is formed in the spectrum,
-    prod*F - m_i*G_j, and takes one inverse DFT.
-
-    Per second factor, `split` (`_two_way` unless given) runs the output
-    rows in two halves and then the first factors in two halves, each half
-    building its own product multipliers.  Each half runs its rows one at
-    a time through a work row, a scratch block (`hardy._difference`) and a
-    held product multiplier of its own, all allocated here on the calling
-    thread: full-size temporaries would set the peak memory, and freeing
-    them would fragment the heap.
-    """
-    split = split or _two_way
-    carried = _carried(len(spectra), packed)
-    n = grid.n_samples
-    halved = all(len(m) == n + 1 for m in mults)
-    bufs = [(np.empty((1, 2 * n), dtype=complex),
-             np.empty(min(_BLOCK, n + 1), dtype=complex),
-             np.empty(n + 1 if halved else 2 * n, dtype=complex))
-            for _ in range(2)]
-    out_spectra = np.empty_like(spectra)
-    # the symbol algebra stays on the calling thread
-    products = {(i, j): multiply(syms[i], syms[j]) for i, j in pairs}
-
-    def outputs(rows, h):
-        work, norms = bufs[h][0], {}
-        for r in rows:
-            ks, paired = carried[r], int(r < packed)
-            outs = _apply_multiplier(spectra[r:r + 1], mults[j], out=work)
-            norms.update(zip([(j, k) for k in ks],
-                             _l2_norms(outs, grid.dt, paired).tolist()))
-            _guarded_spectrum(outs, out=out_spectra[r:r + 1],
-                              floor=peaks[list(ks)], packed=paired)
-        return norms
-
-    def residuals(firsts, h):
-        work, scratch, held = bufs[h]
-        resid = {}
-        for i in firsts:
-            g = products[i, j]
-            if g in syms:
-                prod = mults[syms.index(g)]
-            else:
-                half = len(mults[i]) == len(mults[j]) == n + 1
-                prod = discrete_multiplier(
-                    g, grid, out=held[:n + 1 if half else 2 * n])
-            for r, ks in enumerate(carried):
-                _difference(spectra[r], prod, out_spectra[r], mults[i],
-                            work[0], scratch)
-                resid.update(zip([(i, j, k) for k in ks],
-                                 _l2_norms(_causal_window(work), grid.dt,
-                                           int(r < packed)).tolist()))
-        return resid
-
-    resid, norms = {}, {}
-    for j in sorted({j for _, j in pairs}):
-        for part in split(outputs, range(len(carried))):
-            norms.update(part)
-        for part in split(residuals, sorted(i for i, second in pairs
-                                            if second == j)):
-            resid.update(part)
-    return resid, norms
-
-
-def _shift_buffers(n, count):
-    """The shift check's buffers, allocated once per check on the calling
-    thread: the stack that receives the spectra of a row's `count` shifts
-    and, for each half of the multipliers, a work row and the window that
-    holds M_g f."""
-    return (np.empty((count, 2 * n), dtype=complex),
-            [(np.empty((1, 2 * n), dtype=complex), np.empty(n, dtype=complex))
-             for _ in range(2)])
-
-
-def _shift_residuals(row, mults, taus, dt, signals=(0,), buffers=None):
-    """Shift residuals ||sigma_tau M_{g_i} f_k - M_{g_i} sigma_tau f_k||
-    keyed (i, k, t) for multipliers mults[i], the signals f_k that the row
-    f carries (k in `signals`: two real signals in its real and imaginary
-    parts, or one) and shifts taus[t].
-
-    row is a doubled-window row whose first half holds the samples of f;
-    it receives the guarded spectrum of f.  The shifts of f are written
-    straight into the shift stack of `buffers` (`_shift_buffers`, made here
-    if not given), which receives their spectra.  `_two_way` transforms
-    the row and its shifts in two halves, and then splits the multipliers
-    in two halves; per multiplier a half applies the rows one at a time
-    through its work row, the first giving M_{g_i} f, held in its window,
-    and the others the M_{g_i} sigma_tau f, each subtracted from the shift
-    of M_{g_i} f in the anticausal half of the work row, which the causal
-    window leaves free."""
-    two = len(signals) == 2
-    n = len(row) // 2
-    shifts, bufs = buffers or _shift_buffers(n, len(taus))
-    for dest, tau in zip(shifts, taus):
-        _shift_into(row[:n], tau, dt, dest[:n])
-    _two_way(lambda rows, h: [
-        _guarded_spectrum(r[None, :n], out=r[None], packed=int(two))
-        for r in rows], [row, *shifts])
-
-    def task(indices, h):
-        work, held = bufs[h]
-        resid = {}
-        for i in indices:
-            held[:] = _apply_multiplier(row[None], mults[i], out=work)[0]
-            for t, (tau, shifted) in enumerate(zip(taus, shifts)):
-                out = _apply_multiplier(shifted[None], mults[i], out=work)[0]
-                diff = work[0, n:]
-                _shift_into(held, tau, dt, diff)
-                diff -= out
-                resid.update(zip([(i, k, t) for k in signals],
-                                 _l2_norms(diff[None], dt,
-                                           int(two)).tolist()))
-        return resid
-
-    return {key: x for part in _two_way(task, range(len(mults)))
-            for key, x in part.items()}
+    return np.array([np.exp(-2.0 * t), t * np.exp(-2.5 * t),
+                     np.exp(-2.0 * t) * np.cos(3.0 * t),
+                     np.exp(-2.0 * (t - 2.0) ** 2), np.exp((-3.0 + 1j) * t)],
+                    dtype=complex)
 
 
 def check_toeplitz(grid, battery):
     """The discrete half-line operator M_g on five sampled signals:
     multiplicativity M_{gh} = M_g M_h, commutation with shifts, the norm
     bound ||M_g f|| <= ||g|| ||f||, and the fourth-order shrink of the
-    product residual when the step is halved.
-
-    Every walk runs in two halves, the calling thread one and a second
-    thread (`_two_way`) the other: per row of the shift check, the spectra
-    of the row and its shifts and then the multipliers; per second factor
-    of the product walk, the output rows and then the first factors, each
-    half building its own product multipliers; and the two refinement
-    levels.  The halves write disjoint
-    outputs through buffers allocated on the calling thread, and their
-    results are merged in walk order, so every report is the one a walk on
-    one thread gives, bit for bit.  The second thread costs its own numpy
-    FFT scratch, about 4 MiB on the 2^17-point window of a 65,536-sample
-    grid, which its malloc arena keeps after the thread is joined; holding
-    each real kernel's multiplier on its n + 1 nonnegative bins, half the
-    window, pays for it."""
+    product residual when the step is halved.  The residuals and norms
+    are `hardy.toeplitz_residuals`'s; each is keyed (symbol, signal, ...),
+    so the first worst case names the witness."""
     syms = list(battery)
     pairs = [(i, j) for i in range(len(syms)) for j in range(i, len(syms))]
-    kernels = list(_battery_kernels(syms, pairs))
     taus = (grid.dt, 16 * grid.dt, 0.5)
-    _require_grid_fits(kernels, grid, taus)
-
-    # Each multiplier is built once, straight into its held row, and each
-    # input spectrum computed once; outputs are recomputed from them rather
-    # than held.  When every kernel of the battery and its pair products has
-    # real coefficients, the four real signals travel two to a row (`_pack`)
-    # and the complex one alone, so every walk pushes three rows, not five,
-    # through each FFT and multiplier product; each signal's norms and
-    # residuals are read from its row's real part, imaginary part or both,
-    # and the wraparound guard judges each signal on its own.  Every walk
-    # transforms and multiplies one row at a time through a work row of its
-    # half, so numpy's FFT maps no multi-row scratch.  The shift check runs
-    # first, through one shift stack for the whole check, and turns each
-    # row into its spectrum, the input of the multiplicativity walk.
-    # Residuals are keyed (symbol, signal, ...), so the first worst case
-    # names the witness.
+    labels = _SIGNAL_LABELS
     started = time.perf_counter()
-    n = grid.n_samples
-    mults = [np.empty(n + 1 if _real_coefficients(krep) else 2 * n,
-                      dtype=complex) for _, krep in kernels[:len(syms)]]
-    for g, m in zip(syms, mults):
-        discrete_multiplier(g, grid, out=m)
-    labels, stack = _signals(grid)
-    f_norms = _l2_norms(stack, grid.dt).tolist()
-    peaks = np.max(np.abs(stack), axis=1)
-    rows, packed = _pack(stack, all(_real_coefficients(krep)
-                                    for _, krep in kernels))
-    # One buffer holds the rows and then their spectra: row r keeps its
-    # samples in its first half until the shift check has used them and
-    # replaces the row by the spectrum.
-    spectra = np.empty((len(rows), 2 * n), dtype=complex)
-    spectra[:, :n] = rows
-    del stack, rows
-    buffers = _shift_buffers(n, len(taus))
-    resid = {}
-    for r, signals in enumerate(_carried(len(spectra), packed)):
-        resid.update(_shift_residuals(spectra[r], mults, taus, grid.dt,
-                                      signals, buffers))
-    del buffers
+    # the stack is passed, not kept, so the walks free it once packed
+    shifted, resid, norms, f_norms = toeplitz_residuals(
+        syms, pairs, _signals(grid), grid, taus)
     # the first (symbol, signal, tau) while every residual is below 1e-12,
     # where rounding would decide the argmax (`_closest`)
-    i, k, t = _closest({key: (0.0, x) for key, x in resid.items()},
+    i, k, t = _closest({key: (0.0, x) for key, x in shifted.items()},
                        (0, 0, 0))
     shift_report = finish_report(
-        "toeplitz_shift_commutation", 0.0, resid[i, k, t],
+        "toeplitz_shift_commutation", 0.0, shifted[i, k, t],
         f"{to_text(syms[i])} on {labels[k]}, tau={taus[t]:g}", 1e-6,
         started, {"taus": [float(t) for t in taus],
-                  "max_residual": _worst(resid)[1]})
-
-    started = time.perf_counter()
-    resid, norms = _product_residuals(syms, mults, spectra, peaks, pairs,
-                                      grid, packed)
-    del spectra, mults
+                  "max_residual": _worst(shifted)[1]})
     (i, j, k), r = _worst(resid)
     reports = [finish_report(
         "toeplitz_multiplicativity", 0.0, r,
@@ -672,6 +415,7 @@ def check_toeplitz(grid, battery):
     # sits on the circular truncation floor e^{-alpha*horizon} where halving
     # the step cannot show the shrink.  The base step is kept at 2^-5 or
     # coarser, so a finer reference dt does not push the base onto the floor.
+    # The two levels are the halves of a `two_way`, each nesting its own.
     started = time.perf_counter()
     ref_syms = (atom(1.0, 1.0), atom(1.0, 3.0),
                 add(atom(0.4, 2.0), Constant(0.5)))
@@ -682,25 +426,13 @@ def check_toeplitz(grid, battery):
     fine = GridSpec(2 * base.n_samples, base.dt / 2.0)
 
     def level_residuals(levels, h):
-        worst = []
-        for level in levels:
-            stack = _signals(level)[1]
-            # the fixed battery, real atoms and a constant, is real
-            rows, packed = _pack(stack, True)
-            mults = [discrete_multiplier(g, level, out=np.empty(
-                level.n_samples + 1, dtype=complex)) for g in ref_syms]
-            # inline: the two levels are the halves of this walk
-            resid = _product_residuals(
-                ref_syms, mults, _guarded_spectrum(rows, packed=packed),
-                np.max(np.abs(stack), axis=1), ref_pairs, level, packed,
-                split=_inline)[0]
-            worst.append({(i, j): max(resid[i, j, k]
-                                      for k in range(len(stack)))
-                          for i, j in ref_pairs})
-        return worst
+        return [toeplitz_residuals(ref_syms, ref_pairs, _signals(level),
+                                   level, ())[1] for level in levels]
 
-    worst = [w for part in _two_way(level_residuals, (base, fine))
-             for w in part]
+    worst = [{(i, j): max(resid[i, j, k] for k in range(len(labels)))
+              for i, j in ref_pairs}
+             for part in two_way(level_residuals, (base, fine))
+             for resid in part]
     (i, j), r = _worst({p: worst[1][p] / worst[0][p] for p in ref_pairs})
     reports.append(finish_report(
         "toeplitz_refinement", 0.25, r,

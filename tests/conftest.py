@@ -90,6 +90,14 @@ def shift(f, tau):
                                              np.empty_like(f.values)))
 
 
+def inline(task, items):
+    """`hardy.two_way` on the calling thread alone: [task(first half of
+    items, 0), task(second half of items, 1)], one after the other, the
+    one-thread reference of the Toeplitz walks."""
+    cut = (len(items) + 1) // 2
+    return [task(items[:cut], 0), task(items[cut:], 1)]
+
+
 def power_stack(M, n):
     """The n powers M^k, k < n, as one stack, each the previous one times
     M: with M = T(dt), the sampled orbit T(k dt) that the Toeplitz route

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hardycalc import cli, scenarios, verifier
+from hardycalc import cli, hardy, scenarios, verifier
 from hardycalc.cli import ConfigError, ExperimentConfig, list_scenarios, main, run
 from hardycalc.symbols import to_text
 
@@ -435,7 +435,7 @@ class TestToeplitzBuildOnce:
         builds = []
         # (window length, rows) of every numpy FFT call
         calls = {"fft": [], "ifft": []}
-        build = verifier.discrete_multiplier
+        build = hardy.discrete_multiplier
 
         def counting_build(g, grid, out=None):
             builds.append((to_text(g), grid))
@@ -456,7 +456,7 @@ class TestToeplitzBuildOnce:
                 out[n] = out.get(n, 0) + rows
             return out
 
-        monkeypatch.setattr(verifier, "discrete_multiplier", counting_build)
+        monkeypatch.setattr(hardy, "discrete_multiplier", counting_build)
         for name in calls:
             monkeypatch.setattr(np.fft, name, counting(name))
         code, reports = run(ExperimentConfig(scenario="toeplitz_properties",

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hardycalc import cli, verifier
+from hardycalc import cli, hardy, verifier
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
@@ -126,14 +126,14 @@ def test_toeplitz_witnesses_survive_rounding(tmp_path, monkeypatch, capsys):
         return [r.to_json_dict() for r in reports]
 
     old = sweep()
-    apply = verifier._apply_multiplier
+    apply = hardy._apply_multiplier
 
     def scaled(spectra, m, out=None):
         outs = apply(spectra, m, out=out)
         outs *= 1.0 + 1e-15
         return outs
 
-    monkeypatch.setattr(verifier, "_apply_multiplier", scaled)
+    monkeypatch.setattr(hardy, "_apply_multiplier", scaled)
     new = sweep()
     assert [r["bound_measured"] for r in new] != \
         [r["bound_measured"] for r in old]

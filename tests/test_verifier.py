@@ -15,14 +15,13 @@ import numpy as np
 import pytest
 
 import hardycalc
-from conftest import damped_string, l2_norm, shift, spiked
-from hardycalc import cli, numkernel, scenarios, semigroup, verifier
+from conftest import damped_string, inline, l2_norm, shift, spiked
+from hardycalc import cli, hardy, numkernel, scenarios, semigroup, verifier
 from hardycalc.admissibility import observability_gramian, sqrt_minus_A
 from hardycalc.calculus import gA_convolution
 from hardycalc.hardy import (GridSpec, SampledSignal, WraparoundError,
-                             _guarded_spectrum, _real_coefficients,
-                             _require_grid_fits, discrete_multiplier,
-                             toeplitz_apply)
+                             _real_coefficients, _require_grid_fits,
+                             toeplitz_apply, toeplitz_residuals)
 from hardycalc.semigroup import Generator, example26, random_stable, resolvent
 from hardycalc.symbols import (Constant, Delay, add, atom, eval_at,
                                hinf_norm, kernel, multiply, to_text)
@@ -470,6 +469,43 @@ class TestVerdictHome:
                     ("admissibility", "imports time")} & found
 
 
+# Every private name that one module of the package imports from another,
+# with its reason.  A new one fails TestModuleBoundary until it is listed.
+_PRIVATE_IMPORTS = {
+    ("calculus", "numkernel", "_poly_matrix"):
+        "the Toeplitz route reads g(A) off as a polynomial in T(dt), and "
+        "numkernel keeps the one polynomial evaluator",
+    ("calculus", "hardy", "_require_grid_fits"):
+        "the Toeplitz route to g(A) runs the grid-fit rule of the Toeplitz "
+        "walks, which lives with the multipliers it judges",
+    ("verifier", "calculus", "_gA_exact"):
+        "the closed-form g(A) of the claimed sides, which the benchmark's "
+        "tracer lists as a private cross-module call (bench/spans.py)",
+}
+
+
+class TestModuleBoundary:
+    def test_verifier_states_claims_and_hardy_runs_the_walks(self):
+        # the Toeplitz walks and their threads live in hardy behind
+        # toeplitz_residuals and two_way; verifier reads none of their parts
+        package = Path(hardycalc.__file__).parent
+        private, threads = set(), set()
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and node.level:
+                    private |= {(path.stem, node.module, a.name)
+                                for a in node.names if a.name.startswith("_")}
+                if isinstance(node, ast.Import) and any(
+                        a.name == "threading" for a in node.names) or (
+                        isinstance(node, ast.ImportFrom)
+                        and node.module == "threading"):
+                    threads.add(path.stem)
+        assert not {(m, name) for m, source, name in private
+                    if (m, source) == ("verifier", "hardy")}
+        assert threads == {"hardy"}
+        assert private == set(_PRIVATE_IMPORTS)
+
+
 def _package_imports(node, package):
     """Names of the package modules that one import statement imports."""
     if isinstance(node, ast.ImportFrom) and node.level:
@@ -741,13 +777,10 @@ class TestToeplitzResiduals:
         # spectrum, one inverse DFT per (pair, signal), against the
         # difference of two separate applications
         grid, syms = TOEPLITZ_GRID, list(COMPLEX_BATTERY)
-        _, stack = verifier._signals(grid)
+        stack = verifier._signals(grid)
         sigs = [SampledSignal(grid, f) for f in stack]
         pairs = [(i, j) for i in range(len(syms)) for j in range(len(syms))]
-        resid, norms = verifier._product_residuals(
-            syms, [discrete_multiplier(g, grid) for g in syms],
-            _guarded_spectrum(stack), np.max(np.abs(stack), axis=1), pairs,
-            grid)
+        _, resid, norms, _ = toeplitz_residuals(syms, pairs, stack, grid, ())
         assert set(resid) == {(i, j, k) for i, j in pairs
                               for k in range(len(sigs))}
         for (i, j, k), r in resid.items():
@@ -760,32 +793,33 @@ class TestToeplitzResiduals:
     def test_shift_residuals_match_per_signal(self):
         # complex kernels, one signal per row: one stack holds a signal and
         # its shifts; each residual against shift and toeplitz_apply on
-        # single signals, bit for bit
+        # single signals, bit for bit.  The shift walk leaves each row as
+        # its guarded spectrum: the product walk after it gives, bit for
+        # bit, what it gives after a walk with no shifts
         grid, syms = TOEPLITZ_GRID, list(COMPLEX_BATTERY)
-        mults = np.array([discrete_multiplier(g, grid) for g in syms])
-        for values in verifier._signals(grid)[1]:
-            f = SampledSignal(grid, values)
-            row = _doubled(values)
-            resid = verifier._shift_residuals(row, mults, TAUS, grid.dt)
-            assert np.array_equal(row, _guarded_spectrum(values[None])[0])
-            assert set(resid) == {(i, 0, t) for i in range(len(syms))
-                                  for t in range(len(TAUS))}
-            for (i, _, t), r in resid.items():
-                assert r == _shift_oracle(syms[i], f, TAUS[t])
+        stack = verifier._signals(grid)
+        pairs = [(0, 1), (1, 3), (3, 3)]
+        shifted, *products = toeplitz_residuals(syms, pairs, stack, grid,
+                                                TAUS)
+        assert products == list(toeplitz_residuals(syms, pairs, stack, grid,
+                                                   ())[1:])
+        assert set(shifted) == {(i, k, t) for i in range(len(syms))
+                                for k in range(len(stack))
+                                for t in range(len(TAUS))}
+        for (i, k, t), r in shifted.items():
+            f = SampledSignal(grid, stack[k])
+            assert r == _shift_oracle(syms[i], f, TAUS[t])
 
     def test_packed_product_residuals_match_per_signal(self):
         # real kernels, two real signals per row: each signal's residual
         # and output norm against per-signal applications, to rounding
         grid, syms = TOEPLITZ_GRID, list(TOEPLITZ_BATTERY)
-        _, stack = verifier._signals(grid)
+        stack = verifier._signals(grid)
         sigs = [SampledSignal(grid, f) for f in stack]
-        rows, packed = verifier._pack(stack, True)
+        rows, packed = hardy._pack(stack, True)
         assert packed == 2 and len(rows) == 3
         pairs = [(i, j) for i in range(len(syms)) for j in range(len(syms))]
-        resid, norms = verifier._product_residuals(
-            syms, [discrete_multiplier(g, grid) for g in syms],
-            _guarded_spectrum(rows, packed=packed),
-            np.max(np.abs(stack), axis=1), pairs, grid, packed)
+        _, resid, norms, _ = toeplitz_residuals(syms, pairs, stack, grid, ())
         assert set(resid) == {(i, j, k) for i, j in pairs
                               for k in range(len(sigs))}
         for (i, j, k), r in resid.items():
@@ -795,18 +829,15 @@ class TestToeplitzResiduals:
 
     def test_packed_shift_residuals_match_per_signal(self):
         grid, syms = TOEPLITZ_GRID, list(TOEPLITZ_BATTERY)
-        _, stack = verifier._signals(grid)
-        rows, packed = verifier._pack(stack, True)
-        mults = np.array([discrete_multiplier(g, grid) for g in syms])
-        for row, signals in zip(rows, verifier._carried(len(rows), packed)):
-            resid = verifier._shift_residuals(_doubled(row), mults, TAUS,
-                                              grid.dt, signals)
-            assert set(resid) == {(i, k, t) for i in range(len(syms))
-                                  for k in signals for t in range(len(TAUS))}
-            for (i, k, t), r in resid.items():
-                f = SampledSignal(grid, stack[k])
-                assert abs(r - _shift_oracle(syms[i], f, TAUS[t])) \
-                    <= 1e-15 * l2_norm(f)
+        stack = verifier._signals(grid)
+        shifted = toeplitz_residuals(syms, [], stack, grid, TAUS)[0]
+        assert set(shifted) == {(i, k, t) for i in range(len(syms))
+                                for k in range(len(stack))
+                                for t in range(len(TAUS))}
+        for (i, k, t), r in shifted.items():
+            f = SampledSignal(grid, stack[k])
+            assert abs(r - _shift_oracle(syms[i], f, TAUS[t])) \
+                <= 1e-15 * l2_norm(f)
 
     @pytest.mark.parametrize("battery, rows", [
         (TOEPLITZ_BATTERY, [(0, 1), (2, 3), (4,)]),
@@ -819,18 +850,19 @@ class TestToeplitzResiduals:
     def test_signals_are_packed_only_under_real_kernels(self, battery, rows,
                                                         monkeypatch):
         seen, built = [], []
-        walk, build = verifier._shift_residuals, verifier.discrete_multiplier
+        walk, build = hardy._shift_residuals, hardy.discrete_multiplier
 
-        def spy(row, mults, taus, dt, signals=(0,), buffers=None):
-            seen.append(signals)
+        def spy(row, mults, taus, dt, signals, buffers):
+            if taus:  # the main grid: the refinement levels take no shifts
+                seen.append(signals)
             return walk(row, mults, taus, dt, signals, buffers)
 
         def counted(g, grid, out=None):
             built.append(g)
             return build(g, grid, out=out)
 
-        monkeypatch.setattr(verifier, "_shift_residuals", spy)
-        monkeypatch.setattr(verifier, "discrete_multiplier", counted)
+        monkeypatch.setattr(hardy, "_shift_residuals", spy)
+        monkeypatch.setattr(hardy, "discrete_multiplier", counted)
         if rows is None:
             with pytest.raises(WraparoundError, match="0.3 = 19.2 steps"):
                 check_toeplitz(TOEPLITZ_GRID, battery)
@@ -871,15 +903,15 @@ class TestToeplitzResiduals:
         assert report.details["max_residual"] < 1e-12
         assert report.witness == f"exp(0.5*s) on exp(-2t), tau={TAUS[0]:g}"
         assert report.bound_measured <= report.details["max_residual"]
-        walk = verifier._shift_residuals
+        walk = hardy._shift_residuals
 
-        def bumped(row, mults, taus, dt, signals=(0,), buffers=None):
+        def bumped(row, mults, taus, dt, signals, buffers):
             resid = walk(row, mults, taus, dt, signals, buffers)
             if 3 in signals:
                 resid[0, 3, 1] = 1e-7
             return resid
 
-        monkeypatch.setattr(verifier, "_shift_residuals", bumped)
+        monkeypatch.setattr(hardy, "_shift_residuals", bumped)
         report = next(r for r in check_toeplitz(TOEPLITZ_GRID, (Delay(0.5),))
                       if r.name == "toeplitz_shift_commutation")
         assert report.witness == \
@@ -894,14 +926,14 @@ class TestToeplitzResiduals:
         battery = (Constant(0.7), Delay(0.5))
 
         def norm_report(scale=lambda key: 1.0):
-            walk = verifier._product_residuals
+            walk = hardy._product_residuals
 
             def scaled(*args, **kwargs):
                 resid, norms = walk(*args, **kwargs)
                 return resid, {key: x * scale(key) for key, x in norms.items()}
 
             with monkeypatch.context() as m:
-                m.setattr(verifier, "_product_residuals", scaled)
+                m.setattr(hardy, "_product_residuals", scaled)
                 return next(r for r in check_toeplitz(TOEPLITZ_GRID, battery)
                             if r.name == "toeplitz_norm_bound")
 
@@ -936,15 +968,30 @@ class TestToeplitzResiduals:
     @pytest.mark.parametrize("battery", [TOEPLITZ_BATTERY, COMPLEX_BATTERY],
                              ids=["real", "complex"])
     def test_two_way_reports_match_one_thread(self, battery, monkeypatch):
-        # every walk's halves write disjoint outputs and merge in walk
-        # order: field for field the reports of both halves run inline
+        # every walk's halves write disjoint outputs and merge by key, and
+        # the refinement levels nest their walks' splits in their own: field
+        # for field the reports of every half run inline
         def fields(reports):
             return [{k: v for k, v in r.to_json_dict().items()
                      if k != "runtime_ms"} for r in reports]
 
         two_way = fields(check_toeplitz(TOEPLITZ_GRID, battery))
-        monkeypatch.setattr(verifier, "_two_way", verifier._inline)
+        calls = []
+
+        def counted(task, items):
+            calls.append(threading.get_ident())
+            return inline(task, items)
+
+        bindings = [name for name, module in sys.modules.items()
+                    if name.startswith("hardycalc") and
+                    getattr(module, "two_way", None) is hardy.two_way]
+        assert sorted(bindings) == ["hardycalc.hardy", "hardycalc.verifier"]
+        for name in bindings:
+            monkeypatch.setattr(sys.modules[name], "two_way", counted)
+        before = threading.active_count()
         assert fields(check_toeplitz(TOEPLITZ_GRID, battery)) == two_way
+        assert set(calls) == {threading.get_ident()}
+        assert threading.active_count() == before
 
     def test_second_half_runs_on_a_second_thread(self):
         caller = threading.get_ident()
@@ -952,11 +999,11 @@ class TestToeplitzResiduals:
         def task(items, h):
             return list(items), h, threading.get_ident()
 
-        (first, h0, t0), (second, h1, t1) = verifier._two_way(task, range(5))
+        (first, h0, t0), (second, h1, t1) = hardy.two_way(task, range(5))
         assert (first, h0, second, h1) == ([0, 1, 2], 0, [3, 4], 1)
         assert t0 == caller != t1
         # nothing in the second half: no thread
-        assert [t for *_, t in verifier._two_way(task, range(1))] == \
+        assert [t for *_, t in hardy.two_way(task, range(1))] == \
             [caller, caller]
 
     def test_concurrent_checks_under_a_short_switch_interval(self):
@@ -993,7 +1040,7 @@ class TestToeplitzResiduals:
                                                        monkeypatch):
         # the guard of an output row fails on the half that owns it: the
         # check raises that error, and no thread is left running
-        guard = verifier._guarded_spectrum
+        guard = hardy._guarded_spectrum
 
         def failing(*args, **kwargs):
             on_caller = threading.current_thread() is threading.main_thread()
@@ -1002,8 +1049,30 @@ class TestToeplitzResiduals:
             return guard(*args, **kwargs)
 
         before = threading.active_count()
-        monkeypatch.setattr(verifier, "_guarded_spectrum", failing)
+        monkeypatch.setattr(hardy, "_guarded_spectrum", failing)
         with pytest.raises(WraparoundError, match=f"a row of the {owner}"):
+            check_toeplitz(TOEPLITZ_GRID, TOEPLITZ_BATTERY)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("level", [128, 256], ids=["base", "fine"])
+    def test_error_in_a_nested_level_walk_is_raised(self, level,
+                                                   monkeypatch):
+        # the base level runs on the calling thread and the fine one on a
+        # second, and each level's product walk splits its output rows
+        # again: an output row's guard fails on a thread other than the
+        # caller's, and the error still reaches the caller of the check,
+        # with every thread of both splits joined
+        guard = hardy._guarded_spectrum
+
+        def failing(stack, *args, **kwargs):
+            if ("floor" in kwargs and stack.shape[1] == level and
+                    threading.current_thread() is not threading.main_thread()):
+                raise WraparoundError(f"a row of the {level}-sample level")
+            return guard(stack, *args, **kwargs)
+
+        before = threading.active_count()
+        monkeypatch.setattr(hardy, "_guarded_spectrum", failing)
+        with pytest.raises(WraparoundError, match=f"{level}-sample level"):
             check_toeplitz(TOEPLITZ_GRID, TOEPLITZ_BATTERY)
         assert threading.active_count() == before
 
@@ -1012,7 +1081,7 @@ class TestToeplitzResiduals:
         # in the residual rather than cancel against M_g M_h
         products = {multiply(g, h) for g in TOEPLITZ_BATTERY
                     for h in TOEPLITZ_BATTERY} - set(TOEPLITZ_BATTERY)
-        build = verifier.discrete_multiplier
+        build = hardy.discrete_multiplier
 
         def scaled(g, grid, out=None):
             m = build(g, grid, out=out)
@@ -1026,7 +1095,7 @@ class TestToeplitzResiduals:
                         if r.name == "toeplitz_multiplicativity")
 
         assert multiplicativity().passed
-        monkeypatch.setattr(verifier, "discrete_multiplier", scaled)
+        monkeypatch.setattr(hardy, "discrete_multiplier", scaled)
         assert not multiplicativity().passed
 
 
