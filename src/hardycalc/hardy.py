@@ -58,11 +58,9 @@ phases that shift by whole samples); a delay between grid points is a
 band-limited shift of the padded window, not a sample shift.  A kernel
 mode's weighted sum over the samples is a rational function of
 q = e^{-alpha dt} exp(i omega dt) with coefficients fixed per mode, so the
-unit-circle points exp(i omega dt) are computed once for all modes, and
-only on the n + 1 bins of nonnegative frequency: the transform of a measure
-K satisfies m_K(-omega) = conj(m_{conj K}(omega)), so the negative bins are
-the conjugated response of the conjugate kernel, which is K itself when its
-coefficients are real.
+unit-circle points exp(i omega dt) are computed once for all modes, and,
+for a kernel with real coefficients, only on the n + 1 bins of nonnegative
+frequency, since its negative bins are the conjugated positive ones.
 """
 
 from __future__ import annotations
@@ -238,14 +236,6 @@ def _real_coefficients(krep):
             and all(w.imag == 0.0 for w, _ in krep.delays))
 
 
-def _conjugate(krep):
-    """The conjugate kernel: every coefficient, pole and weight conjugated."""
-    return KernelRep(
-        modes=tuple((c.conjugate(), a.conjugate(), p, off)
-                    for c, a, p, off in krep.modes),
-        delays=tuple((w.conjugate(), tau) for w, tau in krep.delays))
-
-
 def _response(krep, omega, grid, out, scratch):
     """Frequency response of the discretized one-sided kernel at the
     frequencies omega, written to out (zeroed first); scratch holds three
@@ -318,18 +308,13 @@ def discrete_multiplier(krep, grid, out=None):
     shifted modes at tau >= grid.horizon read only the zero pad and are
     skipped, as their phases would wrap round the doubled window.
 
-    The response is evaluated on the n + 1 bins omega_k = 2 pi k/(2n dt),
-    k = 0..n, only, in blocks of `_BLOCK` bins written straight into the
-    result.  Bins 0..n-1 are H_K(omega_k); bin 2n - k, k = 1..n (the
-    Nyquist bin n included, which numpy puts at -pi/dt), is
-    conj(H_{conj K}(omega_k)), since the transform of a measure satisfies
-    m_K(-omega) = conj(m_{conj K}(omega)).  A kernel with real coefficients
-    is its own conjugate and takes one evaluation, a complex one two.
-    omega is formed as numpy's `fftfreq` forms it, whose negative bins are
-    the positive ones negated exactly, and conjugation commutes exactly
-    with every step (complex products, quotients, integer powers and exp),
-    so the result is the one an evaluation on all 2n bins gives, and every
-    step is elementwise, so the blocks do not change a bit of it.
+    The response is evaluated at numpy's `fftfreq` frequencies in blocks of
+    `_BLOCK` bins, elementwise, so the blocks do not change a bit of it: all
+    2n bins of a complex kernel, in blocks cut at bin n (the Nyquist bin, at
+    -pi/dt), and bins 0..n alone of a kernel with real coefficients, whose
+    bin 2n - k is conj(bin k), bin n included, bit for bit, since a real
+    measure has m_K(-omega) = conj(m_K(omega)) and conjugation commutes
+    exactly with complex products, quotients, integer powers and exp.
 
     `out`, if given, receives the result in place of a new array: the whole
     window of 2n bins or, for a kernel with real coefficients, its first
@@ -345,21 +330,17 @@ def discrete_multiplier(krep, grid, out=None):
     elif len(out) != 2 * n and not (real and len(out) == n + 1):
         raise ValueError("a multiplier takes 2n bins, or n + 1 for a kernel "
                          "with real coefficients")
-    conj = None if real else _conjugate(krep)
-    blocks = _blocks(0, n + 1, _BLOCK)
+    blocks = (_blocks(0, n + 1, _BLOCK) if real
+              else _blocks(0, n, _BLOCK) + _blocks(n, 2 * n, _BLOCK))
     omega = np.empty(max(hi - lo for lo, hi in blocks))
-    scratch = np.empty((3 if real else 4, len(omega)), dtype=complex)
+    scratch = np.empty((3, len(omega)), dtype=complex)
     for lo, hi in blocks:
-        w, block = omega[:hi - lo], scratch[:, :hi - lo]
-        np.multiply(np.arange(lo, hi), 1.0 / (2 * n * grid.dt), out=w)
+        w = omega[:hi - lo]
+        # numpy's `fftfreq` numbers bin k >= n as k - 2n
+        np.multiply(np.arange(lo, hi) - (2 * n if lo >= n else 0),
+                    1.0 / (2 * n * grid.dt), out=w)
         w *= 2.0 * math.pi
-        _response(krep, w, grid, out[lo:hi], block[:3])
-        if conj is not None:
-            # bins 2n - k for k = hi-1 down to max(lo, 1), in bin order
-            k0 = max(lo, 1)
-            c = _response(conj, w, grid, block[3], block[:3])
-            np.conjugate(c[k0 - lo:][::-1],
-                         out=out[2 * n - hi + 1:2 * n - k0 + 1])
+        _response(krep, w, grid, out[lo:hi], scratch[:, :hi - lo])
     if real:
         if len(out) == 2 * n:
             np.conjugate(out[n - 1:0:-1], out=out[n + 1:])

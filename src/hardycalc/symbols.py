@@ -163,17 +163,30 @@ def _golden_max(f, a, b):
     return max(f1, f2)
 
 
+def _pole_frequencies(g):
+    """The set of Im(alpha) over the atoms c/(alpha - s) of a symbol."""
+    match g:
+        case Atom():
+            return {g.alpha.imag}
+        case Constant() | Delay():
+            return set()
+        case Sum(parts) | Product(parts):
+            return set().union(*map(_pole_frequencies, parts))
+    raise TypeError(f"not a symbol expression: {g!r}")
+
+
 def hinf_norm(g):
     """sup over the axis of |g(i omega)|.
 
     Log-spaced sampling of |omega| up to 1e6 (2048 points plus the origin)
-    and at the kernel's pole frequencies Im(alpha), followed by golden-section
-    refinement around the grid maximum.  One-sided error is at the percent
-    level in the worst case for the rational/delay class; exact whenever the
-    sup sits at omega = 0 or the symbol is flat.
+    and at the pole frequencies Im(alpha) of the symbol's atoms, followed by
+    golden-section refinement around the grid maximum.  One-sided error is
+    at the percent level in the worst case for the rational/delay class;
+    exact whenever the sup sits at omega = 0 or the symbol is flat.  It reads
+    the tree, not the kernel that the checks' measured sides are built from.
     """
     pos = np.logspace(-4.0, 6.0, 1024).tolist()
-    peaks = {m[1].imag for m in kernel(g).modes}
+    peaks = _pole_frequencies(g)
     # one set, so a pole frequency already on the grid is not sampled twice
     grid = np.array(sorted({*(-w for w in pos), 0.0, *pos, *peaks}))
     vals = np.abs(eval_boundary(g, grid))

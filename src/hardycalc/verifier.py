@@ -1,11 +1,13 @@
 """Named numerical checks, one per verified inequality or identity.
 
 Every check returns a CheckReport (no other module makes one) whose verdict
-is measured <= claimed*(1+tol) + tol.  Checks that bundle sub-assertions
-fold them in as budget fractions (residual over its own threshold) or report
-the one closest to failing, so a single measured value decides the verdict.
-An identity between operators is measured on the whole operators in the
-2-norm, never on sampled states, and no random number is drawn here.
+is measured <= claimed*(1+tol) + tol.  One rule, `_worst`, picks it: a check
+keys its cases (symbols, samples, signals, or sub-assertions as fractions of
+their own thresholds), measures the largest value and names the first key
+within 1e-12 of it, so rounding never chooses, or a fixed case while the
+largest is below a floor.  An identity between operators is measured on the
+whole operators in the 2-norm, never on sampled states, and no random number
+is drawn here.
 
 Checks on symbols accept either a single symbol or a sequence, and treat a
 single symbol as a battery of one: the report's claimed bound is 1, its
@@ -35,7 +37,8 @@ from .admissibility import (lambda_limit, lebesgue_limit,
                             observability_gramian, sqrt_minus_A,
                             sqrt_t_bound_scan)
 from .calculus import _gA_exact, gA_convolution, gA_toeplitz
-from .hardy import GridSpec, times, toeplitz_residuals, two_way
+from .hardy import (GridSpec, WraparoundError, times, toeplitz_residuals,
+                    two_way)
 from .numkernel import hermitian_eigs, operator_norm, solve_lyapunov
 from .report import finish_report
 from .semigroup import (evaluate_T, example26, gramian, gramian_rule,
@@ -77,11 +80,21 @@ def _ratio(x, bound):
     return x / bound if bound != 0 else (0.0 if x == 0 else math.inf)
 
 
-def _worst(values):
-    """(key, value) of the largest value, the first in key order on a tie;
-    a nan counts as the largest, so that it fails the verdict."""
-    items = sorted(values.items())
-    return items[int(np.argmax([v for _, v in items]))]
+def _worst(values, floor=-math.inf, default=None):
+    """(key, value): the largest value of the dict `values`, a nan counting
+    as the largest so that it fails the verdict, and the first key in key
+    order whose value is within 1e-12 relative of it, so that rounding
+    cannot choose among near-ties; `default` in place of the key while the
+    value is below `floor`."""
+    keys = sorted(values)
+    vals = np.array([values[k] for k in keys], dtype=float)
+    i = int(np.argmax(vals))  # a ValueError when there are no values
+    top = float(vals[i])
+    if top < floor:
+        return default, top
+    if math.isfinite(top):
+        i = int(np.argmax(vals >= top - 1e-12 * abs(top)))
+    return keys[i], top
 
 
 # the right-half-plane samples of check_eq21 and the probe time of
@@ -104,11 +117,10 @@ def check_T0(gen, g):
     slacks, which = {}, {}
     for k, (g_k, ga, (sup, t_best)) in enumerate(zip(syms, gas, scans)):
         h = _hinf(g_k)
-        r_gram = _ratio(observability_gramian(gen, ga).m_admissible,
-                        gamma_A * h * h)
-        r_scan = _ratio(sup, M01 * h)
-        slacks[k] = max(r_gram, r_scan)
-        which[k] = "gramian" if r_gram >= r_scan else f"scan t={t_best:.4g}"
+        which[k], slacks[k] = _worst({
+            "gramian": _ratio(observability_gramian(gen, ga).m_admissible,
+                              gamma_A * h * h),
+            f"scan t={t_best:.4g}": _ratio(sup, M01 * h)})
     k, measured = _worst(slacks)
     witness = f"{to_text(syms[k])} ({which[k]})"
     details = {"gamma_A": gamma_A, "sup_T_01": M01, "per_symbol_slack": {
@@ -160,7 +172,8 @@ def check_cor33a(gen, g):
 
     Verifies the Gramian of (C, A) is the identity (budget 1e-8), the
     pairing identity C^H C = -(A + A^H) (budget 1e-9), and then
-    ||g(A)|| <= ||g||; measured is the worst budget fraction."""
+    ||g(A)|| <= ||g||; measured is the worst budget fraction, and the
+    witness the worst symbol or the identity that decides."""
     started = time.perf_counter()
     syms = _symbol_list(g)
     A = gen.matrix
@@ -180,8 +193,10 @@ def check_cor33a(gen, g):
     norms = operator_norm([_gA_exact(gen, g_k) for g_k in syms]).tolist()
     k, worst_ratio = _worst({k: _ratio(v, _hinf(g_k))
                              for k, (g_k, v) in enumerate(zip(syms, norms))})
-    witness = to_text(syms[k])
-    measured = max(worst_ratio, r_gram / 1e-8, r_pair / 1e-9)
+    labels = (to_text(syms[k]), "Gramian identity G = I",
+              "pairing identity C^H C = -(A + A^H)")
+    j, measured = _worst({0: worst_ratio, 1: r_gram / 1e-8, 2: r_pair / 1e-9})
+    witness = labels[j]
     details = {"gramian_identity_residual": r_gram,
                "pairing_identity_residual": r_pair,
                "von_neumann_ratio": worst_ratio}
@@ -220,14 +235,13 @@ def check_thm34(gen, g):
 
 def check_analytic_lemma(gen):
     """sup_t t||A T(t)|| <= m1 m2; the scan grid contains the exact
-    per-mode peak times 1/|lambda_n|, where the mode value is 1/e."""
+    per-mode peak times 1/|lambda_n|, where the mode value is 1/e, so the
+    peaks tie at rounding and the witness is the earliest."""
     started = time.perf_counter()
     m1 = m2 = _sqrt_gramian(gen)[1]
     ts, norms = norm_scan(gen, [gen.matrix], np.concatenate(
         [np.geomspace(1e-6, 10.0, 300), -1.0 / gen.eigenvalues.real]))
-    vals = ts * norms[0]
-    k = int(np.argmax(vals))
-    measured = float(vals[k])
+    k, measured = _worst(dict(enumerate((ts * norms[0]).tolist())))
     details = {"analytic_sup": measured, "t_at_sup": float(ts[k]),
                "e_inverse_reference": math.exp(-1.0), "m1": m1, "m2": m2}
     return finish_report("analytic_lemma", m1 * m2, measured,
@@ -246,14 +260,14 @@ def check_eq26(gen):
     if scaled_exact <= 0:
         raise ValueError("(-A)^{1/2} is not exactly observable here")
     quad_frac = gram.quadrature_rel_error / 1e-6
-    ratio = 1.0 / (m1 * m1 * scaled_exact)
-    witness = ("eigenvector of lambda_min(Q)" if ratio >= quad_frac
-               else "whole-Gramian quadrature cross-check")
+    witness, measured = _worst({
+        "eigenvector of lambda_min(Q)": 1.0 / (m1 * m1 * scaled_exact),
+        "whole-Gramian quadrature cross-check": quad_frac})
     details = {"exact_observability_scaled": scaled_exact, "m1": m1,
                "tau_quadrature_budget_fraction": quad_frac,
                "zero_state": "0 <= 0 trivially"}
-    return finish_report("eq26", 1.0, max(ratio, quad_frac), witness, 1e-6,
-                         started, details)
+    return finish_report("eq26", 1.0, measured, witness, 1e-6, started,
+                         details)
 
 
 def check_square_function(gen):
@@ -369,7 +383,8 @@ def check_toeplitz(grid, battery):
     bound ||M_g f|| <= ||g|| ||f||, and the fourth-order shrink of the
     product residual when the step is halved.  The residuals and norms
     are `hardy.toeplitz_residuals`'s; each is keyed (symbol, signal, ...),
-    so the first worst case names the witness."""
+    so `_worst` names the first case near the worst as the witness.  The
+    refinement levels run a fixed battery, which the horizon must carry."""
     syms = list(battery)
     pairs = [(i, j) for i in range(len(syms)) for j in range(i, len(syms))]
     taus = (grid.dt, 16 * grid.dt, 0.5)
@@ -378,15 +393,13 @@ def check_toeplitz(grid, battery):
     # the stack is passed, not kept, so the walks free it once packed
     shifted, resid, norms, f_norms = toeplitz_residuals(
         syms, pairs, _signals(grid), grid, taus)
-    # the first (symbol, signal, tau) while every residual is below 1e-12,
-    # where rounding would decide the argmax (`_closest`)
-    i, k, t = _closest({key: (0.0, x) for key, x in shifted.items()},
-                       (0, 0, 0))
+    # the named case is measured: the first (symbol, signal, tau) while
+    # every residual is below 1e-12, at rounding; the worst goes to details
+    (i, k, t), r = _worst(shifted, 1e-12, (0, 0, 0))
     shift_report = finish_report(
         "toeplitz_shift_commutation", 0.0, shifted[i, k, t],
         f"{to_text(syms[i])} on {labels[k]}, tau={taus[t]:g}", 1e-6,
-        started, {"taus": [float(t) for t in taus],
-                  "max_residual": _worst(shifted)[1]})
+        started, {"taus": [float(t) for t in taus], "max_residual": r})
     (i, j, k), r = _worst(resid)
     reports = [finish_report(
         "toeplitz_multiplicativity", 0.0, r,
@@ -395,17 +408,9 @@ def check_toeplitz(grid, battery):
         shift_report]
 
     started = time.perf_counter()
-    ratios = {}
-    for i, g in enumerate(syms):
-        h = _hinf(g)
-        for k, f_norm in enumerate(f_norms):
-            ratios[i, k] = _ratio(norms[i, k], h * f_norm)
-    # the worst ratio is measured, and the witness is the first (symbol,
-    # signal) within 1e-12 of it: a constant's ratios tie at 1 + 2^-52, and
-    # rounding would decide among them
-    worst, r = _worst(ratios)
-    i, k = next((key for key in sorted(ratios)
-                 if ratios[key] >= r * (1.0 - 1e-12)), worst)
+    # every symbol is a second factor; a constant's ratios tie at 1 + 2^-52
+    (i, k), r = _worst({(i, k): _ratio(x, _hinf(syms[i]) * f_norms[k])
+                        for (i, k), x in norms.items()})
     reports.append(finish_report(
         "toeplitz_norm_bound", 1.0, r, f"{to_text(syms[i])} on {labels[k]}",
         1e-6, started, {"max_ratio": r}))
@@ -429,10 +434,16 @@ def check_toeplitz(grid, battery):
         return [toeplitz_residuals(ref_syms, ref_pairs, _signals(level),
                                    level, ())[1] for level in levels]
 
+    try:
+        parts = two_way(level_residuals, (base, fine))
+    except WraparoundError as exc:
+        raise WraparoundError(
+            "the step-halving refinement check's own battery "
+            f"{', '.join(map(to_text, ref_syms))} needs a longer horizon: "
+            f"{exc}") from exc
     worst = [{(i, j): max(resid[i, j, k] for k in range(len(labels)))
               for i, j in ref_pairs}
-             for part in two_way(level_residuals, (base, fine))
-             for resid in part]
+             for part in parts for resid in part]
     (i, j), r = _worst({p: worst[1][p] / worst[0][p] for p in ref_pairs})
     reports.append(finish_report(
         "toeplitz_refinement", 0.25, r,
@@ -441,17 +452,11 @@ def check_toeplitz(grid, battery):
     return reports
 
 
-def _headroom(claimed, measured, tol):
-    """How close a verdict is to failing: 1 at the threshold."""
-    return measured / (claimed * (1.0 + tol) + tol)
-
-
 def _closest(subs, fixed):
-    """The key of the (claimed, measured) pair in subs closest to failing at
-    tolerance 1e-9, or `fixed` when every headroom is below 1e-3, where
-    rounding would decide the argmax and every sub-assertion passes."""
-    key, room = _worst({k: _headroom(*cm, 1e-9) for k, cm in subs.items()})
-    return fixed if room < 1e-3 else key
+    """The key of the (claimed, measured) pair in subs closest to failing,
+    by headroom measured/threshold at tolerance 1e-9, or `fixed` below 1e-3."""
+    return _worst({k: m / (c * (1.0 + 1e-9) + 1e-9)
+                   for k, (c, m) in subs.items()}, 1e-3, fixed)[0]
 
 
 def check_calculus_pairs(gen, battery):

@@ -234,6 +234,26 @@ class TestExitCodes:
             in lines[0]
         assert "between grid points" not in lines[0]
 
+    def test_short_horizon_for_the_refinement_battery_is_named(
+            self, tmp_path, capsys):
+        # the battery 0.5 has no kernel mode, but the step-halving
+        # refinement check runs a fixed battery of its own, whose mode
+        # 1/(1-s) a horizon of 12.8 does not carry: the line says whose
+        # symbol it is
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"scenario": "toeplitz_properties",
+                                 "symbols": ["0.5"], "grid_n": 1024,
+                                 "grid_dt": 0.0125}))
+        assert main(["run", "--config", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "config error: horizon grid_n*grid_dt = 12.8 with grid_dt = "
+            "0.0125 does not carry the check: the step-halving refinement "
+            "check's own battery 1/(1-s), 1/(3-s), 0.4/(2-s) + 0.5 needs a "
+            "longer horizon: a kernel mode of 1/(1-s) is still e^-12.8 of "
+            "its peak at the horizon, above 1e-6"]
+
     def test_short_grid_for_resolvent_identity_is_one_config_line_and_2(
             self, capsys):
         # a horizon of 4 ends before the generators' decay horizon of 16;

@@ -281,10 +281,11 @@ class TestInPlaceMultiplier:
     @pytest.mark.parametrize("g", MULTIPLIER_SYMBOLS + (Constant(0.7),),
                              ids=to_text)
     def test_one_window_exp_per_phase(self, g, monkeypatch):
-        # on the n + 1 nonnegative bins: exp(i omega dt) once if there is a
-        # mode, then one exponential per delay other than the mass at 0 and
-        # per shifted mode, a mode's q being a scalar times exp(i omega dt);
-        # a complex kernel evaluates its conjugate kernel too
+        # per block of bins: exp(i omega dt) once if there is a mode, then
+        # one exponential per delay other than the mass at 0 and per shifted
+        # mode, a mode's q being a scalar times exp(i omega dt); a real
+        # kernel takes one block of the n + 1 nonnegative bins, a complex
+        # one two of n bins, cut at bin n
         grid = GridSpec(64, 0.125)
         krep = kernel(g)
         real_exp, calls = np.exp, []
@@ -299,8 +300,9 @@ class TestInPlaceMultiplier:
         delays = sum(0.0 < tau < grid.horizon for _, tau in krep.delays)
         shifted = sum(off != 0.0 for *_, off in krep.modes)
         per_kernel = bool(krep.modes) + delays + shifted
-        assert set(calls) <= {(grid.n_samples + 1,)}
-        assert len(calls) == per_kernel * (1 if _is_real(krep) else 2)
+        real = _is_real(krep)
+        assert set(calls) <= {(grid.n_samples + real,)}
+        assert len(calls) == per_kernel * (1 if real else 2)
 
     def test_peak_allocation(self):
         # the 2 MB result on the 131,072-point doubled window beside one

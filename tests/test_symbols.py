@@ -101,6 +101,20 @@ class TestHinfNorm:
         assert sup == pytest.approx(1000.0000089353501, rel=1e-15)
         assert hinf_norm(g) == pytest.approx(sup, rel=1e-12)
 
+    def test_reads_no_kernel(self, monkeypatch):
+        # the claimed side of a symbol check must not share the kernel with
+        # the measured sides: the pole frequencies come from the tree
+        g = add(multiply(Delay(0.25), atom(1.0, 0.5 - 2.0j)),
+                multiply(atom(1.0, 1.0), atom(0.3 - 0.2j, 1.5 + 4.0j)))
+        expected = hinf_norm(g)
+
+        def no_kernel(g):
+            raise AssertionError("hinf_norm called kernel")
+
+        monkeypatch.setattr(symbols, "kernel", no_kernel)
+        assert hinf_norm(g) == expected
+        assert symbols._pole_frequencies(g) == {-2.0, 0.0, 4.0}
+
 
 class TestKernel:
     def test_atom_single_mode(self):
@@ -342,11 +356,13 @@ class TestDispatch:
         assert _boundary_values(kernel(g), 0.3)[0] \
             == pytest.approx(eval_boundary(g, 0.3), rel=1e-12)
         assert parse(to_text(g)) == g
+        assert symbols._pole_frequencies(g) == {
+            m[1].imag for m in kernel(g).modes}
 
     @pytest.mark.parametrize("bad", [None, 1.0, "1/(2-s)", KernelRep(),
                                      (Constant(1.0),)])
     def test_anything_else_is_a_type_error(self, bad):
         for fn in (lambda g: symbols._eval(g, np.zeros(1, dtype=complex)),
-                   kernel, to_text):
+                   kernel, to_text, symbols._pole_frequencies):
             with pytest.raises(TypeError):
                 fn(bad)

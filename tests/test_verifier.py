@@ -145,6 +145,18 @@ class TestCor33a:
         with pytest.raises(ValueError, match="not positive"):
             check_cor33a(gen, G)
 
+    def test_a_wrong_gramian_fails_and_is_named(self, monkeypatch):
+        # a 1e-6 relative error in the Gramian decides the verdict, and the
+        # report names the identity, not a symbol
+        solve = verifier.solve_lyapunov
+        monkeypatch.setattr(verifier, "solve_lyapunov",
+                            lambda A, R: (1.0 + 1e-6) * solve(A, R))
+        rep = check_cor33a(semigroup.random_dissipative(8, 7), BATTERY)
+        assert not rep.passed
+        assert rep.witness == "Gramian identity G = I"
+        assert rep.bound_measured == \
+            rep.details["gramian_identity_residual"] / 1e-8
+
     def test_battery_norms_are_one_call(self, monkeypatch):
         # the six g(A) norms are one stacked operator_norm call, counted
         # through every hardycalc module that binds the kernel
@@ -272,6 +284,35 @@ class TestAnalyticLemma:
         assert abs(rep.bound_measured - math.exp(-1.0)) < 1e-15
         assert abs(rep.bound_claimed - 1.0) < 1e-12
         assert rep.passed
+
+    def test_witness_is_the_first_peak(self, monkeypatch):
+        # the 32 per-mode peaks all reach 1/e within rounding: the witness
+        # is the earliest, t = 1/32^2, whichever of them rounds highest,
+        # and a peak above the others by more than roundoff is named itself
+        gen, _ = example26(32)
+        peaks = -1.0 / gen.eigenvalues.real
+        scan = verifier.norm_scan
+
+        def witness(at=(), bump=lambda x: np.nextafter(x, np.inf)):
+            def bumped(*args):
+                ts, norms = scan(*args)
+                norms = norms.copy()
+                hit = np.isin(ts, at)
+                norms[0, hit] = bump(norms[0, hit])
+                return ts, norms
+
+            with monkeypatch.context() as m:
+                m.setattr(verifier, "norm_scan", bumped)
+                rep = check_analytic_lemma(gen)
+            assert rep.bound_measured == rep.details["analytic_sup"]
+            return rep.witness, rep.details["t_at_sup"]
+
+        first = ("t=0.000976562", 2.0 ** -10)
+        assert witness() == first
+        for at in ([1.0 / 29 ** 2], [1.0], peaks[peaks > 2.0 ** -10], peaks):
+            assert witness(at) == first
+        assert witness([1.0 / 29 ** 2], lambda x: x * (1.0 + 1e-9)) == (
+            "t=0.00118906", 1.0 / 29 ** 2)
 
     def test_rejects_dense(self):
         gen = Generator.dense(np.array([[-2.0, 1.0], [1.0, -2.0]]))
@@ -684,6 +725,45 @@ class TestResolventIdentity:
         conv, toep = check_resolvent_identity(self.GENS, self.GRID)
         assert not conv.passed
         assert toep.passed
+
+
+class TestWorst:
+    def test_near_tie_names_the_first_key(self):
+        # within 1e-12 relative of the largest value, key order decides;
+        # the largest value is measured
+        assert verifier._worst({"b": 1.0, "a": 1.0 - 1e-13, "c": 0.5}) \
+            == ("a", 1.0)
+        assert verifier._worst({"b": 1.0, "a": 1.0 - 1e-11}) == ("b", 1.0)
+        assert verifier._worst({2: math.inf, 0: 1.0, 1: math.inf}) \
+            == (1, math.inf)
+
+    def test_floor_returns_the_default(self):
+        assert verifier._worst({1: 1e-13, 2: 5e-13}, 1e-12, 0) == (0, 5e-13)
+        assert verifier._worst({1: 1e-13, 2: 5e-12}, 1e-12, 0) == (2, 5e-12)
+
+    def test_a_nan_wins(self):
+        key, value = verifier._worst(
+            {0: 1.0, 3: math.nan, 1: math.inf, 2: math.nan}, 10.0, -1)
+        assert key == 2 and math.isnan(value)
+
+    def test_no_cases_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            verifier._worst({})
+
+    def test_only_worst_takes_an_argmax(self):
+        # every witness of verifier goes through the one rule
+        tree = ast.parse(Path(verifier.__file__).read_text())
+        worst = next(node for node in tree.body
+                     if isinstance(node, ast.FunctionDef)
+                     and node.name == "_worst")
+
+        def argmaxes(node):
+            return [n for n in ast.walk(node)
+                    if isinstance(n, ast.Attribute) and n.attr == "argmax"
+                    or isinstance(n, ast.Name) and n.id == "argmax"]
+
+        assert argmaxes(worst)
+        assert len(argmaxes(tree)) == len(argmaxes(worst))
 
 
 class TestNanRatio:
