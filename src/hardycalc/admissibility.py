@@ -79,12 +79,12 @@ def observability_gramian(gen, C):
 
 
 def sqrt_t_bound_scan(gen, Xs, ts):
-    """(sup, t_at_sup) of sqrt(t) ||X T(t)|| over the times ts, for each X
-    in Xs; on diagonal input `norm_scan` adds the per-mode peak times."""
+    """The sorted scanned times and the (len(Xs), m) array of
+    sqrt(t) ||X T(t)|| at them, a row for each X in Xs; on diagonal input
+    `norm_scan` adds the per-mode peak times.  The caller picks the sup
+    and its time."""
     ts, norms = norm_scan(gen, [_observation_matrix(X, gen) for X in Xs], ts)
-    vals = np.sqrt(ts) * norms
-    return [(float(row[k]), float(ts[k]))
-            for row, k in zip(vals, np.argmax(vals, axis=1))]
+    return ts, np.sqrt(ts) * norms
 
 
 def _require_real_diagonal(gen):

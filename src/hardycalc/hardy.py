@@ -9,26 +9,23 @@ and restriction back to the first window is the discrete causal projection.
 padded spectrum of the input, the product with a multiplier, and the causal
 window (the inverse DFT restricted to the first window).
 
-The steps act on signal stacks, time along axis 1, and `toeplitz_apply` is
-a stack of one.  Each FFT transforms one contiguous row in place, with the
-bits of numpy's multi-row call, which maps a fresh scratch buffer of
-several MB on every call.  A one-row call takes scratch too: numpy's
-pocketfft allocates about 4 MiB on every 2^17-point call, which a fresh
-interpreter maps afresh each time (992 minor faults a call).  Once glibc
-has raised its mmap threshold, as it has after the first transforms of a
-Toeplitz check, the scratch comes from the reused heap: on one thread the
-check's 225 transforms fault 3.0k times in all in a fresh interpreter and
-1.5k times in a second check.  A row carries one scalar
-signal or, when the caller knows the discrete kernel to be real (it then
-maps real signals to real signals), two real signals a + ib: the leading
-`packed` rows of a stack carry two each, and the norms and the wraparound
-guard read such a row's real and imaginary parts as two signals.  The
-guard holds per signal and the finiteness check per row.  A caller that
-applies several symbols to several signals builds each spectrum and each
-multiplier once and runs the steps on single rows through a work row it
-passes as `out`.  Because the causal window is linear, a residual between
-two applications is formed in the spectrum and takes one inverse DFT, not
-two (`_difference`).
+Each step takes one row, time along it, and each FFT transforms that
+contiguous row in place, with the bits of numpy's multi-row call, which
+maps a fresh scratch buffer of several MB on every call.  A one-row call
+takes scratch too: numpy's pocketfft allocates about 4 MiB on every
+2^17-point call, which a fresh interpreter maps afresh each time (992
+minor faults a call).  Once glibc has raised its mmap threshold, as it has
+after the first transforms of a Toeplitz check, the scratch comes from the
+reused heap: on one thread the check's 225 transforms fault 3.0k times in
+all in a fresh interpreter and 1.5k times in a second check.  A row
+carries one scalar signal or, when the caller knows the discrete kernel to
+be real (it then maps real signals to real signals), two real signals
+a + ib, and the norms and the wraparound guard then read its real and
+imaginary parts as two signals.  A caller that applies several symbols to
+several signals builds each kernel, each spectrum and each multiplier once
+and runs the steps through a work row it passes as `out`.  Because the
+causal window is linear, a residual between two applications is formed in
+the spectrum and takes one inverse DFT, not two (`_difference`).
 
 A real kernel's multiplier may be held on its n + 1 nonnegative bins
 alone, half the window: bin 2n - k is conj(bin k), and `_bins` multiplies
@@ -71,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symbols import KernelRep, kernel, multiply, to_text
+from .symbols import kernel, multiply, to_text
 
 __all__ = [
     "GridSpec",
@@ -128,17 +125,16 @@ class SampledSignal:
         object.__setattr__(self, "values", v)
 
 
-def _l2_norms(stack, dt, packed=0):
-    """Discrete L2 norm sqrt(dt * sum of squared sample moduli) of each
-    signal of a stack whose first `packed` rows carry two real signals
-    (real part, then imaginary part), in one numpy call per sum.  The sums
-    are numpy's pairwise sums rather than a BLAS dot, so the values do not
-    depend on the BLAS thread count."""
-    re = np.sum(np.square(stack.real), axis=1)
-    im = np.sum(np.square(stack.imag), axis=1)
-    sums = np.concatenate([np.column_stack([re[:packed], im[:packed]]).ravel(),
-                           re[packed:] + im[packed:]])
-    return math.sqrt(dt) * np.sqrt(sums)
+def _l2_norms(row, dt, two=False):
+    """Discrete L2 norms sqrt(dt * sum of squared sample moduli) of the
+    signals a row carries, a list: its one signal or, if `two`, the two
+    real signals in its real and imaginary parts.  The sums are numpy's
+    pairwise sums rather than a BLAS dot, so the values do not depend on
+    the BLAS thread count."""
+    re = np.sum(np.square(row.real))
+    im = np.sum(np.square(row.imag))
+    return [math.sqrt(dt) * math.sqrt(x) for x in ((re, im) if two
+                                                   else (re + im,))]
 
 
 def _whole_steps(tau, dt):
@@ -294,8 +290,9 @@ def _blocks(lo, hi, size):
 
 
 def discrete_multiplier(krep, grid, out=None):
-    """Frequency response of the discretized one-sided kernel on the doubled
-    window; length 2 n_samples, ordered like numpy's FFT bins.
+    """Frequency response of the discretized one-sided kernel krep, a
+    `KernelRep`, on the doubled window; length 2 n_samples, ordered like
+    numpy's FFT bins.
 
     With z = exp(i omega dt), a mode of pole alpha and power p = j + 1
     contributes scale * N_j(q) / (1-q)^{j+1} at q = e^{-alpha dt} z, so z,
@@ -321,8 +318,6 @@ def discrete_multiplier(krep, grid, out=None):
     n + 1 bins alone, the half window from which bin 2n - k is conj(bin k)
     (`_bins` multiplies by it so).
     """
-    if not isinstance(krep, KernelRep):
-        krep = kernel(krep)
     n = grid.n_samples
     real = _real_coefficients(krep)
     if out is None:
@@ -348,57 +343,48 @@ def discrete_multiplier(krep, grid, out=None):
     return out
 
 
-def _signals_of(stack, packed):
-    """Each signal of a stack whose first `packed` rows carry two real
-    signals: the real and imaginary parts of such a row, or the row."""
-    for r, row in enumerate(stack):
-        yield from (row.real, row.imag) if r < packed else (row,)
-
-
-def _guarded_spectrum(stack, out=None, floor=0.0, packed=0):
-    """DFT of each row of a signal stack padded with a zero anticausal half,
-    after the wraparound guard of each signal; one in-place FFT call per
-    row, so numpy maps no multi-row scratch.  The first `packed` rows carry
-    two real signals.  `out`, if given, is a doubled-window stack that
-    receives the spectra in place of a new array.
+def _guarded_spectrum(samples, out=None, two=False, floors=(0.0, 0.0)):
+    """DFT of a row of samples padded with a zero anticausal half, after
+    the wraparound guard of each signal the row carries: its one signal or,
+    if `two`, the two real signals in its real and imaginary parts.  One
+    in-place FFT call, so numpy maps no multi-row scratch.  `out`, if
+    given, is a doubled-window row that receives the spectrum in place of
+    a new array.
 
     The guard requires the last quarter of a signal to sit below 1e-6 of
     the signal's peak modulus, so the circular convolution on the doubled
     window stays within the grid error budget of the half-line operator.
     The threshold leaves room for outputs of a previous application, whose
     tails carry the intrinsic multiplier truncation floor
-    exp(-alpha*horizon).  `floor`, a scalar or one value per signal, is the
-    least peak a signal is judged against.  Two signals of a row are judged
-    apart: the modulus of the row would hide the tail of the smaller one.
-    Every signal is judged before any row is transformed, one signal at a
-    time, so the guard's moduli take one signal's length.
+    exp(-alpha*horizon).  floors[s] is the least peak signal s is judged
+    against.  Two signals of a row are judged apart: the modulus of the row
+    would hide the tail of the smaller one.  Both are judged before the row
+    is transformed, one at a time, so the guard's moduli take one signal's
+    length.
     """
-    n = stack.shape[1]
-    floors = np.broadcast_to(floor, (len(stack) + packed,))
-    for f, least in zip(_signals_of(stack, packed), floors):
+    n = len(samples)
+    for f, least in zip((samples.real, samples.imag) if two else (samples,),
+                        floors):
         modulus = np.abs(f)
         peak = max(np.max(modulus), least)
         if peak > 0.0 and np.max(modulus[3 * n // 4:]) > 1e-6 * peak:
             raise WraparoundError("a signal's last quarter exceeds 1e-6 of "
                                   "its peak modulus")
     if out is None:
-        out = np.empty((stack.shape[0], 2 * n), dtype=complex)
-    out[:, :n] = stack
-    out[:, n:] = 0.0
-    for row in out:
-        np.fft.fft(row, out=row)
-    return out
+        out = np.empty(2 * n, dtype=complex)
+    out[:n] = samples
+    out[n:] = 0.0
+    return np.fft.fft(out, out=out)
 
 
-def _causal_window(spectra):
-    """Inverse DFT of each row of a stack of doubled-window spectra, in place
-    and one row per call like `_guarded_spectrum`, restricted to the causal
-    window: a view into the overwritten spectra, so a caller that keeps it
-    copies it rather than hold the doubled buffer alive.  Like a
-    `SampledSignal`, every row of the window must be finite."""
-    for row in spectra:
-        np.fft.ifft(row, out=row)
-    out = spectra[:, :spectra.shape[1] // 2]
+def _causal_window(spectrum):
+    """Inverse DFT of a doubled-window spectrum, in place and in one call
+    like `_guarded_spectrum`, restricted to the causal window: a view into
+    the overwritten spectrum, so a caller that keeps it copies it rather
+    than hold the doubled buffer alive.  Like a `SampledSignal`, the window
+    must be finite."""
+    np.fft.ifft(spectrum, out=spectrum)
+    out = spectrum[:len(spectrum) // 2]
     if not np.all(np.isfinite(out)):
         raise ValueError("signal contains non-finite values")
     return out
@@ -433,17 +419,16 @@ def _difference(a, ma, b, mb, out, scratch):
     return out
 
 
-def _apply_multiplier(spectra, m, out=None):
-    """Multiply a stack of doubled-window spectra by the multiplier m, the
-    whole window or a real kernel's half (`_bins`), and take the causal
-    window of the product, a view into `out` (a new array if not given);
-    the spectra are left unchanged."""
+def _apply_multiplier(spectrum, m, out=None):
+    """Multiply a doubled-window spectrum by the multiplier m, the whole
+    window or a real kernel's half (`_bins`), and take the causal window of
+    the product, a view into `out` (a new array if not given); the
+    spectrum is left unchanged."""
     if out is None:
-        out = np.empty_like(spectra)
-    width = spectra.shape[1]
-    for row, dest in zip(spectra, out):
-        for lo, hi in ((0, width // 2 + 1), (width // 2 + 1, width)):
-            _bins(row, m, lo, hi, dest[lo:hi])
+        out = np.empty_like(spectrum)
+    h = len(spectrum) // 2 + 1
+    for lo, hi in ((0, h), (h, len(spectrum))):
+        _bins(spectrum, m, lo, hi, out[lo:hi])
     return _causal_window(out)
 
 
@@ -451,9 +436,9 @@ def toeplitz_apply(g, f):
     """Apply M_g: pad the signal with a zero anticausal half, multiply the
     DFT by the discrete symbol, transform back and keep the causal window.
     The input must pass the wraparound guard of `_guarded_spectrum`."""
-    out = _apply_multiplier(_guarded_spectrum(f.values[None]),
-                            discrete_multiplier(g, f.grid))
-    return SampledSignal(f.grid, out[0].copy())
+    out = _apply_multiplier(_guarded_spectrum(f.values),
+                            discrete_multiplier(kernel(g), f.grid))
+    return SampledSignal(f.grid, out.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -492,24 +477,20 @@ def two_way(task, items):
 
 
 def _pack(stack, real):
-    """The rows the walks run on, and how many of them, leading, carry two
-    signals.  A real kernel gives M_g (a + ib) = M_g a + i M_g b for real
-    a and b, so when every kernel is real the leading real signals of the
-    stack go two to a row, a in the real part and b in the imaginary part;
-    an odd one out and every complex signal keep a row of their own, as
-    every signal does when some kernel is complex."""
+    """The rows the walks run on, and the indices of the signals that each
+    row carries, two or one.  A real kernel gives
+    M_g (a + ib) = M_g a + i M_g b for real a and b, so when every kernel
+    is real the leading real signals of the stack go two to a row, a in the
+    real part and b in the imaginary part; an odd one out and every complex
+    signal keep a row of their own, as every signal does when some kernel
+    is complex."""
     lead = next((k for k, f in enumerate(stack) if np.any(f.imag)),
                 len(stack))
     pairs = 2 * (lead // 2) if real else 0
-    return np.concatenate([stack[:pairs:2] + 1j * stack[1:pairs:2].real,
-                           stack[pairs:]]), pairs // 2
-
-
-def _carried(rows, packed):
-    """The indices of the signals that each row of a stack carries, when
-    its first `packed` rows carry two."""
-    return [(2 * r, 2 * r + 1) if r < packed else (packed + r,)
-            for r in range(rows)]
+    rows = np.concatenate([stack[:pairs:2] + 1j * stack[1:pairs:2].real,
+                           stack[pairs:]])
+    return rows, ([(k, k + 1) for k in range(0, pairs, 2)]
+                  + [(k,) for k in range(pairs, len(stack))])
 
 
 def _shift_residuals(row, mults, taus, dt, signals, buffers):
@@ -522,21 +503,20 @@ def _shift_residuals(row, mults, taus, dt, signals, buffers):
     it receives the guarded spectrum of f.  The shifts of f are written
     straight into the shift stack of `buffers`, which receives their
     spectra; `buffers` also holds, for each half of the multipliers, a
-    work row and the window that holds M_{g_i} f.  `two_way` transforms the row and its shifts
-    in two halves, and then splits the multipliers in two halves; per
-    multiplier a half applies the rows one at a time through its work row,
-    the first giving M_{g_i} f, held in its window, and the others the
-    M_{g_i} sigma_tau f, each subtracted from the shift of M_{g_i} f in
-    the anticausal half of the work row, which the causal window leaves
-    free."""
+    work row and the window that holds M_{g_i} f.  `two_way` transforms the
+    row and its shifts in two halves, and then splits the multipliers in
+    two halves; per multiplier a half applies the rows one at a time
+    through its work row, the first giving M_{g_i} f, held in its window,
+    and the others the M_{g_i} sigma_tau f, each subtracted from the shift
+    of M_{g_i} f in the anticausal half of the work row, which the causal
+    window leaves free."""
     two = len(signals) == 2
     n = len(row) // 2
     shifts, bufs = buffers
     for dest, tau in zip(shifts, taus):
         _shift_into(row[:n], tau, dt, dest[:n])
-    two_way(lambda rows, h: [
-        _guarded_spectrum(r[None, :n], out=r[None], packed=int(two))
-        for r in rows], [row, *shifts])
+    two_way(lambda rows, h: [_guarded_spectrum(r[:n], out=r, two=two)
+                             for r in rows], [row, *shifts])
     if not taus:
         return {}
 
@@ -544,38 +524,38 @@ def _shift_residuals(row, mults, taus, dt, signals, buffers):
         work, held = bufs[h]
         resid = {}
         for i in indices:
-            held[:] = _apply_multiplier(row[None], mults[i], out=work)[0]
+            held[:] = _apply_multiplier(row, mults[i], out=work)
             for t, (tau, shifted) in enumerate(zip(taus, shifts)):
-                out = _apply_multiplier(shifted[None], mults[i], out=work)[0]
-                diff = work[0, n:]
+                out = _apply_multiplier(shifted, mults[i], out=work)
+                diff = work[n:]
                 _shift_into(held, tau, dt, diff)
                 diff -= out
                 resid.update(zip([(i, k, t) for k in signals],
-                                 _l2_norms(diff[None], dt,
-                                           int(two)).tolist()))
+                                 _l2_norms(diff, dt, two)))
         return resid
 
     return {key: x for part in two_way(task, range(len(mults)))
             for key, x in part.items()}
 
 
-def _product_residuals(syms, products, mults, spectra, peaks, grid, packed):
+def _product_residuals(syms, products, mults, spectra, carried, peaks,
+                       grid):
     """Multiplicativity residuals ||M_{g_i g_j} f_k - M_{g_i} M_{g_j} f_k||
     keyed (i, j, k) for each pair (i, j) of indices into syms whose product
-    is products[i, j], and the norms ||M_{g_j} f_k|| keyed (j, k) for every
-    second factor j.
+    and its kernel are products[i, j], and the norms ||M_{g_j} f_k|| keyed
+    (j, k) for every second factor j.
 
     mults[i] is the multiplier of syms[i], the whole window or a real
-    kernel's half (`_bins`), spectra the stack of guarded spectra of the
-    signals f_k, whose first `packed` rows carry two real signals each
-    (`_pack`; only real kernels may see such rows), and peaks[k] the peak of
-    f_k, the floor of the guard on M_{g_j} f_k: an output at roundoff (a
-    delay past the signal) has no tail to judge.  The pairs are walked by
-    second factor, so each product multiplier is built once (or taken from
-    mults when the product is itself one of syms), on half the window when
-    both factors are, and only the output spectra G_j of M_{g_j} for one
-    symbol are held at a time.  Each residual is formed in the spectrum,
-    prod*F - m_i*G_j, and takes one inverse DFT.
+    kernel's half (`_bins`), spectra[r] the guarded spectrum of row r,
+    which carries the signals f_k with k in carried[r] (`_pack`; only real
+    kernels may see a row of two), and peaks[k] the peak of f_k, the floor
+    of the guard on M_{g_j} f_k: an output at roundoff (a delay past the
+    signal) has no tail to judge.  The pairs are walked by second factor,
+    so each product multiplier is built once (or taken from mults when the
+    product is itself one of syms), on half the window when both factors
+    are, and only the output spectra G_j of M_{g_j} for one symbol are held
+    at a time.  Each residual is formed in the spectrum, prod*F - m_i*G_j,
+    and takes one inverse DFT.
 
     Per second factor, `two_way` runs the output rows in two halves and
     then the first factors in two halves, each half building its own
@@ -585,10 +565,9 @@ def _product_residuals(syms, products, mults, spectra, peaks, grid, packed):
     temporaries would set the peak memory, and freeing them would fragment
     the heap.
     """
-    carried = _carried(len(spectra), packed)
     n = grid.n_samples
     halved = all(len(m) == n + 1 for m in mults)
-    bufs = [(np.empty((1, 2 * n), dtype=complex),
+    bufs = [(np.empty(2 * n, dtype=complex),
              np.empty(min(_BLOCK, n + 1), dtype=complex),
              np.empty(n + 1 if halved else 2 * n, dtype=complex))
             for _ in range(2)]
@@ -597,31 +576,32 @@ def _product_residuals(syms, products, mults, spectra, peaks, grid, packed):
     def outputs(rows, h):
         work, norms = bufs[h][0], {}
         for r in rows:
-            ks, paired = carried[r], int(r < packed)
-            outs = _apply_multiplier(spectra[r:r + 1], mults[j], out=work)
+            ks = carried[r]
+            two = len(ks) == 2
+            outs = _apply_multiplier(spectra[r], mults[j], out=work)
             norms.update(zip([(j, k) for k in ks],
-                             _l2_norms(outs, grid.dt, paired).tolist()))
-            _guarded_spectrum(outs, out=out_spectra[r:r + 1],
-                              floor=peaks[list(ks)], packed=paired)
+                             _l2_norms(outs, grid.dt, two)))
+            _guarded_spectrum(outs, out=out_spectra[r], two=two,
+                              floors=[peaks[k] for k in ks])
         return norms
 
     def residuals(firsts, h):
         work, scratch, held = bufs[h]
         resid = {}
         for i in firsts:
-            g = products[i, j]
+            g, krep = products[i, j]
             if g in syms:
                 prod = mults[syms.index(g)]
             else:
                 half = len(mults[i]) == len(mults[j]) == n + 1
                 prod = discrete_multiplier(
-                    g, grid, out=held[:n + 1 if half else 2 * n])
+                    krep, grid, out=held[:n + 1 if half else 2 * n])
             for r, ks in enumerate(carried):
                 _difference(spectra[r], prod, out_spectra[r], mults[i],
-                            work[0], scratch)
+                            work, scratch)
                 resid.update(zip([(i, j, k) for k in ks],
                                  _l2_norms(_causal_window(work), grid.dt,
-                                           int(r < packed)).tolist()))
+                                           len(ks) == 2)))
         return resid
 
     resid, norms = {}, {}
@@ -646,28 +626,28 @@ def toeplitz_residuals(battery, pairs, signals, grid, taus):
     - the norms ||f_k||, a list.
 
     The grid-fit rule runs first, on the battery, its pair products and
-    the shifts, before any multiplier is built.  Each battery multiplier is
-    built once, on half the window for a real kernel, and each input
-    spectrum computed once; outputs are recomputed from them rather than
-    held.  When every kernel of the battery and its pair products has real
-    coefficients, the real signals travel two to a row (`_pack`), and the
-    wraparound guard still judges each signal on its own.  The shift walk
-    runs first, through one shift stack, and turns each row into its
-    spectrum, the input of the product walk.  The stack is not held once
-    its rows are packed, so a caller that passes it without keeping it
-    frees it for the walks."""
+    the shifts, before any multiplier is built.  Each kernel is built once
+    and each battery multiplier once, on half the window for a real
+    kernel, and each input spectrum is computed once; outputs are
+    recomputed from them rather than held.  When every kernel of the
+    battery and its pair products has real coefficients, the real signals
+    travel two to a row (`_pack`), and the wraparound guard still judges
+    each signal on its own.  The shift walk runs first, through one shift
+    stack, and turns each row into its spectrum, the input of the product
+    walk.  The stack is not held once its rows are packed, so a caller
+    that passes it without keeping it frees it for the walks."""
     syms = list(battery)
     products = {(i, j): multiply(syms[i], syms[j]) for i, j in pairs}
     kernels = [(g, kernel(g)) for g in [*syms, *products.values()]]
     _require_grid_fits(kernels, grid, taus)
     n = grid.n_samples
-    mults = [discrete_multiplier(g, grid, out=np.empty(
+    mults = [discrete_multiplier(krep, grid, out=np.empty(
         n + 1 if _real_coefficients(krep) else 2 * n, dtype=complex))
-        for g, krep in kernels[:len(syms)]]
-    f_norms = _l2_norms(signals, grid.dt).tolist()
-    peaks = np.max(np.abs(signals), axis=1)
-    rows, packed = _pack(signals, all(_real_coefficients(krep)
-                                      for _, krep in kernels))
+        for _, krep in kernels[:len(syms)]]
+    f_norms = [_l2_norms(f, grid.dt)[0] for f in signals]
+    peaks = [np.max(np.abs(f)) for f in signals]
+    rows, carried = _pack(signals, all(_real_coefficients(krep)
+                                       for _, krep in kernels))
     # One buffer holds the rows and then their spectra: row r keeps its
     # samples in its first half until the shift walk has used them and
     # replaces the row by the spectrum.
@@ -676,13 +656,14 @@ def toeplitz_residuals(battery, pairs, signals, grid, taus):
     del signals, rows
     # the shift walk's buffers, allocated once on the calling thread
     buffers = (np.empty((len(taus), 2 * n), dtype=complex),
-               [(np.empty((1, 2 * n), dtype=complex),
+               [(np.empty(2 * n, dtype=complex),
                  np.empty(n, dtype=complex)) for _ in range(2)])
     shifted = {}
-    for r, ks in enumerate(_carried(len(spectra), packed)):
+    for r, ks in enumerate(carried):
         shifted.update(_shift_residuals(spectra[r], mults, taus, grid.dt,
                                         ks, buffers))
     del buffers
-    resid, norms = _product_residuals(syms, products, mults, spectra, peaks,
-                                      grid, packed)
+    resid, norms = _product_residuals(
+        syms, dict(zip(products, kernels[len(syms):])), mults, spectra,
+        carried, peaks, grid)
     return shifted, resid, norms, f_norms

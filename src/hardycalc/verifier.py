@@ -113,14 +113,15 @@ def check_T0(gen, g):
     gamma_A = observability_gramian(gen, np.eye(gen.dimension)).m_admissible
     M01 = sup_T_norm(gen)
     gas = [_gA_exact(gen, g_k) for g_k in syms]
-    scans = sqrt_t_bound_scan(gen, gas, np.geomspace(1e-4, 1.0, 120))
+    ts, scans = sqrt_t_bound_scan(gen, gas, np.geomspace(1e-4, 1.0, 120))
     slacks, which = {}, {}
-    for k, (g_k, ga, (sup, t_best)) in enumerate(zip(syms, gas, scans)):
+    for k, (g_k, ga, scan) in enumerate(zip(syms, gas, scans)):
         h = _hinf(g_k)
+        t, sup = _worst(dict(enumerate(scan.tolist())))
         which[k], slacks[k] = _worst({
             "gramian": _ratio(observability_gramian(gen, ga).m_admissible,
                               gamma_A * h * h),
-            f"scan t={t_best:.4g}": _ratio(sup, M01 * h)})
+            f"scan t={ts[t]:.4g}": _ratio(sup, M01 * h)})
     k, measured = _worst(slacks)
     witness = f"{to_text(syms[k])} ({which[k]})"
     details = {"gamma_A": gamma_A, "sup_T_01": M01, "per_symbol_slack": {
@@ -351,8 +352,10 @@ def check_example26(gen, C):
         {"min_scan_value": min(floor_vals)}))
 
     started = time.perf_counter()
-    [(measured, t_best)] = sqrt_t_bound_scan(gen, [C], np.concatenate(
+    ts, [scan] = sqrt_t_bound_scan(gen, [C], np.concatenate(
         [np.geomspace(1e-6, 10.0, 200), [1.0 / (n * n) for n in ns]]))
+    k, measured = _worst(dict(enumerate(scan.tolist())))
+    t_best = float(ts[k])
     M = sup_T_norm(gen)
     reports.append(finish_report(
         "example26_sqrt_t_bound", math.sqrt(max(gram.m_admissible, 0.0)) * M,
@@ -393,11 +396,11 @@ def check_toeplitz(grid, battery):
     # the stack is passed, not kept, so the walks free it once packed
     shifted, resid, norms, f_norms = toeplitz_residuals(
         syms, pairs, _signals(grid), grid, taus)
-    # the named case is measured: the first (symbol, signal, tau) while
-    # every residual is below 1e-12, at rounding; the worst goes to details
+    # the witness is the first (symbol, signal, tau) while every residual
+    # is below 1e-12, at rounding
     (i, k, t), r = _worst(shifted, 1e-12, (0, 0, 0))
     shift_report = finish_report(
-        "toeplitz_shift_commutation", 0.0, shifted[i, k, t],
+        "toeplitz_shift_commutation", 0.0, r,
         f"{to_text(syms[i])} on {labels[k]}, tau={taus[t]:g}", 1e-6,
         started, {"taus": [float(t) for t in taus], "max_residual": r})
     (i, j, k), r = _worst(resid)

@@ -77,7 +77,7 @@ def l2_norm(f):
     packed walks' norms."""
     from hardycalc.hardy import _l2_norms
 
-    return float(_l2_norms(f.values[None], f.grid.dt)[0])
+    return _l2_norms(f.values, f.grid.dt)[0]
 
 
 def shift(f, tau):

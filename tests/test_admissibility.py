@@ -153,8 +153,9 @@ class TestSqrtTBoundScan:
         # t = 1/(2 n^2) with value e^{-1/2}/sqrt(2) independent of n; the
         # scan adds those peak times, so it meets the value exactly
         gen, C = example26(16)
-        [(sup, t_at_sup)] = sqrt_t_bound_scan(gen, [C],
-                                              np.geomspace(1e-6, 10.0, 200))
+        ts, [vals] = sqrt_t_bound_scan(gen, [C],
+                                       np.geomspace(1e-6, 10.0, 200))
+        sup, t_at_sup = np.max(vals), ts[np.argmax(vals)]
         assert abs(sup - math.exp(-0.5) / math.sqrt(2.0)) < 1e-15
         assert any(abs(t_at_sup - 1.0 / (2.0 * n * n)) < 1e-15
                    for n in range(1, 17))
@@ -165,17 +166,17 @@ class TestSqrtTBoundScan:
         gen = random_stable(4, 3)
         X = np.eye(4)
         coarse = np.array([0.01, 10.0])
-        [(low, _)] = sqrt_t_bound_scan(gen, [X], coarse)
-        [(high, t)] = sqrt_t_bound_scan(gen, [X], np.append(coarse, 0.5))
-        assert t == 0.5 and high > low
+        _, [low] = sqrt_t_bound_scan(gen, [X], coarse)
+        ts, [high] = sqrt_t_bound_scan(gen, [X], np.append(coarse, 0.5))
+        assert ts[np.argmax(high)] == 0.5 and np.max(high) > np.max(low)
 
     def test_one_pair_per_operator(self):
         gen, C = example26(4)
-        scans = sqrt_t_bound_scan(gen, [C, 2.0 * C],
-                                  np.geomspace(1e-3, 1.0, 30))
-        assert len(scans) == 2
-        assert scans[1][0] == pytest.approx(2.0 * scans[0][0], rel=1e-15)
-        assert scans[1][1] == scans[0][1]
+        ts, scans = sqrt_t_bound_scan(gen, [C, 2.0 * C],
+                                      np.geomspace(1e-3, 1.0, 30))
+        assert scans.shape == (2, len(ts))
+        assert scans[1] == pytest.approx(2.0 * scans[0], rel=1e-15)
+        assert np.argmax(scans[1]) == np.argmax(scans[0])
 
 
 class TestExtensionLimits:

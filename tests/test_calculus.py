@@ -17,8 +17,8 @@ from hardycalc.hardy import (GridSpec, SampledSignal, WraparoundError,
 from hardycalc.numkernel import _poly_matrix, operator_norm
 from hardycalc.semigroup import (Generator, evaluate_T, example26,
                                  random_stable, resolvent)
-from hardycalc.symbols import (Constant, Delay, add, atom, eval_at, multiply,
-                               parse)
+from hardycalc.symbols import (Constant, Delay, add, atom, eval_at, kernel,
+                               multiply, parse)
 
 REF_GRID = GridSpec(4096, 2.0 ** -8)
 FAST_GRID = GridSpec(1024, 2.0 ** -6)
@@ -264,7 +264,8 @@ class TestToeplitzRoute:
             ref = np.array([toeplitz_apply(g, SampledSignal(REF_GRID, col))
                             .values[0] for col in orbit.T]).reshape(N, N)
             if text == "exp(0.3*s)":
-                v = np.fft.fft(discrete_multiplier(g, REF_GRID))[:n] / (2 * n)
+                v = np.fft.fft(discrete_multiplier(kernel(g), REF_GRID))[:n] \
+                    / (2 * n)
                 out = _poly_matrix(v, Th)
             else:
                 out = gA_toeplitz(gen, g, REF_GRID)

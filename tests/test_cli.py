@@ -14,7 +14,6 @@ import pytest
 
 from hardycalc import cli, hardy, scenarios, verifier
 from hardycalc.cli import ConfigError, ExperimentConfig, list_scenarios, main, run
-from hardycalc.symbols import to_text
 
 EXPECTED_ORDER = [
     "example26",
@@ -457,9 +456,9 @@ class TestToeplitzBuildOnce:
         calls = {"fft": [], "ifft": []}
         build = hardy.discrete_multiplier
 
-        def counting_build(g, grid, out=None):
-            builds.append((to_text(g), grid))
-            return build(g, grid, out=out)
+        def counting_build(krep, grid, out=None):
+            builds.append((krep, grid))
+            return build(krep, grid, out=out)
 
         def counting(name):
             transform = getattr(np.fft, name)
@@ -506,6 +505,25 @@ class TestToeplitzBuildOnce:
         # scratch: one call per transform counted above
         assert {name: [rows for _, rows in calls[name]] for name in calls} \
             == {"fft": [1] * 48, "ifft": [1] * 177}
+
+    def test_each_kernel_built_once(self, monkeypatch, capsys):
+        # `toeplitz_residuals` builds the kernels of the battery and its pair
+        # products, 6 + 21 on the main grid and 3 + 2 on each refinement
+        # grid, and every multiplier is built from one of them
+        callers = []
+        build = hardy.kernel
+
+        def counting(g):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return build(g)
+
+        monkeypatch.setattr(hardy, "kernel", counting)
+        code, _ = run(ExperimentConfig(scenario="toeplitz_properties",
+                                       seed=7))
+        capsys.readouterr()
+        assert code == 0
+        assert len(callers) == 6 + 21 + 2 * (3 + 2) == 37
+        assert "discrete_multiplier" not in callers
 
 
 class TestRunApi:

@@ -96,7 +96,7 @@ class TestL2Norm:
         code = ("import numpy as np; from hardycalc.hardy import _l2_norms; "
                 "rng = np.random.default_rng(3); n = 65536; "
                 "v = rng.standard_normal(n) + 1j * rng.standard_normal(n); "
-                "print(float(_l2_norms(v[None], 2.0 ** -8)[0]).hex())")
+                "print(_l2_norms(v, 2.0 ** -8)[0].hex())")
         outs = []
         for threads in ("1", "2"):
             env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
@@ -130,18 +130,18 @@ class TestShift:
 class TestDiscreteMultiplier:
     def test_constant_bins(self):
         grid = GridSpec(64, 0.125)
-        m = discrete_multiplier(Constant(0.7), grid)
+        m = discrete_multiplier(kernel(Constant(0.7)), grid)
         assert m.shape == (128,)
         assert np.allclose(m, 0.7)
 
     @pytest.mark.parametrize("c", [0.7, -1.25, 0.3 - 0.2j])
     def test_constant_is_exact_on_every_bin(self, c):
-        m = discrete_multiplier(Constant(c), GridSpec(64, 0.125))
+        m = discrete_multiplier(kernel(Constant(c)), GridSpec(64, 0.125))
         assert np.all(m == c)
 
     def test_delay_phase(self):
         grid = GridSpec(64, 0.125)
-        m = discrete_multiplier(Delay(0.5), grid)
+        m = discrete_multiplier(kernel(Delay(0.5)), grid)
         omega = 2.0 * math.pi * np.fft.fftfreq(128, d=0.125)
         assert np.allclose(m, np.exp(1j * omega * 0.5))
 
@@ -152,7 +152,7 @@ class TestDiscreteMultiplier:
         errs = []
         for k in (6, 7):
             grid = GridSpec(2 ** k, 2.0 ** -k)
-            m = discrete_multiplier(atom(c, alpha), grid)
+            m = discrete_multiplier(kernel(atom(c, alpha)), grid)
             omega = 2.0 * math.pi * np.fft.fftfreq(2 ** (k + 1), d=grid.dt)
             keep = np.abs(omega) < 8.0
             ref = c / (alpha - 1j * omega[keep])
@@ -272,7 +272,7 @@ class TestHalfWindowMultiplier:
         ids=to_text)
     def test_real_kernel_is_hermitian(self, g, grid):
         n = grid.n_samples
-        m = discrete_multiplier(g, grid)
+        m = discrete_multiplier(kernel(g), grid)
         assert np.array_equal(m[n + 1:][::-1], np.conj(m[1:n]))
         assert m[0].imag == 0.0
 
@@ -415,19 +415,20 @@ class TestToeplitzApply:
         # equal toeplitz_apply bit for bit and leave the spectrum intact
         grid = GridSpec(1024, 2.0 ** -6)
         f = _exp_signal(grid, rate=2.0)
-        spectrum = _guarded_spectrum(f.values[None])
+        spectrum = _guarded_spectrum(f.values)
         before = spectrum.copy()
         for g in (atom(1.0, 1.0), Delay(0.5), multiply(atom(1.0, 1.0),
                                                        atom(1.0, 3.0))):
-            out = _apply_multiplier(spectrum, discrete_multiplier(g, grid))
-            assert np.array_equal(out[0], toeplitz_apply(g, f).values)
+            out = _apply_multiplier(spectrum,
+                                    discrete_multiplier(kernel(g), grid))
+            assert np.array_equal(out, toeplitz_apply(g, f).values)
         assert np.array_equal(spectrum, before)
 
 
 STACK_GRID = GridSpec(1024, 2.0 ** -6)
 
 
-def _stack_rows(grid):
+def _rows(grid):
     """Four decaying scalar signals, a row each."""
     t = times(grid)
     return np.array([np.exp(-2.0 * t), t * np.exp(-2.5 * t),
@@ -445,17 +446,19 @@ class TestHalfWindowHold:
     def test_half_window_multiplies_as_the_whole(self, g):
         grid = STACK_GRID
         n = grid.n_samples
-        whole = discrete_multiplier(g, grid)
+        krep = kernel(g)
+        whole = discrete_multiplier(krep, grid)
         out = np.full(2 * n, np.nan, dtype=complex)
-        assert discrete_multiplier(g, grid, out=out) is out
+        assert discrete_multiplier(krep, grid, out=out) is out
         assert np.array_equal(out, whole)
-        half = discrete_multiplier(g, grid,
+        half = discrete_multiplier(krep, grid,
                                    out=np.empty(n + 1, dtype=complex))
         assert np.array_equal(half, whole[:n + 1])
-        spectra = _guarded_spectrum(_stack_rows(grid))
-        assert np.array_equal(_apply_multiplier(spectra, half),
-                              _apply_multiplier(spectra, whole))
-        other = discrete_multiplier(atom(1.0, 3.0), grid)
+        spectra = [_guarded_spectrum(f) for f in _rows(grid)]
+        for spectrum in spectra:
+            assert np.array_equal(_apply_multiplier(spectrum, half),
+                                  _apply_multiplier(spectrum, whole))
+        other = discrete_multiplier(kernel(atom(1.0, 3.0)), grid)
         for m in (half, whole):
             diff = _difference(spectra[0], m, spectra[3], other[:n + 1],
                                np.empty(2 * n, dtype=complex),
@@ -466,14 +469,14 @@ class TestHalfWindowHold:
     def test_complex_kernel_keeps_the_whole_window(self):
         grid = STACK_GRID
         with pytest.raises(ValueError, match="n . 1 for a kernel with real"):
-            discrete_multiplier(atom(1.0, 1.0 + 2.0j), grid,
+            discrete_multiplier(kernel(atom(1.0, 1.0 + 2.0j)), grid,
                                 out=np.empty(grid.n_samples + 1,
                                              dtype=complex))
 
 
 class TestSignalStacks:
-    """The private steps act on stacks; a row of one signal must come out
-    as the per-signal `toeplitz_apply` would make it, and the two real
+    """The private steps act on one row each; a row of one signal must come
+    out as the per-signal `toeplitz_apply` would make it, and the two real
     signals of a packed row are normed and guarded apart."""
 
     @pytest.mark.parametrize("g", [atom(1.0, 1.0), Delay(0.5),
@@ -481,77 +484,64 @@ class TestSignalStacks:
                              ids=to_text)
     def test_rows_match_toeplitz_apply(self, g):
         grid = STACK_GRID
-        stack = _stack_rows(grid)
-        spectra = _guarded_spectrum(stack)
-        for row, f in zip(spectra, stack):
-            assert np.array_equal(row, _guarded_spectrum(f[None])[0])
-        out = _apply_multiplier(spectra, discrete_multiplier(g, grid))
-        norms = _l2_norms(out, grid.dt)
-        for k, f in enumerate(stack):
+        m = discrete_multiplier(kernel(g), grid)
+        for f in _rows(grid):
+            out = _apply_multiplier(_guarded_spectrum(f), m)
             ref = toeplitz_apply(g, SampledSignal(grid, f))
-            assert np.array_equal(out[k], ref.values)
-            assert norms[k] == l2_norm(ref)
+            assert np.array_equal(out, ref.values)
+            assert _l2_norms(out, grid.dt) == [l2_norm(ref)]
 
     def test_out_stacks_receive_the_steps(self):
-        # a caller's work stacks give the same bits as fresh arrays
+        # a caller's work rows give the same bits as fresh arrays
         grid = STACK_GRID
-        stack = _stack_rows(grid)
-        m = discrete_multiplier(atom(1.0, 3.0), grid)
-        spectra = np.empty((len(stack), 2 * grid.n_samples), dtype=complex)
-        spectra.fill(np.nan)
-        assert _guarded_spectrum(stack, out=spectra) is spectra
-        assert np.array_equal(spectra, _guarded_spectrum(stack))
-        work = np.empty_like(spectra)
-        out = _apply_multiplier(spectra, m, out=work)
-        assert out.base is work
-        assert np.array_equal(out, _apply_multiplier(spectra, m))
+        m = discrete_multiplier(kernel(atom(1.0, 3.0)), grid)
+        for f in _rows(grid):
+            spectrum = np.full(2 * grid.n_samples, np.nan, dtype=complex)
+            assert _guarded_spectrum(f, out=spectrum) is spectrum
+            assert np.array_equal(spectrum, _guarded_spectrum(f))
+            work = np.empty_like(spectrum)
+            out = _apply_multiplier(spectrum, m, out=work)
+            assert out.base is work
+            assert np.array_equal(out, _apply_multiplier(spectrum, m))
 
     def test_guard_is_per_row(self):
-        # only row 2 has a heavy tail: the stack and that row alone raise,
-        # every other row alone passes
+        # only row 2 has a heavy tail: that row raises, every other passes
         grid = STACK_GRID
-        stack = _stack_rows(grid)
-        stack[2] = np.exp(-0.5 * times(grid))
-        with pytest.raises(WraparoundError):
-            _guarded_spectrum(stack)
-        for k, f in enumerate(stack):
+        rows = _rows(grid)
+        rows[2] = np.exp(-0.5 * times(grid))
+        for k, f in enumerate(rows):
             if k == 2:
                 with pytest.raises(WraparoundError):
-                    _guarded_spectrum(f[None])
+                    _guarded_spectrum(f)
             else:
-                _guarded_spectrum(f[None])
+                _guarded_spectrum(f)
 
     def test_small_row_is_guarded_against_its_own_peak(self):
-        # a per-row guard: a row 1e-9 the size of its neighbours still needs
-        # its own tail below 1e-6 of its own peak
-        grid = STACK_GRID
-        stack = _stack_rows(grid)
-        stack[1] = 1e-9 * np.ones(grid.n_samples)
+        # a row 1e-9 the size of the others still needs its own tail below
+        # 1e-6 of its own peak
         with pytest.raises(WraparoundError):
-            _guarded_spectrum(stack)
+            _guarded_spectrum(1e-9 * np.ones(STACK_GRID.n_samples,
+                                             dtype=complex))
 
     def test_floor_is_the_least_peak_a_row_is_judged_against(self):
         # the constant row at 1e-9 passes when floored at 1, and the floor
-        # leaves every spectrum as it was
-        grid = STACK_GRID
-        stack = _stack_rows(grid)
-        stack[1] = 1e-9 * np.ones(grid.n_samples)
-        floor = np.array([0.0, 1.0, 0.0, 0.0])
-        spectra = _guarded_spectrum(stack, floor=floor)
-        for row, f in zip(spectra, stack):
-            assert np.array_equal(row, np.fft.fft(np.r_[f, 0.0 * f]))
+        # leaves its spectrum as it was
+        f = 1e-9 * np.ones(STACK_GRID.n_samples, dtype=complex)
+        assert np.array_equal(_guarded_spectrum(f, floors=(1.0,)),
+                              np.fft.fft(np.r_[f, 0.0 * f]))
         with pytest.raises(WraparoundError):
-            _guarded_spectrum(stack, floor=np.array([1.0, 1e-9, 1.0, 1.0]))
+            _guarded_spectrum(f, floors=(1e-9,))
 
     def test_packed_rows_give_two_norms(self):
         # a row a + ib of two real signals: the norm of each part, bit for
-        # bit its l2_norm, then one norm per later row
+        # bit its l2_norm; a row of one signal gives one norm
         grid = STACK_GRID
-        stack = _stack_rows(grid)
-        packed = np.array([stack[0] + 1j * stack[1].real, stack[3]])
-        norms = _l2_norms(packed, grid.dt, packed=1)
-        assert norms.tolist() == [l2_norm(SampledSignal(grid, stack[k]))
-                                  for k in (0, 1, 3)]
+        rows = _rows(grid)
+        packed = rows[0] + 1j * rows[1].real
+        assert _l2_norms(packed, grid.dt, two=True) == [
+            l2_norm(SampledSignal(grid, rows[k])) for k in (0, 1)]
+        assert _l2_norms(rows[3], grid.dt) == [
+            l2_norm(SampledSignal(grid, rows[3]))]
 
     @pytest.mark.parametrize("small", ["real", "imag"])
     def test_packed_signals_are_guarded_apart(self, small):
@@ -561,12 +551,12 @@ class TestSignalStacks:
         grid = STACK_GRID
         t = times(grid)
         big, tail = np.exp(-2.0 * t), 1e-4 * np.exp(-0.5 * t)
-        row = (tail + 1j * big if small == "real" else big + 1j * tail)[None]
+        row = tail + 1j * big if small == "real" else big + 1j * tail
         _guarded_spectrum(row)
         with pytest.raises(WraparoundError):
-            _guarded_spectrum(row, packed=1)
-        floor = [1.0, 0.0] if small == "real" else [0.0, 1.0]
-        _guarded_spectrum(row, floor=np.array(floor), packed=1)
+            _guarded_spectrum(row, two=True)
+        floors = (1.0, 0.0) if small == "real" else (0.0, 1.0)
+        _guarded_spectrum(row, two=True, floors=floors)
 
     def test_row_transforms_match_multi_row_calls(self):
         # each row is transformed by its own call, which must give numpy's
@@ -578,16 +568,18 @@ class TestSignalStacks:
         stack = (rng.standard_normal((3, n)) + 1j * rng.standard_normal(
             (3, n))) * np.exp(-times(grid))
         padded = np.concatenate([stack, np.zeros_like(stack)], axis=1)
-        spectra = _guarded_spectrum(stack)
-        assert np.array_equal(spectra, np.fft.fft(padded, axis=1))
+        spectra = np.fft.fft(padded, axis=1)
         inverse = np.fft.ifft(spectra, axis=1)[:, :n]
-        assert np.array_equal(_causal_window(spectra), inverse)
+        for f, spectrum, window in zip(stack, spectra, inverse):
+            row = _guarded_spectrum(f)
+            assert np.array_equal(row, spectrum)
+            assert np.array_equal(_causal_window(row), window)
 
     def test_non_finite_window_raises(self):
         grid = STACK_GRID
-        spectra = _guarded_spectrum(_stack_rows(grid))
-        m = discrete_multiplier(atom(1.0, 1.0), grid)
+        spectrum = _guarded_spectrum(_rows(grid)[0])
+        m = discrete_multiplier(kernel(atom(1.0, 1.0)), grid)
         m[3] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(
                 ValueError, match="non-finite"):
-            _apply_multiplier(spectra, m)
+            _apply_multiplier(spectrum, m)

@@ -16,7 +16,8 @@ import pytest
 
 import hardycalc
 from conftest import damped_string, inline, l2_norm, shift, spiked
-from hardycalc import cli, hardy, numkernel, scenarios, semigroup, verifier
+from hardycalc import (admissibility, cli, hardy, numkernel, scenarios,
+                       semigroup, verifier)
 from hardycalc.admissibility import observability_gramian, sqrt_minus_A
 from hardycalc.calculus import gA_convolution
 from hardycalc.hardy import (GridSpec, SampledSignal, WraparoundError,
@@ -259,6 +260,38 @@ class TestT0:
         assert all(v <= 1.0 + 1e-4
                    for v in rep.details["per_symbol_slack"].values())
 
+    def test_scan_witness_is_the_first_peak(self, monkeypatch):
+        # on example26(16) the 16 per-mode peaks 1/(2n^2) of
+        # sqrt(t)||C T(t)|| all reach e^{-1/2}/sqrt(2) within rounding: the
+        # witness is the earliest, t = 1/512, whichever of them rounds
+        # highest, and a peak above the others by more than roundoff is
+        # named itself
+        gen, C = example26(16)
+        peaks = -1.0 / (2.0 * gen.eigenvalues.real)
+        scan = verifier.sqrt_t_bound_scan
+
+        def witness(at=(), bump=lambda x: np.nextafter(x, np.inf)):
+            def bumped(*args):
+                ts, vals = scan(*args)
+                vals = vals.copy()
+                hit = np.isin(ts, at)
+                vals[:, hit] = bump(vals[:, hit])
+                return ts, vals
+
+            with monkeypatch.context() as m:
+                m.setattr(verifier, "sqrt_t_bound_scan", bumped)
+                rep = next(r for r in verifier.check_example26(gen, C)
+                           if r.name == "example26_sqrt_t_bound")
+            return rep.witness, rep.details["t_at_sup"], rep.bound_measured
+
+        first = ("t=0.00195312", 2.0 ** -9)
+        *named, sup = witness()
+        assert tuple(named) == first
+        assert abs(sup - math.exp(-0.5) / math.sqrt(2.0)) < 1e-15
+        for at in ([1.0 / 18], [1.0 / 2], peaks[peaks > 2.0 ** -9], peaks):
+            assert witness(at)[:2] == first
+        assert witness([1.0 / 18], lambda x: x * (1.0 + 1e-9))[:2] == (
+            "t=0.0555556", 1.0 / 18)
 
     def test_diagonal_scan_hits_the_peak_times(self):
         # sqrt(t) e^{-n^2 t} peaks at t = 1/(2n^2) with value
@@ -751,7 +784,8 @@ class TestWorst:
             verifier._worst({})
 
     def test_only_worst_takes_an_argmax(self):
-        # every witness of verifier goes through the one rule
+        # every witness of verifier goes through the one rule, and the
+        # scans of admissibility leave the pick to it
         tree = ast.parse(Path(verifier.__file__).read_text())
         worst = next(node for node in tree.body
                      if isinstance(node, ast.FunctionDef)
@@ -764,6 +798,8 @@ class TestWorst:
 
         assert argmaxes(worst)
         assert len(argmaxes(tree)) == len(argmaxes(worst))
+        assert not argmaxes(ast.parse(
+            Path(admissibility.__file__).read_text()))
 
 
 class TestNanRatio:
@@ -896,8 +932,8 @@ class TestToeplitzResiduals:
         grid, syms = TOEPLITZ_GRID, list(TOEPLITZ_BATTERY)
         stack = verifier._signals(grid)
         sigs = [SampledSignal(grid, f) for f in stack]
-        rows, packed = hardy._pack(stack, True)
-        assert packed == 2 and len(rows) == 3
+        rows, carried = hardy._pack(stack, True)
+        assert carried == [(0, 1), (2, 3), (4,)] and len(rows) == 3
         pairs = [(i, j) for i in range(len(syms)) for j in range(len(syms))]
         _, resid, norms, _ = toeplitz_residuals(syms, pairs, stack, grid, ())
         assert set(resid) == {(i, j, k) for i, j in pairs
@@ -937,9 +973,9 @@ class TestToeplitzResiduals:
                 seen.append(signals)
             return walk(row, mults, taus, dt, signals, buffers)
 
-        def counted(g, grid, out=None):
-            built.append(g)
-            return build(g, grid, out=out)
+        def counted(krep, grid, out=None):
+            built.append(krep)
+            return build(krep, grid, out=out)
 
         monkeypatch.setattr(hardy, "_shift_residuals", spy)
         monkeypatch.setattr(hardy, "discrete_multiplier", counted)
@@ -977,12 +1013,12 @@ class TestToeplitzResiduals:
 
     def test_shift_witness_is_stable(self, monkeypatch):
         # residuals at rounding name the first (symbol, signal, tau), and
-        # the worst goes to details; one near the gate is named itself
+        # the worst is measured; one near the gate is named itself
         report = next(r for r in check_toeplitz(TOEPLITZ_GRID, (Delay(0.5),))
                       if r.name == "toeplitz_shift_commutation")
         assert report.details["max_residual"] < 1e-12
         assert report.witness == f"exp(0.5*s) on exp(-2t), tau={TAUS[0]:g}"
-        assert report.bound_measured <= report.details["max_residual"]
+        assert report.bound_measured == report.details["max_residual"]
         walk = hardy._shift_residuals
 
         def bumped(row, mults, taus, dt, signals, buffers):
@@ -1124,7 +1160,7 @@ class TestToeplitzResiduals:
 
         def failing(*args, **kwargs):
             on_caller = threading.current_thread() is threading.main_thread()
-            if "floor" in kwargs and on_caller == (owner == "caller"):
+            if "floors" in kwargs and on_caller == (owner == "caller"):
                 raise WraparoundError(f"a row of the {owner}")
             return guard(*args, **kwargs)
 
@@ -1144,11 +1180,11 @@ class TestToeplitzResiduals:
         # with every thread of both splits joined
         guard = hardy._guarded_spectrum
 
-        def failing(stack, *args, **kwargs):
-            if ("floor" in kwargs and stack.shape[1] == level and
+        def failing(samples, *args, **kwargs):
+            if ("floors" in kwargs and len(samples) == level and
                     threading.current_thread() is not threading.main_thread()):
                 raise WraparoundError(f"a row of the {level}-sample level")
-            return guard(stack, *args, **kwargs)
+            return guard(samples, *args, **kwargs)
 
         before = threading.active_count()
         monkeypatch.setattr(hardy, "_guarded_spectrum", failing)
@@ -1159,13 +1195,14 @@ class TestToeplitzResiduals:
     def test_scaled_product_multiplier_fails(self, monkeypatch):
         # a 1e-4 relative error in the multiplier of M_{gh} alone must show
         # in the residual rather than cancel against M_g M_h
-        products = {multiply(g, h) for g in TOEPLITZ_BATTERY
-                    for h in TOEPLITZ_BATTERY} - set(TOEPLITZ_BATTERY)
+        products = {kernel(multiply(g, h)) for g in TOEPLITZ_BATTERY
+                    for h in TOEPLITZ_BATTERY} - {kernel(g)
+                                                  for g in TOEPLITZ_BATTERY}
         build = hardy.discrete_multiplier
 
-        def scaled(g, grid, out=None):
-            m = build(g, grid, out=out)
-            if g in products:
+        def scaled(krep, grid, out=None):
+            m = build(krep, grid, out=out)
+            if krep in products:
                 m *= 1.0 + 1e-4
             return m
 
