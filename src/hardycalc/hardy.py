@@ -42,8 +42,7 @@ thread keeps its own pocketfft scratch in its own glibc malloc arena,
 about 4 MiB more resident memory on a 2^17-point window, which stays after
 the thread is joined; holding real multipliers on half the window pays for
 it, and the rows that thread writes are allocated by its caller, so that
-they stay out of its arena.  A walk may itself run as a half of a caller's
-`two_way`, and then nests its own split.
+they stay out of its arena.
 
 The multiplier is not the raw boundary sample g(i omega_j): it is the
 transfer function of the sampled kernel with order-4 endpoint weights

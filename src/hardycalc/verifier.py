@@ -37,8 +37,7 @@ from .admissibility import (lambda_limit, lebesgue_limit,
                             observability_gramian, sqrt_minus_A,
                             sqrt_t_bound_scan)
 from .calculus import _gA_exact, gA_convolution, gA_toeplitz
-from .hardy import (GridSpec, WraparoundError, times, toeplitz_residuals,
-                    two_way)
+from .hardy import GridSpec, WraparoundError, times, toeplitz_residuals
 from .numkernel import hermitian_eigs, operator_norm, solve_lyapunov
 from .report import finish_report
 from .semigroup import (evaluate_T, example26, gramian, gramian_rule,
@@ -423,7 +422,7 @@ def check_toeplitz(grid, battery):
     # sits on the circular truncation floor e^{-alpha*horizon} where halving
     # the step cannot show the shrink.  The base step is kept at 2^-5 or
     # coarser, so a finer reference dt does not push the base onto the floor.
-    # The two levels are the halves of a `two_way`, each nesting its own.
+    # The two levels run one after the other, each splitting its own walks.
     started = time.perf_counter()
     ref_syms = (atom(1.0, 1.0), atom(1.0, 3.0),
                 add(atom(0.4, 2.0), Constant(0.5)))
@@ -433,20 +432,16 @@ def check_toeplitz(grid, battery):
     base = GridSpec(base_n, grid.horizon / base_n)
     fine = GridSpec(2 * base.n_samples, base.dt / 2.0)
 
-    def level_residuals(levels, h):
-        return [toeplitz_residuals(ref_syms, ref_pairs, _signals(level),
-                                   level, ())[1] for level in levels]
-
     try:
-        parts = two_way(level_residuals, (base, fine))
+        levels = [toeplitz_residuals(ref_syms, ref_pairs, _signals(level),
+                                     level, ())[1] for level in (base, fine)]
     except WraparoundError as exc:
         raise WraparoundError(
             "the step-halving refinement check's own battery "
             f"{', '.join(map(to_text, ref_syms))} needs a longer horizon: "
             f"{exc}") from exc
     worst = [{(i, j): max(resid[i, j, k] for k in range(len(labels)))
-              for i, j in ref_pairs}
-             for part in parts for resid in part]
+              for i, j in ref_pairs} for resid in levels]
     (i, j), r = _worst({p: worst[1][p] / worst[0][p] for p in ref_pairs})
     reports.append(finish_report(
         "toeplitz_refinement", 0.25, r,

@@ -31,8 +31,9 @@ def criterion_line():
 def all_runs(tmp_path_factory):
     """Two complete 'run --scenario all --seed 7' invocations with artifacts.
 
-    Returns [(exit_code, out_dir, parsed_json), ...].  Session scoped: the
-    runs cost about half a minute each and several criteria read them back.
+    Returns [(exit_code, out_dir, parsed_json), ...].  Session scoped:
+    several criteria read the runs back, and each costs under a second
+    (0.35-0.65 s on a shared 2-vCPU machine).
     """
     from hardycalc import cli
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import damped_string, power_stack, spiked
-from hardycalc import calculus, cli
+from hardycalc import calculus, cli, semigroup
 from hardycalc.calculus import gA_convolution, gA_toeplitz
 from hardycalc.hardy import (GridSpec, SampledSignal, WraparoundError,
                              discrete_multiplier, toeplitz_apply)
@@ -110,10 +110,13 @@ class TestConvolutionRoute:
         # estimate must never fall below the distance to the resolvent route;
         # the stiff example26(64) and the oscillating damped strings carry
         # the most roundoff from the doublings; the spiked pair, the most
-        # from a start step sized by a norm that misses one side
+        # from a start step sized by a norm that misses one side; the
+        # Jordan block -I + 3N, the largest transient growth, leaves the
+        # rounding allowance the least room
         gens = [random_stable(8, s) for s in range(8, 18)]
         gens += [example26(16)[0], example26(64)[0], damped_string(16),
-                 damped_string(32), spiked(), spiked(transpose=True)]
+                 damped_string(32), spiked(), spiked(transpose=True),
+                 Generator.dense(-np.eye(6) + 3.0 * np.eye(6, k=1))]
         # each symbol alone, and all of them as one batch, whose common
         # horizon and start step differ from each symbol's own
         batches = [[g] for g in CONV_SYMBOLS] + [list(CONV_SYMBOLS)]
@@ -193,6 +196,23 @@ class TestConvolutionBatch:
         capsys.readouterr()
         assert len(chains) == len(reports)
         assert len({id(gen) for gen in chains}) == len(reports)
+
+    @pytest.mark.parametrize("gen", [random_stable(8, 8), FAST_GEN],
+                             ids=["dense", "diagonal"])
+    def test_one_start_series_per_batch(self, gen, monkeypatch):
+        # the estimate needs no second chain from half the start step
+        calls = []
+        series = semigroup._start_series
+
+        def counted(op, X, h):
+            calls.append(h)
+            return series(op, X, h)
+
+        monkeypatch.setattr(semigroup, "_start_series", counted)
+        gA_convolution(gen, CONV_SYMBOLS)
+        assert len(calls) == 1
+        semigroup.orbit_average(gen, 0.5)
+        assert len(calls) == 2
 
     def test_empty_batch(self, chains):
         assert gA_convolution(FAST_GEN, []) == []
