@@ -80,11 +80,10 @@ def observability_gramian(gen, C):
 
 def sqrt_t_bound_scan(gen, Xs, ts):
     """The sorted scanned times and the (len(Xs), m) array of
-    sqrt(t) ||X T(t)|| at them, a row for each X in Xs; on diagonal input
-    `norm_scan` adds the per-mode peak times.  The caller picks the sup
-    and its time."""
-    ts, norms = norm_scan(gen, [_observation_matrix(X, gen) for X in Xs], ts)
-    return ts, np.sqrt(ts) * norms
+    sqrt(t) ||X T(t)|| at them, a row for each X of the one-shape stack
+    Xs: `norm_scan` at power 1/2, with its peak times on diagonal input.
+    The caller picks the sup and its time."""
+    return norm_scan(gen, [_observation_matrix(X, gen) for X in Xs], ts, 0.5)
 
 
 def _require_real_diagonal(gen):

@@ -4,9 +4,9 @@ validates the configuration, dispatches through the scenario registry of
 artifacts.  The checks themselves live in `verifier`.
 
 Exit codes: 0 all pass, 1 check failure, 2 malformed configuration (a
-value of the wrong JSON type, a grid too short for the wraparound or
-decay-horizon guard, a shift, point mass or mode offset between grid
-points), 3 unknown scenario.
+value of the wrong JSON type, a negative seed, a grid too short for the
+wraparound or decay-horizon guard, a shift, point mass or mode offset
+between grid points), 3 unknown scenario.
 """
 
 from __future__ import annotations
@@ -58,6 +58,8 @@ _CONFIG_TYPES = {"scenario": ((str,), "a string"), "seed": _INTEGER,
 
 
 def _validate(config):
+    if config.seed < 0:
+        raise ConfigError("seed must be a nonnegative integer")
     if config.modes < 1:
         raise ConfigError("modes must be >= 1")
     n = config.grid_n

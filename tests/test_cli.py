@@ -307,6 +307,25 @@ class TestExitCodes:
         assert main(["run", "--scenario", "example26"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("source", ["flag", "env", "config"])
+    def test_negative_seed_is_2(self, source, tmp_path, monkeypatch, capsys):
+        # a negative seed reached np.random.default_rng, whose ValueError
+        # ended the run in a traceback with exit code 1
+        argv = ["run", "--scenario", "eq21"]
+        if source == "flag":
+            argv = ["run", "--scenario", "thm33", "--seed", "-5"]
+        elif source == "env":
+            monkeypatch.setenv("HARDYCALC_SEED", "-3")
+        else:
+            p = tmp_path / "cfg.json"
+            p.write_text(json.dumps({"scenario": "eq21", "seed": -1}))
+            argv = ["run", "--config", str(p)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "config error: seed must be a nonnegative integer"]
+        assert captured.out == ""
+
     def test_passing_scenario_is_0(self, capsys):
         assert main(["run", "--scenario", "example26"]) == 0
         out = capsys.readouterr().out

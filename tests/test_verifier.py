@@ -308,6 +308,31 @@ class TestT0:
             peak / hinf_norm(g), rel=1e-14)
 
 
+class TestExample26:
+    def test_floor_reads_the_scan(self, monkeypatch):
+        # the floor is the sqrt(t) scan at the peak times 1/n^2, read from
+        # the scan that the sqrt(t) bound reports on: lowered there by a
+        # relative 1e-8, the floor falls short of 1/e and the bound holds
+        gen, C = example26(16)
+        scan = verifier.sqrt_t_bound_scan
+
+        def lowered(*args):
+            ts, vals = scan(*args)
+            hit = np.isin(ts, [1.0 / (n * n) for n in (1, 2, 4, 8)])
+            assert np.count_nonzero(hit) == 4
+            vals = vals.copy()
+            vals[:, hit] *= 1.0 - 1e-8
+            return ts, vals
+
+        monkeypatch.setattr(verifier, "sqrt_t_bound_scan", lowered)
+        by_name = {r.name: r for r in verifier.check_example26(gen, C)}
+        floor = by_name["example26_sharpness_floor"]
+        assert not floor.passed
+        assert floor.details["min_scan_value"] == pytest.approx(
+            math.exp(-1.0) * (1.0 - 1e-8), rel=1e-15)
+        assert by_name["example26_sqrt_t_bound"].passed
+
+
 class TestAnalyticLemma:
     def test_reference_model_peak(self):
         # per-mode peak of t|lambda|e^{lambda t} is 1/e at t = 1/|lambda|,
